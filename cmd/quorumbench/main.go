@@ -25,11 +25,12 @@
 //	quorumbench -fig 6.3 -shards 4 -shard 1 > p1.json   # one shard's partial
 //	quorumbench -fig 6.3 -shards 4 -merge p0.json,p1.json,p2.json,p3.json
 //	quorumbench -fleet-worker -addr :9190           # serve shards for a fleet
-//	quorumbench -fig 6.3 -fleet host1:9190,host2:9190   # static worker list
+//	quorumbench -fig 6.3 -fleet host1:9190,host2:9190   # listed workers, pinned for the run
 //
-// Elastic fleet (workers self-register and heartbeat; a worker that
-// dies mid-shard has its shard re-dispatched immediately, and workers
-// may join mid-run):
+// Elastic fleet — the same dispatcher over a roster that changes
+// (workers self-register and heartbeat; a worker that dies mid-shard
+// has its shard re-dispatched immediately, and workers may join
+// mid-run):
 //
 //	quorumbench -fleet-worker -addr :9190 -join coordinator-host:9200
 //	quorumbench -fleet-worker -addr :9190 -join host:9200 -slots 4 -cores 8
@@ -104,7 +105,7 @@ func run() int {
 		shards    = flag.Int("shards", 0, "split the figure/scenario point-space into this many shards")
 		shard     = flag.Int("shard", -1, "execute only this shard (0-based, with -shards) and print its partial as JSON")
 		mergeArg  = flag.String("merge", "", "comma-separated partial JSON files to merge into the full table")
-		fleetArg  = flag.String("fleet", "", "comma-separated fleet worker addresses to run the shards on")
+		fleetArg  = flag.String("fleet", "", "comma-separated fleet worker addresses to run the shards on: a roster pinned for the run (no registration, no heartbeats; a failed shard retries on the others)")
 		fleetReg  = flag.String("fleet-registry", "", "listen address for an elastic fleet registry; shards run on self-registered workers (see -join)")
 		minWork   = flag.Int("min-workers", 1, "workers that must be live before an elastic run dispatches")
 		worker    = flag.Bool("fleet-worker", false, "serve shard jobs for fleet coordinators (see -addr)")
@@ -372,9 +373,10 @@ type shardedOptions struct {
 	leaseTTL   time.Duration
 }
 
-// fleetConfig builds the coordinator Config for the selected fleet mode
-// — a static worker list, or an elastic registry whose HTTP server it
-// starts (the returned cleanup stops it).
+// fleetConfig builds the coordinator Config for the selected roster —
+// the -fleet addresses, which the coordinator pins, or a registry for
+// self-registering workers whose HTTP server it starts (the returned
+// cleanup stops it).
 func fleetConfig(opts shardedOptions) (fleet.Config, func(), int) {
 	logf := fleetLogf(opts.progress)
 	if opts.registry != "" {
@@ -531,8 +533,8 @@ func runSharded(spec *scenario.Spec, cfg scenario.RunConfig, opts shardedOptions
 		return emit(tb, format, spec.Name, start, "\n")
 
 	case opts.registry != "" || fleetArg != "":
-		// Fleet run: static worker list, or an elastic registry waiting
-		// for -min-workers self-registrations. With -journal every
+		// Fleet run: over the listed workers, or a registry waiting for
+		// -min-workers self-registrations. With -journal every
 		// dispatch and completed shard is made durable for -resume.
 		fcfg, cleanup, code := fleetConfig(opts)
 		if code != 0 {

@@ -19,7 +19,6 @@
 package deploy
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -301,31 +300,6 @@ func (m *Manager) DeltaLog() []Delta {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]Delta(nil), m.deltaLog...)
-}
-
-// Wait blocks until an entry with version greater than after is
-// published, then returns it. On context cancellation it returns the
-// current entry and the context's error — a long-poll timeout serves
-// whatever is current.
-func (m *Manager) Wait(ctx context.Context, after uint64) (*Entry, error) {
-	for {
-		e := m.Current()
-		if e.Snapshot.Version > after {
-			return e, nil
-		}
-		ch := m.Notify()
-		// Re-check: a publish may have landed between the load and the
-		// channel fetch; the freshly fetched channel only signals
-		// publishes after it was installed.
-		if e2 := m.Current(); e2.Snapshot.Version > after {
-			return e2, nil
-		}
-		select {
-		case <-ctx.Done():
-			return m.Current(), ctx.Err()
-		case <-ch:
-		}
-	}
 }
 
 // Notify returns the epoch channel closed at the next publish: every

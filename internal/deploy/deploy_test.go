@@ -266,6 +266,26 @@ func TestDeltaValidation(t *testing.T) {
 	}
 }
 
+// wait is the long-poll a Notify consumer builds (internal/serve does,
+// around its timer wheel): block until an entry with version greater
+// than after is published and return it; on context cancellation return
+// the current entry and the context's error.
+func wait(ctx context.Context, m *Manager, after uint64) (*Entry, error) {
+	for {
+		ch := m.Notify()
+		// Fetch, then check: a publish after the fetch closes exactly the
+		// fetched channel, so none is lost between the check and the park.
+		if e := m.Current(); e.Snapshot.Version > after {
+			return e, nil
+		}
+		select {
+		case <-ctx.Done():
+			return m.Current(), ctx.Err()
+		case <-ch:
+		}
+	}
+}
+
 // TestWait exercises the long-poll path: a waiter blocks until the next
 // publish, and a cancelled context returns the current entry.
 func TestWait(t *testing.T) {
@@ -280,7 +300,7 @@ func TestWait(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		e, err := m.Wait(ctx, cur)
+		e, err := wait(ctx, m, cur)
 		done <- result{e, err}
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -297,7 +317,7 @@ func TestWait(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	e, err := m.Wait(ctx, r.e.Snapshot.Version)
+	e, err := wait(ctx, m, r.e.Snapshot.Version)
 	if err == nil {
 		t.Fatal("expired wait returned without error")
 	}
@@ -390,7 +410,7 @@ func TestManagerConcurrent(t *testing.T) {
 		after := uint64(0)
 		for !stop.Load() {
 			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-			e, _ := m.Wait(ctx, after)
+			e, _ := wait(ctx, m, after)
 			cancel()
 			if e.Snapshot.Version < after {
 				readerErr <- fmt.Errorf("wait went backwards: %d after %d", e.Snapshot.Version, after)

@@ -140,7 +140,7 @@ func AblDedup(p Params) (*Table, error) {
 		if err := tp.SetUniformCapacity(c); err != nil {
 			return nil, err
 		}
-		f, err := placement.ManyToOne(tp, sys, placement.ManyToOneConfig{Candidates: candidates, LP: p.lpOptions()})
+		f, err := placement.ManyToOne(tp, sys, placement.ManyToOneConfig{Candidates: candidates, LP: lp.OptionsFor(p.Reproducible)})
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +158,7 @@ func AblDedup(p Params) (*Table, error) {
 			e.Mode = mode
 			// The load mode changes the LP coefficients, so each mode
 			// needs its own optimizer workspace.
-			opt, err := strategy.NewOptimizer(e, strategy.Config{LP: p.lpOptions()})
+			opt, err := strategy.NewOptimizer(e, strategy.Config{LP: lp.OptionsFor(p.Reproducible)})
 			if err != nil {
 				return 0, err
 			}

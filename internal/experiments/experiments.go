@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"github.com/quorumnet/quorumnet/internal/lp"
 	"github.com/quorumnet/quorumnet/internal/scenario"
 	"github.com/quorumnet/quorumnet/internal/strategy"
 	"github.com/quorumnet/quorumnet/internal/topology"
@@ -41,14 +40,6 @@ type Params struct {
 	// which can shift vertex-dependent columns (e.g. response time of an
 	// optimal-delay strategy) within the optimal face.
 	Reproducible bool
-}
-
-// lpOptions translates the reproducibility setting into solver options.
-func (p Params) lpOptions() lp.Options {
-	if p.Reproducible {
-		return lp.Options{}
-	}
-	return lp.Options{Pricing: lp.PricingPartial}
 }
 
 // sweepConfig translates the reproducibility setting into sweep options.

@@ -8,8 +8,8 @@ import (
 	"github.com/quorumnet/quorumnet/internal/scenario"
 )
 
-// elasticTask is one shard waiting for a worker.
-type elasticTask struct {
+// shardTask is one shard waiting for a worker.
+type shardTask struct {
 	shard int
 	// attempts already consumed by this shard.
 	attempts int
@@ -28,8 +28,8 @@ type elasticTask struct {
 	backedOff bool
 }
 
-// elasticAttempt is one in-flight dispatch of a shard to a worker.
-type elasticAttempt struct {
+// shardAttempt is one in-flight dispatch of a shard to a worker.
+type shardAttempt struct {
 	key     string
 	shard   int
 	attempt int
@@ -80,15 +80,19 @@ func pickWorker(live []WorkerRef, excluded map[string]bool, load map[string]int)
 	return live[best], true
 }
 
-// runElastic dispatches the spec's shards over the registry's live
-// workers. Beyond the static path it adds: joins observed mid-run, a
-// worker that misses heartbeats while holding a shard triggers an
-// immediate re-dispatch (no ShardTimeout burned), excluded tracking so
-// re-dispatch never bounces straight back, backoff when every live
-// worker already failed a shard, and discard of late duplicate results
-// by shard-attempt id.
-func (c *Coordinator) runElastic(spec *scenario.Spec, cfg scenario.RunConfig, recovered map[int]*scenario.Partial) (*scenario.Table, error) {
-	reg := c.cfg.Registry
+// run dispatches the spec's shards over the roster's live workers from
+// one event loop: joins are observed mid-run, a worker that misses
+// heartbeats while holding a shard triggers an immediate re-dispatch
+// (no ShardTimeout burned), exclusions keep a re-dispatch from bouncing
+// straight back, a shard every live worker already failed backs off
+// before retrying, a shard that exhausts its attempts fails the run at
+// once, and late duplicate results are discarded by shard-attempt id.
+// A pinned roster (Config.Workers) is the case where no worker ever
+// joins or dies.
+func (c *Coordinator) run(spec *scenario.Spec, cfg scenario.RunConfig, recovered map[int]*scenario.Partial) (*scenario.Table, error) {
+	stopLease := c.startLeaseTicker()
+	defer stopLease()
+	reg := c.reg
 	space, err := scenario.NewSpace(spec, cfg)
 	if err != nil {
 		return nil, err
@@ -137,11 +141,11 @@ func (c *Coordinator) runElastic(spec *scenario.Spec, cfg scenario.RunConfig, re
 	epoch := c.epoch()
 	maxAttempts := c.cfg.attempts()
 	start := time.Now()
-	c.logf("fleet: %s: %d points across %d shards (elastic, epoch %d, %d workers live, %d recovered)",
+	c.logf("fleet: %s: %d points across %d shards (epoch %d, %d workers live, %d recovered)",
 		spec.Name, space.NumPoints(), shards, epoch, len(reg.Live()), len(recovered))
 
-	var pending []*elasticTask
-	inflight := map[string]*elasticAttempt{}
+	var pending []*shardTask
+	inflight := map[string]*shardAttempt{}
 	perWorker := map[string]int{}
 	done := make([]*scenario.Partial, shards)
 	completed := 0
@@ -151,7 +155,7 @@ func (c *Coordinator) runElastic(spec *scenario.Spec, cfg scenario.RunConfig, re
 			completed++
 			continue
 		}
-		pending = append(pending, &elasticTask{shard: j, excluded: map[string]bool{}})
+		pending = append(pending, &shardTask{shard: j, excluded: map[string]bool{}})
 	}
 	redispatches := 0
 	known := map[string]bool{}
@@ -169,7 +173,7 @@ func (c *Coordinator) runElastic(spec *scenario.Spec, cfg scenario.RunConfig, re
 	// takeOutcome retires one attempt and classifies its outcome. Returns
 	// the task to re-enqueue, if any, and a journaling failure, which
 	// aborts the run.
-	takeOutcome := func(out attemptOutcome) (*elasticTask, error) {
+	takeOutcome := func(out attemptOutcome) (*shardTask, error) {
 		att := inflight[out.key]
 		delete(inflight, out.key)
 		att.cancel()
@@ -203,7 +207,7 @@ func (c *Coordinator) runElastic(spec *scenario.Spec, cfg scenario.RunConfig, re
 			c.event(Event{Kind: EventRedispatch, Shard: att.shard, Attempt: att.attempt, AttemptID: att.key, Worker: att.worker.ID, Detail: out.err.Error()})
 			c.logf("fleet: %s: shard %d/%d attempt %s on %s failed: %v",
 				spec.Name, att.shard, shards, att.key, att.worker.ID, out.err)
-			return &elasticTask{
+			return &shardTask{
 				shard:    att.shard,
 				attempts: att.attempt,
 				excluded: excluded,
@@ -241,7 +245,7 @@ func (c *Coordinator) runElastic(spec *scenario.Spec, cfg scenario.RunConfig, re
 			redispatches++
 			excluded := copyExcluded(att.excluded)
 			excluded[att.worker.ID] = true
-			pending = append(pending, &elasticTask{
+			pending = append(pending, &shardTask{
 				shard:    att.shard,
 				attempts: att.attempt,
 				excluded: excluded,
@@ -256,7 +260,7 @@ func (c *Coordinator) runElastic(spec *scenario.Spec, cfg scenario.RunConfig, re
 		// Dispatch every ready task that has an eligible worker.
 		now := time.Now()
 		var nextWake time.Time
-		var still []*elasticTask
+		var still []*shardTask
 		for _, t := range pending {
 			if done[t.shard] != nil {
 				continue // completed by a superseded attempt meanwhile
@@ -302,7 +306,7 @@ func (c *Coordinator) runElastic(spec *scenario.Spec, cfg scenario.RunConfig, re
 			}
 			attempt := t.attempts + 1
 			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.shardTimeout())
-			att := &elasticAttempt{
+			att := &shardAttempt{
 				key:      attemptID(epoch, t.shard, attempt),
 				shard:    t.shard,
 				attempt:  attempt,
@@ -320,7 +324,7 @@ func (c *Coordinator) runElastic(spec *scenario.Spec, cfg scenario.RunConfig, re
 			}
 			c.logf("fleet: %s: shard %d/%d attempt %s -> %s (%s)",
 				spec.Name, t.shard, shards, att.key, w.ID, w.Addr)
-			go func(att *elasticAttempt, addr string) {
+			go func(att *shardAttempt, addr string) {
 				partial, err := c.attemptShard(ctx, addr, spec, cfg, att.shard, shards)
 				results <- attemptOutcome{key: att.key, partial: partial, err: err}
 			}(att, w.Addr)

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -61,10 +62,10 @@ func (l *eventLog) first(kind string) (Event, bool) {
 	return Event{}, false
 }
 
-// elasticHarness wires a fake-clock registry, workers (optionally
+// fleetHarness wires a fake-clock registry, workers (optionally
 // behind fault-injection proxies), and an event log: the scaffolding
-// every re-dispatch test shares.
-type elasticHarness struct {
+// every dispatch test shares.
+type fleetHarness struct {
 	t      *testing.T
 	clock  *fakeClock
 	reg    *Registry
@@ -73,10 +74,10 @@ type elasticHarness struct {
 	baseTx []byte
 }
 
-func newElasticHarness(t *testing.T) *elasticHarness {
+func newFleetHarness(t *testing.T) *fleetHarness {
 	t.Helper()
 	clock := newFakeClock()
-	h := &elasticHarness{
+	h := &fleetHarness{
 		t:     t,
 		clock: clock,
 		log:   &eventLog{},
@@ -100,34 +101,63 @@ func newElasticHarness(t *testing.T) *elasticHarness {
 	return h
 }
 
-// addWorker starts a worker and registers it directly (tests drive
-// heartbeats by hand for determinism).
-func (h *elasticHarness) addWorker() WorkerRef {
+// startWorker starts a worker and returns its address.
+func (h *fleetHarness) startWorker() string {
 	h.t.Helper()
 	srv := httptest.NewServer(NewWorker(WorkerOptions{MaxWait: 100 * time.Millisecond, Logf: h.t.Logf}).Handler())
 	h.t.Cleanup(srv.Close)
-	return h.reg.Register(srv.URL, 1, 0)
+	return srv.URL
 }
 
-// addProxiedWorker starts a worker behind a fault-injection proxy and
-// registers the proxy's address.
-func (h *elasticHarness) addProxiedWorker() (WorkerRef, *faultinject.Proxy) {
+// startProxiedWorker starts a worker behind a fault-injection proxy and
+// returns the proxy's address.
+func (h *fleetHarness) startProxiedWorker() (string, *faultinject.Proxy) {
 	h.t.Helper()
-	srv := httptest.NewServer(NewWorker(WorkerOptions{MaxWait: 100 * time.Millisecond, Logf: h.t.Logf}).Handler())
-	h.t.Cleanup(srv.Close)
-	proxy, err := faultinject.New(srv.URL)
+	proxy, err := faultinject.New(h.startWorker())
 	if err != nil {
 		h.t.Fatal(err)
 	}
 	front := httptest.NewServer(proxy.Handler())
 	h.t.Cleanup(front.Close)
-	return h.reg.Register(front.URL, 1, 0), proxy
+	return front.URL, proxy
+}
+
+// addWorker starts a worker and registers it directly (tests drive
+// heartbeats by hand for determinism).
+func (h *fleetHarness) addWorker() WorkerRef {
+	h.t.Helper()
+	return h.reg.Register(h.startWorker(), 1, 0)
+}
+
+// addProxiedWorker starts a proxied worker and registers the proxy's
+// address.
+func (h *fleetHarness) addProxiedWorker() (WorkerRef, *faultinject.Proxy) {
+	h.t.Helper()
+	url, proxy := h.startProxiedWorker()
+	return h.reg.Register(url, 1, 0), proxy
+}
+
+// rosters names the two ways a coordinator learns its workers; tests of
+// behaviour that does not depend on heartbeats run once over each.
+var rosters = []string{"pinned", "self-registered"}
+
+// rosterConfig returns the Config that reaches the workers at urls
+// through the named roster: listed in Workers, or registered with the
+// harness registry.
+func (h *fleetHarness) rosterConfig(roster string, urls ...string) Config {
+	if roster == "pinned" {
+		return Config{Workers: urls}
+	}
+	for _, u := range urls {
+		h.reg.Register(u, 1, 0)
+	}
+	return Config{Registry: h.reg}
 }
 
 // kill expires the named worker: the clock advances two heartbeat
 // intervals (the liveness window), every survivor beats once, and
 // expiry runs — exactly what "missed 2 heartbeats" means on the wire.
-func (h *elasticHarness) kill(id string) {
+func (h *fleetHarness) kill(id string) {
 	h.t.Helper()
 	h.clock.Advance(2 * h.reg.HeartbeatInterval())
 	h.reg.mu.Lock()
@@ -143,9 +173,11 @@ func (h *elasticHarness) kill(id string) {
 	}
 }
 
-func (h *elasticHarness) coordinator(cfg Config) *Coordinator {
+func (h *fleetHarness) coordinator(cfg Config) *Coordinator {
 	h.t.Helper()
-	cfg.Registry = h.reg
+	if len(cfg.Workers) == 0 {
+		cfg.Registry = h.reg
+	}
 	cfg.Logf = h.t.Logf
 	cfg.OnEvent = h.log.record
 	coord, err := New(cfg)
@@ -155,41 +187,54 @@ func (h *elasticHarness) coordinator(cfg Config) *Coordinator {
 	return coord
 }
 
-func (h *elasticHarness) assertByteIdentical(got *scenario.Table) {
+func (h *fleetHarness) assertByteIdentical(got *scenario.Table) {
 	h.t.Helper()
 	var buf bytes.Buffer
 	if err := got.Format(&buf); err != nil {
 		h.t.Fatal(err)
 	}
 	if !bytes.Equal(h.baseTx, buf.Bytes()) {
-		h.t.Fatalf("elastic fleet output differs from unsharded run:\n%s\nvs\n%s",
+		h.t.Fatalf("fleet output differs from unsharded run:\n%s\nvs\n%s",
 			buf.String(), string(h.baseTx))
 	}
 }
 
-// TestElasticFleetByteIdentical: an elastic run over self-registered
-// workers — including one that joins mid-run — merges to the exact
-// bytes of a local unsharded run.
-func TestElasticFleetByteIdentical(t *testing.T) {
-	h := newElasticHarness(t)
-	h.addWorker()
-	var joinOnce sync.Once
-	h.log.hook(func(ev Event) {
-		if ev.Kind == EventShardDone {
-			joinOnce.Do(func() { h.addWorker() })
-		}
-	})
-	coord := h.coordinator(Config{Shards: 4})
-	got, err := coord.Run(testSpec(), testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.assertByteIdentical(got)
-	if n := h.log.count(EventWorkerJoin); n != 2 {
-		t.Errorf("worker-join events: %d, want 2 (one initial, one mid-run)", n)
-	}
-	if n := h.log.count(EventShardDone); n != 4 {
-		t.Errorf("shard-done events: %d, want 4", n)
+// TestFleetRunByteIdentical: a run over either roster — two pinned
+// addresses, or self-registered workers with one joining mid-run —
+// merges to the exact bytes of a local unsharded run, with more shards
+// than workers and a shard-done event for every shard.
+func TestFleetRunByteIdentical(t *testing.T) {
+	for _, roster := range rosters {
+		t.Run(roster, func(t *testing.T) {
+			h := newFleetHarness(t)
+			var cfg Config
+			if roster == "pinned" {
+				cfg = h.rosterConfig(roster, h.startWorker(), h.startWorker())
+			} else {
+				cfg = h.rosterConfig(roster, h.startWorker())
+				var joinOnce sync.Once
+				h.log.hook(func(ev Event) {
+					if ev.Kind == EventShardDone {
+						joinOnce.Do(func() { h.addWorker() })
+					}
+				})
+			}
+			cfg.Shards = 4
+			got, err := h.coordinator(cfg).Run(testSpec(), testCfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(h.base, got) {
+				t.Fatalf("fleet table differs:\n%v\nvs\n%v", h.base.Rows, got.Rows)
+			}
+			h.assertByteIdentical(got)
+			if n := h.log.count(EventWorkerJoin); n != 2 {
+				t.Errorf("worker-join events: %d, want 2", n)
+			}
+			if n := h.log.count(EventShardDone); n != 4 {
+				t.Errorf("shard-done events: %d, want 4", n)
+			}
+		})
 	}
 }
 
@@ -201,7 +246,7 @@ func TestElasticFleetByteIdentical(t *testing.T) {
 // configured with. The script fires at the exact protocol point: right
 // after the worker accepted the shard.
 func TestMidExecuteDeathRedispatch(t *testing.T) {
-	h := newElasticHarness(t)
+	h := newFleetHarness(t)
 	victim, proxy := h.addProxiedWorker()
 	survivor := h.addWorker()
 
@@ -250,30 +295,37 @@ func TestMidExecuteDeathRedispatch(t *testing.T) {
 	}
 }
 
-// TestSingleWorkerRetryBacksOff: when the only live worker fails a
-// shard (a dropped dispatch), the retry waits RetryBackoff and then
-// re-tries the same worker with a clean exclusion slate — it neither
-// hot-loops nor starves.
+// TestSingleWorkerRetryBacksOff: when the only worker fails a shard
+// twice running (dropped dispatches), each retry waits RetryBackoff and
+// then re-tries the same worker with a clean exclusion slate — it
+// neither hot-loops through its attempt budget nor starves — whether
+// the worker was pinned or registered itself.
 func TestSingleWorkerRetryBacksOff(t *testing.T) {
-	h := newElasticHarness(t)
-	_, proxy := h.addProxiedWorker()
-	proxy.DropNext(faultinject.PointDispatch, 1)
+	for _, roster := range rosters {
+		t.Run(roster, func(t *testing.T) {
+			h := newFleetHarness(t)
+			url, proxy := h.startProxiedWorker()
+			proxy.DropNext(faultinject.PointDispatch, 2)
 
-	coord := h.coordinator(Config{Shards: 1, RetryBackoff: 30 * time.Millisecond})
-	start := time.Now()
-	got, err := coord.Run(testSpec(), testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.assertByteIdentical(got)
-	if n := h.log.count(EventBackoff); n != 1 {
-		t.Errorf("backoff events: %d, want exactly 1", n)
-	}
-	if ev, _ := h.log.first(EventShardDone); ev.Attempt != 2 {
-		t.Errorf("shard completed as attempt %d, want 2 (one retry)", ev.Attempt)
-	}
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Errorf("run finished in %s: the retry cannot have waited the 30ms backoff", elapsed)
+			cfg := h.rosterConfig(roster, url)
+			cfg.Shards = 1
+			cfg.RetryBackoff = 30 * time.Millisecond
+			start := time.Now()
+			got, err := h.coordinator(cfg).Run(testSpec(), testCfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.assertByteIdentical(got)
+			if n := h.log.count(EventBackoff); n != 2 {
+				t.Errorf("backoff events: %d, want 2 (one per retry)", n)
+			}
+			if ev, _ := h.log.first(EventShardDone); ev.Attempt != 3 {
+				t.Errorf("shard completed as attempt %d, want 3 (two retries)", ev.Attempt)
+			}
+			if elapsed := time.Since(start); elapsed < 60*time.Millisecond {
+				t.Errorf("run finished in %s: two retries cannot have waited 30ms each", elapsed)
+			}
+		})
 	}
 }
 
@@ -282,7 +334,7 @@ func TestSingleWorkerRetryBacksOff(t *testing.T) {
 // fault); the coordinator retries the shard on the other worker,
 // excluding the one that failed it.
 func TestPreResultSeverRedispatch(t *testing.T) {
-	h := newElasticHarness(t)
+	h := newFleetHarness(t)
 	victim, proxy := h.addProxiedWorker()
 	survivor := h.addWorker()
 	proxy.DropNext(faultinject.PointResult, 1)
@@ -313,7 +365,7 @@ func TestPreResultSeverRedispatch(t *testing.T) {
 // result is discarded by shard-attempt id — observable as exactly one
 // late-discard event — leaving the merge byte-identical.
 func TestLateDuplicateResultDiscarded(t *testing.T) {
-	h := newElasticHarness(t)
+	h := newFleetHarness(t)
 	victim, proxy := h.addProxiedWorker()
 	h.addWorker()
 
@@ -349,7 +401,7 @@ func TestLateDuplicateResultDiscarded(t *testing.T) {
 // TestElasticRunFailsAfterMaxAttempts: a shard no worker can execute
 // exhausts Attempts and fails the run with the shard named.
 func TestElasticRunFailsAfterMaxAttempts(t *testing.T) {
-	h := newElasticHarness(t)
+	h := newFleetHarness(t)
 	_, proxy := h.addProxiedWorker()
 	proxy.Sever()
 
@@ -360,5 +412,35 @@ func TestElasticRunFailsAfterMaxAttempts(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "failed after 2 attempts") {
 		t.Errorf("error %q does not name the attempt budget", err)
+	}
+}
+
+// TestExhaustedShardFailsRunAtOnce: over a pinned roster, a shard that
+// runs out of attempts fails the run then and there — the run does not
+// first wait out a sibling shard hung on the other worker, which would
+// cost the whole 5-minute ShardTimeout.
+func TestExhaustedShardFailsRunAtOnce(t *testing.T) {
+	h := newFleetHarness(t)
+	hung, proxy := h.startProxiedWorker()
+	t.Cleanup(proxy.Hold(faultinject.PointPoll))
+	dead := httptest.NewServer(nil)
+	dead.Close() // now refuses connections
+
+	coord := h.coordinator(Config{
+		Workers:      []string{hung, dead.URL},
+		Shards:       2,
+		Attempts:     1,
+		ShardTimeout: 5 * time.Minute,
+	})
+	start := time.Now()
+	_, err := coord.Run(testSpec(), testCfg())
+	if err == nil {
+		t.Fatal("run with an unreachable worker and one attempt succeeded")
+	}
+	if !strings.Contains(err.Error(), "shard 1/2 failed after 1 attempts") {
+		t.Errorf("error %q does not name the exhausted shard", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Minute {
+		t.Fatalf("run took %s to fail: it waited for the hung sibling shard", elapsed)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	runjournal "github.com/quorumnet/quorumnet/internal/fleet/journal"
@@ -17,27 +16,27 @@ import (
 
 // Config tunes a Coordinator.
 type Config struct {
-	// Workers lists static worker addresses ("host:port" or full http://
-	// URLs). Leave empty when Registry is set.
+	// Workers lists worker addresses ("host:port" or full http:// URLs)
+	// to pin into a private roster: one slot each, live for good, named
+	// by their address in events and journal records. Leave empty when
+	// Registry is set.
 	Workers []string
-	// Registry switches the coordinator to elastic dispatch: shards run
-	// on the live self-registered workers instead of a static list,
+	// Registry supplies a roster of self-registered workers instead:
 	// workers may join mid-run, and a worker that misses heartbeats
 	// while holding a shard triggers an immediate re-dispatch on another
 	// worker (the dead one excluded, so the shard doesn't bounce back)
 	// instead of burning a ShardTimeout.
 	Registry *Registry
 	// MinWorkers delays the first dispatch until this many workers are
-	// live (elastic mode; default 1).
+	// live (default 1).
 	MinWorkers int
 	// Shards is the partition count (0 = one shard per worker). More
 	// shards than workers is fine — workers pick up the next shard as
 	// they finish — and often better for load balance.
 	Shards int
 	// Attempts bounds how many workers one shard is tried on before the
-	// run fails (static default: min(3, len(Workers)); elastic default:
-	// 5). Retries move to another worker, excluding the ones that
-	// already failed the shard.
+	// run fails (default 5). Retries move to another worker, excluding
+	// the ones that already failed the shard.
 	Attempts int
 	// RetryBackoff is the pause before a shard retries on a worker that
 	// already failed it — the single-live-worker case, where excluding
@@ -91,9 +90,9 @@ type Event struct {
 	// — the same id recorded in the run journal, so a -progress stream
 	// greps against journal records and across takeover epochs.
 	AttemptID string
-	// Worker is the worker id (elastic) or address (static); empty for
-	// events not tied to one worker (an elastic backoff excludes them
-	// all).
+	// Worker is the worker's roster id — for a Config.Workers entry, its
+	// address; empty for events not tied to one worker (a backoff
+	// excludes them all).
 	Worker string
 	// Detail carries the reason or error text.
 	Detail string
@@ -103,10 +102,10 @@ type Event struct {
 const (
 	// EventDispatch: a shard attempt was sent to a worker.
 	EventDispatch = "dispatch"
-	// EventWorkerJoin: a worker became live (elastic).
+	// EventWorkerJoin: a worker became live.
 	EventWorkerJoin = "worker-join"
 	// EventWorkerDead: a worker missed its heartbeats while holding a
-	// shard; the shard is re-enqueued immediately (elastic).
+	// shard; the shard is re-enqueued immediately.
 	EventWorkerDead = "worker-dead"
 	// EventRedispatch: a shard attempt failed and the shard was
 	// re-enqueued on the remaining workers.
@@ -148,46 +147,43 @@ func (c Config) attempts() int {
 	if c.Attempts > 0 {
 		return c.Attempts
 	}
-	if c.Registry != nil {
-		return 5
-	}
-	if len(c.Workers) < 3 {
-		return len(c.Workers)
-	}
-	return 3
+	return 5
 }
 
 // Coordinator runs scenarios across a fleet of workers: partition,
-// dispatch, retry, merge — over a static address list or, with a
-// Registry, over an elastic roster with mid-job re-dispatch. Safe for
-// sequential reuse across runs.
+// dispatch, retry, merge — over a roster of workers: the caller's
+// Registry, or a private one holding the configured Workers pinned.
+// Safe for sequential reuse across runs.
 type Coordinator struct {
 	cfg    Config
-	addrs  []string
+	reg    *Registry
 	client *http.Client
 }
 
 // New validates the configuration and builds a coordinator.
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Registry != nil && len(cfg.Workers) > 0 {
-		return nil, fmt.Errorf("fleet: Registry and a static worker list are exclusive")
+		return nil, fmt.Errorf("fleet: Registry and a worker list are exclusive")
 	}
-	if cfg.Registry == nil && len(cfg.Workers) == 0 {
-		return nil, fmt.Errorf("fleet: no workers")
-	}
-	addrs := make([]string, len(cfg.Workers))
-	for i, a := range cfg.Workers {
-		a = normalizeAddr(a)
-		if a == "" {
-			return nil, fmt.Errorf("fleet: empty worker address")
+	reg := cfg.Registry
+	if reg == nil {
+		if len(cfg.Workers) == 0 {
+			return nil, fmt.Errorf("fleet: no workers")
 		}
-		addrs[i] = a
+		reg = NewRegistry(RegistryOptions{})
+		for _, a := range cfg.Workers {
+			a = normalizeAddr(a)
+			if a == "" {
+				return nil, fmt.Errorf("fleet: empty worker address")
+			}
+			reg.pin(a)
+		}
 	}
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{}
 	}
-	return &Coordinator{cfg: cfg, addrs: addrs, client: client}, nil
+	return &Coordinator{cfg: cfg, reg: reg, client: client}, nil
 }
 
 // normalizeAddr canonicalizes a worker or registry address: trimmed, no
@@ -279,109 +275,6 @@ func (c *Coordinator) startLeaseTicker() func() {
 		close(stop)
 		<-done
 	}
-}
-
-func (c *Coordinator) run(spec *scenario.Spec, cfg scenario.RunConfig, completed map[int]*scenario.Partial) (*scenario.Table, error) {
-	stopLease := c.startLeaseTicker()
-	defer stopLease()
-	if c.cfg.Registry != nil {
-		return c.runElastic(spec, cfg, completed)
-	}
-	space, err := scenario.NewSpace(spec, cfg)
-	if err != nil {
-		return nil, err
-	}
-	shards := c.cfg.Shards
-	if shards <= 0 {
-		shards = len(c.addrs)
-	}
-	c.logf("fleet: %s: %d points across %d shards on %d workers (%d recovered)",
-		spec.Name, space.NumPoints(), shards, len(c.addrs), len(completed))
-
-	start := time.Now()
-	partials := make([]*scenario.Partial, shards)
-	errs := make([]error, shards)
-	var done sync.WaitGroup
-	var completedN int32
-	var mu sync.Mutex
-	for j := 0; j < shards; j++ {
-		if p := completed[j]; p != nil {
-			partials[j] = p
-			continue
-		}
-		done.Add(1)
-		go func(j int) {
-			defer done.Done()
-			partials[j], errs[j] = c.runShard(spec, cfg, j, shards)
-			if errs[j] == nil {
-				mu.Lock()
-				completedN++
-				n := completedN
-				mu.Unlock()
-				c.logf("fleet: %s: shard %d/%d done (%d/%d, %d rows, %.1fs)",
-					spec.Name, j, shards, n, shards, len(partials[j].Table.Rows), time.Since(start).Seconds())
-			}
-		}(j)
-	}
-	done.Wait()
-	for j, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("fleet: %s: shard %d/%d: %w", spec.Name, j, shards, err)
-		}
-	}
-	table, err := space.Merge(partials)
-	if err != nil {
-		return nil, err
-	}
-	if c.cfg.Journal != nil {
-		if jerr := c.cfg.Journal.Merged(len(table.Rows)); jerr != nil {
-			return nil, fmt.Errorf("fleet: %s: recording merge: %w", spec.Name, jerr)
-		}
-	}
-	return table, nil
-}
-
-// runShard tries one shard on successive workers until one returns a
-// partial. Wrapping back onto a worker that already failed the shard —
-// inevitable with a single worker — waits RetryBackoff first, so
-// retries never hot-loop.
-func (c *Coordinator) runShard(spec *scenario.Spec, cfg scenario.RunConfig, shard, shards int) (*scenario.Partial, error) {
-	attempts := c.cfg.attempts()
-	tried := make(map[string]bool, attempts)
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		addr := c.addrs[(shard+a)%len(c.addrs)]
-		id := attemptID(c.epoch(), shard, a+1)
-		if tried[addr] {
-			c.event(Event{Kind: EventBackoff, Shard: shard, Attempt: a + 1, AttemptID: id, Worker: addr, Detail: c.cfg.retryBackoff().String()})
-			c.logf("fleet: %s: shard %d/%d: retrying %s after %s backoff",
-				spec.Name, shard, shards, addr, c.cfg.retryBackoff())
-			time.Sleep(c.cfg.retryBackoff())
-		}
-		tried[addr] = true
-		c.event(Event{Kind: EventDispatch, Shard: shard, Attempt: a + 1, AttemptID: id, Worker: addr})
-		if c.cfg.Journal != nil {
-			if err := c.cfg.Journal.Dispatch(shard, id, addr); err != nil {
-				return nil, fmt.Errorf("journaling dispatch %s: %w", id, err)
-			}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.shardTimeout())
-		partial, err := c.attemptShard(ctx, addr, spec, cfg, shard, shards)
-		cancel()
-		if err == nil {
-			if c.cfg.Journal != nil {
-				if jerr := c.cfg.Journal.Complete(shard, id, addr, partial); jerr != nil {
-					return nil, fmt.Errorf("journaling completion %s: %w", id, jerr)
-				}
-			}
-			return partial, nil
-		}
-		lastErr = fmt.Errorf("worker %s (attempt %s): %w", addr, id, err)
-		c.event(Event{Kind: EventRedispatch, Shard: shard, Attempt: a + 1, AttemptID: id, Worker: addr, Detail: err.Error()})
-		c.logf("fleet: %s: shard %d/%d attempt %s on %s failed: %v",
-			spec.Name, shard, shards, id, addr, err)
-	}
-	return nil, fmt.Errorf("all %d attempts failed, last: %w", attempts, lastErr)
 }
 
 // attemptShard dispatches one shard to one worker and long-polls for

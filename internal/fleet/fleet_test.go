@@ -1,13 +1,11 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -49,42 +47,6 @@ func startWorker(t *testing.T) *httptest.Server {
 	srv := httptest.NewServer(NewWorker(WorkerOptions{MaxWait: time.Second}).Handler())
 	t.Cleanup(srv.Close)
 	return srv
-}
-
-// TestFleetRunByteIdentical: a two-worker fleet run merges to the exact
-// bytes of a local unsharded run, with more shards than workers.
-func TestFleetRunByteIdentical(t *testing.T) {
-	spec, cfg := testSpec(), testCfg()
-	base, err := scenario.Run(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1, w2 := startWorker(t), startWorker(t)
-	coord, err := New(Config{
-		Workers: []string{w1.URL, w2.URL},
-		Shards:  3,
-		Logf:    t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := coord.Run(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, got) {
-		t.Fatalf("fleet table differs:\n%v\nvs\n%v", base.Rows, got.Rows)
-	}
-	var baseText, gotText bytes.Buffer
-	if err := base.Format(&baseText); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Format(&gotText); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(baseText.Bytes(), gotText.Bytes()) {
-		t.Fatal("fleet formatted output differs from local run")
-	}
 }
 
 // TestFleetRetriesDeadWorker: shards assigned to an unreachable worker
@@ -132,52 +94,6 @@ func TestFleetSurfacesJobErrors(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "no such file") {
 		t.Errorf("error %q does not carry the worker-side cause", err)
-	}
-}
-
-// TestStaticSingleWorkerRetryBacksOff: with a static one-worker fleet,
-// every retry wraps back onto the worker that just failed — the
-// coordinator must wait RetryBackoff between attempts instead of
-// hot-looping through its whole attempt budget in microseconds.
-func TestStaticSingleWorkerRetryBacksOff(t *testing.T) {
-	dead := httptest.NewServer(http.HandlerFunc(nil))
-	dead.Close() // now refuses connections
-	var mu sync.Mutex
-	var events []Event
-	coord, err := New(Config{
-		Workers:      []string{dead.URL},
-		Attempts:     3,
-		RetryBackoff: 30 * time.Millisecond,
-		Logf:         t.Logf,
-		OnEvent: func(ev Event) {
-			mu.Lock()
-			events = append(events, ev)
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	_, err = coord.Run(testSpec(), testCfg())
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("run against a dead fleet succeeded")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	backoffs := 0
-	for _, ev := range events {
-		if ev.Kind == EventBackoff {
-			backoffs++
-		}
-	}
-	// Attempts 2 and 3 both re-try the already-failed worker.
-	if backoffs != 2 {
-		t.Errorf("backoff events: %d, want 2 (events: %+v)", backoffs, events)
-	}
-	if elapsed < 60*time.Millisecond {
-		t.Errorf("3 attempts finished in %s: retries cannot have backed off 30ms each", elapsed)
 	}
 }
 

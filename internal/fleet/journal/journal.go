@@ -99,8 +99,8 @@ func (o Options) now() time.Time {
 }
 
 // Run appends a coordinator's state transitions to its journal. Safe
-// for concurrent use — the static dispatch path journals from one
-// goroutine per shard.
+// for concurrent use — the lease ticker renews from its own goroutine
+// while the dispatcher journals.
 type Run struct {
 	w     *journal.Writer
 	opts  Options

@@ -75,12 +75,16 @@ type regWorker struct {
 	seq      uint64
 	lastBeat time.Time
 	dead     bool
+	// pinned workers hold no lease and never expire (see pin).
+	pinned bool
 }
 
 // Registry tracks the fleet's workers by self-registration and
 // heartbeat: workers join with POST /v1/workers, beat with
 // POST /v1/workers/<id>/heartbeat, and are declared dead after
-// MissedHeartbeats silent intervals. The coordinator dispatches over
+// MissedHeartbeats silent intervals. A coordinator configured with a
+// worker list instead pins each address into a private registry, where
+// it stays live for good. The coordinator dispatches over
 // Live() and watches Changed() to react to joins and deaths the moment
 // they are recorded.
 type Registry struct {
@@ -165,6 +169,27 @@ func (r *Registry) Register(addr string, slots, cores int) WorkerRef {
 	return w.ref
 }
 
+// pin adds the worker at addr (already normalized) as a roster member
+// that never expires: a configured address has no lease to lapse, so
+// only a failed attempt — never a missed heartbeat — moves its shards
+// elsewhere. The id is the address itself, so events and journal
+// records name the worker as the operator listed it. Pinning an address
+// twice is a no-op.
+func (r *Registry) pin(addr string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.workers[addr] != nil {
+		return
+	}
+	r.seq++
+	r.workers[addr] = &regWorker{
+		ref:    WorkerRef{ID: addr, Addr: addr, Slots: 1},
+		seq:    r.seq,
+		pinned: true,
+	}
+	r.broadcastLocked()
+}
+
 // Heartbeat records a beat. Unknown and expired ids get
 // ErrUnknownWorker, telling the lease to re-register.
 func (r *Registry) Heartbeat(id string) error {
@@ -184,7 +209,7 @@ func (r *Registry) expireLocked(now time.Time) []WorkerRef {
 	window := time.Duration(r.opts.missed()) * r.opts.interval()
 	var dead []WorkerRef
 	for _, w := range r.workers {
-		if !w.dead && now.Sub(w.lastBeat) >= window {
+		if !w.dead && !w.pinned && now.Sub(w.lastBeat) >= window {
 			w.dead = true
 			dead = append(dead, w.ref)
 		}

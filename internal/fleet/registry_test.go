@@ -91,6 +91,28 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 }
 
+// TestPinnedWorkerNeverExpires: a pinned address holds no lease, so the
+// liveness window that kills a silent registered worker leaves it live.
+func TestPinnedWorkerNeverExpires(t *testing.T) {
+	clock := newFakeClock()
+	reg := NewRegistry(RegistryOptions{
+		HeartbeatInterval: time.Second,
+		MissedHeartbeats:  2,
+		Now:               clock.Now,
+	})
+	reg.pin("http://127.0.0.1:1001")
+	leased := reg.Register("127.0.0.1:1002", 1, 0)
+
+	clock.Advance(2 * time.Second)
+	if dead := reg.ExpireNow(); len(dead) != 1 || dead[0].ID != leased.ID {
+		t.Fatalf("want only %s dead, got %v", leased.ID, dead)
+	}
+	live := reg.Live()
+	if len(live) != 1 || live[0].ID != "http://127.0.0.1:1001" || live[0].Addr != live[0].ID {
+		t.Fatalf("want the pinned address live under its own name, got %v", live)
+	}
+}
+
 // TestRegistryChangedWakesOnEveryTransition: Changed fires on register
 // and on expiry.
 func TestRegistryChangedWakesOnEveryTransition(t *testing.T) {

@@ -39,7 +39,7 @@ func executeShardLocally(t *testing.T, spec *scenario.Spec, cfg scenario.RunConf
 // deadPrimaryJournal writes the journal of a primary that died between
 // protocol points: shard 0 dispatched and completed, shard 1 dispatched
 // but never finished. All records carry the harness's fake clock.
-func deadPrimaryJournal(t *testing.T, h *elasticHarness) string {
+func deadPrimaryJournal(t *testing.T, h *fleetHarness) string {
 	t.Helper()
 	spec, cfg := testSpec(), testCfg()
 	path := filepath.Join(t.TempDir(), "run.journal")
@@ -70,7 +70,7 @@ func deadPrimaryJournal(t *testing.T, h *elasticHarness) string {
 // to an uninterrupted run — with exactly one complete record per shard,
 // the orphaned duplicate fenced out by its epoch-1 job id.
 func TestStandbyTakeoverByteIdentical(t *testing.T) {
-	h := newElasticHarness(t)
+	h := newFleetHarness(t)
 	spec, cfg := testSpec(), testCfg()
 	path := deadPrimaryJournal(t, h)
 
@@ -248,7 +248,7 @@ func TestStandbyTakeoverFromEveryRecordBoundary(t *testing.T) {
 // TestStandbyHealthyPrimaryNotStale: a lease within TTL is never
 // stale, so a live primary is not fenced.
 func TestStandbyHealthyPrimaryNotStale(t *testing.T) {
-	h := newElasticHarness(t)
+	h := newFleetHarness(t)
 	path := deadPrimaryJournal(t, h)
 	h.clock.Advance(2 * time.Second) // within the 5s TTL
 
@@ -269,7 +269,7 @@ func TestStandbyHealthyPrimaryNotStale(t *testing.T) {
 // TestStandbyStandsDownWhenMerged: a journal whose run already merged
 // sends the standby home with (nil, nil) — no takeover, no dispatch.
 func TestStandbyStandsDownWhenMerged(t *testing.T) {
-	h := newElasticHarness(t)
+	h := newFleetHarness(t)
 	path, _ := journaledRun(t, 2)
 	sb, err := NewStandby(StandbyOptions{
 		Journal:     path,

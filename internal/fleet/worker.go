@@ -2,11 +2,12 @@
 // a Coordinator partitions a spec's point-space into shards, dispatches
 // them to Workers over HTTP, retries failures on other workers, and
 // merges the returned partials into output byte-identical to an
-// unsharded run. Workers are addressed either by a static list or —
-// elastic mode — through a Registry they self-register with and
-// heartbeat; a worker that misses heartbeats while holding a shard has
-// that shard re-dispatched immediately (the dead worker excluded),
-// and late duplicate results are discarded by shard-attempt id.
+// unsharded run. The coordinator dispatches over a roster: workers
+// self-register with a Registry and heartbeat, or are listed by address
+// and pinned into one for good. A worker that misses heartbeats while
+// holding a shard has that shard re-dispatched immediately (the dead
+// worker excluded), and late duplicate results are discarded by
+// shard-attempt id.
 //
 // The protocol reuses the serving layer's idioms (strict JSON, long
 // polls, {"error": ...} bodies). Worker side:

@@ -308,5 +308,16 @@ type Options struct {
 	Pricing Pricing
 }
 
+// OptionsFor translates a caller's reproducibility setting into solver
+// options: reproducible runs take the defaults (Dantzig pricing, whose
+// pivot sequence — and so the vertex reached — is fixed), every other
+// run the cheaper partial pricing.
+func OptionsFor(reproducible bool) Options {
+	if reproducible {
+		return Options{}
+	}
+	return Options{Pricing: PricingPartial}
+}
+
 // Solve minimizes the objective with default options.
 func (p *Problem) Solve() (*Solution, error) { return p.SolveWith(Options{}) }

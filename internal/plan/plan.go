@@ -40,7 +40,6 @@ package plan
 import (
 	"fmt"
 
-	"github.com/quorumnet/quorumnet/internal/lp"
 	"github.com/quorumnet/quorumnet/internal/quorum"
 )
 
@@ -180,12 +179,4 @@ func (c Config) strategy() StrategyKind {
 		return StratClosest
 	}
 	return c.Strategy
-}
-
-// lpOptions translates the reproducibility setting into solver options.
-func (c Config) lpOptions() lp.Options {
-	if c.Reproducible {
-		return lp.Options{}
-	}
-	return lp.Options{Pricing: lp.PricingPartial}
 }

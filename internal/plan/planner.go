@@ -7,6 +7,7 @@ import (
 
 	"github.com/quorumnet/quorumnet/internal/core"
 	"github.com/quorumnet/quorumnet/internal/graph"
+	"github.com/quorumnet/quorumnet/internal/lp"
 	"github.com/quorumnet/quorumnet/internal/placement"
 	"github.com/quorumnet/quorumnet/internal/quorum"
 	"github.com/quorumnet/quorumnet/internal/strategy"
@@ -634,7 +635,7 @@ func (p *Planner) computePlacement() (core.Placement, error) {
 	case AlgoManyToOne:
 		return placement.ManyToOne(p.topo, p.sys, placement.ManyToOneConfig{
 			Candidates: p.cfg.Candidates,
-			LP:         p.cfg.lpOptions(),
+			LP:         lp.OptionsFor(p.cfg.Reproducible),
 			Workers:    p.cfg.Workers,
 		})
 	default:
@@ -665,7 +666,7 @@ func (p *Planner) computeStrategy() error {
 			solver = strategy.SolverDense
 		}
 		opt, err := strategy.NewOptimizer(p.eval, strategy.Config{
-			LP:        p.cfg.lpOptions(),
+			LP:        lp.OptionsFor(p.cfg.Reproducible),
 			WarmStart: !p.cfg.Reproducible,
 			Solver:    solver,
 			Workers:   p.cfg.Workers,

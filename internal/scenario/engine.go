@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"github.com/quorumnet/quorumnet/internal/core"
-	"github.com/quorumnet/quorumnet/internal/deploy"
 	"github.com/quorumnet/quorumnet/internal/faults"
 	"github.com/quorumnet/quorumnet/internal/lp"
 	"github.com/quorumnet/quorumnet/internal/placement"
@@ -89,13 +88,6 @@ func (c RunConfig) quDuration() float64 {
 		return 20000
 	}
 	return c.QUDurationMS
-}
-
-func (c RunConfig) lpOptions() lp.Options {
-	if c.Reproducible {
-		return lp.Options{}
-	}
-	return lp.Options{Pricing: lp.PricingPartial}
 }
 
 // Run validates the spec, expands its point-space, executes every point,
@@ -177,7 +169,7 @@ func buildPlacement(spec *Spec, cfg RunConfig, topo *topology.Topology, sys quor
 		return placement.Singleton(topo, sys.UniverseSize())
 	case plan.AlgoManyToOne:
 		return placement.ManyToOne(topo, sys, placement.ManyToOneConfig{
-			LP:      cfg.lpOptions(),
+			LP:      lp.OptionsFor(cfg.Reproducible),
 			Workers: workers,
 		})
 	default:
@@ -405,7 +397,7 @@ func resolveStrategy(name string, e *core.Eval, spec *Spec, cfg RunConfig, worke
 			solver = strategy.SolverDense
 		}
 		opt, err := strategy.NewOptimizer(e, strategy.Config{
-			LP:      cfg.lpOptions(),
+			LP:      lp.OptionsFor(cfg.Reproducible),
 			Solver:  solver,
 			Workers: workers,
 		})
@@ -475,23 +467,7 @@ func sweepCells(pt strategy.SweepPoint) []string {
 // indivisible point of the space: each step re-plans the previous
 // step's state).
 func runTimelineRows(spec *Spec, cfg RunConfig, topo *topology.Topology, systems []systemPoint) ([][]string, error) {
-	strat := plan.StratClosest
-	if len(spec.Strategies) > 0 {
-		strat = plan.StrategyKind(spec.Strategies[0])
-	}
-	demand := 0.0
-	if len(spec.Demands) > 0 {
-		demand = spec.Demands[0]
-	}
-	p, err := plan.New(topo, plan.Config{
-		System:       systems[0].spec,
-		Algorithm:    spec.Placement.algorithm(),
-		Strategy:     strat,
-		Demand:       demand,
-		Reproducible: cfg.Reproducible,
-		Workers:      spec.Workers,
-		Solver:       spec.Solver,
-	})
+	p, err := timelinePlanner(spec, cfg, topo, systems[0])
 	if err != nil {
 		return nil, err
 	}
@@ -517,7 +493,7 @@ func runTimelineRows(spec *Spec, cfg RunConfig, topo *topology.Topology, systems
 	prev := res
 
 	for _, step := range spec.Timeline {
-		if err := applyStep(p, step); err != nil {
+		if _, err := advanceStep(p, step); err != nil {
 			return nil, fmt.Errorf("step %q: %w", step.Label, err)
 		}
 		res, err := p.Plan()
@@ -552,28 +528,10 @@ func unreplannedCell(prev *plan.Snapshot, step Step, cur *plan.Snapshot) (string
 		return "", err
 	}
 
-	// Collect the removed sites as previous-snapshot indices.
-	names := append([]string(nil), step.RemoveSites...)
-	if step.RemoveRegion != "" {
-		for i := 0; i < prev.Topology.Size(); i++ {
-			if prev.Topology.Site(i).Region == step.RemoveRegion {
-				names = append(names, prev.Topology.Site(i).Name)
-			}
-		}
-	}
-	var failed []int
-	for _, name := range names {
-		idx := -1
-		for i := 0; i < prev.Topology.Size(); i++ {
-			if prev.Topology.Site(i).Name == name {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return "", fmt.Errorf("no site named %q in the previous snapshot", name)
-		}
-		failed = append(failed, idx)
+	// The removed sites, as previous-snapshot indices.
+	failed, err := resolveSites(prev.Topology, step.RemoveSites, step.RemoveRegion)
+	if err != nil {
+		return "", err
 	}
 
 	if len(failed) == 0 {
@@ -603,144 +561,4 @@ func unreplannedCell(prev *plan.Snapshot, step Step, cur *plan.Snapshot) (string
 		return "", err
 	}
 	return f2(fe.AvgResponseTime(strat)), nil
-}
-
-// applyWeights materializes a weights step into a per-site weight
-// vector: Default (0 = 1) everywhere, region entries override it, site
-// entries override both. Every named region and site must exist.
-func applyWeights(p *plan.Planner, ws *WeightsStep) error {
-	if ws.Uniform {
-		return p.SetClientWeights(nil)
-	}
-	def := ws.Default
-	if def == 0 {
-		def = 1
-	}
-	w := make([]float64, p.Size())
-	regionHit := make(map[string]bool, len(ws.Regions))
-	siteHit := make(map[string]bool, len(ws.Sites))
-	for i := range w {
-		w[i] = def
-		site := p.Site(i)
-		if rw, ok := ws.Regions[site.Region]; ok {
-			w[i] = rw
-			regionHit[site.Region] = true
-		}
-		if sw, ok := ws.Sites[site.Name]; ok {
-			w[i] = sw
-			siteHit[site.Name] = true
-		}
-	}
-	for name := range ws.Regions {
-		if !regionHit[name] {
-			return fmt.Errorf("weights step: no sites in region %q", name)
-		}
-	}
-	for name := range ws.Sites {
-		if !siteHit[name] {
-			return fmt.Errorf("weights step: no site named %q", name)
-		}
-	}
-	return p.SetClientWeights(w)
-}
-
-// defaultPeerAccessMS stands in for an existing site's unrecorded
-// access-link delay when splicing a new site in (the generators draw
-// access delays from roughly 0.5–8 ms). It aliases the deploy layer's
-// constant: an add-site step applied here and an add-site delta applied
-// to a live deployment must synthesize identical RTTs, or the exported
-// timeline stream (TimelineStream) would diverge from the engine's
-// table.
-const defaultPeerAccessMS = deploy.DefaultPeerAccessMS
-
-func applyStep(p *plan.Planner, step Step) error {
-	if step.Demand != nil {
-		if err := p.SetDemand(*step.Demand); err != nil {
-			return err
-		}
-	}
-	if step.UniformCapacity != nil {
-		if err := p.SetUniformCapacity(*step.UniformCapacity); err != nil {
-			return err
-		}
-	}
-	if len(step.SiteCapacity) > 0 {
-		names := make([]string, 0, len(step.SiteCapacity))
-		for name := range step.SiteCapacity {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			v := p.SiteIndex(name)
-			if v < 0 {
-				return fmt.Errorf("no site named %q", name)
-			}
-			if err := p.SetSiteCapacity(v, step.SiteCapacity[name]); err != nil {
-				return err
-			}
-		}
-	}
-	if step.Weights != nil {
-		if err := applyWeights(p, step.Weights); err != nil {
-			return err
-		}
-	}
-	if step.ScaleRTT != nil {
-		factor, region := step.ScaleRTT.Factor, step.ScaleRTT.Region
-		hit := false
-		n := p.Size()
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if region != "" && p.Site(u).Region != region && p.Site(v).Region != region {
-					continue
-				}
-				hit = true
-				if err := p.SetRTT(u, v, p.RTT(u, v)*factor); err != nil {
-					return err
-				}
-			}
-		}
-		if !hit {
-			return fmt.Errorf("scale_rtt matched no links (region %q)", region)
-		}
-	}
-	for _, ns := range step.AddSites {
-		site := topology.Site{Name: ns.Name, Region: ns.Region, Lat: ns.Lat, Lon: ns.Lon}
-		rtts := make([]float64, p.Size())
-		for i := range rtts {
-			// AccessMS covers only the new site's end; existing sites'
-			// access delays are not recorded on the topology, so the far
-			// end gets a typical value from the generators' ranges.
-			rtts[i] = topology.EstimateRTT(site, p.Site(i), 0, ns.AccessMS, defaultPeerAccessMS)
-		}
-		capacity := ns.Capacity
-		if capacity == 0 {
-			capacity = 1
-		}
-		if err := p.AddSite(site, rtts, capacity); err != nil {
-			return err
-		}
-	}
-	for _, name := range step.RemoveSites {
-		if err := p.RemoveSite(name); err != nil {
-			return err
-		}
-	}
-	if step.RemoveRegion != "" {
-		var names []string
-		for i := 0; i < p.Size(); i++ {
-			if p.Site(i).Region == step.RemoveRegion {
-				names = append(names, p.Site(i).Name)
-			}
-		}
-		if len(names) == 0 {
-			return fmt.Errorf("no sites in region %q", step.RemoveRegion)
-		}
-		for _, name := range names {
-			if err := p.RemoveSite(name); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

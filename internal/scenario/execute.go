@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/quorumnet/quorumnet/internal/core"
+	"github.com/quorumnet/quorumnet/internal/lp"
 	"github.com/quorumnet/quorumnet/internal/par"
 	"github.com/quorumnet/quorumnet/internal/placement"
 	"github.com/quorumnet/quorumnet/internal/protocol"
@@ -371,7 +372,7 @@ func (p *Partition) executeIterate(rows [][][]string, report func(int)) error {
 			Alpha:         alpha,
 			MaxIterations: maxIter,
 			Candidates:    spec.Iterate.Candidates,
-			LP:            cfg.lpOptions(),
+			LP:            lp.OptionsFor(cfg.Reproducible),
 			// The capacity points already saturate the pool; nesting the
 			// anchor search's pool would multiply live LP workspaces.
 			Workers: 1,

@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -225,6 +227,46 @@ func TestTimelineLibrary(t *testing.T) {
 						t.Errorf("step %d: demand-only delta recomputed %q, want eval only", i, got)
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestTimelineLibraryTablesPinned byte-checks the seven library timeline
+// tables: each hash is the sha256 of `quorumbench -scenario <name>
+// -reproducible -format csv`. A change to how a step is interpreted,
+// planned or formatted has to show up here; a deliberate one re-records
+// the hash.
+func TestTimelineLibraryTablesPinned(t *testing.T) {
+	pinned := map[string]string{
+		"regional-outage":      "133a07e864137334756ce257f0463cc3e6925f6091fd14deddcc5ececb7cfd8d",
+		"diurnal-demand":       "2c934e45b04d836f6e1062d62bcc74e73b1b1f27e13a88e50a00fd5fdcac71ee",
+		"rtt-drift":            "218765e471c9d1410834c6f7fff27ad463a2bce4cb3f437dc26f6df36b9b1916",
+		"site-churn":           "c8fd550339366816a7b9c8134e8628beb5b64edcbd33e529b9dd9865617e7861",
+		"flash-crowd":          "61209c9947ebb9b5db391730fe55e2fa7a94c5cfbeba7fe20d9bc406194ee2e8",
+		"heterogeneous-demand": "d8e610a13e905e0a0d1a0a2794e3c60fba4b6332910700d9b629b1e78f0461a2",
+		"correlated-failure":   "24c0d558937b94f6d71c0b0d51f7fdb6d1bf1ef34ffe4cf161e18f7b1839f7a6",
+	}
+	for _, spec := range Library() {
+		if spec.Kind != KindTimeline {
+			continue
+		}
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			want, ok := pinned[spec.Name]
+			if !ok {
+				t.Fatalf("library timeline %q has no pinned table hash", spec.Name)
+			}
+			tb, err := Run(&spec, RunConfig{Seed: topology.DefaultSeed, Reproducible: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := tb.WriteCSV(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+				t.Errorf("table hash %s, want %s; table now:\n%s", got, want, buf.String())
 			}
 		})
 	}

@@ -6,24 +6,26 @@ import (
 
 	"github.com/quorumnet/quorumnet/internal/deploy"
 	"github.com/quorumnet/quorumnet/internal/plan"
+	"github.com/quorumnet/quorumnet/internal/topology"
 )
 
 // StreamStep is one timeline step exported as a replayable delta batch:
 // the deltas a live deployment must apply to undergo the same world
-// change the scenario engine applies to its planner in applyStep.
+// change the scenario engine applies to its planner — the engine takes
+// each step through the same advanceStep.
 type StreamStep struct {
 	// Label is the timeline step's label.
 	Label string `json:"label"`
-	// Deltas is the step's batch, in applyStep order. Applying it to a
-	// deployment seeded with TimelinePlanner reproduces the engine's
+	// Deltas is the step's batch, in compileStep's order. Applying it to
+	// a deployment seeded with TimelinePlanner reproduces the engine's
 	// planner state after the step.
 	Deltas []deploy.Delta `json:"deltas"`
 }
 
 // TimelinePlanner builds the planner a timeline scenario starts from —
-// the exact plan.New call runTimelineRows makes — so a live deployment
-// (deploy.New around it) begins in the same state the table's "initial"
-// row reports.
+// runTimelineRows gets its own from the same timelinePlanner — so a
+// live deployment (deploy.New around it) begins in the same state the
+// table's "initial" row reports.
 func TimelinePlanner(spec *Spec, cfg RunConfig) (*plan.Planner, error) {
 	if spec.Kind != KindTimeline {
 		return nil, fmt.Errorf("scenario %q: not a timeline scenario", spec.Name)
@@ -40,22 +42,29 @@ func TimelinePlanner(spec *Spec, cfg RunConfig) (*plan.Planner, error) {
 	if len(systems) == 0 {
 		return nil, fmt.Errorf("scenario %q: system axis expands to nothing", spec.Name)
 	}
+	return timelinePlanner(eff, cfg, topo, systems[0])
+}
+
+// timelinePlanner is the one place a timeline's starting planner is
+// configured: the first system, strategy and demand of the (effective)
+// spec, on the given topology.
+func timelinePlanner(spec *Spec, cfg RunConfig, topo *topology.Topology, system systemPoint) (*plan.Planner, error) {
 	strat := plan.StratClosest
-	if len(eff.Strategies) > 0 {
-		strat = plan.StrategyKind(eff.Strategies[0])
+	if len(spec.Strategies) > 0 {
+		strat = plan.StrategyKind(spec.Strategies[0])
 	}
 	demand := 0.0
-	if len(eff.Demands) > 0 {
-		demand = eff.Demands[0]
+	if len(spec.Demands) > 0 {
+		demand = spec.Demands[0]
 	}
 	return plan.New(topo, plan.Config{
-		System:       systems[0].spec,
-		Algorithm:    eff.Placement.algorithm(),
+		System:       system.spec,
+		Algorithm:    spec.Placement.algorithm(),
 		Strategy:     strat,
 		Demand:       demand,
 		Reproducible: cfg.Reproducible,
-		Workers:      eff.Workers,
-		Solver:       eff.Solver,
+		Workers:      spec.Workers,
+		Solver:       spec.Solver,
 	})
 }
 
@@ -64,10 +73,9 @@ func TimelinePlanner(spec *Spec, cfg RunConfig) (*plan.Planner, error) {
 // in-process) and a live deployment (which consumes deploy.Delta
 // batches over the wire). Feeding each step's batch through
 // deploy.Manager.Apply against a TimelinePlanner deployment drives it
-// through the same states the engine's table records, because every
-// step compiles to deltas in applyStep's application order and
-// value-producing steps (scale_rtt) are resolved against a tracking
-// replica of the planner.
+// through the same states the engine's table records, because the
+// engine applies the very same deltas and value-producing steps
+// (scale_rtt) are resolved against a tracking replica of the planner.
 func TimelineStream(spec *Spec, cfg RunConfig) ([]StreamStep, error) {
 	replica, err := TimelinePlanner(spec, cfg)
 	if err != nil {
@@ -76,26 +84,37 @@ func TimelineStream(spec *Spec, cfg RunConfig) ([]StreamStep, error) {
 	eff := spec.effective()
 	out := make([]StreamStep, 0, len(eff.Timeline))
 	for _, step := range eff.Timeline {
-		deltas, err := compileStep(replica, step)
+		// Advancing the replica lets the next step's value-producing
+		// deltas see the post-step world.
+		deltas, err := advanceStep(replica, step)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q: step %q: %w", spec.Name, step.Label, err)
-		}
-		// Advance the replica through the deployment-side apply path, so
-		// the next step's value-producing deltas see the post-step world.
-		for _, d := range deltas {
-			if err := d.ApplyTo(replica); err != nil {
-				return nil, fmt.Errorf("scenario %q: step %q: replica apply: %w", spec.Name, step.Label, err)
-			}
 		}
 		out = append(out, StreamStep{Label: step.Label, Deltas: deltas})
 	}
 	return out, nil
 }
 
-// compileStep lowers one Step into deltas, mirroring applyStep's field
-// order exactly: demand, uniform capacity, per-site capacities (sorted),
-// weights, RTT scaling (pair loop), additions, removals, region
-// removal. The replica planner supplies current RTTs (scale_rtt emits
+// advanceStep takes the planner through one step — compile it, then
+// apply each delta the way a deployment does — and returns the deltas.
+func advanceStep(p *plan.Planner, step Step) ([]deploy.Delta, error) {
+	deltas, err := compileStep(p, step)
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range deltas {
+		if err := d.ApplyTo(p); err != nil {
+			return nil, err
+		}
+	}
+	return deltas, nil
+}
+
+// compileStep lowers one Step into deltas — the one interpretation of a
+// timeline step, shared by the engine's table and the exported stream —
+// in field order: demand, uniform capacity, per-site capacities
+// (sorted), weights, RTT scaling (pair loop), additions, removals,
+// region removal. The planner supplies current RTTs (scale_rtt emits
 // absolute values — the wire protocol has no relative deltas) and the
 // site roster for weights and region expansion; it is read, not
 // mutated.
@@ -179,10 +198,10 @@ func compileStep(p *plan.Planner, step Step) ([]deploy.Delta, error) {
 }
 
 // compileWeights materializes a weights step into the per-site weight
-// map of a weights delta, with applyWeights's exact semantics: Default
-// (0 = 1) everywhere, region entries override it, site entries override
-// both; Uniform compiles to the empty map (the wire encoding of
-// "restore uniform demand").
+// map of a weights delta: Default (0 = 1) everywhere, region entries
+// override it, site entries override both, and every named region and
+// site must exist; Uniform compiles to the empty map (the wire encoding
+// of "restore uniform demand").
 func compileWeights(p *plan.Planner, ws *WeightsStep) (map[string]float64, error) {
 	if ws.Uniform {
 		return map[string]float64{}, nil

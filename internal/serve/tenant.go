@@ -112,18 +112,6 @@ func (t *Tenant) Encoded() *Encoded {
 	return e
 }
 
-// EncodeBaseline marshals the current snapshot from scratch, exactly
-// as the pre-cache serving layer did per request. It exists so
-// quorumbench -bench-serve can measure the allocation cost the Encoded
-// cache removes; the HTTP handlers never call it.
-func (t *Tenant) EncodeBaseline() []byte {
-	body, err := json.MarshalIndent(planJSON(t.m.Current()), "", "  ")
-	if err != nil {
-		body = []byte(`{"error":"encoding snapshot: ` + err.Error() + `"}`)
-	}
-	return append(body, '\n')
-}
-
 // TenantStats is one tenant's observability counters, as exposed on
 // the quorumd debug listener's /debug/vars.
 type TenantStats struct {

@@ -562,11 +562,7 @@ func runSweep(e *core.Eval, values []float64, cfg SweepConfig,
 // Optimizer, chaining warm starts unless configured reproducible.
 func sweepChunk(e *core.Eval, values []float64, out []SweepPoint, cfg SweepConfig,
 	capsFor func(c float64, scratch []float64) ([]float64, error)) error {
-	ocfg := Config{LP: lp.Options{Pricing: lp.PricingPartial}, WarmStart: true}
-	if cfg.Reproducible {
-		ocfg = Config{}
-	}
-	opt, err := NewOptimizer(e, ocfg)
+	opt, err := NewOptimizer(e, Config{LP: lp.OptionsFor(cfg.Reproducible), WarmStart: !cfg.Reproducible})
 	if err != nil {
 		return err
 	}

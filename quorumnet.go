@@ -716,8 +716,9 @@ func MergeScenario(spec *Scenario, cfg ScenarioConfig, partials []*ScenarioParti
 // shard has the shard re-dispatched immediately.
 type Fleet = fleet.Coordinator
 
-// FleetConfig tunes a Fleet: a static worker list or an elastic
-// Registry, shard count, retry attempts, backoff, and poll timeouts.
+// FleetConfig tunes a Fleet: its roster (a worker list, pinned for the
+// run, or a Registry workers join themselves), shard count, retry
+// attempts, backoff, and poll timeouts.
 type FleetConfig = fleet.Config
 
 // FleetEvent is one dispatch lifecycle observation (dispatch,

@@ -69,7 +69,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -80,6 +79,7 @@ import (
 	"github.com/quorumnet/quorumnet/internal/fleet"
 	runjournal "github.com/quorumnet/quorumnet/internal/fleet/journal"
 	"github.com/quorumnet/quorumnet/internal/scenario"
+	"github.com/quorumnet/quorumnet/internal/serve"
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
 
@@ -243,6 +243,17 @@ func run() int {
 		Quick:        *quick,
 		Reproducible: *repro,
 	}
+	// Every -scenario mode runs under this engine configuration; figures
+	// derive theirs from params, which also applies -quick trimming.
+	scenCfg := scenario.RunConfig{
+		Seed:         *seed,
+		Reproducible: *repro,
+		QURuns:       *runs,
+		QUDurationMS: *duration,
+	}
+	if *progress {
+		scenCfg.Progress = logProgress
+	}
 
 	// Sharded, fleet, merge, resume, and standby modes operate on one
 	// spec's point-space.
@@ -263,29 +274,17 @@ func run() int {
 			return runStandby(opts)
 		}
 		if *resumeArg != "" {
-			return runResume(*fig, *scen, params, *resumeArg, opts)
+			return runResume(*fig, *scen, params, scenCfg, *resumeArg, opts)
 		}
-		spec, cfg, code := resolveSpec(*fig, *scen, params)
+		spec, cfg, code := resolveSpec(*fig, *scen, params, scenCfg)
 		if code != 0 {
 			return code
-		}
-		if *progress {
-			cfg.Progress = logProgress
 		}
 		return runSharded(spec, cfg, opts)
 	}
 
 	if *scen != "" {
-		cfg := scenario.RunConfig{
-			Seed:         *seed,
-			Reproducible: *repro,
-			QURuns:       *runs,
-			QUDurationMS: *duration,
-		}
-		if *progress {
-			cfg.Progress = logProgress
-		}
-		return runScenario(*scen, cfg, outFormat)
+		return runScenario(*scen, scenCfg, outFormat)
 	}
 
 	var todo []experiments.Experiment
@@ -326,9 +325,10 @@ func normalizeFigID(id string) string {
 }
 
 // resolveSpec finds the declarative spec sharded modes partition: a
-// figure's (-fig) or a scenario's (-scenario). Returns a non-zero exit
+// figure's (-fig), run under its params' configuration, or a
+// scenario's (-scenario), run under scenCfg. Returns a non-zero exit
 // code on failure.
-func resolveSpec(fig, scen string, params experiments.Params) (*scenario.Spec, scenario.RunConfig, int) {
+func resolveSpec(fig, scen string, params experiments.Params, scenCfg scenario.RunConfig) (*scenario.Spec, scenario.RunConfig, int) {
 	switch {
 	case fig != "" && scen != "":
 		fmt.Fprintln(os.Stderr, "quorumbench: sharded runs take -fig or -scenario, not both")
@@ -341,18 +341,15 @@ func resolveSpec(fig, scen string, params experiments.Params) (*scenario.Spec, s
 		if e.Spec == nil {
 			return nil, scenario.RunConfig{}, fail(fmt.Errorf("%s is a bespoke runner without a declarative spec; it cannot shard", e.ID))
 		}
-		return e.Spec(params), params.RunConfig(), 0
+		cfg := params.RunConfig()
+		cfg.Progress = scenCfg.Progress
+		return e.Spec(params), cfg, 0
 	case scen != "" && scen != "list":
 		spec, code := loadSpec(scen)
 		if code != 0 {
 			return nil, scenario.RunConfig{}, code
 		}
-		return spec, scenario.RunConfig{
-			Seed:         params.Seed,
-			Reproducible: params.Reproducible,
-			QURuns:       params.QURuns,
-			QUDurationMS: params.QUDurationMS,
-		}, 0
+		return spec, scenCfg, 0
 	default:
 		fmt.Fprintln(os.Stderr, "quorumbench: sharded runs need -fig <id> or -scenario <name|file>")
 		return nil, scenario.RunConfig{}, 2
@@ -381,7 +378,7 @@ func fleetConfig(opts shardedOptions) (fleet.Config, func(), int) {
 	logf := fleetLogf(opts.progress)
 	if opts.registry != "" {
 		reg := fleet.NewRegistry(fleet.RegistryOptions{Logf: logf})
-		srv := &http.Server{Handler: reg.Handler()}
+		srv := serve.HTTPServer("", reg.Handler())
 		ln, err := net.Listen("tcp", opts.registry)
 		if err != nil {
 			return fleet.Config{}, nil, fail(err)
@@ -407,14 +404,14 @@ func fleetConfig(opts shardedOptions) (fleet.Config, func(), int) {
 // given, reopen the journal at the next epoch, and dispatch only the
 // shards without a recorded result. The merged output is byte-identical
 // to the run the dead coordinator would have produced.
-func runResume(fig, scen string, params experiments.Params, path string, opts shardedOptions) int {
+func runResume(fig, scen string, params experiments.Params, scenCfg scenario.RunConfig, path string, opts shardedOptions) int {
 	start := time.Now()
 	st, err := runjournal.Load(path)
 	if err != nil {
 		return fail(err)
 	}
 	if fig != "" || scen != "" {
-		spec, _, code := resolveSpec(fig, scen, params)
+		spec, _, code := resolveSpec(fig, scen, params, scenCfg)
 		if code != 0 {
 			return code
 		}
@@ -633,7 +630,7 @@ func runFleetWorker(addr, join, advertise string, slots, cores int) int {
 		fmt.Fprintf(os.Stderr, "quorumbench: fleet worker joining %s as %s (%d slots)\n", join, advertise, slots)
 	}
 	fmt.Fprintf(os.Stderr, "quorumbench: fleet worker listening on %s\n", addr)
-	return fail(http.ListenAndServe(addr, w.Handler()))
+	return fail(serve.HTTPServer(addr, w.Handler()).ListenAndServe())
 }
 
 // logProgress is the -progress handler: per-point completion counts

@@ -40,7 +40,10 @@
 // -journal (single-tenant) or -journal-dir (any tenant count) makes
 // deployments durable: every applied delta batch is fsynced to the
 // tenant's journal, and a daemon restarted with the same flags replays
-// each tenant to its exact pre-crash version/ETag history.
+// each tenant to its exact pre-crash version/ETag history. Journaling
+// changes nothing else: a journaled tenant plans exactly as an
+// unjournaled one does and serves the same bytes, because the planner
+// is a deterministic function of its inputs and the batch sequence.
 //
 // -debug-addr starts a second listener with net/http/pprof and
 // /debug/vars (expvar), where the per-tenant serving counters — reads,
@@ -161,7 +164,7 @@ func main() {
 		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
-			if err := http.ListenAndServe(*debugAddr, dmux); err != nil {
+			if err := serve.HTTPServer(*debugAddr, dmux).ListenAndServe(); err != nil {
 				log.Printf("quorumd: debug listener: %v", err)
 			}
 		}()
@@ -174,7 +177,7 @@ func main() {
 	}
 	log.Printf("quorumd: serving %d deployment(s) %v on %s (default %q%s)",
 		len(specs), reg.Names(), *addr, reg.Default().Name(), mode)
-	if err := http.ListenAndServe(*addr, reg.Handler()); err != nil {
+	if err := serve.HTTPServer(*addr, reg.Handler()).ListenAndServe(); err != nil {
 		fatal(err)
 	}
 }
@@ -192,7 +195,8 @@ func journalPath(name, jpath, jdir string) string {
 }
 
 // buildTenant constructs one tenant's planner and manager, recovering
-// from its journal when one is configured.
+// from its journal when one is configured. The planner is the same
+// either way: durability does not pick the solver profile.
 func buildTenant(spec tenantSpec, workers int, journal string) (*deploy.Manager, int, error) {
 	topo, err := buildTopology(spec.topo, spec.seed)
 	if err != nil {
@@ -208,9 +212,6 @@ func buildTenant(spec tenantSpec, workers int, journal string) (*deploy.Manager,
 		Strategy:  plan.StrategyKind(spec.strat),
 		Demand:    spec.demand,
 		Workers:   workers,
-		// Journal replay reproduces history by re-running the planner, so
-		// a journaled daemon must plan reproducibly (cold LP solves).
-		Reproducible: journal != "",
 	})
 	if err != nil {
 		return nil, 0, err
@@ -243,7 +244,7 @@ func parseTenantSpec(arg string, defaults tenantSpec) (tenantSpec, error) {
 	if rest == "" {
 		return spec, nil
 	}
-	for _, kv := range splitTenantOpts(rest) {
+	for _, kv := range strings.Split(rest, ",") {
 		key, val, ok := strings.Cut(kv, "=")
 		if !ok || val == "" {
 			return bad("option %q: want key=value", kv)
@@ -274,13 +275,6 @@ func parseTenantSpec(arg string, defaults tenantSpec) (tenantSpec, error) {
 		}
 	}
 	return spec, nil
-}
-
-// splitTenantOpts splits "key=value,key=value" on commas, except
-// commas inside a system spec never occur — a plain split suffices
-// because every accepted value is comma-free.
-func splitTenantOpts(s string) []string {
-	return strings.Split(s, ",")
 }
 
 func buildTopology(arg string, seed int64) (*topology.Topology, error) {

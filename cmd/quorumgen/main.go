@@ -5,9 +5,10 @@
 // scenario engine would apply to its own planner
 // (scenario.TimelineStream), then posts them to a deployment's deltas
 // endpoint on the timeline's cadence. Because the stream is a pure
-// function of (workload, seed), a journaled quorumd driven by quorumgen
-// ends with a version history that matches the engine's table row for
-// row — the replay harness asserts exactly that.
+// function of (workload, seed) and planning is deterministic, a quorumd
+// driven by quorumgen — journaled or not — ends with a version history
+// that matches the engine's table (same solver profile) row for row;
+// the replay tests assert exactly that under both profiles.
 //
 // Usage:
 //
@@ -94,10 +95,7 @@ func run(ctx context.Context, cfg genConfig, out io.Writer) error {
 		return fmt.Errorf("-speedup must be positive, got %v", cfg.speedup)
 	}
 
-	// Reproducible planning mirrors a journaled quorumd: the replay
-	// assertion compares version histories, which only line up when both
-	// sides plan deterministically.
-	rcfg := scenario.RunConfig{Seed: cfg.seed, Reproducible: true}
+	rcfg := scenario.RunConfig{Seed: cfg.seed}
 
 	if cfg.describe {
 		return describe(spec, rcfg, out)

@@ -18,16 +18,22 @@ import (
 	"github.com/quorumnet/quorumnet/internal/serve"
 )
 
+// bothProfiles runs f under the default and the reproducible solver
+// profile: replay ≡ live is a property of the pipeline, not a mode.
+func bothProfiles(t *testing.T, f func(t *testing.T, rcfg scenario.RunConfig)) {
+	t.Run("default", func(t *testing.T) { f(t, scenario.RunConfig{Seed: 1}) })
+	t.Run("reproducible", func(t *testing.T) { f(t, scenario.RunConfig{Seed: 1, Reproducible: true}) })
+}
+
 // replayOnce stands up a journaled quorumd-shaped server seeded for the
-// workload, replays the workload through run() at high speedup, and
-// returns the manager plus its journal path.
-func replayOnce(t *testing.T, workload string, seed int64, journal string) *deploy.Manager {
+// workload under rcfg's profile, replays the workload through run() at
+// high speedup, and returns the manager.
+func replayOnce(t *testing.T, workload string, rcfg scenario.RunConfig, journal string) *deploy.Manager {
 	t.Helper()
 	spec, err := scenario.LibraryByName(workload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcfg := scenario.RunConfig{Seed: seed, Reproducible: true}
 	p, err := scenario.TimelinePlanner(spec, rcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +57,7 @@ func replayOnce(t *testing.T, workload string, seed int64, journal string) *depl
 		workload: workload,
 		interval: time.Millisecond,
 		speedup:  60,
-		seed:     seed,
+		seed:     rcfg.Seed,
 	}
 	if err := run(context.Background(), cfg, io.Discard); err != nil {
 		t.Fatal(err)
@@ -63,21 +69,24 @@ func replayOnce(t *testing.T, workload string, seed int64, journal string) *depl
 // driving a live journaled quorumd leaves a version history whose
 // response/net-delay/load per step matches the scenario engine's
 // timeline table — the wire replay and the in-process engine tell the
-// same story, cell for cell.
+// same story, cell for cell, whichever profile both plan under.
 func TestReplayMatchesEngineTable(t *testing.T) {
+	bothProfiles(t, testReplayMatchesEngineTable)
+}
+
+func testReplayMatchesEngineTable(t *testing.T, rcfg scenario.RunConfig) {
 	const workload = "flash-crowd"
 	spec, err := scenario.LibraryByName(workload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcfg := scenario.RunConfig{Seed: 1, Reproducible: true}
 	table, err := scenario.Run(spec, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dir := t.TempDir()
-	m := replayOnce(t, workload, 1, filepath.Join(dir, "a.journal"))
+	m := replayOnce(t, workload, rcfg, filepath.Join(dir, "a.journal"))
 	hist := m.History()
 	if len(hist) != len(table.Rows) {
 		t.Fatalf("deployment published %d versions, table has %d rows", len(hist), len(table.Rows))
@@ -100,10 +109,14 @@ func TestReplayMatchesEngineTable(t *testing.T) {
 // deployments must publish the same versions with the same placements
 // and strategies per step.
 func TestReplayIsDeterministic(t *testing.T) {
+	bothProfiles(t, testReplayIsDeterministic)
+}
+
+func testReplayIsDeterministic(t *testing.T, rcfg scenario.RunConfig) {
 	dir := t.TempDir()
 	ja, jb := filepath.Join(dir, "a.journal"), filepath.Join(dir, "b.journal")
-	ma := replayOnce(t, "flash-crowd", 1, ja)
-	mb := replayOnce(t, "flash-crowd", 1, jb)
+	ma := replayOnce(t, "flash-crowd", rcfg, ja)
+	mb := replayOnce(t, "flash-crowd", rcfg, jb)
 
 	ha, hb := ma.History(), mb.History()
 	if len(ha) != len(hb) {
@@ -140,16 +153,20 @@ func TestReplayIsDeterministic(t *testing.T) {
 // planner from the journal alone — the crash-restart path — and
 // expects the exact version history back.
 func TestReplayJournalRecovers(t *testing.T) {
+	bothProfiles(t, testReplayJournalRecovers)
+}
+
+func testReplayJournalRecovers(t *testing.T, rcfg scenario.RunConfig) {
 	dir := t.TempDir()
 	j := filepath.Join(dir, "crash.journal")
-	m := replayOnce(t, "flash-crowd", 1, j)
+	m := replayOnce(t, "flash-crowd", rcfg, j)
 	want := m.Current().Snapshot
 
 	spec, err := scenario.LibraryByName("flash-crowd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := scenario.TimelinePlanner(spec, scenario.RunConfig{Seed: 1, Reproducible: true})
+	p, err := scenario.TimelinePlanner(spec, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

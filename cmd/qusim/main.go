@@ -15,10 +15,10 @@ import (
 	"os"
 
 	"github.com/quorumnet/quorumnet/internal/core"
-	"github.com/quorumnet/quorumnet/internal/experiments"
 	"github.com/quorumnet/quorumnet/internal/placement"
 	"github.com/quorumnet/quorumnet/internal/protocol"
 	"github.com/quorumnet/quorumnet/internal/quorum"
+	"github.com/quorumnet/quorumnet/internal/scenario"
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
 
@@ -48,7 +48,7 @@ func main() {
 	}
 
 	// Ten representative client sites, matching the experiment setup.
-	sites, err := experiments.RepresentativeClients(e, 10)
+	sites, err := scenario.RepresentativeClients(e, 10)
 	if err != nil {
 		fatal(err)
 	}

@@ -39,10 +39,9 @@ func probeMesh(ctx context.Context) {
 		log.Fatal(err)
 	}
 	p, err := quorumnet.NewPlanner(topo, quorumnet.PlannerConfig{
-		System:       quorumnet.SystemSpec{Family: "grid", Param: 2},
-		Strategy:     quorumnet.StratLP,
-		Demand:       8000,
-		Reproducible: true,
+		System:   quorumnet.SystemSpec{Family: "grid", Param: 2},
+		Strategy: quorumnet.StratLP,
+		Demand:   8000,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -148,7 +147,7 @@ func replayWorkload(ctx context.Context) {
 	if spec == nil {
 		log.Fatal("flash-crowd not in the scenario library")
 	}
-	cfg := quorumnet.ScenarioConfig{Seed: 1, Reproducible: true}
+	cfg := quorumnet.ScenarioConfig{Seed: 1}
 
 	p, err := quorumnet.TimelinePlanner(spec, cfg)
 	if err != nil {

@@ -13,7 +13,10 @@ import (
 // Journal record types. The journal is a commit log of the deployment's
 // applied delta batches: replaying it through a planner rebuilt with the
 // same inputs reproduces the exact snapshot version and decision
-// sequence, because the whole planning pipeline is deterministic.
+// sequence, because the whole planning pipeline is deterministic —
+// under the default solver profile (warm re-solves carried from batch
+// to batch) as much as under plan.Config.Reproducible; the TestRecover*
+// tests run over both.
 const (
 	jTypeHeader = "header"
 	jTypeBatch  = "batch"
@@ -69,17 +72,18 @@ func (m *Manager) journalBatch(rec journalRecord) error {
 // journal at path, replaying any batches already recorded there.
 //
 // The planner must be constructed exactly as it was for the journal's
-// original manager (same topology, system, strategy, demand — i.e. the
-// daemon restarted with the same flags): the journal stores only the
-// delta batches, and determinism of the planning pipeline does the
-// rest. A fresh path starts a new journal; an existing one is verified
-// against the rebuilt deployment (site count, system, initial plan
-// response) and replayed batch by batch, asserting that every re-plan
-// reproduces the recorded version and decision. After a successful
-// replay the manager's snapshot history — versions, decisions, ETags —
-// is identical to the pre-crash manager's, and the journal is reopened
-// for appending (a torn final line, the artifact of a crash mid-append,
-// is discarded: its batch never committed).
+// original manager (same topology, system, strategy, demand, solver
+// profile — i.e. the daemon restarted with the same flags; Workers may
+// differ): the journal stores only the delta batches, and determinism
+// of the planning pipeline does the rest. A fresh path starts a new
+// journal; an existing one is verified against the rebuilt deployment
+// (site count, system, initial plan response) and replayed batch by
+// batch, asserting that every re-plan reproduces the recorded version
+// and decision. After a successful replay the manager's snapshot
+// history — versions, decisions, ETags — is identical to the pre-crash
+// manager's, and the journal is reopened for appending (a torn final
+// line, the artifact of a crash mid-append, is discarded: its batch
+// never committed).
 //
 // The returned int is the number of batches replayed (0 for a fresh
 // journal).

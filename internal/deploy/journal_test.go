@@ -12,11 +12,26 @@ import (
 	"github.com/quorumnet/quorumnet/internal/plan"
 )
 
+// bothProfiles runs f on the shared fixture's plan.Config under the
+// default and the reproducible solver profile: replay ≡ live is a
+// property of the pipeline, not a mode the journal switches on.
+func bothProfiles(t *testing.T, f func(t *testing.T, pcfg plan.Config)) {
+	for _, repro := range []bool{false, true} {
+		pcfg := deployPlanConfig()
+		pcfg.Reproducible = repro
+		name := "default"
+		if repro {
+			name = "reproducible"
+		}
+		t.Run(name, func(t *testing.T) { f(t, pcfg) })
+	}
+}
+
 // recoverManager builds a fresh planner from the shared fixtures and
 // Recovers a manager from path — exactly what a restarted quorumd does.
-func recoverManager(t *testing.T, cfg Config, path string) (*Manager, int) {
+func recoverManager(t *testing.T, pcfg plan.Config, cfg Config, path string) (*Manager, int) {
 	t.Helper()
-	p, err := plan.New(deployTopo(t), deployPlanConfig())
+	p, err := plan.New(deployTopo(t), pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +88,11 @@ func historyRows(m *Manager) []historyRow {
 
 // TestRecoverFreshJournal: a new path starts a journal with an identity
 // header, and applied batches land in it durably.
-func TestRecoverFreshJournal(t *testing.T) {
+func TestRecoverFreshJournal(t *testing.T) { bothProfiles(t, testRecoverFreshJournal) }
+
+func testRecoverFreshJournal(t *testing.T, pcfg plan.Config) {
 	path := filepath.Join(t.TempDir(), "deploy.journal")
-	m, n := recoverManager(t, Config{}, path)
+	m, n := recoverManager(t, pcfg, Config{}, path)
 	if n != 0 {
 		t.Fatalf("fresh journal replayed %d batches", n)
 	}
@@ -111,13 +128,17 @@ func TestRecoverFreshJournal(t *testing.T) {
 // response, and applied-count history. The restarted manager keeps
 // journaling: its next batch publishes the next version.
 func TestRecoverReplaysIdenticalHistory(t *testing.T) {
+	bothProfiles(t, testRecoverReplaysIdenticalHistory)
+}
+
+func testRecoverReplaysIdenticalHistory(t *testing.T, pcfg plan.Config) {
 	path := filepath.Join(t.TempDir(), "deploy.journal")
-	m1, _ := recoverManager(t, Config{}, path)
+	m1, _ := recoverManager(t, pcfg, Config{}, path)
 	journalBatches(t, m1)
 	want := historyRows(m1)
 	// m1 is abandoned un-closed: the crash.
 
-	m2, n := recoverManager(t, Config{}, path)
+	m2, n := recoverManager(t, pcfg, Config{}, path)
 	if n != 6 {
 		t.Fatalf("replayed %d batches, want 6", n)
 	}
@@ -151,9 +172,11 @@ func TestRecoverReplaysIdenticalHistory(t *testing.T) {
 // TestRecoverTornTailDiscarded: a crash mid-append leaves a torn final
 // line; its batch never committed (the append happens before Apply
 // returns), so recovery discards it and replays the intact prefix.
-func TestRecoverTornTailDiscarded(t *testing.T) {
+func TestRecoverTornTailDiscarded(t *testing.T) { bothProfiles(t, testRecoverTornTailDiscarded) }
+
+func testRecoverTornTailDiscarded(t *testing.T, pcfg plan.Config) {
 	path := filepath.Join(t.TempDir(), "deploy.journal")
-	m1, _ := recoverManager(t, Config{}, path)
+	m1, _ := recoverManager(t, pcfg, Config{}, path)
 	journalBatches(t, m1)
 
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
@@ -165,7 +188,7 @@ func TestRecoverTornTailDiscarded(t *testing.T) {
 	}
 	f.Close()
 
-	m2, n := recoverManager(t, Config{}, path)
+	m2, n := recoverManager(t, pcfg, Config{}, path)
 	if n != 6 {
 		t.Fatalf("replayed %d batches, want the 6 intact ones", n)
 	}
@@ -182,13 +205,16 @@ func TestRecoverTornTailDiscarded(t *testing.T) {
 // TestRecoverRejectsForeignDeployment: a journal replayed against a
 // deployment rebuilt with different flags is refused at the header.
 func TestRecoverRejectsForeignDeployment(t *testing.T) {
+	bothProfiles(t, testRecoverRejectsForeignDeployment)
+}
+
+func testRecoverRejectsForeignDeployment(t *testing.T, pcfg plan.Config) {
 	path := filepath.Join(t.TempDir(), "deploy.journal")
-	m, _ := recoverManager(t, Config{}, path)
+	m, _ := recoverManager(t, pcfg, Config{}, path)
 	journalBatches(t, m)
 
-	cfg := deployPlanConfig()
-	cfg.Demand = 4000 // restarted with the wrong -demand flag
-	p, err := plan.New(deployTopo(t), cfg)
+	pcfg.Demand = 4000 // restarted with the wrong -demand flag
+	p, err := plan.New(deployTopo(t), pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +228,12 @@ func TestRecoverRejectsForeignDeployment(t *testing.T) {
 // produces) fails recovery loudly instead of serving a silently wrong
 // history.
 func TestRecoverDetectsDivergedReplay(t *testing.T) {
+	bothProfiles(t, testRecoverDetectsDivergedReplay)
+}
+
+func testRecoverDetectsDivergedReplay(t *testing.T, pcfg plan.Config) {
 	path := filepath.Join(t.TempDir(), "deploy.journal")
-	m, _ := recoverManager(t, Config{}, path)
+	m, _ := recoverManager(t, pcfg, Config{}, path)
 	journalBatches(t, m)
 
 	records, _, err := journal.ReadAll(path)
@@ -229,7 +259,7 @@ func TestRecoverDetectsDivergedReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := plan.New(deployTopo(t), deployPlanConfig())
+	p, err := plan.New(deployTopo(t), pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,7 +158,7 @@ func AblDedup(p Params) (*Table, error) {
 			e.Mode = mode
 			// The load mode changes the LP coefficients, so each mode
 			// needs its own optimizer workspace.
-			opt, err := strategy.NewOptimizer(e, strategy.Config{LP: lp.OptionsFor(p.Reproducible)})
+			opt, err := strategy.NewOptimizer(e, strategy.ConfigFor(p.Reproducible, strategy.SolverAuto))
 			if err != nil {
 				return 0, err
 			}
@@ -369,7 +369,7 @@ func AblSweep(p Params) (*Table, error) {
 		counts = []int{3, 5}
 	}
 	for _, count := range counts {
-		pts, err := strategy.UniformSweepCfg(e, strategy.SweepValues(sys.OptimalLoad(), count), p.sweepConfig())
+		pts, err := strategy.UniformSweep(e, strategy.SweepValues(sys.OptimalLoad(), count), p.sweepConfig())
 		if err != nil {
 			return nil, err
 		}

@@ -95,10 +95,9 @@ func (p Params) RunConfig() scenario.RunConfig {
 	}
 }
 
-func f2(v float64) string  { return strconv.FormatFloat(v, 'f', 2, 64) }
-func f3(v float64) string  { return strconv.FormatFloat(v, 'f', 3, 64) }
-func itoa(v int) string    { return strconv.Itoa(v) }
-func cell(s string) string { return s }
+func f2(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
+func f3(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
+func itoa(v int) string   { return strconv.Itoa(v) }
 
 // Experiment pairs a figure id with its runner and — for figures
 // declared as scenario specs — the spec builder sharded runs partition.

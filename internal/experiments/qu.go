@@ -1,17 +1,6 @@
 package experiments
 
-import (
-	"github.com/quorumnet/quorumnet/internal/core"
-	"github.com/quorumnet/quorumnet/internal/scenario"
-)
-
-// RepresentativeClients picks the k nodes whose expected network delay to
-// the placement (under uniform access) is closest to the all-nodes
-// average — the §3 client-site selection, kept here for callers like
-// cmd/qusim.
-func RepresentativeClients(e *core.Eval, k int) ([]int, error) {
-	return scenario.RepresentativeClients(e, k)
-}
+import "github.com/quorumnet/quorumnet/internal/scenario"
 
 // quProtocol fixes the §3 simulation constants: 10 representative client
 // locations, 1 ms of application processing per request, and 0.8

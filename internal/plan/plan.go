@@ -151,7 +151,11 @@ type Config struct {
 	// Reproducible forces cold, Dantzig-priced LP solves so repeated plans
 	// are bit-identical to a cold pipeline; the default re-solves the
 	// strategy LP warm-started with partial pricing (same optima, possibly
-	// a different optimal vertex on degenerate instances).
+	// a different optimal vertex on degenerate instances). It exists for
+	// the paper-exact tables and the incremental ≡ cold tests. Journal
+	// replay does not need it: either profile is a deterministic function
+	// of the construction inputs and the delta sequence (strategy.ConfigFor
+	// is where the setting becomes solver options).
 	Reproducible bool `json:"reproducible,omitempty"`
 	// Workers bounds the placement anchor search's worker pool
 	// (0 = GOMAXPROCS).

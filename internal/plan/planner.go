@@ -657,20 +657,9 @@ func (p *Planner) computeStrategy() error {
 	// re-solve with new right-hand sides, warm-started from the previous
 	// optimal basis unless reproducibility is requested.
 	if !p.optOK {
-		solver, err := strategy.ParseSolver(p.cfg.Solver)
-		if err != nil {
-			return err
-		}
-		if p.cfg.Reproducible {
-			// Byte-reproducibility is defined by the dense pivot sequence.
-			solver = strategy.SolverDense
-		}
-		opt, err := strategy.NewOptimizer(p.eval, strategy.Config{
-			LP:        lp.OptionsFor(p.cfg.Reproducible),
-			WarmStart: !p.cfg.Reproducible,
-			Solver:    solver,
-			Workers:   p.cfg.Workers,
-		})
+		ocfg := strategy.ConfigFor(p.cfg.Reproducible, strategy.Solver(p.cfg.Solver))
+		ocfg.Workers = p.cfg.Workers
+		opt, err := strategy.NewOptimizer(p.eval, ocfg)
 		if err != nil {
 			return err
 		}

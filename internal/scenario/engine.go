@@ -389,18 +389,9 @@ func resolveStrategy(name string, e *core.Eval, spec *Spec, cfg RunConfig, worke
 		for i := range caps {
 			caps[i] = c
 		}
-		solver, err := strategy.ParseSolver(spec.Solver)
-		if err != nil {
-			return nil, false, err
-		}
-		if cfg.Reproducible {
-			solver = strategy.SolverDense
-		}
-		opt, err := strategy.NewOptimizer(e, strategy.Config{
-			LP:      lp.OptionsFor(cfg.Reproducible),
-			Solver:  solver,
-			Workers: workers,
-		})
+		ocfg := strategy.ConfigFor(cfg.Reproducible, strategy.Solver(spec.Solver))
+		ocfg.Workers = workers
+		opt, err := strategy.NewOptimizer(e, ocfg)
 		if err != nil {
 			return nil, false, err
 		}

@@ -262,9 +262,9 @@ func (p *Partition) executeSweep(rows [][][]string, report func(int)) error {
 			var err error
 			switch v {
 			case "uniform":
-				results[vi], err = strategy.UniformSweepCfg(su.e, chunk, swCfg)
+				results[vi], err = strategy.UniformSweep(su.e, chunk, swCfg)
 			case "nonuniform":
-				results[vi], err = strategy.NonUniformSweepCfg(su.e, su.lopt, chunk, swCfg)
+				results[vi], err = strategy.NonUniformSweep(su.e, su.lopt, chunk, swCfg)
 			default:
 				err = fmt.Errorf("unknown sweep variant %q", v)
 			}

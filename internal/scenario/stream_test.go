@@ -7,6 +7,14 @@ import (
 	"github.com/quorumnet/quorumnet/internal/deploy"
 )
 
+// bothProfiles runs f under the default and the reproducible solver
+// profile: the stream is the same under either, and it drives a
+// deployment to the engine's table as long as both plan under one.
+func bothProfiles(t *testing.T, f func(t *testing.T, cfg RunConfig)) {
+	t.Run("default", func(t *testing.T) { f(t, RunConfig{Seed: 1}) })
+	t.Run("reproducible", func(t *testing.T) { f(t, RunConfig{Seed: 1, Reproducible: true}) })
+}
+
 // TestTimelineStreamMatchesEngineTable is the exporter's contract: for
 // every library timeline, replaying the streamed delta batches through
 // a live deployment visits exactly the states the scenario engine's
@@ -19,81 +27,84 @@ func TestTimelineStreamMatchesEngineTable(t *testing.T) {
 		}
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			cfg := RunConfig{Seed: 1, Reproducible: true}
-			table, err := Run(&spec, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			steps, err := TimelineStream(&spec, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(steps) != len(spec.Timeline) {
-				t.Fatalf("streamed %d steps, want %d", len(steps), len(spec.Timeline))
-			}
-
-			p, err := TimelinePlanner(&spec, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := deploy.New(p, deploy.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Row 0 is the "initial" row; streamed step i corresponds to
-			// row i+1.
-			rows := table.Rows
-			if len(rows) != len(steps)+1 {
-				t.Fatalf("table has %d rows for %d steps", len(rows), len(steps))
-			}
-			assertRow := func(row []string, label string) {
-				t.Helper()
-				snap := m.Current().Snapshot
-				got := []string{label, itoa(snap.Topology.Size()), f2(snap.Response), f2(snap.NetDelay), f3(snap.MaxLoad)}
-				for i, cell := range got {
-					if row[i] != cell {
-						t.Fatalf("step %q column %d: deployment %q, table %q (row %v)", label, i, cell, row[i], row[:len(got)])
-					}
-				}
-			}
-			assertRow(rows[0], "initial")
-			for i, step := range steps {
-				if _, err := m.Apply(step.Deltas); err != nil {
-					t.Fatalf("step %q: %v", step.Label, err)
-				}
-				assertRow(rows[i+1], step.Label)
-			}
+			bothProfiles(t, func(t *testing.T, cfg RunConfig) { testStreamMatchesEngineTable(t, &spec, cfg) })
 		})
 	}
 }
 
+func testStreamMatchesEngineTable(t *testing.T, spec *Spec, cfg RunConfig) {
+	table, err := Run(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps, err := TimelineStream(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(steps) != len(spec.Timeline) {
+		t.Fatalf("streamed %d steps, want %d", len(steps), len(spec.Timeline))
+	}
+
+	p, err := TimelinePlanner(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := deploy.New(p, deploy.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Row 0 is the "initial" row; streamed step i corresponds to
+	// row i+1.
+	rows := table.Rows
+	if len(rows) != len(steps)+1 {
+		t.Fatalf("table has %d rows for %d steps", len(rows), len(steps))
+	}
+	assertRow := func(row []string, label string) {
+		t.Helper()
+		snap := m.Current().Snapshot
+		got := []string{label, itoa(snap.Topology.Size()), f2(snap.Response), f2(snap.NetDelay), f3(snap.MaxLoad)}
+		for i, cell := range got {
+			if row[i] != cell {
+				t.Fatalf("step %q column %d: deployment %q, table %q (row %v)", label, i, cell, row[i], row[:len(got)])
+			}
+		}
+	}
+	assertRow(rows[0], "initial")
+	for i, step := range steps {
+		if _, err := m.Apply(step.Deltas); err != nil {
+			t.Fatalf("step %q: %v", step.Label, err)
+		}
+		assertRow(rows[i+1], step.Label)
+	}
+}
+
 // TestTimelineStreamIsDeterministic pins the exporter's output: two
-// exports of the same spec and config are deep-equal, batch for batch.
+// exports of the same spec and config are deep-equal, batch for batch —
+// and so are the exports under the two profiles, since compiling a
+// step reads the planner's inputs, never its plan.
 func TestTimelineStreamIsDeterministic(t *testing.T) {
 	spec, err := LibraryByName("flash-crowd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := RunConfig{Seed: 1, Reproducible: true}
-	a, err := TimelineStream(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := TimelineStream(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("exports differ in length: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Label != b[i].Label || len(a[i].Deltas) != len(b[i].Deltas) {
-			t.Fatalf("step %d differs: %+v vs %+v", i, a[i], b[i])
+	var exports [][]StreamStep
+	bothProfiles(t, func(t *testing.T, cfg RunConfig) {
+		a, err := TimelineStream(spec, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(a[i].Deltas, b[i].Deltas) {
-			t.Fatalf("step %d deltas differ:\n%+v\n%+v", i, a[i].Deltas, b[i].Deltas)
+		b, err := TimelineStream(spec, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("two exports differ:\n%+v\n%+v", a, b)
+		}
+		exports = append(exports, a)
+	})
+	if len(exports) == 2 && !reflect.DeepEqual(exports[0], exports[1]) {
+		t.Fatalf("default and reproducible exports differ:\n%+v\n%+v", exports[0], exports[1])
 	}
 }
 

@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -146,5 +150,64 @@ func TestDeltaStaleness(t *testing.T) {
 	}
 	if tn.lastDeltaNS.Load() != stale {
 		t.Fatal("rejected batch reset the staleness clock")
+	}
+}
+
+// TestHTTPServerDropsSilentClient: a client that connects and never
+// finishes its headers is cut off after ReadHeaderTimeout, while a
+// request parked in its handler for longer than that — a long-poll —
+// is left alone: the header read is the only bounded phase of the
+// servers the daemons listen with.
+func TestHTTPServerDropsSilentClient(t *testing.T) {
+	t.Parallel()
+	release := make(chan struct{})
+	srv := HTTPServer("", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-release
+		io.WriteString(w, "woken")
+	}))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	parked := make(chan string, 1)
+	go func() {
+		resp, err := http.Get("http://" + ln.Addr().String() + "/v1/plan?after=1")
+		if err != nil {
+			parked <- err.Error()
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		parked <- string(body)
+	}()
+
+	silent, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	if _, err := io.WriteString(silent, "GET /v1/plan HTTP/1.1\r\nHost: quorumd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	silent.SetReadDeadline(start.Add(ReadHeaderTimeout + 10*time.Second))
+	if _, err := io.ReadAll(silent); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("server still holds a header-less connection %s after it opened", time.Since(start).Round(time.Second))
+	}
+	if held := time.Since(start); held < ReadHeaderTimeout/2 {
+		t.Fatalf("connection closed after %s, before the %s header timeout", held, ReadHeaderTimeout)
+	}
+
+	select {
+	case got := <-parked:
+		t.Fatalf("parked request ended before its handler returned: %q", got)
+	default:
+	}
+	close(release)
+	if got := <-parked; got != "woken" {
+		t.Fatalf("parked request got %q, want the handler's reply", got)
 	}
 }

@@ -52,6 +52,21 @@ const DefaultMaxWatchers = 1 << 20
 // planning and posters should back off and re-coalesce.
 const DefaultMaxApplyQueue = 64
 
+// ReadHeaderTimeout is how long a daemon listener waits for a
+// connection's request headers before closing it, so a client that
+// connects and goes silent cannot hold a socket and its goroutine
+// forever.
+const ReadHeaderTimeout = 5 * time.Second
+
+// HTTPServer returns the http.Server behind every daemon listener
+// (quorumd's API and debug listeners, the fleet worker, the fleet
+// registry). Only the header read is bounded: long-polls legitimately
+// park up to Options.MaxWait and shard jobs run for minutes, so there
+// is no read, write or idle timeout.
+func HTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: ReadHeaderTimeout}
+}
+
 // Options tunes the server.
 type Options struct {
 	// MaxWait caps a long-poll's ?timeout (default 30s).

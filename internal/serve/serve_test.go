@@ -221,10 +221,10 @@ func TestServeBadRequests(t *testing.T) {
 }
 
 // journaledServer is the quorumd -journal composition: an identically
-// re-buildable planner (Reproducible on, exactly as quorumd forces it
-// when -journal is set), a manager Recovered from the journal path, and
-// the HTTP layer on top.
-func journaledServer(t *testing.T, path string) (*httptest.Server, *deploy.Manager, int) {
+// re-buildable planner under the given solver profile (quorumd runs the
+// default one, journaled or not), a manager Recovered from the journal
+// path, and the HTTP layer on top.
+func journaledServer(t *testing.T, reproducible bool, path string) (*httptest.Server, *deploy.Manager, int) {
 	t.Helper()
 	topo, err := topology.Generate(topology.GenConfig{
 		Name:      "serve-test-15",
@@ -242,7 +242,7 @@ func journaledServer(t *testing.T, path string) (*httptest.Server, *deploy.Manag
 		System:       plan.SystemSpec{Family: "grid", Param: 3},
 		Strategy:     plan.StratLP,
 		Demand:       8000,
-		Reproducible: true,
+		Reproducible: reproducible,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -278,10 +278,15 @@ func getRaw(t *testing.T, url string) ([]byte, http.Header) {
 // (server closed, journal never cleanly shut down — every batch record
 // was already fsynced), and a daemon restarted with the same flags and
 // journal replays to a byte-identical /v1/history and the same /v1/plan
-// ETag before taking new deltas.
+// ETag before taking new deltas — under either solver profile.
 func TestServeJournalRestartIdenticalHistory(t *testing.T) {
+	t.Run("default", func(t *testing.T) { testServeJournalRestart(t, false) })
+	t.Run("reproducible", func(t *testing.T) { testServeJournalRestart(t, true) })
+}
+
+func testServeJournalRestart(t *testing.T, reproducible bool) {
 	path := filepath.Join(t.TempDir(), "deploy.journal")
-	ts1, _, replayed := journaledServer(t, path)
+	ts1, _, replayed := journaledServer(t, reproducible, path)
 	if replayed != 0 {
 		t.Fatalf("fresh journal replayed %d batches", replayed)
 	}
@@ -302,7 +307,7 @@ func TestServeJournalRestartIdenticalHistory(t *testing.T) {
 	wantPlan, wantHdr := getRaw(t, ts1.URL+"/v1/plan")
 	ts1.Close() // the kill: no CloseJournal, no drain
 
-	ts2, _, replayed := journaledServer(t, path)
+	ts2, _, replayed := journaledServer(t, reproducible, path)
 	if replayed != 3 {
 		t.Fatalf("restart replayed %d batches, want 3", replayed)
 	}

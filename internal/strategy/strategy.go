@@ -122,6 +122,21 @@ type Config struct {
 	NoAggregate bool
 }
 
+// ConfigFor is the one translation from a caller's solver profile —
+// its reproducibility setting and the solver a spec names (validated
+// where the spec enters: plan.New, scenario's Spec.Validate) — to an
+// Optimizer Config; callers add only Workers. The reproducible profile
+// is cold solves with Dantzig pricing on the dense path, whatever
+// solver was named: byte-reproducibility is defined by the dense pivot
+// sequence. Every other run takes partial pricing, warm re-solves, and
+// the named solver.
+func ConfigFor(reproducible bool, solver Solver) Config {
+	if reproducible {
+		solver = SolverDense
+	}
+	return Config{LP: lp.OptionsFor(reproducible), WarmStart: !reproducible, Solver: solver}
+}
+
 // Optimizer solves the access-strategy LP repeatedly for one evaluation
 // under varying capacities. It builds the expensive invariants — the
 // per-client/per-quorum delay matrix δ_f(v, Q_i), the per-quorum node
@@ -453,14 +468,8 @@ func ChunkBounds(ci, n int) (lo, hi int) {
 }
 
 // UniformSweep runs Optimize for each uniform capacity value and
-// evaluates response time, reproducing the technique of Figure 7.6,
-// with the default SweepConfig.
-func UniformSweep(e *core.Eval, values []float64) ([]SweepPoint, error) {
-	return UniformSweepCfg(e, values, SweepConfig{})
-}
-
-// UniformSweepCfg is UniformSweep with explicit execution options.
-func UniformSweepCfg(e *core.Eval, values []float64, cfg SweepConfig) ([]SweepPoint, error) {
+// evaluates response time, reproducing the technique of Figure 7.6.
+func UniformSweep(e *core.Eval, values []float64, cfg SweepConfig) ([]SweepPoint, error) {
 	return runSweep(e, values, cfg, func(c float64, caps []float64) ([]float64, error) {
 		if caps == nil {
 			caps = make([]float64, e.Topo.Size())
@@ -515,13 +524,8 @@ func NonUniformCaps(e *core.Eval, beta, gamma float64) ([]float64, error) {
 
 // NonUniformSweep mirrors UniformSweep but sets capacities with the
 // non-uniform heuristic over intervals [β, γ] = [lopt, c] for each c,
-// reproducing Figures 7.7/7.8, with the default SweepConfig.
-func NonUniformSweep(e *core.Eval, lopt float64, values []float64) ([]SweepPoint, error) {
-	return NonUniformSweepCfg(e, lopt, values, SweepConfig{})
-}
-
-// NonUniformSweepCfg is NonUniformSweep with explicit execution options.
-func NonUniformSweepCfg(e *core.Eval, lopt float64, values []float64, cfg SweepConfig) ([]SweepPoint, error) {
+// reproducing Figures 7.7/7.8.
+func NonUniformSweep(e *core.Eval, lopt float64, values []float64, cfg SweepConfig) ([]SweepPoint, error) {
 	return runSweep(e, values, cfg, func(c float64, _ []float64) ([]float64, error) {
 		return NonUniformCaps(e, lopt, c)
 	})
@@ -562,7 +566,7 @@ func runSweep(e *core.Eval, values []float64, cfg SweepConfig,
 // Optimizer, chaining warm starts unless configured reproducible.
 func sweepChunk(e *core.Eval, values []float64, out []SweepPoint, cfg SweepConfig,
 	capsFor func(c float64, scratch []float64) ([]float64, error)) error {
-	opt, err := NewOptimizer(e, Config{LP: lp.OptionsFor(cfg.Reproducible), WarmStart: !cfg.Reproducible})
+	opt, err := NewOptimizer(e, ConfigFor(cfg.Reproducible, SolverAuto))
 	if err != nil {
 		return err
 	}

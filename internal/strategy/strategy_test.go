@@ -163,7 +163,7 @@ func TestSweepValues(t *testing.T) {
 func TestUniformSweepShape(t *testing.T) {
 	e := gridEval(t, 12, 3, 6, core.AlphaForDemand(16000))
 	lopt := e.Sys.OptimalLoad()
-	pts, err := UniformSweep(e, SweepValues(lopt, 5))
+	pts, err := UniformSweep(e, SweepValues(lopt, 5), SweepConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestNonUniformCapsValidation(t *testing.T) {
 func TestNonUniformSweepRuns(t *testing.T) {
 	e := gridEval(t, 12, 3, 9, core.AlphaForDemand(16000))
 	lopt := e.Sys.OptimalLoad()
-	pts, err := NonUniformSweep(e, lopt, SweepValues(lopt, 4))
+	pts, err := NonUniformSweep(e, lopt, SweepValues(lopt, 4), SweepConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,5 +356,23 @@ func TestOptimizeWeightedMatchesDuplicated(t *testing.T) {
 	}
 	if math.Abs(rw.AvgNetDelay-rd.AvgNetDelay) > 1e-6 {
 		t.Errorf("weighted optimum %v != duplicated %v", rw.AvgNetDelay, rd.AvgNetDelay)
+	}
+}
+
+// TestConfigForProfiles pins the one solver-profile translation: the
+// default profile is exactly the literal bench/shadow.go mirrors by
+// hand, and the reproducible one is cold Dantzig with the dense path
+// pinned whatever solver was named.
+func TestConfigForProfiles(t *testing.T) {
+	if got, want := ConfigFor(false, SolverAuto), (Config{LP: lp.Options{Pricing: lp.PricingPartial}, WarmStart: true}); got != want {
+		t.Errorf("default profile = %+v, want %+v", got, want)
+	}
+	if got := ConfigFor(false, SolverColgen).Solver; got != SolverColgen {
+		t.Errorf("default profile dropped the named solver: %q", got)
+	}
+	for _, s := range []Solver{SolverAuto, SolverDense, SolverColgen} {
+		if got, want := ConfigFor(true, s), (Config{Solver: SolverDense}); got != want {
+			t.Errorf("reproducible profile with solver %q = %+v, want %+v", s, got, want)
+		}
 	}
 }

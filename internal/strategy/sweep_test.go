@@ -15,12 +15,12 @@ func TestParallelSweepIdenticalToSerial(t *testing.T) {
 	e := gridEval(t, 12, 3, 42, 5)
 	values := SweepValues(e.Sys.OptimalLoad(), 10)
 	for _, repro := range []bool{false, true} {
-		serial, err := UniformSweepCfg(e, values, SweepConfig{Workers: 1, Reproducible: repro})
+		serial, err := UniformSweep(e, values, SweepConfig{Workers: 1, Reproducible: repro})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 8} {
-			par, err := UniformSweepCfg(e, values, SweepConfig{Workers: workers, Reproducible: repro})
+			par, err := UniformSweep(e, values, SweepConfig{Workers: workers, Reproducible: repro})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -29,11 +29,11 @@ func TestParallelSweepIdenticalToSerial(t *testing.T) {
 			}
 		}
 		lopt := e.Sys.OptimalLoad()
-		serialNU, err := NonUniformSweepCfg(e, lopt, values, SweepConfig{Workers: 1, Reproducible: repro})
+		serialNU, err := NonUniformSweep(e, lopt, values, SweepConfig{Workers: 1, Reproducible: repro})
 		if err != nil {
 			t.Fatal(err)
 		}
-		parNU, err := NonUniformSweepCfg(e, lopt, values, SweepConfig{Workers: 4, Reproducible: repro})
+		parNU, err := NonUniformSweep(e, lopt, values, SweepConfig{Workers: 4, Reproducible: repro})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,11 +50,11 @@ func TestParallelSweepIdenticalToSerial(t *testing.T) {
 func TestWarmSweepMatchesReproducibleObjectives(t *testing.T) {
 	e := gridEval(t, 12, 3, 7, 5)
 	values := SweepValues(e.Sys.OptimalLoad(), 12)
-	fast, err := UniformSweepCfg(e, values, SweepConfig{})
+	fast, err := UniformSweep(e, values, SweepConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	repro, err := UniformSweepCfg(e, values, SweepConfig{Reproducible: true})
+	repro, err := UniformSweep(e, values, SweepConfig{Reproducible: true})
 	if err != nil {
 		t.Fatal(err)
 	}

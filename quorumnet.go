@@ -270,12 +270,6 @@ func NewStrategyOptimizer(e *Eval, cfg OptimizerConfig) (*StrategyOptimizer, err
 	return strategy.NewOptimizer(e, cfg)
 }
 
-// SweepConfig tunes capacity-sweep execution: the worker-pool bound and
-// whether to trade the fast warm-started path for bit-reproducibility of
-// the original serial sweep. Results are always deterministic and
-// independent of the worker count.
-type SweepConfig = strategy.SweepConfig
-
 // OptimizeStrategies solves the access-strategy LP (4.3)–(4.6) under the
 // given per-site capacities (cold, with deterministic Dantzig pricing;
 // use a StrategyOptimizer for repeated or warm-started solves).
@@ -290,25 +284,13 @@ func SweepValues(lopt float64, count int) []float64 { return strategy.SweepValue
 // value on a bounded worker pool, warm-starting within chunks of
 // consecutive points.
 func UniformCapacitySweep(e *Eval, values []float64) ([]SweepPoint, error) {
-	return strategy.UniformSweep(e, values)
-}
-
-// UniformCapacitySweepCfg is UniformCapacitySweep with explicit
-// execution options.
-func UniformCapacitySweepCfg(e *Eval, values []float64, cfg SweepConfig) ([]SweepPoint, error) {
-	return strategy.UniformSweepCfg(e, values, cfg)
+	return strategy.UniformSweep(e, values, strategy.SweepConfig{})
 }
 
 // NonUniformCapacitySweep uses the §7 heuristic (capacity inversely
 // proportional to client distance) over intervals [lopt, c].
 func NonUniformCapacitySweep(e *Eval, lopt float64, values []float64) ([]SweepPoint, error) {
-	return strategy.NonUniformSweep(e, lopt, values)
-}
-
-// NonUniformCapacitySweepCfg is NonUniformCapacitySweep with explicit
-// execution options.
-func NonUniformCapacitySweepCfg(e *Eval, lopt float64, values []float64, cfg SweepConfig) ([]SweepPoint, error) {
-	return strategy.NonUniformSweepCfg(e, lopt, values, cfg)
+	return strategy.NonUniformSweep(e, lopt, values, strategy.SweepConfig{})
 }
 
 // NonUniformCaps computes the heuristic capacities for [beta, gamma].
@@ -463,9 +445,9 @@ func CoalesceDeltas(ds []DeployDelta) []DeployDelta { return deploy.Coalesce(ds)
 // durable in an append-only journal at path, replaying any batches
 // already recorded there. The planner must be built exactly as it was
 // for the journal's original deployment (the daemon restarted with the
-// same flags, planning reproducibly): after replay the snapshot history
-// — versions, decisions, ETags — is identical to the pre-crash
-// deployment's. Returns the number of batches replayed.
+// same flags; either solver profile replays exactly): after replay the
+// snapshot history — versions, decisions, ETags — is identical to the
+// pre-crash deployment's. Returns the number of batches replayed.
 func RecoverDeployment(p *Planner, cfg DeployConfig, path string) (*Deployment, int, error) {
 	return deploy.Recover(p, cfg, path)
 }

@@ -260,6 +260,9 @@ type Manager struct {
 	queued atomic.Int64
 
 	cur atomic.Pointer[Entry]
+	// lastPlan holds the planner's counters for the plan that absorbed
+	// the latest batch (see LastPlan).
+	lastPlan atomic.Pointer[plan.Stats]
 
 	hmu     sync.Mutex // guards history and the notify channel
 	history []*Entry
@@ -273,7 +276,7 @@ func New(p *plan.Planner, cfg Config) (*Manager, error) {
 		return nil, fmt.Errorf("deploy: nil planner")
 	}
 	m := &Manager{cfg: cfg, p: p, notify: make(chan struct{})}
-	snap, err := p.Plan()
+	snap, err := m.planBatch()
 	if err != nil {
 		return nil, fmt.Errorf("deploy: initial plan: %w", err)
 	}
@@ -285,6 +288,24 @@ func New(p *plan.Planner, cfg Config) (*Manager, error) {
 // in-flight Apply keeps serving the previous snapshot until its re-plan
 // commits.
 func (m *Manager) Current() *Entry { return m.cur.Load() }
+
+// LastPlan returns the planner's counters for the plan that absorbed the
+// most recent published batch — the candidate plan when the hysteresis
+// gate ran a holdover plan after it. Like Current it never blocks. The
+// counters are an operator's sidecar: nothing in them reaches a snapshot,
+// a plan body or the journal.
+func (m *Manager) LastPlan() plan.Stats { return *m.lastPlan.Load() }
+
+// planBatch plans the deltas applied since the last plan and keeps that
+// plan's counters. Called with mu held (or before the manager is shared).
+func (m *Manager) planBatch() (*plan.Snapshot, error) {
+	snap, err := m.p.Plan()
+	if err == nil {
+		stats := m.p.LastPlan()
+		m.lastPlan.Store(&stats)
+	}
+	return snap, err
+}
 
 // History returns the retained entries, oldest first (bounded by
 // Config.HistoryLimit). The slice is a copy; entries are immutable.
@@ -463,7 +484,7 @@ func (m *Manager) replan() (*Entry, error) {
 
 	if !m.p.Dirty(plan.StagePlacement) {
 		// Strategy/eval-only: always taken. A pinned hold stays pinned.
-		snap, err := m.p.Plan()
+		snap, err := m.planBatch()
 		if err != nil {
 			return nil, err
 		}
@@ -474,7 +495,7 @@ func (m *Manager) replan() (*Entry, error) {
 	// re-placement first (clearing any standing hold so the construction
 	// actually runs).
 	m.p.ClearPlacementPin()
-	cand, err := m.p.Plan()
+	cand, err := m.planBatch()
 	if err != nil {
 		return nil, err
 	}

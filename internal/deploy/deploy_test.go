@@ -172,6 +172,59 @@ func TestHysteresis(t *testing.T) {
 	}
 }
 
+// TestUnchangedMetricKeepsDecision pins the contract between the planner's
+// content-based invalidation and the manager's path choice, in the
+// default profile: an rtt delta leaves the placement stage dirty until
+// Plan, so the manager still takes the hysteresis path and reports
+// "adopt (placement unchanged)" exactly as before — even when Plan then
+// finds the closed metric unchanged, re-runs neither placement nor
+// strategy, and publishes the retained LP result over the same matrix.
+func TestUnchangedMetricKeepsDecision(t *testing.T) {
+	pcfg := deployPlanConfig()
+	pcfg.Reproducible = false
+	p, err := plan.New(deployTopo(t), pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(p, Config{MoveCost: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := m.Current().Snapshot.Topology
+	a, b := topo.Site(0).Name, topo.Site(1).Name
+	// Far enough up that the link carries no shortest path any more...
+	moved, err := m.Apply([]Delta{{Kind: KindRTT, A: a, B: b, Value: topo.RTT(0, 1) * 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := moved.Snapshot.RecomputedNames(); !reflect.DeepEqual(got, []string{"topology", "placement", "strategy", "eval"}) {
+		t.Fatalf("rtt delta that moves the metric recomputed %v", got)
+	}
+	// ...so raising it further changes no distance.
+	same, err := m.Apply([]Delta{{Kind: KindRTT, A: a, B: b, Value: topo.RTT(0, 1) * 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same.Decision != "adopt (placement unchanged)" {
+		t.Fatalf("decision %q, want %q", same.Decision, "adopt (placement unchanged)")
+	}
+	if same.Snapshot.Version != moved.Snapshot.Version+1 {
+		t.Fatalf("version %d after %d: the batch must still publish", same.Snapshot.Version, moved.Snapshot.Version)
+	}
+	if got := same.Snapshot.RecomputedNames(); !reflect.DeepEqual(got, []string{"topology"}) {
+		t.Fatalf("rtt delta on an unused link recomputed %v, want the topology stage alone", got)
+	}
+	if same.Snapshot.LP != moved.Snapshot.LP {
+		t.Error("the LP result was not retained")
+	}
+	if same.Snapshot.Topology.Distances() != moved.Snapshot.Topology.Distances() {
+		t.Error("the snapshots do not share the closed matrix")
+	}
+	if got := m.LastPlan(); got.Closure != "incremental" || got.ChangedSites != 0 || got.Anchors != 0 {
+		t.Errorf("counters %+v, want an incremental closure that changed and re-scored nothing", got)
+	}
+}
+
 // TestCoalesce pins the batch-collapsing rules.
 func TestCoalesce(t *testing.T) {
 	cases := []struct {

@@ -129,3 +129,37 @@ func BenchmarkAnchorSearch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAnchorSearch300 keeps SearchAuto's rule honest at the size it
+// got wrong: on a 300-site AS graph the tier-2 bound costs 257
+// ExpectedMaxUniform evaluations per anchor to save at most 300, so auto
+// must stay with the exhaustive scan there (auto ≈ exhaustive < pruned).
+func BenchmarkAnchorSearch300(b *testing.B) {
+	topo, err := topology.Generate(topology.GenConfig{
+		Name: "as-300",
+		AS:   &topology.ASGraphSpec{Sites: 300},
+	}, topology.DefaultSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := quorum.NewGrid(5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		mode SearchMode
+	}{
+		{"auto", SearchAuto},
+		{"exhaustive", SearchExhaustive},
+		{"pruned", SearchPruned},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := GridOneToOne(topo, sys, Options{Search: bc.mode, Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -88,40 +88,17 @@ func score(topo *topology.Topology, sys quorum.System, f core.Placement, opts Op
 // showed any one-to-one map onto a fixed ball has the same single-client
 // delay); the anchor with the lowest all-clients average delay wins.
 func MajorityOneToOne(topo *topology.Topology, sys quorum.Threshold, opts Options) (core.Placement, error) {
-	// Elements map onto the ball in increasing-distance order, so the
-	// bound's element→ball-rank permutation is the identity.
-	bound := ballBound(topo, sys, nil, opts)
-	return searchAnchorsBounded(topo, sys, opts, bound, func(v0 int) (core.Placement, error) {
-		nodes, err := capacityBall(topo, v0, sys.UniverseSize(), sys.UniformElementLoad())
-		if err != nil {
-			return core.Placement{}, err
-		}
-		return core.NewPlacement(nodes, topo)
-	})
+	return OneToOne(topo, sys, opts)
 }
 
 // GridOneToOne places a k×k grid one-to-one using the paper's shell
 // construction: sort the ball's nodes by decreasing distance from v0 and
 // fill the grid in L-shaped shells from the top-left, so the bottom-right
-// row+column quorum consists of the 2k−1 closest nodes.
+// row+column quorum consists of the 2k−1 closest nodes. The same
+// element→ball-rank permutation drives both the build and the score
+// lower bound, so they cannot drift apart.
 func GridOneToOne(topo *topology.Topology, sys quorum.Grid, opts Options) (core.Placement, error) {
-	k := sys.Dim()
-	n := sys.UniverseSize()
-	// The same element→ball-rank permutation drives both the build and the
-	// score lower bound, so they cannot drift apart.
-	perm := gridShellRanks(k)
-	bound := ballBound(topo, sys, perm, opts)
-	return searchAnchorsBounded(topo, sys, opts, bound, func(v0 int) (core.Placement, error) {
-		nodes, err := capacityBall(topo, v0, n, sys.UniformElementLoad())
-		if err != nil {
-			return core.Placement{}, err
-		}
-		target := make([]int, n)
-		for u, p := range perm {
-			target[u] = nodes[p]
-		}
-		return core.NewPlacement(target, topo)
-	})
+	return OneToOne(topo, sys, opts)
 }
 
 // gridShellRanks returns the shell construction's element→ball-rank map:
@@ -149,30 +126,14 @@ func gridShellRanks(k int) []int {
 	return perm
 }
 
-// OneToOne dispatches to the construction matching the system's type.
+// OneToOne runs the construction matching the system's type: one Place
+// call on a fresh Search.
 func OneToOne(topo *topology.Topology, sys quorum.System, opts Options) (core.Placement, error) {
-	switch s := sys.(type) {
-	case quorum.Threshold:
-		return MajorityOneToOne(topo, s, opts)
-	case quorum.Grid:
-		return GridOneToOne(topo, s, opts)
-	case quorum.Singleton:
-		return Singleton(topo, 1)
-	default:
-		return core.Placement{}, fmt.Errorf("placement: no one-to-one construction for %s", sys.Name())
+	s, err := NewSearch(sys, opts)
+	if err != nil {
+		return core.Placement{}, err
 	}
-}
-
-// searchAnchors builds and scores one candidate placement per anchor and
-// keeps the best. Anchors are independent, so they are evaluated on a
-// GOMAXPROCS-bounded worker pool; the results are merged in candidate
-// order afterwards, which makes the outcome identical to the serial scan
-// (ties keep the earliest candidate) regardless of scheduling. Searches
-// with a score lower bound use searchAnchorsBounded directly, which can
-// prune anchors; this wrapper is the unconditionally exhaustive form.
-func searchAnchors(topo *topology.Topology, sys quorum.System, opts Options,
-	build func(v0 int) (core.Placement, error)) (core.Placement, error) {
-	return searchAnchorsBounded(topo, sys, opts, nil, build)
+	return s.Place(topo, nil)
 }
 
 // capacityBall returns the n nodes closest to v0 (ordered by increasing

@@ -3,6 +3,7 @@ package placement
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/quorumnet/quorumnet/internal/core"
@@ -27,8 +28,8 @@ const (
 	SearchPruned
 )
 
-// Below this many candidates the bound computation costs more than the
-// scoring it could skip.
+// Below this many candidates a search is too small for the bound
+// computation to pay.
 const prunedMinCandidates = 64
 
 // Probe at least this many anchors before pruning, so a bad first probe
@@ -40,92 +41,269 @@ const minProbes = 8
 // tightness versus evaluating every client exactly.
 const boundGridSteps = 256
 
+// boundPayoff is how many times cheaper than scoring an anchor its bound
+// must be before SearchAuto prunes. Scoring costs one ExpectedMaxUniform
+// per client and the tier-2 bound one per grid point, whether or not it
+// prunes the anchor, so the bound pays only when it rules out more than
+// 1/boundPayoff of the anchors. Measured on AS graphs with one worker:
+// at 300 sites the pruned search is slower for grid:5 (77 vs 65 ms) and
+// majority(8,15) (98 vs 84 ms), the two break even between 500 and 1000
+// sites, and pruning wins from there up.
+const boundPayoff = 2
+
 // anchorResult records one candidate anchor's outcome.
 type anchorResult struct {
 	f        core.Placement
 	d        float64
-	err      error // scoring error: fatal
-	buildErr error // build or bound error: anchor skipped
-	done     bool  // built and scored (false for pruned anchors)
+	lb       float64 // admissible lower bound on the score, when pruned
+	err      error   // scoring error: fatal
+	buildErr error   // build or bound error: anchor skipped
+	done     bool    // built and scored
+	pruned   bool    // skipped: lb strictly exceeded a scored anchor
 }
 
-// searchAnchorsBounded is the anchor search behind searchAnchors, plus an
-// optional admissible per-anchor lower bound on the score. When pruning is
-// enabled it scores a probe set first (median-seeded farthest-point order,
-// so the probes cover the metric), then skips every remaining anchor whose
-// bound strictly exceeds the incumbent. An anchor is pruned only if its
-// true score provably exceeds the final minimum, and anchors tying the
-// minimum are never pruned (their bound cannot strictly exceed it), so the
-// merge — which scans in candidate order with a strict improvement test —
-// returns exactly the placement the exhaustive scan would.
-func searchAnchorsBounded(topo *topology.Topology, sys quorum.System, opts Options,
-	bound func(v0 int, incumbent float64) (float64, error),
-	build func(v0 int) (core.Placement, error)) (core.Placement, error) {
+// Search is the anchor search of one ball-based one-to-one construction
+// (MajorityOneToOne, GridOneToOne) for one system and one set of options,
+// keeping each anchor's exact score, or the bound that pruned it, from
+// one Place call to the next. Told which sites' RTT rows changed in
+// between, the next call re-evaluates only the anchors those sites can
+// affect and still returns exactly the placement a search from scratch
+// returns. A Search is not safe for concurrent use.
+type Search struct {
+	sys  quorum.System
+	opts Options
+	perm []int // element → ball rank of its host; nil is the identity
 
+	// What the retained results are for: the site count and which sites
+	// were eligible hosts. A Place call on anything else starts over.
+	eligible []bool
+	results  []anchorResult // per candidate, in candidate order
+
+	scored int // anchors scored by the last Place call
+}
+
+// NewSearch returns the search behind OneToOne for the system: threshold
+// and grid systems have a ball construction; a singleton system has one
+// element and no anchors, and Place puts it on the median.
+func NewSearch(sys quorum.System, opts Options) (*Search, error) {
+	s := &Search{sys: sys, opts: opts}
+	switch g := sys.(type) {
+	case quorum.Threshold:
+		// Elements map onto the ball in increasing-distance order.
+	case quorum.Singleton:
+	case quorum.Grid:
+		s.perm = gridShellRanks(g.Dim())
+	default:
+		return nil, fmt.Errorf("placement: no one-to-one construction for %s", sys.Name())
+	}
+	return s, nil
+}
+
+// Scored reports how many anchors the last Place call built and scored,
+// and how many candidates it chose among.
+func (s *Search) Scored() (scored, candidates int) { return s.scored, len(s.results) }
+
+// build maps the universe onto the capacity ball around v0, element u on
+// the ball's perm[u]-th closest node.
+func (s *Search) build(topo *topology.Topology, v0 int) (core.Placement, error) {
+	nodes, err := capacityBall(topo, v0, s.sys.UniverseSize(), s.sys.UniformElementLoad())
+	if err != nil {
+		return core.Placement{}, err
+	}
+	if s.perm != nil {
+		target := make([]int, len(nodes))
+		for u, p := range s.perm {
+			target[u] = nodes[p]
+		}
+		nodes = target
+	}
+	return core.NewPlacement(nodes, topo)
+}
+
+// Place returns the placement of the anchor with the lowest score on
+// topo, the earliest such candidate on ties. changed lists the sites
+// whose RTT rows differ from the topology of the previous call; it is
+// ignored on the first call and whenever the site count or the set of
+// eligible hosts differs, which start the search over. Callers whose
+// site set changed in any other way must use a new Search.
+//
+// A retained score is reused unless the anchor or a node of its ball is
+// in changed: the score reads only the anchor's row, to pick the ball,
+// and the rows of the ball's nodes. A retained bound reads only the
+// anchor's row. Anchors that lost their result go through the same
+// pipeline as a search from scratch — probe, bound, score what the bound
+// cannot rule out — with the incumbent seeded from the retained scores,
+// and a retained bound that no longer exceeds the final incumbent is
+// replaced by the anchor's score. The pruned search skips an anchor only
+// when its score provably exceeds the minimum, and anchors tying the
+// minimum are never skipped (their bound cannot strictly exceed it), so
+// the merge — a scan in candidate order with a strict improvement test —
+// returns what the exhaustive scan would.
+func (s *Search) Place(topo *topology.Topology, changed []int) (core.Placement, error) {
+	if _, ok := s.sys.(quorum.Singleton); ok {
+		return Singleton(topo, 1)
+	}
+	opts := s.opts
 	candidates := opts.candidates(topo)
-	usePruned := bound != nil && (opts.Search == SearchPruned ||
-		(opts.Search == SearchAuto && len(candidates) >= prunedMinCandidates))
+	minCap := s.sys.UniformElementLoad() - 1e-12
+	eligible := make([]bool, topo.Size())
+	for w := range eligible {
+		eligible[w] = topo.Capacity(w) >= minCap
+	}
+	if len(s.results) != len(candidates) || !slices.Equal(s.eligible, eligible) {
+		s.results = make([]anchorResult, len(candidates))
+		changed = nil
+	}
+	s.eligible = eligible
+	results := s.results
 
-	results := make([]anchorResult, len(candidates))
-	evalOne := func(i int) {
-		f, err := build(candidates[i])
-		if err != nil {
-			results[i].buildErr = err // e.g. not enough capacity around this anchor
-			return
+	moved := make([]bool, topo.Size())
+	for _, v := range changed {
+		moved[v] = true
+	}
+	var rescore, fresh []int
+	for i := range results {
+		r := &results[i]
+		stale := moved[candidates[i]]
+		if r.done && !stale {
+			stale = slices.ContainsFunc(r.f.Targets(), func(w int) bool { return moved[w] })
 		}
-		d, err := score(topo, sys, f, opts)
-		if err != nil {
-			results[i].err = err
-			return
+		switch {
+		case (r.done || r.pruned) && !stale:
+			continue
+		case r.done:
+			rescore = append(rescore, i)
+		default:
+			fresh = append(fresh, i)
 		}
-		results[i] = anchorResult{f: f, d: d, done: true}
+		*r = anchorResult{}
 	}
 
-	if !usePruned {
-		par.For(len(candidates), opts.Workers, evalOne)
+	s.scored = 0
+	build := func(v0 int) (core.Placement, error) { return s.build(topo, v0) }
+	score := func(idx []int) {
+		s.scored += len(idx)
+		par.For(len(idx), opts.Workers, func(k int) {
+			results[idx[k]] = evalAnchor(topo, s.sys, opts, build, candidates[idx[k]])
+		})
+	}
+	incumbent := func() float64 {
+		best := math.Inf(1)
+		for i := range results {
+			if r := &results[i]; r.done && r.d < best {
+				best = r.d
+			}
+		}
+		return best
+	}
+
+	if !s.usePruned(topo, len(candidates)) {
+		score(append(rescore, fresh...))
 		return mergeAnchors(results)
 	}
 
-	// Probe phase: score a spread-out subset to establish the incumbent.
-	probes := probeOrder(topo, candidates)
-	par.For(len(probes), opts.Workers, func(k int) { evalOne(probes[k]) })
-	incumbent := math.Inf(1)
-	probed := make([]bool, len(candidates))
-	for _, i := range probes {
-		probed[i] = true
-		if r := &results[i]; r.done && r.d < incumbent {
-			incumbent = r.d
+	// Anchors that had a score were competitive; scoring them again first
+	// sets the incumbent. A search with nothing to go on probes a
+	// spread-out subset instead.
+	score(rescore)
+	best := incumbent()
+	if math.IsInf(best, 1) {
+		var probes []int
+		for _, i := range probeOrder(topo, candidates) {
+			if !results[i].done {
+				probes = append(probes, i)
+			}
 		}
+		score(probes)
+		best = incumbent()
 	}
 
-	// Bound phase: an O(n) bound per remaining anchor, in parallel.
-	rest := make([]int, 0, len(candidates)-len(probes))
-	for i := range candidates {
-		if !probed[i] {
-			rest = append(rest, i)
-		}
-	}
-	lbs := make([]float64, len(candidates))
-	par.For(len(rest), opts.Workers, func(k int) {
-		i := rest[k]
-		lb, err := bound(candidates[i], incumbent)
+	// Bound phase: an O(n) bound per remaining anchor, in parallel. If
+	// every probe was infeasible the incumbent is +Inf and nothing is
+	// pruned, which degrades to the exhaustive scan.
+	bound := ballBound(topo, s.sys, s.perm, opts)
+	var survivors []int
+	fresh = slices.DeleteFunc(fresh, func(i int) bool { return results[i].done || results[i].buildErr != nil })
+	par.For(len(fresh), opts.Workers, func(k int) {
+		i := fresh[k]
+		lb, err := bound(candidates[i], best)
 		if err != nil {
 			results[i].buildErr = err
-			lb = math.Inf(1)
+			return
 		}
-		lbs[i] = lb
+		results[i] = anchorResult{lb: lb, pruned: lb > best}
 	})
-
-	// Score phase: only the anchors the bound could not rule out. If every
-	// probe was infeasible the incumbent is +Inf and nothing is pruned,
-	// which degrades to the exhaustive scan.
-	survivors := make([]int, 0, len(rest))
-	for _, i := range rest {
-		if results[i].buildErr == nil && lbs[i] <= incumbent {
+	for _, i := range fresh {
+		if r := &results[i]; r.buildErr == nil && !r.pruned {
 			survivors = append(survivors, i)
 		}
 	}
-	par.For(len(survivors), opts.Workers, func(k int) { evalOne(survivors[k]) })
+	score(survivors)
+
+	// A retained bound was set against an earlier incumbent; if the
+	// anchors that beat it have since got worse it decides nothing.
+	best = incumbent()
+	var reopened []int
+	for i := range results {
+		if r := &results[i]; r.pruned && r.lb <= best {
+			reopened = append(reopened, i)
+		}
+	}
+	score(reopened)
+	return mergeAnchors(results)
+}
+
+// usePruned applies the search mode: SearchAuto prunes when the search is
+// large enough and the bound is boundPayoff times cheaper than the
+// scoring it can save.
+func (s *Search) usePruned(topo *topology.Topology, candidates int) bool {
+	switch s.opts.Search {
+	case SearchExhaustive:
+		return false
+	case SearchPruned:
+		return true
+	}
+	if candidates < prunedMinCandidates {
+		return false
+	}
+	if _, balanced := s.opts.scoreBy().(core.BalancedStrategy); !balanced {
+		return true // tier 1 alone: one pass over the anchor's row
+	}
+	clients := len(s.opts.Clients)
+	if s.opts.Clients == nil {
+		clients = topo.Size()
+	}
+	return clients >= boundPayoff*(boundGridSteps+1)
+}
+
+// evalAnchor builds and scores one candidate anchor.
+func evalAnchor(topo *topology.Topology, sys quorum.System, opts Options,
+	build func(v0 int) (core.Placement, error), v0 int) anchorResult {
+	f, err := build(v0)
+	if err != nil {
+		return anchorResult{buildErr: err} // e.g. not enough capacity around this anchor
+	}
+	d, err := score(topo, sys, f, opts)
+	if err != nil {
+		return anchorResult{err: err}
+	}
+	return anchorResult{f: f, d: d, done: true}
+}
+
+// searchAnchors builds and scores one candidate placement per anchor and
+// keeps the best: the exhaustive search of constructions that have no
+// score bound (ManyToOne). Anchors are independent, so they are evaluated
+// on a GOMAXPROCS-bounded worker pool; the results are merged in
+// candidate order afterwards, which makes the outcome identical to the
+// serial scan (ties keep the earliest candidate) regardless of
+// scheduling.
+func searchAnchors(topo *topology.Topology, sys quorum.System, opts Options,
+	build func(v0 int) (core.Placement, error)) (core.Placement, error) {
+	candidates := opts.candidates(topo)
+	results := make([]anchorResult, len(candidates))
+	par.For(len(candidates), opts.Workers, func(i int) {
+		results[i] = evalAnchor(topo, sys, opts, build, candidates[i])
+	})
 	return mergeAnchors(results)
 }
 

@@ -1,7 +1,9 @@
 package plan
 
 import (
+	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
@@ -136,5 +138,156 @@ func TestReplanDemandDeltaSpeedup(t *testing.T) {
 	t.Logf("cold plan %.2fms, demand-delta re-plan %.4fms: %.0fx", coldNs/1e6, warmNs/1e6, ratio)
 	if ratio < 5 {
 		t.Fatalf("incremental demand-delta re-plan only %.1fx faster than cold plan, want >= 5x", ratio)
+	}
+}
+
+// as300 memoizes the topology the RTT-delta benchmark and its floor test
+// plan: the 300-site AS graph `topogen -as-sites 300` generates.
+var as300 *topology.Topology
+
+func as300Topo(tb testing.TB) *topology.Topology {
+	tb.Helper()
+	if as300 == nil {
+		topo, err := topology.Generate(topology.GenConfig{
+			Name: "as-300",
+			AS:   &topology.ASGraphSpec{Sites: 300},
+		}, topology.DefaultSeed)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		as300 = topo
+	}
+	return as300
+}
+
+// rttDeltaKinds are the four single-link edits bench/gen.go's rtt mix
+// cycles through: a random pair moves 20–40 % up and is measured back,
+// then another moves down and is measured back.
+var rttDeltaKinds = [4]string{"raise", "restore-down", "lower", "restore-up"}
+
+// rttDeltaCycle applies those four edits to one random pair each way,
+// re-planning after every one, and adds each re-plan's time to its kind.
+func rttDeltaCycle(tb testing.TB, p *Planner, rng *rand.Rand, spent *[4]time.Duration) {
+	n := p.Size()
+	for half := 0; half < 2; half++ {
+		u := rng.Intn(n)
+		v := (u + 1 + rng.Intn(n-1)) % n
+		base := p.RTT(u, v)
+		factor := 1.2 + 0.2*rng.Float64()
+		if half == 1 {
+			factor = 2 - factor
+		}
+		for step, ms := range []float64{base * factor, base} {
+			if err := p.SetRTT(u, v, ms); err != nil {
+				tb.Fatal(err)
+			}
+			start := time.Now()
+			if _, err := p.Plan(); err != nil {
+				tb.Fatal(err)
+			}
+			spent[2*half+step] += time.Since(start)
+		}
+	}
+}
+
+// BenchmarkReplanRTTDelta measures the delta-proportional RTT path on the
+// socket benchmark's daemon configuration (300-site AS graph, grid:5,
+// lp): one op is one single-link edit and its re-plan, and the extra
+// metrics split the time by edit kind.
+func BenchmarkReplanRTTDelta(b *testing.B) {
+	p, err := New(as300Topo(b), benchConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := p.Plan(); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var spent [4]time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 4 {
+		rttDeltaCycle(b, p, rng, &spent)
+	}
+	cycles := float64((b.N + 3) / 4)
+	for k, kind := range rttDeltaKinds {
+		b.ReportMetric(float64(spent[k].Nanoseconds())/cycles, kind+"-ns/op")
+	}
+}
+
+// TestReplanRTTDeltaSpeedup is the floor under BenchmarkReplanRTTDelta, in
+// the style of TestReplanDemandDeltaSpeedup: on that topology a re-plan
+// after a single-link RTT edit must be at least 2× faster than a cold
+// plan. The measured ratio is far higher; 2× is what survives a noisy CI
+// machine.
+func TestReplanRTTDeltaSpeedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	topo := as300Topo(t)
+	p, err := New(topo, benchConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := p.Plan(); err != nil {
+		t.Fatal(err)
+	}
+	cold := time.Since(start)
+
+	rng := rand.New(rand.NewSource(1))
+	var spent [4]time.Duration
+	const cycles = 10
+	for i := 0; i < cycles; i++ {
+		rttDeltaCycle(t, p, rng, &spent)
+	}
+	warm := (spent[0] + spent[1] + spent[2] + spent[3]) / (4 * cycles)
+	ratio := float64(cold) / float64(warm)
+	t.Logf("cold plan %v, rtt-delta re-plan %v (raise %v, restore-down %v, lower %v, restore-up %v): %.0fx",
+		cold, warm, spent[0]/cycles, spent[1]/cycles, spent[2]/cycles, spent[3]/cycles, ratio)
+	if ratio < 2 {
+		t.Fatalf("rtt-delta re-plan only %.1fx faster than a cold plan, want >= 2x", ratio)
+	}
+}
+
+// BenchmarkReplanRTTDelta1k is the scale-smoke check of the RTT path, run
+// by CI with -benchtime=1x: on a 1k-site AS graph (one-to-one grid:5,
+// closest strategy, so closure and placement are timed and no LP) one
+// cold plan of edited inputs — full closure, full anchor search: what
+// every rtt delta used to cost — and then 20 single-link deltas, which
+// together must take less than 5× that one plan.
+func BenchmarkReplanRTTDelta1k(b *testing.B) {
+	topo, err := topology.Generate(topology.GenConfig{
+		Name: "as-1000",
+		AS:   &topology.ASGraphSpec{Sites: 1000},
+	}, topology.DefaultSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := New(topo, Config{System: SystemSpec{Family: "grid", Param: 5}, Strategy: StratClosest, Demand: 16000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := p.SetRTT(0, 1, p.RTT(0, 1)*1.1); err != nil {
+			b.Fatal(err)
+		}
+		start := time.Now()
+		if _, err := p.Plan(); err != nil {
+			b.Fatal(err)
+		}
+		cold := time.Since(start)
+
+		rng := rand.New(rand.NewSource(1))
+		var spent [4]time.Duration
+		for c := 0; c < 5; c++ {
+			rttDeltaCycle(b, p, rng, &spent)
+		}
+		deltas := spent[0] + spent[1] + spent[2] + spent[3]
+		b.ReportMetric(float64(cold.Milliseconds()), "cold-ms")
+		b.ReportMetric(float64(deltas.Milliseconds()), "20-deltas-ms")
+		if deltas >= 5*cold {
+			b.Fatalf("20 rtt deltas took %v, a cold plan %v: want less than 5x", deltas, cold)
+		}
 	}
 }

@@ -3,29 +3,51 @@
 // planner with explicit artifacts and dirty-tracking. A Planner owns
 // mutable inputs (the raw RTT matrix, per-site capacities, client demand,
 // the system/placement/strategy configuration) and memoizes each stage's
-// output; deltas such as SetRTT, SetSiteCapacity, or SetDemand mark only
-// the stages they actually invalidate, so a re-plan after a demand-only
-// delta re-runs just the evaluation stage and a capacity-only delta
-// re-solves the access-strategy LP warm-started from the previous optimal
-// basis (a handful of pivots) instead of recomputing placement and
-// strategy from scratch.
+// output; a re-plan costs in proportion to what the deltas since the last
+// one changed. A demand-only delta re-runs just the evaluation stage, a
+// capacity-only delta re-solves the access-strategy LP warm-started from
+// the previous optimal basis (a handful of pivots), and an RTT delta
+// folds the edited links into the closed metric, re-scores the placement
+// anchors the moved sites can reach, and re-solves the LP with a new
+// objective from the retained basis — or, when the edit moved no closed
+// distance, re-runs nothing below the topology stage.
 //
-// Invalidation rules (each stage also invalidates everything after it):
+// Invalidation is by content. A delta marks the stage whose input it
+// changes; during Plan a stage that ran marks the next one only if what it
+// produced differs:
 //
-//	SetRTT, AddSite, RemoveSite → topology (matrix re-closed from raw)
-//	SetSystem                   → system
+//	SetRTT                      → topology (edits folded into the closed
+//	                              matrix); placement only if a closed
+//	                              distance moved
+//	AddSite, RemoveSite         → topology (raw re-closed in full), and
+//	                              everything indexed by site starts over
+//	SetSystem                   → system, then placement
 //	SetSiteCapacity             → placement only if a site crosses the
 //	                              one-to-one eligibility threshold
 //	                              (always for many-to-one); otherwise
 //	                              strategy (warm, RHS-only re-solve)
+//	PinPlacement, Clear…        → placement
+//	placement ran               → strategy: the LP skeleton is kept and
+//	                              re-bound when the targets are the same
+//	                              (objective-only warm re-solve), rebuilt
+//	                              when they moved
 //	SetClientWeights            → strategy (LP skeleton rebuild)
 //	SetDemand                   → evaluation only
 //
-// The Planner keeps the *raw* distance matrix as the source of truth and
-// re-derives the metric closure in the topology stage, so any sequence of
-// deltas followed by Plan is equivalent to a cold plan of the final
-// inputs — a property the package's tests assert for random delta
-// sequences at every worker count.
+// Dirty(stage) answers before Plan and is therefore conservative: after
+// SetRTT every stage "may" re-run. A Reproducible planner keeps the
+// by-setter behaviour — an RTT delta re-closes raw with Floyd–Warshall
+// and re-runs every stage below with cold LP solves — because its
+// contract is bit-equality with a cold pipeline.
+//
+// The Planner keeps the *raw* distance matrix as the source of truth: the
+// closed metric is always derived from it, in full or by folding raw
+// edits into the previous closure, so any sequence of deltas followed by
+// Plan is equivalent to a cold plan of the final inputs — exactly for a
+// Reproducible planner, and for the default profile with the same
+// placement, the metric to 1e-9 relative and the LP optimum to 1e-6;
+// the package's tests assert both for random delta sequences at every
+// worker count.
 //
 // Each Plan call publishes an immutable, versioned Snapshot: deep-copied
 // artifacts, the evaluation measures, and a Provenance recording which
@@ -46,8 +68,8 @@ import (
 // Stage identifies one pipeline stage.
 type Stage int
 
-// Pipeline stages in dependency order: dirtying a stage dirties every
-// later one.
+// Pipeline stages in dependency order: a stage whose output changes
+// dirties the next one.
 const (
 	StageTopology Stage = iota
 	StageSystem
@@ -148,10 +170,14 @@ type Config struct {
 	// Demand is the per-client demand in requests; the evaluation's alpha
 	// is OpServiceTimeMS × Demand (§7). Zero evaluates pure network delay.
 	Demand float64 `json:"demand,omitempty"`
-	// Reproducible forces cold, Dantzig-priced LP solves so repeated plans
-	// are bit-identical to a cold pipeline; the default re-solves the
-	// strategy LP warm-started with partial pricing (same optima, possibly
-	// a different optimal vertex on degenerate instances). It exists for
+	// Reproducible forces cold, Dantzig-priced LP solves and a full
+	// Floyd–Warshall closure of the raw matrix on every RTT delta, so
+	// repeated plans are bit-identical to a cold pipeline; the default
+	// carries state from plan to plan — the closed metric is maintained
+	// incrementally (equal to the full closure to 1e-9 relative) and the
+	// strategy LP re-solves warm-started with partial pricing (same
+	// optima, possibly a different optimal vertex on degenerate
+	// instances). It exists for
 	// the paper-exact tables and the incremental ≡ cold tests. Journal
 	// replay does not need it: either profile is a deterministic function
 	// of the construction inputs and the delta sequence (strategy.ConfigFor

@@ -34,10 +34,21 @@ type Planner struct {
 	alpha     float64
 	weights   []float64 // nil = uniform client demand
 
+	// edits are the raw entries SetRTT changed since the topology stage
+	// last ran, one per site pair (first old value, latest new one): what
+	// the stage folds into the closed matrix instead of re-closing raw.
+	// resited records that site membership changed since then, so the
+	// closed matrix on hand says nothing about the current sites.
+	edits   []graph.Edit
+	resited bool
+
 	// pin forces the placement stage to these element→site targets
 	// instead of running the construction algorithm (nil = construct).
 	pin []int
 
+	// dirty[s] records that an input of stage s changed since the last
+	// successful Plan: set by the delta that changed it, or during Plan by
+	// an earlier stage whose output moved. Dirty reports the cascade.
 	dirty [numStages]bool
 
 	// version counts Plan calls; pending logs the deltas applied since
@@ -48,15 +59,49 @@ type Planner struct {
 	pendingDropped int
 
 	// Stage artifacts.
-	topo  *topology.Topology
-	sys   quorum.System
-	f     core.Placement
-	eval  *core.Eval
+	topo *topology.Topology
+	sys  quorum.System
+	f    core.Placement
+	eval *core.Eval
+	// search retains the one-to-one anchor scores between plans; moved
+	// lists the sites whose closed distances changed since it last placed.
+	search *placement.Search
+	moved  []int
+	// opt is the LP skeleton for the current system, placement targets
+	// and weights (nil when one of them changed); optOK adds that it is
+	// bound to eval — a new evaluation of the same targets re-binds it.
 	opt   *strategy.Optimizer
-	optOK bool // LP skeleton matches (topology, system, placement, weights)
+	optOK bool
 	lpRes *strategy.Result
 	strat core.Strategy
+
+	last Stats
 }
+
+// Stats are the counters of one Plan call: what the deltas it absorbed
+// cost, stage by stage (a stage that did not run, or was not reached by a
+// failed Plan, leaves its fields zero). They are an operator's sidecar and
+// never enter a Snapshot.
+type Stats struct {
+	// Closure is how the topology stage produced the metric: "incremental"
+	// (edits folded into the previous closed matrix), "full" (closed from
+	// raw), or "" when the stage did not run. ChangedSites counts the
+	// sites with a changed distance; it is the site count after a full
+	// closure with nothing to compare against.
+	Closure      string `json:"closure"`
+	ChangedSites int    `json:"changed_sites"`
+	// AnchorsScored of Anchors candidates were built and scored by the
+	// placement stage's one-to-one search (both 0 when it did not run).
+	AnchorsScored int `json:"anchors_scored"`
+	Anchors       int `json:"anchors"`
+	// LPMethod and LPPivots describe the strategy stage's LP solve ("" and
+	// 0 when it did not run or the strategy is not "lp").
+	LPMethod string `json:"lp_method"`
+	LPPivots int    `json:"lp_pivots"`
+}
+
+// LastPlan returns the counters of the most recent Plan call.
+func (p *Planner) LastPlan() Stats { return p.last }
 
 // New builds a planner over a starting topology. The topology is deep-
 // copied (distances, sites, capacities), so later mutations of either side
@@ -135,8 +180,10 @@ func (p *Planner) Capacity(v int) float64 { return p.caps[v] }
 func (p *Planner) Demand() float64 { return p.alpha / core.OpServiceTimeMS }
 
 // SetRTT updates the raw round-trip time between two sites (both
-// directions). The topology stage re-closes the metric on the next Plan,
-// so other pairs may ride through the edited link if that is shorter.
+// directions). The topology stage brings the closed metric up to date on
+// the next Plan, so other pairs may ride through the edited link if that
+// is shorter; the stages below it re-run only if some closed distance
+// actually moved (always, for a reproducible planner).
 func (p *Planner) SetRTT(u, v int, ms float64) error {
 	if err := p.checkSite(u); err != nil {
 		return err
@@ -150,13 +197,21 @@ func (p *Planner) SetRTT(u, v int, ms float64) error {
 	if ms <= 0 || math.IsNaN(ms) || math.IsInf(ms, 0) {
 		return fmt.Errorf("plan: invalid RTT %v for sites (%d,%d)", ms, u, v)
 	}
-	if p.raw.At(u, v) == ms {
+	old := p.raw.At(u, v)
+	if old == ms {
 		return nil
 	}
 	p.raw.Set(u, v, ms)
 	p.rawMetric = false // the edit may break the triangle inequality
 	p.note("rtt %s~%s=%.3gms", p.sites[u].Name, p.sites[v].Name, ms)
-	p.invalidateTopology()
+	p.dirty[StageTopology] = true
+	if i := slices.IndexFunc(p.edits, func(e graph.Edit) bool {
+		return (e.U == u && e.V == v) || (e.U == v && e.V == u)
+	}); i >= 0 {
+		p.edits[i].New = ms
+	} else {
+		p.edits = append(p.edits, graph.Edit{U: u, V: v, Old: old, New: ms})
+	}
 	return nil
 }
 
@@ -209,9 +264,10 @@ func (p *Planner) setSiteCapacity(v int, c float64) error {
 	}
 	p.caps[v] = c
 	if p.capacityAffectsPlacement(old, c) {
-		p.invalidatePlacement()
+		p.dirty[StagePlacement] = true
 	} else {
-		p.invalidateStrategy(true)
+		// The LP skeleton stays: only right-hand sides moved.
+		p.dirty[StageStrategy] = true
 	}
 	return nil
 }
@@ -257,7 +313,7 @@ func (p *Planner) SetDemand(demand float64) error {
 	}
 	p.alpha = alpha
 	p.note("demand=%.6g", demand)
-	p.invalidateEval()
+	p.dirty[StageEval] = true
 	return nil
 }
 
@@ -285,7 +341,8 @@ func (p *Planner) SetClientWeights(weights []float64) error {
 	}
 	// Weights enter the LP coefficients, not just the RHS: drop the
 	// skeleton.
-	p.invalidateStrategy(false)
+	p.opt = nil
+	p.dirty[StageStrategy] = true
 	return nil
 }
 
@@ -301,7 +358,7 @@ func (p *Planner) SetSystem(spec SystemSpec) error {
 	}
 	p.cfg.System = spec
 	p.note("system=%s/%d", spec.Family, spec.Param)
-	p.invalidateSystem()
+	p.dirty[StageSystem] = true
 	return nil
 }
 
@@ -343,7 +400,7 @@ func (p *Planner) AddSite(site topology.Site, rtts []float64, capacity float64) 
 	p.weights = nil
 	p.pin = nil // pin targets index the old site set
 	p.note("add-site %s", site.Name)
-	p.invalidateTopology()
+	p.resite()
 	return nil
 }
 
@@ -384,7 +441,7 @@ func (p *Planner) RemoveSite(name string) error {
 	p.weights = nil
 	p.pin = nil // pin targets index the old site set
 	p.note("remove-site %s", name)
-	p.invalidateTopology()
+	p.resite()
 	return nil
 }
 
@@ -411,7 +468,7 @@ func (p *Planner) PinPlacement(targets []int) error {
 	}
 	p.pin = targets
 	p.note("pin-placement")
-	p.invalidatePlacement()
+	p.dirty[StagePlacement] = true
 	return nil
 }
 
@@ -423,24 +480,21 @@ func (p *Planner) ClearPlacementPin() {
 	}
 	p.pin = nil
 	p.note("unpin-placement")
-	p.invalidatePlacement()
+	p.dirty[StagePlacement] = true
 }
 
 // PlacementPinned reports whether a pin is in force.
 func (p *Planner) PlacementPinned() bool { return p.pin != nil }
 
-// Dirty reports whether the stage would be recomputed by the next Plan.
-func (p *Planner) Dirty(s Stage) bool { return p.dirty[s] }
+// Dirty reports whether the next Plan may recompute the stage: one of its
+// inputs, or of an earlier stage's, changed. After SetRTT that is a "may"
+// — whether the stages below the topology re-run depends on whether the
+// closed metric moved, which only Plan finds out — and the deployment
+// layer chooses its adaptation path from this conservative answer.
+func (p *Planner) Dirty(s Stage) bool { return slices.Contains(p.dirty[:s+1], true) }
 
 // AnyDirty reports whether the next Plan would recompute anything.
-func (p *Planner) AnyDirty() bool {
-	for s := Stage(0); s < numStages; s++ {
-		if p.dirty[s] {
-			return true
-		}
-	}
-	return false
-}
+func (p *Planner) AnyDirty() bool { return p.Dirty(numStages - 1) }
 
 // Version returns the version of the most recent Plan (0 before the
 // first).
@@ -470,55 +524,34 @@ func (p *Planner) checkSite(v int) error {
 	return nil
 }
 
-func (p *Planner) invalidateTopology() {
+// resite records a membership change: the matrix on hand and everything
+// indexed by site (pending edits, anchor scores, the LP skeleton) no
+// longer describe the site set.
+func (p *Planner) resite() {
 	p.dirty[StageTopology] = true
-	p.invalidatePlacement()
+	p.resited = true
+	p.edits = nil
+	p.search = nil
+	p.opt = nil
 }
-
-func (p *Planner) invalidateSystem() {
-	p.dirty[StageSystem] = true
-	p.invalidatePlacement()
-}
-
-func (p *Planner) invalidatePlacement() {
-	p.dirty[StagePlacement] = true
-	p.optOK = false
-	p.invalidateStrategy(true)
-}
-
-// invalidateStrategy marks the strategy stage dirty; keepSkeleton retains
-// the LP workspace for an RHS-only warm re-solve.
-func (p *Planner) invalidateStrategy(keepSkeleton bool) {
-	p.dirty[StageStrategy] = true
-	if !keepSkeleton {
-		p.optOK = false
-	}
-	p.invalidateEval()
-}
-
-func (p *Planner) invalidateEval() { p.dirty[StageEval] = true }
 
 // Plan brings every stage up to date, recomputing only what the deltas
-// since the previous Plan invalidated, and publishes the result as an
-// immutable, versioned Snapshot. The snapshot owns deep copies of
-// everything the planner later mutates, so it can be handed to
-// concurrent readers while the planner keeps absorbing deltas.
+// since the previous Plan changed, and publishes the result as an
+// immutable, versioned Snapshot. A stage runs when one of its own inputs
+// changed or the stage above it produced something different: an RTT edit
+// that leaves the closed metric as it was re-runs nothing below the
+// topology stage. The snapshot owns copies of everything the planner
+// later mutates (the closed matrix is never mutated, so it is shared), so
+// it can be handed to concurrent readers while the planner keeps
+// absorbing deltas.
 func (p *Planner) Plan() (*Snapshot, error) {
 	var recomputed []Stage
+	p.last = Stats{}
 
 	if p.dirty[StageTopology] {
-		closed := p.raw.Clone()
-		if !p.rawMetric {
-			closed.MetricClosure()
-		}
-		// Either branch delivers a metric (raw was one, or the closure just
-		// made it one), so the O(n³) IsMetric re-verification of
-		// topology.New is skipped too.
-		topo, err := topology.NewMetric(p.name, p.sites, closed)
-		if err != nil {
+		if err := p.closeTopology(); err != nil {
 			return nil, fmt.Errorf("plan: topology stage: %w", err)
 		}
-		p.topo = topo
 		recomputed = append(recomputed, StageTopology)
 	}
 	// Capacities live on the topology artifact; sync them cheaply every
@@ -535,6 +568,8 @@ func (p *Planner) Plan() (*Snapshot, error) {
 			return nil, fmt.Errorf("plan: system stage: %w", err)
 		}
 		p.sys = sys
+		p.search, p.opt = nil, nil
+		p.dirty[StagePlacement] = true
 		recomputed = append(recomputed, StageSystem)
 	}
 
@@ -543,12 +578,17 @@ func (p *Planner) Plan() (*Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("plan: placement stage: %w", err)
 		}
-		p.f = f
-		eval, err := core.NewEval(p.topo, p.sys, p.f, p.alpha)
+		eval, err := core.NewEval(p.topo, p.sys, f, p.alpha)
 		if err != nil {
 			return nil, fmt.Errorf("plan: placement stage: %w", err)
 		}
-		p.eval = eval
+		// The LP skeleton depends on where the elements sit, not on the
+		// RTTs to them: it outlives an evaluation that kept the targets.
+		if p.eval == nil || !slices.Equal(f.Targets(), p.f.Targets()) {
+			p.opt = nil
+		}
+		p.f, p.eval, p.optOK = f, eval, false
+		p.dirty[StageStrategy] = true
 		recomputed = append(recomputed, StagePlacement)
 	}
 	// Client weights live on the evaluator; sync them every Plan (they
@@ -569,6 +609,7 @@ func (p *Planner) Plan() (*Snapshot, error) {
 		if err := p.computeStrategy(); err != nil {
 			return nil, fmt.Errorf("plan: strategy stage: %w", err)
 		}
+		p.dirty[StageEval] = true
 		recomputed = append(recomputed, StageStrategy)
 	}
 
@@ -607,10 +648,68 @@ func (p *Planner) Plan() (*Snapshot, error) {
 		snap.Weights = nil
 	}
 	p.pending, p.pendingDropped = nil, 0
-	for s := Stage(0); s < numStages; s++ {
-		p.dirty[s] = false
-	}
+	p.dirty = [numStages]bool{}
 	return snap, nil
+}
+
+// closeTopology is the topology stage: it brings the closed metric up to
+// date with raw and, when some distance moved, replaces the topology
+// artifact and marks the placement stage. With a closed matrix for the
+// current site set on hand the pending edits are folded into a copy of it
+// (graph.Matrix.Reclose, which falls back to the full closure when that is
+// cheaper); the first plan and a membership change close raw in full. A
+// reproducible planner always closes raw in full and always re-places —
+// its contract is bit-equality with a cold pipeline — and compares
+// matrices only to tell the anchor search which sites moved.
+func (p *Planner) closeTopology() error {
+	var prev *graph.Matrix
+	if p.topo != nil && !p.resited {
+		prev = p.topo.Distances()
+	}
+	closed := prev
+	var changed []int
+	p.last.Closure = "full"
+	if prev != nil && !p.cfg.Reproducible {
+		var incremental bool
+		if closed, changed, incremental = prev.Reclose(p.raw, p.edits); incremental {
+			p.last.Closure = "incremental"
+		}
+	} else {
+		closed = p.raw.Clone()
+		if !p.rawMetric {
+			closed.MetricClosure()
+		}
+		if prev != nil {
+			if changed = prev.ChangedRows(closed); changed == nil {
+				closed = prev
+			}
+		}
+	}
+	p.last.ChangedSites = len(changed)
+	p.edits, p.resited = nil, false
+	if closed != prev {
+		// closed is a metric by construction (raw was one, or a closure
+		// made it one), so topology.New's O(n³) IsMetric check is skipped.
+		topo, err := topology.NewMetric(p.name, p.sites, closed)
+		if err != nil {
+			return err
+		}
+		p.topo = topo
+		if prev == nil {
+			p.last.ChangedSites = len(p.sites)
+		}
+		if p.search != nil {
+			// A pinned placement can keep the search waiting across
+			// several plans, so the list is kept a set.
+			p.moved = append(p.moved, changed...)
+			slices.Sort(p.moved)
+			p.moved = slices.Compact(p.moved)
+		}
+	}
+	if closed != prev || p.cfg.Reproducible {
+		p.dirty[StagePlacement] = true
+	}
+	return nil
 }
 
 // Eval exposes the internal evaluator for read-only composition (e.g.
@@ -631,7 +730,19 @@ func (p *Planner) computePlacement() (core.Placement, error) {
 	case AlgoSingleton:
 		return placement.Singleton(p.topo, p.sys.UniverseSize())
 	case AlgoOneToOne:
-		return placement.OneToOne(p.topo, p.sys, opts)
+		// The search outlives the plan: the next one re-scores only the
+		// anchors that the sites moved since can affect.
+		if p.search == nil {
+			search, err := placement.NewSearch(p.sys, opts)
+			if err != nil {
+				return core.Placement{}, err
+			}
+			p.search = search
+		}
+		f, err := p.search.Place(p.topo, p.moved)
+		p.moved = nil
+		p.last.AnchorsScored, p.last.Anchors = p.search.Scored()
+		return f, err
 	case AlgoManyToOne:
 		return placement.ManyToOne(p.topo, p.sys, placement.ManyToOneConfig{
 			Candidates: p.cfg.Candidates,
@@ -652,11 +763,17 @@ func (p *Planner) computeStrategy() error {
 		p.strat, p.lpRes = core.BalancedStrategy{}, nil
 		return nil
 	}
-	// LP: rebuild the skeleton only when the topology, system, placement,
-	// or client weights changed; capacity-only deltas reuse it and
-	// re-solve with new right-hand sides, warm-started from the previous
-	// optimal basis unless reproducibility is requested.
-	if !p.optOK {
+	// LP: capacity-only deltas reuse the skeleton as it is and re-solve
+	// with new right-hand sides; a new evaluation of the same placement
+	// targets (an RTT delta) re-binds it, which rewrites the objective
+	// only; either way the solve starts from the previous optimal basis.
+	// A reproducible planner solves cold on a fresh skeleton whenever the
+	// evaluation was replaced, and column-generation optimizers are not
+	// re-bound: both rebuild.
+	if !p.optOK && p.opt != nil && (p.cfg.Reproducible || p.opt.Rebind(p.eval) != nil) {
+		p.opt = nil
+	}
+	if p.opt == nil {
 		ocfg := strategy.ConfigFor(p.cfg.Reproducible, strategy.Solver(p.cfg.Solver))
 		ocfg.Workers = p.cfg.Workers
 		opt, err := strategy.NewOptimizer(p.eval, ocfg)
@@ -664,13 +781,14 @@ func (p *Planner) computeStrategy() error {
 			return err
 		}
 		p.opt = opt
-		p.optOK = true
 	}
+	p.optOK = true
 	res, err := p.opt.Optimize(p.caps)
 	if err != nil {
 		return err
 	}
 	p.lpRes = res
 	p.strat = res.Strategy
+	p.last.LPMethod, p.last.LPPivots = res.LPMethod, res.Iterations
 	return nil
 }

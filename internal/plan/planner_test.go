@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/quorumnet/quorumnet/internal/lp"
@@ -119,6 +120,63 @@ func TestDirtyTracking(t *testing.T) {
 	res = mustPlan(t, p)
 	if got, want := stageNames(res), "[system placement strategy eval]"; got != want {
 		t.Fatalf("system delta recomputed %v, want %v", got, want)
+	}
+
+	// The rows above are a reproducible planner's: its contract is
+	// bit-equality with a cold pipeline, so an RTT delta always re-closes
+	// from raw and re-runs everything below. The default profile
+	// invalidates by content: what an RTT delta re-runs depends on whether
+	// it moved the closed metric.
+	q, err := New(topo, Config{
+		System:   SystemSpec{Family: "grid", Param: 3},
+		Strategy: StratLP,
+		Demand:   4000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPlan(t, q)
+	// Raising a direct link moves at least that pair's distance (onto a
+	// detour): every stage below re-runs.
+	if err := q.SetRTT(0, 1, 250); err != nil {
+		t.Fatal(err)
+	}
+	moved := mustPlan(t, q)
+	if got, want := stageNames(moved), "[topology placement strategy eval]"; got != want {
+		t.Fatalf("RTT delta that moves the metric recomputed %v, want %v", got, want)
+	}
+	if got := q.LastPlan(); got.Closure != "incremental" || got.ChangedSites < 2 || got.LPMethod != lp.MethodWarmPrimal {
+		t.Errorf("RTT delta that moves the metric: counters %+v, want an incremental closure, >= 2 changed sites and a warm-primal LP", got)
+	}
+	// The link now carries no shortest path, so raising it further changes
+	// no distance. Dirty must still answer "may re-place" — the deployment
+	// layer picks its path from it before Plan finds out — but Plan runs
+	// the topology stage alone and keeps every artifact below it.
+	if err := q.SetRTT(0, 1, 300); err != nil {
+		t.Fatal(err)
+	}
+	if !q.Dirty(StagePlacement) || !q.Dirty(StageStrategy) {
+		t.Fatal("an RTT delta must leave the placement and strategy stages dirty until Plan")
+	}
+	same := mustPlan(t, q)
+	if got, want := stageNames(same), "[topology]"; got != want {
+		t.Fatalf("RTT delta on a link no shortest path uses recomputed %v, want %v", got, want)
+	}
+	if same.LP != moved.LP || same.Topology.Distances() != moved.Topology.Distances() {
+		t.Error("an RTT delta that moved nothing must keep the LP result and share the closed matrix")
+	}
+	if got := q.LastPlan(); got.ChangedSites != 0 || got.Anchors != 0 || got.LPMethod != "" {
+		t.Errorf("RTT delta that moved nothing: counters %+v, want no changed site, anchor or LP solve", got)
+	}
+	// A placement dirtied for its own reasons re-runs whatever the metric did.
+	if err := q.SetRTT(0, 1, 350); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.PinPlacement(same.Placement.Targets()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stageNames(mustPlan(t, q)), "[topology placement strategy eval]"; got != want {
+		t.Fatalf("pin with an RTT delta that moved nothing recomputed %v, want %v", got, want)
 	}
 }
 
@@ -254,6 +312,146 @@ func TestReplanEquivalence(t *testing.T) {
 				}
 				if incRes.LP != nil && !reflect.DeepEqual(incRes.LP.Strategy.Probs, coldRes.LP.Strategy.Probs) {
 					t.Fatalf("%s: LP strategies differ", ctx)
+				}
+			}
+		})
+	}
+}
+
+// TestReplanEquivalenceDefaultProfile is TestReplanEquivalence's twin for
+// the default profile, whose RTT path carries state from plan to plan —
+// the incrementally maintained closure, the retained anchor scores, the
+// re-bound LP skeleton and its basis. It cannot promise bit-equality with
+// a cold plan (the closure differs from Floyd–Warshall in summation
+// order, a warm LP may stop on another optimal vertex), so the property
+// is: after any chain of rtt, capacity, demand, weights and pin deltas
+// with a Plan after each, the placement targets equal a cold plan's of
+// the final inputs exactly, the closed metric agrees to 1e-9 relative and
+// the LP optimum to 1e-6 relative, at every worker count.
+func TestReplanEquivalenceDefaultProfile(t *testing.T) {
+	topo := smallTopo(t)
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"one-to-one/lp", Config{System: SystemSpec{Family: "grid", Param: 3}, Strategy: StratLP, Demand: 16000}},
+		{"one-to-one/closest", Config{System: SystemSpec{Family: "majority", Param: 3}, Strategy: StratClosest, Demand: 4000}},
+	}
+	const deltas = 40
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, workers := range []int{1, 2, 3, 8} {
+				cfg := tc.cfg
+				cfg.Workers = workers
+				rng := rand.New(rand.NewSource(int64(workers) * 131))
+				inc, err := New(topo, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cold, err := New(topo, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				incRes := mustPlan(t, inc)
+				both := func(apply func(p *Planner) error) {
+					for _, p := range []*Planner{inc, cold} {
+						if err := apply(p); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				var trace []string
+				var incErr error
+				skipped := 0
+				n := inc.Size()
+				for i := 0; i < deltas; i++ {
+					switch op := rng.Intn(8); op {
+					case 0, 1, 2, 3: // rtt: raise, lower, back to the topology's value, or
+						// far up twice (the second time the link is already unused
+						// and the metric stays as it is)
+						u := rng.Intn(n)
+						v := (u + 1 + rng.Intn(n-1)) % n
+						ms := inc.RTT(u, v) * (0.4 + 1.4*rng.Float64())
+						switch rng.Intn(4) {
+						case 0:
+							ms = topo.RTT(u, v)
+						case 1:
+							ms = inc.RTT(u, v) * 8
+							both(func(p *Planner) error { return p.SetRTT(u, v, ms/2) })
+							_, _ = tryPlan(t, inc) // infeasible here is caught at the next Plan
+						}
+						both(func(p *Planner) error { return p.SetRTT(u, v, ms) })
+						trace = append(trace, fmt.Sprintf("SetRTT(%d,%d,%.2f)", u, v, ms))
+					case 4: // capacity (kept above typical optimal loads, so the LP stays feasible)
+						v, c := rng.Intn(n), 0.6+rng.Float64()*0.4
+						both(func(p *Planner) error { return p.SetSiteCapacity(v, c) })
+						trace = append(trace, fmt.Sprintf("SetSiteCapacity(%d,%.3f)", v, c))
+					case 5:
+						d := float64(rng.Intn(5)) * 4000
+						both(func(p *Planner) error { return p.SetDemand(d) })
+						trace = append(trace, fmt.Sprintf("SetDemand(%.0f)", d))
+					case 6:
+						w := make([]float64, n)
+						for k := range w {
+							w[k] = 0.5 + rng.Float64()*3
+						}
+						both(func(p *Planner) error { return p.SetClientWeights(w) })
+						trace = append(trace, "SetClientWeights")
+					default: // hold the current placement, or let it go
+						if inc.PlacementPinned() {
+							both(func(p *Planner) error { p.ClearPlacementPin(); return nil })
+							trace = append(trace, "ClearPlacementPin")
+						} else if incErr == nil {
+							pin := incRes.Placement.Targets()
+							both(func(p *Planner) error { return p.PinPlacement(pin) })
+							trace = append(trace, "PinPlacement")
+						}
+					}
+					var res *Snapshot
+					if res, incErr = tryPlan(t, inc); incErr == nil {
+						incRes = res
+						if !slices.Contains(res.Provenance.Recomputed, StagePlacement) && slices.Contains(res.Provenance.Recomputed, StageTopology) {
+							skipped++
+						}
+					}
+				}
+				coldRes, coldErr := tryPlan(t, cold)
+
+				ctx := fmt.Sprintf("workers=%d trace=%v", workers, trace)
+				if (incErr == nil) != (coldErr == nil) {
+					t.Fatalf("%s: incremental err %v, cold err %v", ctx, incErr, coldErr)
+				}
+				if incErr != nil {
+					continue
+				}
+				if got, want := incRes.Placement.Targets(), coldRes.Placement.Targets(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: incremental placement %v != cold %v", ctx, got, want)
+				}
+				for u := 0; u < n; u++ {
+					for v := 0; v < n; v++ {
+						got, want := incRes.Topology.RTT(u, v), coldRes.Topology.RTT(u, v)
+						if math.Abs(got-want) > 1e-9*want {
+							t.Fatalf("%s: closed RTT(%d,%d) %v, cold %v", ctx, u, v, got, want)
+						}
+					}
+				}
+				if (incRes.LP == nil) != (coldRes.LP == nil) {
+					t.Fatalf("%s: LP presence mismatch", ctx)
+				}
+				if incRes.LP != nil {
+					got, want := incRes.LP.AvgNetDelay, coldRes.LP.AvgNetDelay
+					if math.Abs(got-want) > 1e-6*want {
+						t.Fatalf("%s: LP optimum %v, cold %v", ctx, got, want)
+					}
+				} else if incRes.NetDelay != coldRes.NetDelay {
+					// Without an LP nothing is vertex-dependent: the measures
+					// differ only through the metric.
+					if math.Abs(incRes.NetDelay-coldRes.NetDelay) > 1e-9*coldRes.NetDelay {
+						t.Fatalf("%s: net delay %v, cold %v", ctx, incRes.NetDelay, coldRes.NetDelay)
+					}
+				}
+				if skipped == 0 {
+					t.Errorf("%s: no rtt delta in the chain left the metric unchanged; the skip path went untested", ctx)
 				}
 			}
 		})
@@ -498,6 +696,34 @@ func TestSnapshotImmutable(t *testing.T) {
 	}
 	if s2.Topology.Size() != oldSize-1 || s2.Topology.Capacity(0) != oldCap*2 {
 		t.Errorf("new snapshot missed the deltas: size %d cap %v", s2.Topology.Size(), s2.Topology.Capacity(0))
+	}
+
+	// An rtt delta is folded into a copy of the closed matrix, never into
+	// the one published snapshots share: s2 keeps its distances.
+	n := s2.Topology.Size()
+	before := s2.Topology.Distances().Clone()
+	if err := p.SetRTT(0, n-1, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	s3 := mustPlan(t, p)
+	if s3.Topology.RTT(0, n-1) != 0.5 || s3.Topology.Distances() == s2.Topology.Distances() {
+		t.Fatalf("rtt delta did not reach the new snapshot: RTT(0,%d) = %v", n-1, s3.Topology.RTT(0, n-1))
+	}
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if got, want := s2.Topology.RTT(u, v), before.At(u, v); got != want {
+				t.Fatalf("published snapshot RTT(%d,%d) mutated: %v -> %v", u, v, want, got)
+			}
+		}
+	}
+	// And a delta that moves no distance (restoring a link the shortcut
+	// has made redundant keeps it redundant) publishes a snapshot that
+	// shares the matrix of the one before.
+	if err := p.SetRTT(1, n-1, p.RTT(1, n-1)*2); err != nil {
+		t.Fatal(err)
+	}
+	if s4 := mustPlan(t, p); s4.Topology.Distances() != s3.Topology.Distances() {
+		t.Error("consecutive snapshots across a no-change rtt delta do not share one matrix")
 	}
 }
 

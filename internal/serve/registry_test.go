@@ -332,9 +332,27 @@ func TestTenantStats(t *testing.T) {
 	if s.ReplanLastMS <= 0 || s.ReplanTotalMS < s.ReplanLastMS {
 		t.Fatalf("replan timings: last %v total %v", s.ReplanLastMS, s.ReplanTotalMS)
 	}
+	if got := s.ReplanLast; got != (plan.Stats{}) {
+		t.Fatalf("a demand-only batch re-closed, re-placed or re-solved something: %+v", got)
+	}
 	all := reg.Stats()
 	if len(all) != 1 || all["stats"].Reads != 1 {
 		t.Fatalf("registry stats: %+v", all)
+	}
+
+	// An rtt batch shows what its plan did: the edit folded into the
+	// closed matrix, how many sites moved, the anchors scored again.
+	topo := m.Current().Snapshot.Topology
+	resp, err = http.Post(ts.URL+"/v1/deployments/stats/deltas", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"deltas":[{"kind":"rtt","a":%q,"b":%q,"value":%v}]}`,
+			topo.Site(0).Name, topo.Site(1).Name, topo.RTT(0, 1)/2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	last := tenant.Stats().ReplanLast
+	if last.Closure != "incremental" || last.ChangedSites < 2 || last.Anchors != topo.Size() || last.AnchorsScored == 0 {
+		t.Fatalf("rtt batch counters: %+v", last)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/quorumnet/quorumnet/internal/deploy"
+	"github.com/quorumnet/quorumnet/internal/plan"
 )
 
 // Encoded is one snapshot's wire form, built once per publish and
@@ -133,6 +134,10 @@ type TenantStats struct {
 	DeltaErrors   uint64  `json:"delta_errors"`
 	ReplanLastMS  float64 `json:"replan_last_ms"`
 	ReplanTotalMS float64 `json:"replan_total_ms"`
+	// ReplanLast is what the latest published batch's plan did: how the
+	// metric was brought up to date and how many sites moved, how many
+	// placement anchors were re-scored, how the LP was re-solved.
+	ReplanLast plan.Stats `json:"replan_last"`
 	// ApplyQueue is the current number of delta posts in flight on the
 	// apply loop; Throttled counts the 429s the MaxApplyQueue cap issued.
 	ApplyQueue int64  `json:"apply_queue"`
@@ -162,6 +167,7 @@ func (t *Tenant) Stats() TenantStats {
 		DeltaErrors:   t.deltaErrors.Load(),
 		ReplanLastMS:  float64(t.lastReplanNS.Load()) / 1e6,
 		ReplanTotalMS: float64(t.replanNS.Load()) / 1e6,
+		ReplanLast:    t.m.LastPlan(),
 		ApplyQueue:    t.inflight.Load(),
 		Throttled:     t.throttled.Load(),
 		DeltaAgeMS:    age,

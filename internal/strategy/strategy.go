@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/quorumnet/quorumnet/internal/core"
 	"github.com/quorumnet/quorumnet/internal/lp"
@@ -151,6 +152,9 @@ type Optimizer struct {
 	nc int // clients
 
 	prob *lp.Problem
+	// weight is each client's objective and load scale: its normalized
+	// demand share times the client count.
+	weight []float64
 	// capRows maps the capacity constraint rows to their nodes:
 	// capRows[r] is the node whose capacity row is row nc+r.
 	capRows []int
@@ -221,28 +225,9 @@ func NewOptimizer(e *core.Eval, cfg Config) (*Optimizer, error) {
 	// Precompute, per quorum: its support nodes and per-node load
 	// contribution (multiplicity or 0/1 dedup).
 	quorumLoads := quorumNodeLoads(e)
-	quorumElems := make([][]int, m)
-	for i := 0; i < m; i++ {
-		quorumElems[i] = e.Sys.Quorum(i)
-	}
-
-	// δ_f(v, Q_i) per client and quorum.
-	delta := make([][]float64, nc)
-	for k, v := range clients {
-		row := e.Topo.RTTRow(v)
-		delta[k] = make([]float64, m)
-		for i := 0; i < m; i++ {
-			maxD := 0.0
-			for _, u := range quorumElems[i] {
-				if d := row[e.F.Node(u)]; d > maxD {
-					maxD = d
-				}
-			}
-			delta[k][i] = maxD
-		}
-	}
 
 	prob := lp.NewProblem(nVars)
+	o.prob = prob
 	varOf := func(k, i int) int { return k*m + i }
 	// Client weights scale both the objective contribution and the load a
 	// client's accesses impose; with uniform weights this reduces to the
@@ -252,12 +237,9 @@ func NewOptimizer(e *core.Eval, cfg Config) (*Optimizer, error) {
 	for k, v := range clients {
 		weight[k] = e.ClientWeight(v) * float64(nc)
 	}
-	for k := 0; k < nc; k++ {
-		for i := 0; i < m; i++ {
-			if err := prob.SetObjectiveCoeff(varOf(k, i), weight[k]*delta[k][i]); err != nil {
-				return nil, err
-			}
-		}
+	o.weight = weight
+	if err := o.setObjective(); err != nil {
+		return nil, err
 	}
 	// Convexity: Σ_i p_vi = 1 per client.
 	ones := make([]float64, m)
@@ -305,8 +287,65 @@ func NewOptimizer(e *core.Eval, cfg Config) (*Optimizer, error) {
 		}
 		o.capRows = append(o.capRows, w)
 	}
-	o.prob = prob
 	return o, nil
+}
+
+// setObjective writes the objective from the bound evaluation's RTT rows:
+// weight_v · δ_f(v, Q_i), the client's delay to the farthest element of
+// the quorum, per client and quorum.
+func (o *Optimizer) setObjective() error {
+	e := o.e
+	quorumElems := make([][]int, o.m)
+	for i := range quorumElems {
+		quorumElems[i] = e.Sys.Quorum(i)
+	}
+	for k, v := range e.Clients {
+		row := e.Topo.RTTRow(v)
+		for i, elems := range quorumElems {
+			maxD := 0.0
+			for _, u := range elems {
+				if d := row[e.F.Node(u)]; d > maxD {
+					maxD = d
+				}
+			}
+			if err := o.prob.SetObjectiveCoeff(k*o.m+i, o.weight[k]*maxD); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Rebind moves the optimizer onto an evaluation that differs from the one
+// it was built for in its RTTs only — same system, placement targets,
+// client set, client weights and load mode, which is checked — and
+// rewrites the objective from the new RTT rows. No constraint involves an
+// RTT, so the skeleton stands and the retained basis is still primal
+// feasible: with WarmStart the next Optimize re-enters phase 2 from it,
+// and shares WarmStart's caveat about which optimal vertex it settles on.
+// Column-generation optimizers cannot be re-bound (their client
+// aggregation is keyed by RTT rows); callers build a new one.
+func (o *Optimizer) Rebind(e *core.Eval) error {
+	old := o.e
+	switch {
+	case o.cg != nil:
+		return fmt.Errorf("strategy: a column-generation optimizer cannot be re-bound")
+	case e.Sys.Name() != old.Sys.Name() || e.Sys.NumQuorums() != o.m:
+		return fmt.Errorf("strategy: re-bind changes the system from %s to %s", old.Sys.Name(), e.Sys.Name())
+	case e.Topo.Size() != old.Topo.Size() || !slices.Equal(e.F.Targets(), old.F.Targets()):
+		return fmt.Errorf("strategy: re-bind changes the placement")
+	case !slices.Equal(e.Clients, old.Clients):
+		return fmt.Errorf("strategy: re-bind changes the client set")
+	case e.Mode != old.Mode:
+		return fmt.Errorf("strategy: re-bind changes the load mode")
+	}
+	for k, v := range e.Clients {
+		if e.ClientWeight(v)*float64(o.nc) != o.weight[k] {
+			return fmt.Errorf("strategy: re-bind changes the weight of client %d", v)
+		}
+	}
+	o.e = e
+	return o.setObjective()
 }
 
 // Optimize solves the access-strategy LP for the given per-node

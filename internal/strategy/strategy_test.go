@@ -376,3 +376,88 @@ func TestConfigForProfiles(t *testing.T) {
 		}
 	}
 }
+
+// TestRebindMatchesFreshOptimizer: an optimizer moved onto an evaluation
+// that differs in its RTTs only must reach the optimum a fresh optimizer
+// on that evaluation reaches, from the retained basis (warm, a handful of
+// pivots, never cold), and must refuse an evaluation that differs in
+// anything the skeleton depends on.
+func TestRebindMatchesFreshOptimizer(t *testing.T) {
+	cfg := ConfigFor(false, SolverAuto)
+	e := gridEval(t, 24, 3, 5, 0)
+	caps := uniformCaps(24, 0.7)
+	o, err := NewOptimizer(e, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.Optimize(caps); err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(6); seed < 12; seed++ {
+		// The same sites, system and placement over another metric.
+		moved, err := core.NewEval(testTopo(t, 24, seed), e.Sys, e.F, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Rebind(moved); err != nil {
+			t.Fatal(err)
+		}
+		got, err := o.Optimize(caps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewOptimizer(moved, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Optimize(caps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got.AvgNetDelay-want.AvgNetDelay) > 1e-6*want.AvgNetDelay {
+			t.Fatalf("seed %d: re-bound optimum %v, fresh optimum %v", seed, got.AvgNetDelay, want.AvgNetDelay)
+		}
+		if got.LPMethod != lp.MethodWarmPrimal {
+			t.Errorf("seed %d: re-bound solve was %q, want %q", seed, got.LPMethod, lp.MethodWarmPrimal)
+		}
+		if net := moved.AvgNetworkDelay(got.Strategy); math.Abs(net-got.AvgNetDelay) > 1e-6*net {
+			t.Errorf("seed %d: strategy evaluates to %v on the new metric, LP reported %v", seed, net, got.AvgNetDelay)
+		}
+	}
+
+	other := gridEval(t, 24, 3, 5, 0)
+	if err := other.SetClientWeights(append(uniformCaps(23, 1), 5)); err != nil {
+		t.Fatal(err)
+	}
+	shifted := make([]int, e.F.UniverseSize())
+	for u := range shifted {
+		shifted[u] = (u + 1) % 24
+	}
+	f, err := core.NewPlacement(shifted, e.Topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replaced, err := core.NewEval(e.Topo, e.Sys, f, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dedup := gridEval(t, 24, 3, 5, 0)
+	dedup.Mode = core.LoadDedup
+	for name, bad := range map[string]*core.Eval{
+		"weights":   other,
+		"placement": replaced,
+		"load mode": dedup,
+		"system":    gridEval(t, 24, 4, 5, 0),
+	} {
+		if err := o.Rebind(bad); err == nil {
+			t.Errorf("re-bind onto an evaluation with different %s was accepted", name)
+		}
+	}
+	cg, err := NewOptimizer(e, Config{Solver: SolverColgen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cg.Rebind(e); err == nil {
+		t.Error("a column-generation optimizer accepted a re-bind")
+	}
+}

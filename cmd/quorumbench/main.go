@@ -96,7 +96,7 @@ func run() int {
 		list      = flag.Bool("list", false, "list available figures and ablations")
 		markdown  = flag.Bool("markdown", false, "emit markdown tables (same as -format markdown)")
 		format    = flag.String("format", "", "output format: text (default), markdown, csv, json")
-		quick     = flag.Bool("quick", false, "reduced scale (for smoke testing)")
+		quick     = flag.Bool("quick", false, "reduced figure scale for smoke testing (-fig, -all or -ablations only)")
 		seed      = flag.Int64("seed", topology.DefaultSeed, "topology/protocol seed")
 		runs      = flag.Int("runs", 5, "protocol simulation runs per point")
 		duration  = flag.Float64("duration", 20000, "protocol simulation length (ms)")
@@ -156,6 +156,10 @@ func run() int {
 	}
 	if *shard >= 0 && *shards > 0 && *shard >= *shards {
 		fmt.Fprintf(os.Stderr, "quorumbench: -shard %d is out of range for -shards %d (shards are 0-based: 0..%d)\n", *shard, *shards, *shards-1)
+		return 2
+	}
+	if *quick && *fig == "" && !*all && !*ablations {
+		fmt.Fprintln(os.Stderr, "quorumbench: -quick scales the figure runners only; add -fig <id>, -all or -ablations, or drop -quick")
 		return 2
 	}
 	if *fleetArg != "" && *fleetReg != "" {

@@ -36,11 +36,6 @@ func SpecFig76(p Params) *scenario.Spec {
 	}
 }
 
-// Fig76 regenerates Figure 7.6.
-func Fig76(p Params) (*Table, error) {
-	return scenario.Run(SpecFig76(p), p.RunConfig())
-}
-
 // SpecFig77 declares Figure 7.7: the uniform sweep against the
 // non-uniform capacity heuristic with [β, γ] = [Lopt, c_i].
 func SpecFig77(p Params) *scenario.Spec {
@@ -61,11 +56,6 @@ func SpecFig77(p Params) *scenario.Spec {
 		Columns: []string{"universe", "capacity",
 			"net_uniform", "resp_uniform", "net_nonuniform", "resp_nonuniform"},
 	}
-}
-
-// Fig77 regenerates Figure 7.7.
-func Fig77(p Params) (*Table, error) {
-	return scenario.Run(SpecFig77(p), p.RunConfig())
 }
 
 // SpecFig78 declares Figure 7.8: the k=7 (n=49) slice of the comparison.
@@ -92,9 +82,4 @@ func SpecFig78(p Params) *scenario.Spec {
 		Columns: []string{"capacity",
 			"net_uniform", "resp_uniform", "net_nonuniform", "resp_nonuniform"},
 	}
-}
-
-// Fig78 regenerates Figure 7.8.
-func Fig78(p Params) (*Table, error) {
-	return scenario.Run(SpecFig78(p), p.RunConfig())
 }

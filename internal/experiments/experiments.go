@@ -104,27 +104,34 @@ func itoa(v int) string   { return strconv.Itoa(v) }
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(Params) (*Table, error)
+	// Run regenerates the table. For a spec-declared figure it executes
+	// Spec through the scenario engine.
+	Run func(Params) (*Table, error)
 	// Spec returns the figure's declarative scenario at the given scale,
 	// or nil for bespoke runners (the ablations): only spec-declared
 	// figures can be sharded across a fleet.
 	Spec func(Params) *scenario.Spec
 }
 
-// All lists every experiment in paper order.
+// All lists every figure in paper order.
 func All() []Experiment {
-	return []Experiment{
-		{ID: "fig3.1", Title: "Q/U response time and network delay vs clients × universe size (PlanetLab-50)", Run: Fig31, Spec: SpecFig31},
-		{ID: "fig3.2a", Title: "Q/U delay components vs faults t at 100 clients", Run: Fig32a, Spec: SpecFig32a},
-		{ID: "fig3.2b", Title: "Q/U delay components vs client count at t=4 (n=21)", Run: Fig32b, Spec: SpecFig32b},
-		{ID: "fig6.3", Title: "Response time vs universe size, closest access, alpha=0 (PlanetLab-50)", Run: Fig63, Spec: SpecFig63},
-		{ID: "fig6.4", Title: "Grid response: closest vs balanced at demand 1000/4000 (daxlist-161)", Run: Fig64, Spec: SpecFig64},
-		{ID: "fig6.5", Title: "Grid delay components: closest vs balanced at demand 16000 (daxlist-161)", Run: Fig65, Spec: SpecFig65},
-		{ID: "fig7.6", Title: "Grid response vs universe × uniform capacity, LP strategies, demand 16000 (PlanetLab-50)", Run: Fig76, Spec: SpecFig76},
-		{ID: "fig7.7", Title: "Uniform vs non-uniform capacities across universe sizes (PlanetLab-50)", Run: Fig77, Spec: SpecFig77},
-		{ID: "fig7.8", Title: "7×7 Grid: response vs capacity, uniform vs non-uniform (PlanetLab-50)", Run: Fig78, Spec: SpecFig78},
-		{ID: "fig8.9", Title: "Iterative algorithm network delay vs capacity, 5×5 Grid (PlanetLab-50)", Run: Fig89, Spec: SpecFig89},
+	figs := []Experiment{
+		{ID: "fig3.1", Title: "Q/U response time and network delay vs clients × universe size (PlanetLab-50)", Spec: SpecFig31},
+		{ID: "fig3.2a", Title: "Q/U delay components vs faults t at 100 clients", Spec: SpecFig32a},
+		{ID: "fig3.2b", Title: "Q/U delay components vs client count at t=4 (n=21)", Spec: SpecFig32b},
+		{ID: "fig6.3", Title: "Response time vs universe size, closest access, alpha=0 (PlanetLab-50)", Spec: SpecFig63},
+		{ID: "fig6.4", Title: "Grid response: closest vs balanced at demand 1000/4000 (daxlist-161)", Spec: SpecFig64},
+		{ID: "fig6.5", Title: "Grid delay components: closest vs balanced at demand 16000 (daxlist-161)", Spec: SpecFig65},
+		{ID: "fig7.6", Title: "Grid response vs universe × uniform capacity, LP strategies, demand 16000 (PlanetLab-50)", Spec: SpecFig76},
+		{ID: "fig7.7", Title: "Uniform vs non-uniform capacities across universe sizes (PlanetLab-50)", Spec: SpecFig77},
+		{ID: "fig7.8", Title: "7×7 Grid: response vs capacity, uniform vs non-uniform (PlanetLab-50)", Spec: SpecFig78},
+		{ID: "fig8.9", Title: "Iterative algorithm network delay vs capacity, 5×5 Grid (PlanetLab-50)", Spec: SpecFig89},
 	}
+	for i := range figs {
+		spec := figs[i].Spec
+		figs[i].Run = func(p Params) (*Table, error) { return scenario.Run(spec(p), p.RunConfig()) }
+	}
+	return figs
 }
 
 // ByID returns the experiment (figure or ablation) with the given id.

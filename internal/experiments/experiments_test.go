@@ -52,6 +52,9 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
+	if got := len(All()); got != 10 {
+		t.Errorf("All() = %d figures, want 10", got)
+	}
 	if _, err := ByID("fig6.3"); err != nil {
 		t.Errorf("ByID(fig6.3): %v", err)
 	}
@@ -83,15 +86,26 @@ func TestTableHelpers(t *testing.T) {
 	tb.AddRow("only-one")
 }
 
+// runFigure runs a figure through ByID, the way the CLI does.
+func runFigure(t *testing.T, id string, p Params) *Table {
+	t.Helper()
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := e.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
 // TestFig63SingletonIsLowest: on the quick run, the singleton baseline
 // must not be beaten by any placed quorum system (Lin's 2-approximation
 // argument says nothing can do better than half; in practice singleton
 // wins outright at alpha=0).
 func TestFig63SingletonIsLowest(t *testing.T) {
-	tb, err := Fig63(quickParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runFigure(t, "fig6.3", quickParams())
 	respCol, err := tb.Col("response_ms")
 	if err != nil {
 		t.Fatal(err)
@@ -117,10 +131,7 @@ func TestFig63SingletonIsLowest(t *testing.T) {
 func TestFig65BalancedResponseDecreases(t *testing.T) {
 	p := quickParams()
 	p.Quick = false // need several universe sizes; this runner is cheap
-	tb, err := Fig65(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runFigure(t, "fig6.5", p)
 	col, err := tb.Col("resp_balanced")
 	if err != nil {
 		t.Fatal(err)

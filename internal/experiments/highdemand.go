@@ -34,11 +34,6 @@ func SpecFig64(p Params) *scenario.Spec {
 	}
 }
 
-// Fig64 regenerates Figure 6.4.
-func Fig64(p Params) (*Table, error) {
-	return scenario.Run(SpecFig64(p), p.RunConfig())
-}
-
 // SpecFig65 declares Figure 6.5: network delay and response time for
 // both strategies at client demand 16000.
 func SpecFig65(p Params) *scenario.Spec {
@@ -59,9 +54,4 @@ func SpecFig65(p Params) *scenario.Spec {
 		Columns: []string{"universe",
 			"net_closest", "resp_closest", "net_balanced", "resp_balanced"},
 	}
-}
-
-// Fig65 regenerates Figure 6.5.
-func Fig65(p Params) (*Table, error) {
-	return scenario.Run(SpecFig65(p), p.RunConfig())
 }

@@ -32,8 +32,3 @@ func SpecFig89(p Params) *scenario.Spec {
 		},
 	}
 }
-
-// Fig89 regenerates Figure 8.9.
-func Fig89(p Params) (*Table, error) {
-	return scenario.Run(SpecFig89(p), p.RunConfig())
-}

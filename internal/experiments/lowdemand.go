@@ -42,8 +42,3 @@ func SpecFig63(p Params) *scenario.Spec {
 		Columns:    []string{"system", "param", "universe", "response_ms"},
 	}
 }
-
-// Fig63 regenerates Figure 6.3.
-func Fig63(p Params) (*Table, error) {
-	return scenario.Run(SpecFig63(p), p.RunConfig())
-}

@@ -41,11 +41,6 @@ func SpecFig31(p Params) *scenario.Spec {
 	}
 }
 
-// Fig31 regenerates Figure 3.1.
-func Fig31(p Params) (*Table, error) {
-	return scenario.Run(SpecFig31(p), p.RunConfig())
-}
-
 // SpecFig32a declares Figure 3.2a: components at 100 clients while t
 // (and hence the universe size n = 5t+1) grows.
 func SpecFig32a(p Params) *scenario.Spec {
@@ -70,11 +65,6 @@ func SpecFig32a(p Params) *scenario.Spec {
 	}
 }
 
-// Fig32a regenerates Figure 3.2a.
-func Fig32a(p Params) (*Table, error) {
-	return scenario.Run(SpecFig32a(p), p.RunConfig())
-}
-
 // SpecFig32b declares Figure 3.2b: components at t = 4 (n = 21) while
 // the client count grows.
 func SpecFig32b(p Params) *scenario.Spec {
@@ -94,9 +84,4 @@ func SpecFig32b(p Params) *scenario.Spec {
 		Protocol:   quProtocol([]int{4}, perSites),
 		Columns:    []string{"clients", "net_delay_ms", "response_ms"},
 	}
-}
-
-// Fig32b regenerates Figure 3.2b.
-func Fig32b(p Params) (*Table, error) {
-	return scenario.Run(SpecFig32b(p), p.RunConfig())
 }

@@ -16,7 +16,7 @@ import (
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
 
-func backpressureServer(t *testing.T, opts Options) (*Server, *deploy.Manager) {
+func backpressureTenant(t *testing.T, opts Options) (*Tenant, *deploy.Manager) {
 	t.Helper()
 	topo, err := topology.Generate(topology.GenConfig{
 		Name:      "bp-test-9",
@@ -42,7 +42,11 @@ func backpressureServer(t *testing.T, opts Options) (*Server, *deploy.Manager) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(m, opts), m
+	tn, err := NewRegistry(opts).Open(DefaultTenant, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tn, m
 }
 
 // TestDeltasBackpressure is the 429 satellite: POST /v1/deltas beyond
@@ -50,8 +54,7 @@ func backpressureServer(t *testing.T, opts Options) (*Server, *deploy.Manager) {
 // queueing unboundedly behind an in-flight re-plan, and the tenant
 // counts the throttle.
 func TestDeltasBackpressure(t *testing.T) {
-	srv, m := backpressureServer(t, Options{MaxApplyQueue: 2})
-	tn := srv.Tenant()
+	tn, m := backpressureTenant(t, Options{MaxApplyQueue: 2})
 
 	post := func() int {
 		t.Helper()
@@ -112,8 +115,7 @@ func TestDeltasBackpressure(t *testing.T) {
 // (-1), resets on every accepted batch, and then grows — the signal a
 // staleness monitor alarms on when probes die.
 func TestDeltaStaleness(t *testing.T) {
-	srv, _ := backpressureServer(t, Options{})
-	tn := srv.Tenant()
+	tn, _ := backpressureTenant(t, Options{})
 
 	if got := tn.Stats().DeltaAgeMS; got != -1 {
 		t.Fatalf("initial delta age %v, want -1", got)

@@ -67,7 +67,7 @@ func HTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: ReadHeaderTimeout}
 }
 
-// Options tunes the server.
+// Options tunes a Registry's tenants.
 type Options struct {
 	// MaxWait caps a long-poll's ?timeout (default 30s).
 	MaxWait time.Duration
@@ -101,31 +101,6 @@ func (o Options) maxApplyQueue() int {
 		return DefaultMaxApplyQueue
 	}
 	return o.MaxApplyQueue
-}
-
-// Server serves one deployment: the single-tenant view, kept for the
-// quorumd default mode and embedders that need exactly one deployment.
-// It is a Registry of one.
-type Server struct {
-	t *Tenant
-}
-
-// New wraps a manager.
-func New(m *deploy.Manager, opts Options) *Server {
-	return &Server{t: newTenant(DefaultTenant, m, opts, newWheel(0))}
-}
-
-// Tenant returns the server's single tenant (for stats and in-process
-// reads).
-func (s *Server) Tenant() *Tenant { return s.t }
-
-// Handler returns the HTTP routes.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/plan", s.t.handlePlan)
-	mux.HandleFunc("/v1/deltas", s.t.handleDeltas)
-	mux.HandleFunc("/v1/history", s.t.handleHistory)
-	return mux
 }
 
 // SiteJSON describes one site of the served plan.

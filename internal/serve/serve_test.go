@@ -42,9 +42,20 @@ func testServer(t *testing.T, cfg deploy.Config) (*httptest.Server, *deploy.Mana
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(m, Options{MaxWait: 5 * time.Second}).Handler())
+	ts := httptest.NewServer(singleTenant(t, m, Options{MaxWait: 5 * time.Second}))
 	t.Cleanup(ts.Close)
 	return ts, m
+}
+
+// singleTenant serves one deployment as the registry's default tenant,
+// reachable on the legacy single-tenant routes.
+func singleTenant(t *testing.T, m *deploy.Manager, opts Options) http.Handler {
+	t.Helper()
+	reg := NewRegistry(opts)
+	if _, err := reg.Open(DefaultTenant, m); err != nil {
+		t.Fatal(err)
+	}
+	return reg.Handler()
 }
 
 func getJSON(t *testing.T, url string, out interface{}) *http.Response {
@@ -251,7 +262,7 @@ func journaledServer(t *testing.T, reproducible bool, path string) (*httptest.Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(m, Options{MaxWait: 5 * time.Second}).Handler())
+	ts := httptest.NewServer(singleTenant(t, m, Options{MaxWait: 5 * time.Second}))
 	t.Cleanup(ts.Close)
 	return ts, m, replayed
 }

@@ -29,9 +29,8 @@ type Encoded struct {
 // Tenant is one named deployment inside the serving plane: a
 // deploy.Manager plus the per-publish encoding cache, the long-poll
 // park machinery, and observability counters. Tenants are created by a
-// Registry (or by New for the single-tenant Server) and share the
-// process: the planner pool, the LP workspaces, and the server's
-// coarse deadline wheel.
+// Registry and share the process: the planner pool, the LP workspaces,
+// and the registry's coarse deadline wheel.
 type Tenant struct {
 	name  string
 	m     *deploy.Manager

@@ -1,12 +1,17 @@
 package quorumnet_test
 
 import (
-	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
+	"io/fs"
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	quorumnet "github.com/quorumnet/quorumnet"
@@ -59,21 +64,6 @@ func TestPublicAPIPipeline(t *testing.T) {
 	}
 }
 
-func TestPublicAPITopologyRoundTrip(t *testing.T) {
-	topo := quorumnet.Daxlist161(3)
-	var buf bytes.Buffer
-	if err := quorumnet.SaveTopology(&buf, topo); err != nil {
-		t.Fatal(err)
-	}
-	back, err := quorumnet.LoadTopology(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Size() != topo.Size() || back.Name() != topo.Name() {
-		t.Errorf("round trip mismatch: %d/%s", back.Size(), back.Name())
-	}
-}
-
 func TestPublicAPIProtocol(t *testing.T) {
 	topo := quorumnet.PlanetLab50(2)
 	sys, err := quorumnet.QUMajority(1)
@@ -98,24 +88,6 @@ func TestPublicAPIProtocol(t *testing.T) {
 	}
 	if m.Requests == 0 || m.AvgResponseMS < m.AvgNetDelayMS {
 		t.Errorf("implausible metrics: %+v", m)
-	}
-}
-
-func TestPublicAPIIterate(t *testing.T) {
-	topo := quorumnet.PlanetLab50(4)
-	sys, err := quorumnet.NewGrid(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := quorumnet.Iterate(topo, sys, quorumnet.IterateConfig{
-		MaxIterations: 2,
-		Candidates:    []int{0, 10, 20, 30, 40},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.History) == 0 || res.Strategy == nil {
-		t.Error("iterate returned empty result")
 	}
 }
 
@@ -161,98 +133,7 @@ func TestPublicAPIPlanner(t *testing.T) {
 	}
 }
 
-// TestPublicAPIScenario runs a library scenario and a hand-built eval
-// spec through the engine.
-func TestPublicAPIScenario(t *testing.T) {
-	if len(quorumnet.ScenarioLibrary()) != 10 {
-		t.Errorf("ScenarioLibrary() = %d scenarios, want 10", len(quorumnet.ScenarioLibrary()))
-	}
-	spec := quorumnet.Scenario{
-		Name:       "api-smoke",
-		Kind:       "eval",
-		Topology:   quorumnet.ScenarioTopology{Source: "planetlab50"},
-		Systems:    []quorumnet.ScenarioSystemAxis{{Family: "grid", Params: []int{3}}},
-		Demands:    []float64{0},
-		Strategies: []string{"closest"},
-		Measures:   []string{"response"},
-	}
-	tb, err := quorumnet.RunScenario(&spec, quorumnet.ScenarioConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 1 {
-		t.Fatalf("expected one row, got %d", len(tb.Rows))
-	}
-	if _, err := tb.Cell(0, 3); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPublicAPISharding drives the partition/execute/merge stack and a
-// one-worker fleet through the façade: both must reproduce RunScenario
-// exactly.
-func TestPublicAPISharding(t *testing.T) {
-	spec := quorumnet.Scenario{
-		Name:       "api-sharded",
-		Kind:       "eval",
-		Topology:   quorumnet.ScenarioTopology{Source: "planetlab50"},
-		Systems:    []quorumnet.ScenarioSystemAxis{{Family: "grid", Params: []int{2, 3}}, {Family: "majority", Params: []int{1, 2}}},
-		Demands:    []float64{0},
-		Strategies: []string{"closest"},
-		Measures:   []string{"response"},
-	}
-	cfg := quorumnet.ScenarioConfig{Reproducible: true}
-	base, err := quorumnet.RunScenario(&spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	space, err := quorumnet.PartitionScenario(&spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if space.NumPoints() != 4 {
-		t.Fatalf("NumPoints = %d, want 4", space.NumPoints())
-	}
-	var partials []*quorumnet.ScenarioPartial
-	for si := 2; si >= 0; si-- { // reversed completion order
-		part, err := space.Shard(si, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		partial, err := part.Execute()
-		if err != nil {
-			t.Fatal(err)
-		}
-		partials = append(partials, partial)
-	}
-	merged, err := quorumnet.MergeScenario(&spec, cfg, partials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base.Rows, merged.Rows) {
-		t.Fatalf("merged rows differ:\n%v\nvs\n%v", base.Rows, merged.Rows)
-	}
-
-	srv := httptest.NewServer(quorumnet.NewFleetWorker(quorumnet.FleetWorkerOptions{}).Handler())
-	defer srv.Close()
-	coord, err := quorumnet.NewFleet(quorumnet.FleetConfig{Workers: []string{srv.URL}, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaFleet, err := coord.Run(&spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base.Rows, viaFleet.Rows) {
-		t.Fatalf("fleet rows differ:\n%v\nvs\n%v", base.Rows, viaFleet.Rows)
-	}
-}
-
 func TestPublicAPIExperiments(t *testing.T) {
-	if got := len(quorumnet.Experiments()); got != 10 {
-		t.Errorf("Experiments() = %d figures, want 10", got)
-	}
 	exp, err := quorumnet.ExperimentByID("fig6.3")
 	if err != nil {
 		t.Fatal(err)
@@ -321,4 +202,135 @@ func TestPublicAPIServeRegistry(t *testing.T) {
 	if read("/v1/deployments/edge/plan") == core {
 		t.Fatal("edge tenant served the core plan")
 	}
+}
+
+// TestFacadeExportsAreExercised pins the façade to the surface its
+// callers use. An exported declaration of quorumnet.go stays only if
+// the examples, example_test.go or bench_test.go refer to one of its
+// names as quorumnet.<Name>, or if it appears in the declaration of
+// one that stays (NewEval keeps Eval, NewDeltaBatcher keeps
+// DeltaPoster). A grouped const or var block is one declaration.
+func TestFacadeExportsAreExercised(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "quorumnet.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := map[string]bool{}
+	var decls []ast.Decl
+	for _, d := range facade.Decls {
+		if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.IMPORT {
+			continue
+		}
+		decls = append(decls, d)
+		for _, n := range declNames(d) {
+			exported[n] = true
+		}
+	}
+
+	callers := []string{"example_test.go", "bench_test.go"}
+	err = filepath.WalkDir("examples", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+			callers = append(callers, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{}
+	for _, path := range callers {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := ""
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "github.com/quorumnet/quorumnet" {
+				local = "quorumnet"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && local != "" && x.Name == local {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+
+	// Keep declarations to a fixed point: a kept declaration keeps every
+	// façade name its own declaration mentions.
+	kept := make([]bool, len(decls))
+	for changed := true; changed; {
+		changed = false
+		for i, d := range decls {
+			if kept[i] || !anyUsed(declNames(d), used) {
+				continue
+			}
+			kept[i], changed = true, true
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					ast.Inspect(n.X, func(m ast.Node) bool {
+						if id, ok := m.(*ast.Ident); ok && exported[id.Name] {
+							used[id.Name] = true
+						}
+						return true
+					})
+					return false
+				case *ast.Ident:
+					if exported[n.Name] {
+						used[n.Name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	var unused []string
+	for i, d := range decls {
+		if !kept[i] {
+			unused = append(unused, strings.Join(declNames(d), "/"))
+		}
+	}
+	if len(unused) > 0 {
+		t.Fatalf("%d façade declarations are used by no example, example_test.go or bench_test.go, "+
+			"nor by the declaration of one that is:\n\t%s", len(unused), strings.Join(unused, "\n\t"))
+	}
+}
+
+// declNames lists the names a top-level declaration introduces.
+func declNames(d ast.Decl) []string {
+	switch d := d.(type) {
+	case *ast.FuncDecl:
+		return []string{d.Name.Name}
+	case *ast.GenDecl:
+		var names []string
+		for _, s := range d.Specs {
+			switch s := s.(type) {
+			case *ast.TypeSpec:
+				names = append(names, s.Name.Name)
+			case *ast.ValueSpec:
+				for _, n := range s.Names {
+					names = append(names, n.Name)
+				}
+			}
+		}
+		return names
+	}
+	return nil
+}
+
+func anyUsed(names []string, used map[string]bool) bool {
+	for _, n := range names {
+		if used[n] {
+			return true
+		}
+	}
+	return false
 }

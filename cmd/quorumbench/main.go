@@ -7,16 +7,13 @@
 //	quorumbench -list
 //	quorumbench -fig 6.3
 //	quorumbench -all
-//	quorumbench -all -markdown > results.md
+//	quorumbench -all -format markdown > results.md
 //	quorumbench -fig 3.1 -seed 7 -runs 3 -duration 10000
-//	quorumbench -fig 7.6 -cpuprofile fig76.prof
 //	quorumbench -all -reproducible
 //	quorumbench -scenario list
 //	quorumbench -scenario diurnal-demand
 //	quorumbench -scenario my-workload.json
 //	quorumbench -fig 6.3 -format csv
-//	quorumbench -bench-out BENCH_plan.json -bench-sites 100,1000,10000
-//	quorumbench -bench-out BENCH_plan.json -bench-sites 1000 -bench-clients 1000 -bench-system 8-of-15
 //
 // Sharded execution (the merged output is byte-identical to the
 // unsharded run, whatever the shard count or completion order):
@@ -33,7 +30,7 @@
 // mid-run):
 //
 //	quorumbench -fleet-worker -addr :9190 -join coordinator-host:9200
-//	quorumbench -fleet-worker -addr :9190 -join host:9200 -slots 4 -cores 8
+//	quorumbench -fleet-worker -addr :9190 -join host:9200 -slots 4
 //	quorumbench -scenario seed-scale-study -fleet-registry :9200 -min-workers 3 -shards 12
 //
 // Durable runs (crash recovery): -journal records every dispatch and
@@ -59,19 +56,28 @@
 // By default the LP-heavy figures run on the fast path (warm-started,
 // partially priced, parallel solves); -reproducible regenerates the
 // tables bit-for-bit as the original serial harness did (see
-// EXPERIMENTS.md). -cpuprofile/-memprofile write pprof profiles of the
-// figure runs so performance work does not need throwaway harnesses.
+// EXPERIMENTS.md).
+//
+// Invocations that would silently ignore a flag are refused (exit 2,
+// one line on stderr) before anything runs: at most one of -fig, -all,
+// -ablations, -scenario and -list, and none of them with -standby
+// (-resume takes one -fig or -scenario to cross-check the journal's
+// spec); a -fleet-worker reads only -addr, -join, -advertise and
+// -slots, which no other mode reads; -min-workers needs
+// -fleet-registry and -lease-ttl needs -standby. Contradictory
+// combinations (-fleet with -fleet-registry, -resume with -journal, a
+// -shard outside -shards, ...) are refused the same way.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -83,154 +89,157 @@ import (
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:])) }
 
-// run carries the real main body so deferred profile writers execute
-// before the process exits, even on figure errors — a failing run is
-// exactly the one worth profiling.
-func run() int {
-	var (
-		fig       = flag.String("fig", "", "figure or ablation to regenerate (e.g. 6.3, fig6.3, abl-dedup)")
-		all       = flag.Bool("all", false, "regenerate every paper figure")
-		ablations = flag.Bool("ablations", false, "regenerate the ablation studies")
-		list      = flag.Bool("list", false, "list available figures and ablations")
-		markdown  = flag.Bool("markdown", false, "emit markdown tables (same as -format markdown)")
-		format    = flag.String("format", "", "output format: text (default), markdown, csv, json")
-		quick     = flag.Bool("quick", false, "reduced figure scale for smoke testing (-fig, -all or -ablations only)")
-		seed      = flag.Int64("seed", topology.DefaultSeed, "topology/protocol seed")
-		runs      = flag.Int("runs", 5, "protocol simulation runs per point")
-		duration  = flag.Float64("duration", 20000, "protocol simulation length (ms)")
-		repro     = flag.Bool("reproducible", false, "bit-reproduce the original serial harness's tables (slower)")
-		scen      = flag.String("scenario", "", "run a scenario: 'list', a built-in name, or a JSON spec file")
-		shards    = flag.Int("shards", 0, "split the figure/scenario point-space into this many shards")
-		shard     = flag.Int("shard", -1, "execute only this shard (0-based, with -shards) and print its partial as JSON")
-		mergeArg  = flag.String("merge", "", "comma-separated partial JSON files to merge into the full table")
-		fleetArg  = flag.String("fleet", "", "comma-separated fleet worker addresses to run the shards on: a roster pinned for the run (no registration, no heartbeats; a failed shard retries on the others)")
-		fleetReg  = flag.String("fleet-registry", "", "listen address for an elastic fleet registry; shards run on self-registered workers (see -join)")
-		minWork   = flag.Int("min-workers", 1, "workers that must be live before an elastic run dispatches")
-		worker    = flag.Bool("fleet-worker", false, "serve shard jobs for fleet coordinators (see -addr)")
-		addr      = flag.String("addr", "127.0.0.1:9190", "listen address for -fleet-worker")
-		join      = flag.String("join", "", "registry address a -fleet-worker self-registers with (elastic fleet)")
-		advertise = flag.String("advertise", "", "address the worker advertises to the registry (default: -addr with 127.0.0.1 for an empty host)")
-		slots     = flag.Int("slots", 1, "shard slots a -fleet-worker advertises; coordinators weight dispatch by free slots")
-		cores     = flag.Int("cores", 0, "cores a -fleet-worker advertises (informational; shown in the registry roster)")
-		jpath     = flag.String("journal", "", "record this fleet run's dispatch/completion protocol to an append-only journal file")
-		resumeArg = flag.String("resume", "", "resume a crashed fleet run from its journal, dispatching only the unrecorded shards")
-		standby   = flag.Bool("standby", false, "tail -journal as a standby coordinator and take over when the primary's lease goes stale")
-		leaseTTL  = flag.Duration("lease-ttl", 5*time.Second, "journal lease staleness a -standby waits for before taking over")
-		progress  = flag.Bool("progress", false, "log per-shard/per-point completion counts to stderr")
-		benchOut  = flag.String("bench-out", "", "time the planning pipeline per stage on AS-graph topologies and write the JSON report here (see BENCH_plan.json)")
-		benchSite = flag.String("bench-sites", "100,1000", "comma-separated site counts for -bench-out")
-		benchCli  = flag.String("bench-clients", "", "comma-separated client counts for the -bench-out strategy stage (default: every site is a client)")
-		benchSys  = flag.String("bench-system", "3-of-5", "threshold system for the -bench-out strategy stage, as k-of-n (8-of-15 is the colgen showcase)")
-		benchCaps = flag.Float64("bench-caps", 1, "multiplier on every site capacity for the -bench-out strategy stage; below 1 the capacity rows bind")
-		benchBase = flag.Bool("bench-baselines", true, "time the dense Floyd–Warshall and dense-simplex baselines alongside the fast paths (false: fast paths only, for smoke runs)")
-		benchSrv  = flag.String("bench-serve", "", "load-test the multi-tenant serving plane in-process (long-poll watcher fan-out, cached-read allocs) and write the JSON report here (see BENCH_serve.json)")
-		benchWtch = flag.String("bench-watchers", "10000,100000,1000000", "comma-separated watcher counts for -bench-serve")
-		benchTen  = flag.String("bench-serve-tenants", "1,4,16", "comma-separated tenant counts for -bench-serve")
-		benchRnds = flag.Int("bench-serve-rounds", 4, "publish rounds per -bench-serve point")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the figure runs to this file")
-		memprof   = flag.String("memprofile", "", "write a heap profile after the figure runs to this file")
-	)
-	flag.Parse()
+// options is the parsed command line.
+type options struct {
+	fig, scen, format                             string
+	all, ablations, list, quick, repro, progress  bool
+	seed                                          int64
+	runs                                          int
+	duration                                      float64
+	shards, shard, minWorkers                     int
+	mergeArg, fleetArg, registry, journal, resume string
+	standby                                       bool
+	leaseTTL                                      time.Duration
+	worker                                        bool
+	addr, join, advertise                         string
+	slots                                         int
+}
 
-	outFormat := *format
-	if outFormat == "" {
-		outFormat = "text"
-		if *markdown {
-			outFormat = "markdown"
+// parse reads args into options, refusing with exit code 2 and a
+// one-line message the invocations the package comment lists, so a bad
+// invocation never half-runs. A nil result means exit with the returned
+// code.
+func parse(args []string) (*options, int) {
+	o := &options{}
+	fs := flag.NewFlagSet("quorumbench", flag.ContinueOnError)
+	fs.StringVar(&o.fig, "fig", "", "figure or ablation to regenerate (e.g. 6.3, fig6.3, abl-dedup)")
+	fs.BoolVar(&o.all, "all", false, "regenerate every paper figure")
+	fs.BoolVar(&o.ablations, "ablations", false, "regenerate the ablation studies")
+	fs.BoolVar(&o.list, "list", false, "list available figures and ablations")
+	fs.StringVar(&o.format, "format", "text", "output format: text, markdown, csv, json")
+	fs.BoolVar(&o.quick, "quick", false, "reduced figure scale for smoke testing (-fig, -all or -ablations only)")
+	fs.Int64Var(&o.seed, "seed", topology.DefaultSeed, "topology/protocol seed")
+	fs.IntVar(&o.runs, "runs", 5, "protocol simulation runs per point")
+	fs.Float64Var(&o.duration, "duration", 20000, "protocol simulation length (ms)")
+	fs.BoolVar(&o.repro, "reproducible", false, "bit-reproduce the original serial harness's tables (slower)")
+	fs.StringVar(&o.scen, "scenario", "", "run a scenario: 'list', a built-in name, or a JSON spec file")
+	fs.IntVar(&o.shards, "shards", 0, "split the figure/scenario point-space into this many shards")
+	fs.IntVar(&o.shard, "shard", -1, "execute only this shard (0-based, with -shards) and print its partial as JSON")
+	fs.StringVar(&o.mergeArg, "merge", "", "comma-separated partial JSON files to merge into the full table")
+	fs.StringVar(&o.fleetArg, "fleet", "", "comma-separated fleet worker addresses to run the shards on: a roster pinned for the run (no registration, no heartbeats; a failed shard retries on the others)")
+	fs.StringVar(&o.registry, "fleet-registry", "", "listen address for an elastic fleet registry; shards run on self-registered workers (see -join)")
+	fs.IntVar(&o.minWorkers, "min-workers", 1, "workers that must be live before an elastic run dispatches (with -fleet-registry)")
+	fs.BoolVar(&o.worker, "fleet-worker", false, "serve shard jobs for fleet coordinators (see -addr)")
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:9190", "listen address for -fleet-worker")
+	fs.StringVar(&o.join, "join", "", "registry address a -fleet-worker self-registers with (elastic fleet)")
+	fs.StringVar(&o.advertise, "advertise", "", "address a -fleet-worker advertises to the registry (default: -addr with 127.0.0.1 for an empty host)")
+	fs.IntVar(&o.slots, "slots", 1, "shard slots a -fleet-worker advertises; coordinators weight dispatch by free slots")
+	fs.StringVar(&o.journal, "journal", "", "record this fleet run's dispatch/completion protocol to an append-only journal file")
+	fs.StringVar(&o.resume, "resume", "", "resume a crashed fleet run from its journal, dispatching only the unrecorded shards")
+	fs.BoolVar(&o.standby, "standby", false, "tail -journal as a standby coordinator and take over when the primary's lease goes stale")
+	fs.DurationVar(&o.leaseTTL, "lease-ttl", 5*time.Second, "journal lease staleness a -standby waits for before taking over")
+	fs.BoolVar(&o.progress, "progress", false, "log per-shard/per-point completion counts to stderr")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, 0
 		}
+		return nil, 2
 	}
-	switch outFormat {
+	if fs.NArg() > 0 {
+		return refuse("unexpected argument %q: every option is a -flag", fs.Arg(0))
+	}
+
+	// One pass over the flags given: each mode-only flag needs its mode,
+	// a worker takes nothing else, and at most one selector of what to
+	// run is given.
+	selectors := map[string]bool{"fig": true, "all": true, "ablations": true, "scenario": true, "list": true}
+	needs := map[string]string{"addr": "fleet-worker", "join": "fleet-worker", "advertise": "fleet-worker",
+		"slots": "fleet-worker", "min-workers": "fleet-registry", "lease-ttl": "standby"}
+	running := map[string]bool{"fleet-worker": o.worker, "fleet-registry": o.registry != "", "standby": o.standby}
+	var picked []string
+	var msg string
+	fs.Visit(func(f *flag.Flag) {
+		mode, modeOnly := needs[f.Name]
+		switch {
+		case msg != "":
+		case o.worker && !modeOnly && f.Name != "fleet-worker":
+			msg = fmt.Sprintf("a -fleet-worker only serves shards and reads -addr, -join, -advertise and -slots; drop -%s or drop -fleet-worker", f.Name)
+		case modeOnly && !running[mode]:
+			msg = fmt.Sprintf("-%s is read only by -%s; add -%[2]s or drop -%[1]s", f.Name, mode)
+		case selectors[f.Name]:
+			picked = append(picked, "-"+f.Name)
+		}
+	})
+	switch {
+	case msg != "":
+		return refuse("%s", msg)
+	case len(picked) > 1:
+		return refuse("%s each pick what to run; give one of them", strings.Join(picked, " and "))
+	case o.standby && len(picked) > 0:
+		return refuse("a -standby runs the spec its journal records; drop %s", picked[0])
+	}
+
+	switch o.format {
 	case "text", "markdown", "csv", "json":
 	default:
-		fmt.Fprintf(os.Stderr, "quorumbench: unknown format %q (text, markdown, csv, json)\n", outFormat)
-		return 2
+		return refuse("unknown format %q (text, markdown, csv, json)", o.format)
 	}
+	if o.shard >= 0 && o.shard >= o.shards {
+		return refuse("-shard %d needs a -shards count above it (shards are 0-based: -shards 4 has 0..3)", o.shard)
+	}
+	if o.quick && o.fig == "" && !o.all && !o.ablations {
+		return refuse("-quick scales the figure runners only; add -fig <id>, -all or -ablations, or drop -quick")
+	}
+	if o.fleetArg != "" && o.registry != "" {
+		return refuse("-fleet and -fleet-registry are exclusive; pick a static worker list or an elastic registry")
+	}
+	if o.resume != "" {
+		switch {
+		case o.standby:
+			return refuse("-resume and -standby are exclusive: a standby resumes by itself when the primary's lease goes stale")
+		case o.journal != "":
+			return refuse("-resume continues the journal it loads; -journal only starts a new run — drop one of them")
+		case o.fleetArg == "" && o.registry == "":
+			return refuse("-resume needs workers to dispatch the remaining shards to; add -fleet <addr,...> or -fleet-registry <addr>")
+		case o.shard >= 0 || o.mergeArg != "":
+			return refuse("-resume re-runs a whole fleet run; it cannot combine with -shard or -merge")
+		}
+	}
+	if o.journal != "" && !o.standby {
+		if o.fleetArg == "" && o.registry == "" {
+			return refuse("-journal records a fleet run; add -fleet <addr,...> or -fleet-registry <addr> (or -standby to tail an existing journal)")
+		}
+		if o.shards <= 0 {
+			return refuse("-journal needs an explicit -shards count so a -resume knows the partition")
+		}
+	}
+	if o.standby {
+		if o.journal == "" {
+			return refuse("-standby tails a run journal; name it with -journal <file>")
+		}
+		if o.fleetArg == "" && o.registry == "" {
+			return refuse("-standby needs takeover workers; add -fleet <addr,...> or -fleet-registry <addr>")
+		}
+	}
+	return o, 0
+}
 
-	// Contradictory-flag rejection: each message names the conflict and
-	// the fix, so a bad invocation never half-runs.
-	if *worker && (*jpath != "" || *resumeArg != "" || *standby) {
-		fmt.Fprintln(os.Stderr, "quorumbench: -journal/-resume/-standby are coordinator flags; a -fleet-worker serves shards and keeps no journal — drop them or drop -fleet-worker")
-		return 2
-	}
-	if *shard >= 0 && *shards > 0 && *shard >= *shards {
-		fmt.Fprintf(os.Stderr, "quorumbench: -shard %d is out of range for -shards %d (shards are 0-based: 0..%d)\n", *shard, *shards, *shards-1)
-		return 2
-	}
-	if *quick && *fig == "" && !*all && !*ablations {
-		fmt.Fprintln(os.Stderr, "quorumbench: -quick scales the figure runners only; add -fig <id>, -all or -ablations, or drop -quick")
-		return 2
-	}
-	if *fleetArg != "" && *fleetReg != "" {
-		fmt.Fprintln(os.Stderr, "quorumbench: -fleet and -fleet-registry are exclusive; pick a static worker list or an elastic registry")
-		return 2
-	}
-	if *resumeArg != "" {
-		if *standby {
-			fmt.Fprintln(os.Stderr, "quorumbench: -resume and -standby are exclusive: a standby resumes by itself when the primary's lease goes stale")
-			return 2
-		}
-		if *jpath != "" {
-			fmt.Fprintln(os.Stderr, "quorumbench: -resume continues the journal it loads; -journal only starts a new run — drop one of them")
-			return 2
-		}
-		if *fleetArg == "" && *fleetReg == "" {
-			fmt.Fprintln(os.Stderr, "quorumbench: -resume needs workers to dispatch the remaining shards to; add -fleet <addr,...> or -fleet-registry <addr>")
-			return 2
-		}
-		if *shard >= 0 || *mergeArg != "" {
-			fmt.Fprintln(os.Stderr, "quorumbench: -resume re-runs a whole fleet run; it cannot combine with -shard or -merge")
-			return 2
-		}
-	}
-	if *jpath != "" && !*standby {
-		if *fleetArg == "" && *fleetReg == "" {
-			fmt.Fprintln(os.Stderr, "quorumbench: -journal records a fleet run; add -fleet <addr,...> or -fleet-registry <addr> (or -standby to tail an existing journal)")
-			return 2
-		}
-		if *shards <= 0 {
-			fmt.Fprintln(os.Stderr, "quorumbench: -journal needs an explicit -shards count so a -resume knows the partition")
-			return 2
-		}
-	}
-	if *standby {
-		if *jpath == "" {
-			fmt.Fprintln(os.Stderr, "quorumbench: -standby tails a run journal; name it with -journal <file>")
-			return 2
-		}
-		if *fleetArg == "" && *fleetReg == "" {
-			fmt.Fprintln(os.Stderr, "quorumbench: -standby needs takeover workers; add -fleet <addr,...> or -fleet-registry <addr>")
-			return 2
-		}
-	}
+func refuse(format string, args ...interface{}) (*options, int) {
+	fmt.Fprintf(os.Stderr, "quorumbench: "+format+"\n", args...)
+	return nil, 2
+}
 
-	if *worker {
-		return runFleetWorker(*addr, *join, *advertise, *slots, *cores)
+func run(args []string) int {
+	o, code := parse(args)
+	if o == nil {
+		return code
 	}
-
-	if *cpuprof != "" {
-		f, err := os.Create(*cpuprof)
-		if err != nil {
-			return fail(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fail(err)
-		}
-		defer pprof.StopCPUProfile()
+	if o.worker {
+		return runFleetWorker(o)
 	}
-	defer writeMemProfile(*memprof)
-
-	if *benchOut != "" {
-		return runBenchOut(*benchOut, *benchSite, *benchCli, *benchSys, *benchCaps, *benchBase, *seed)
-	}
-
-	if *benchSrv != "" {
-		return runBenchServe(*benchSrv, *benchWtch, *benchTen, *benchRnds, *seed)
-	}
-
-	if *list {
+	if o.list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-12s %s\n", e.ID, e.Title)
 		}
@@ -241,64 +250,52 @@ func run() int {
 	}
 
 	params := experiments.Params{
-		Seed:         *seed,
-		QURuns:       *runs,
-		QUDurationMS: *duration,
-		Quick:        *quick,
-		Reproducible: *repro,
+		Seed:         o.seed,
+		QURuns:       o.runs,
+		QUDurationMS: o.duration,
+		Quick:        o.quick,
+		Reproducible: o.repro,
 	}
 	// Every -scenario mode runs under this engine configuration; figures
 	// derive theirs from params, which also applies -quick trimming.
 	scenCfg := scenario.RunConfig{
-		Seed:         *seed,
-		Reproducible: *repro,
-		QURuns:       *runs,
-		QUDurationMS: *duration,
+		Seed:         o.seed,
+		Reproducible: o.repro,
+		QURuns:       o.runs,
+		QUDurationMS: o.duration,
 	}
-	if *progress {
+	if o.progress {
 		scenCfg.Progress = logProgress
 	}
 
 	// Sharded, fleet, merge, resume, and standby modes operate on one
 	// spec's point-space.
-	if *shards > 0 || *shard >= 0 || *mergeArg != "" || *fleetArg != "" || *fleetReg != "" || *resumeArg != "" || *standby {
-		opts := shardedOptions{
-			shards:     *shards,
-			shard:      *shard,
-			mergeArg:   *mergeArg,
-			fleetArg:   *fleetArg,
-			registry:   *fleetReg,
-			minWorkers: *minWork,
-			format:     outFormat,
-			progress:   *progress,
-			journal:    *jpath,
-			leaseTTL:   *leaseTTL,
+	if o.shards > 0 || o.shard >= 0 || o.mergeArg != "" || o.fleetArg != "" || o.registry != "" || o.resume != "" || o.standby {
+		if o.standby {
+			return runStandby(o)
 		}
-		if *standby {
-			return runStandby(opts)
+		if o.resume != "" {
+			return runResume(o, params, scenCfg)
 		}
-		if *resumeArg != "" {
-			return runResume(*fig, *scen, params, scenCfg, *resumeArg, opts)
-		}
-		spec, cfg, code := resolveSpec(*fig, *scen, params, scenCfg)
+		spec, cfg, code := resolveSpec(o.fig, o.scen, params, scenCfg)
 		if code != 0 {
 			return code
 		}
-		return runSharded(spec, cfg, opts)
+		return runSharded(spec, cfg, o)
 	}
 
-	if *scen != "" {
-		return runScenario(*scen, scenCfg, outFormat)
+	if o.scen != "" {
+		return runScenario(o.scen, scenCfg, o.format)
 	}
 
 	var todo []experiments.Experiment
 	switch {
-	case *all:
+	case o.all:
 		todo = experiments.All()
-	case *ablations:
+	case o.ablations:
 		todo = experiments.Ablations()
-	case *fig != "":
-		e, err := experiments.ByID(normalizeFigID(*fig))
+	case o.fig != "":
+		e, err := experiments.ByID(normalizeFigID(o.fig))
 		if err != nil {
 			return fail(err)
 		}
@@ -314,7 +311,7 @@ func run() int {
 		if err != nil {
 			return fail(fmt.Errorf("%s: %w", e.ID, err))
 		}
-		if code := emit(tb, outFormat, e.ID, start, "\n\n"); code != 0 {
+		if code := emit(tb, o.format, e.ID, start, "\n\n"); code != 0 {
 			return code
 		}
 	}
@@ -334,9 +331,6 @@ func normalizeFigID(id string) string {
 // code on failure.
 func resolveSpec(fig, scen string, params experiments.Params, scenCfg scenario.RunConfig) (*scenario.Spec, scenario.RunConfig, int) {
 	switch {
-	case fig != "" && scen != "":
-		fmt.Fprintln(os.Stderr, "quorumbench: sharded runs take -fig or -scenario, not both")
-		return nil, scenario.RunConfig{}, 2
 	case fig != "":
 		e, err := experiments.ByID(normalizeFigID(fig))
 		if err != nil {
@@ -360,30 +354,16 @@ func resolveSpec(fig, scen string, params experiments.Params, scenCfg scenario.R
 	}
 }
 
-// shardedOptions carries the sharded/fleet/merge mode selection.
-type shardedOptions struct {
-	shards     int
-	shard      int
-	mergeArg   string
-	fleetArg   string
-	registry   string
-	minWorkers int
-	format     string
-	progress   bool
-	journal    string
-	leaseTTL   time.Duration
-}
-
 // fleetConfig builds the coordinator Config for the selected roster —
 // the -fleet addresses, which the coordinator pins, or a registry for
 // self-registering workers whose HTTP server it starts (the returned
 // cleanup stops it).
-func fleetConfig(opts shardedOptions) (fleet.Config, func(), int) {
-	logf := fleetLogf(opts.progress)
-	if opts.registry != "" {
+func fleetConfig(o *options) (fleet.Config, func(), int) {
+	logf := fleetLogf(o.progress)
+	if o.registry != "" {
 		reg := fleet.NewRegistry(fleet.RegistryOptions{Logf: logf})
 		srv := serve.HTTPServer("", reg.Handler())
-		ln, err := net.Listen("tcp", opts.registry)
+		ln, err := net.Listen("tcp", o.registry)
 		if err != nil {
 			return fleet.Config{}, nil, fail(err)
 		}
@@ -391,14 +371,14 @@ func fleetConfig(opts shardedOptions) (fleet.Config, func(), int) {
 		fmt.Fprintf(os.Stderr, "quorumbench: fleet registry listening on %s\n", ln.Addr())
 		return fleet.Config{
 			Registry:   reg,
-			MinWorkers: opts.minWorkers,
-			Shards:     opts.shards,
+			MinWorkers: o.minWorkers,
+			Shards:     o.shards,
 			Logf:       logf,
 		}, func() { srv.Close() }, 0
 	}
 	return fleet.Config{
-		Workers: strings.Split(opts.fleetArg, ","),
-		Shards:  opts.shards,
+		Workers: strings.Split(o.fleetArg, ","),
+		Shards:  o.shards,
 		Logf:    logf,
 	}, func() {}, 0
 }
@@ -408,14 +388,15 @@ func fleetConfig(opts shardedOptions) (fleet.Config, func(), int) {
 // given, reopen the journal at the next epoch, and dispatch only the
 // shards without a recorded result. The merged output is byte-identical
 // to the run the dead coordinator would have produced.
-func runResume(fig, scen string, params experiments.Params, scenCfg scenario.RunConfig, path string, opts shardedOptions) int {
+func runResume(o *options, params experiments.Params, scenCfg scenario.RunConfig) int {
 	start := time.Now()
+	path := o.resume
 	st, err := runjournal.Load(path)
 	if err != nil {
 		return fail(err)
 	}
-	if fig != "" || scen != "" {
-		spec, _, code := resolveSpec(fig, scen, params, scenCfg)
+	if o.fig != "" || o.scen != "" {
+		spec, _, code := resolveSpec(o.fig, o.scen, params, scenCfg)
 		if code != 0 {
 			return code
 		}
@@ -439,34 +420,34 @@ func runResume(fig, scen string, params experiments.Params, scenCfg scenario.Run
 	}
 	defer jr.Close()
 
-	opts.shards = st.Shards
-	fcfg, cleanup, code := fleetConfig(opts)
+	fcfg, cleanup, code := fleetConfig(o)
 	if code != 0 {
 		return code
 	}
 	defer cleanup()
+	fcfg.Shards = st.Shards
 	fcfg.Journal = jr
 	coord, err := fleet.New(fcfg)
 	if err != nil {
 		return fail(err)
 	}
 	cfg := st.Config.RunConfig()
-	if opts.progress {
+	if o.progress {
 		cfg.Progress = logProgress
 	}
 	tb, err := coord.Resume(st.Spec, cfg, st.Completed)
 	if err != nil {
 		return fail(err)
 	}
-	return emit(tb, opts.format, st.Spec.Name, start, "\n")
+	return emit(tb, o.format, st.Spec.Name, start, "\n")
 }
 
 // runStandby tails a run journal until the primary coordinator's lease
 // goes stale, then takes the run over on this process's workers. If the
 // primary merges the run itself, the standby exits 0 without output.
-func runStandby(opts shardedOptions) int {
+func runStandby(o *options) int {
 	start := time.Now()
-	fcfg, cleanup, code := fleetConfig(opts)
+	fcfg, cleanup, code := fleetConfig(o)
 	if code != 0 {
 		return code
 	}
@@ -475,14 +456,14 @@ func runStandby(opts shardedOptions) int {
 		fmt.Fprintf(os.Stderr, f+"\n", args...)
 	}
 	sb, err := fleet.NewStandby(fleet.StandbyOptions{
-		Journal:     opts.journal,
-		LeaseTTL:    opts.leaseTTL,
+		Journal:     o.journal,
+		LeaseTTL:    o.leaseTTL,
 		Coordinator: fcfg,
 	})
 	if err != nil {
 		return fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "quorumbench: standby tailing %s (takeover after %s without journal activity)\n", opts.journal, opts.leaseTTL)
+	fmt.Fprintf(os.Stderr, "quorumbench: standby tailing %s (takeover after %s without journal activity)\n", o.journal, o.leaseTTL)
 	tb, err := sb.Run(context.Background())
 	if err != nil {
 		return fail(err)
@@ -491,10 +472,10 @@ func runStandby(opts shardedOptions) int {
 		return 0 // the primary finished on its own
 	}
 	name := "run"
-	if st, err := runjournal.Load(opts.journal); err == nil && st.Spec != nil {
+	if st, err := runjournal.Load(o.journal); err == nil && st.Spec != nil {
 		name = st.Spec.Name
 	}
-	return emit(tb, opts.format, name, start, "\n")
+	return emit(tb, o.format, name, start, "\n")
 }
 
 // fleetLogf returns the coordinator/registry log sink: stderr under
@@ -509,14 +490,12 @@ func fleetLogf(progress bool) func(string, ...interface{}) {
 }
 
 // runSharded executes the sharded/fleet/merge modes over one spec.
-func runSharded(spec *scenario.Spec, cfg scenario.RunConfig, opts shardedOptions) int {
+func runSharded(spec *scenario.Spec, cfg scenario.RunConfig, o *options) int {
 	start := time.Now()
-	shards, shard := opts.shards, opts.shard
-	mergeArg, fleetArg, format := opts.mergeArg, opts.fleetArg, opts.format
 	switch {
-	case mergeArg != "":
+	case o.mergeArg != "":
 		var partials []*scenario.Partial
-		for _, path := range strings.Split(mergeArg, ",") {
+		for _, path := range strings.Split(o.mergeArg, ",") {
 			data, err := os.ReadFile(strings.TrimSpace(path))
 			if err != nil {
 				return fail(err)
@@ -531,25 +510,25 @@ func runSharded(spec *scenario.Spec, cfg scenario.RunConfig, opts shardedOptions
 		if err != nil {
 			return fail(err)
 		}
-		return emit(tb, format, spec.Name, start, "\n")
+		return emit(tb, o.format, spec.Name, start, "\n")
 
-	case opts.registry != "" || fleetArg != "":
+	case o.registry != "" || o.fleetArg != "":
 		// Fleet run: over the listed workers, or a registry waiting for
 		// -min-workers self-registrations. With -journal every
 		// dispatch and completed shard is made durable for -resume.
-		fcfg, cleanup, code := fleetConfig(opts)
+		fcfg, cleanup, code := fleetConfig(o)
 		if code != 0 {
 			return code
 		}
 		defer cleanup()
-		if opts.journal != "" {
-			jr, err := runjournal.Create(opts.journal, spec, cfg.Settings(), shards, runjournal.Options{})
+		if o.journal != "" {
+			jr, err := runjournal.Create(o.journal, spec, cfg.Settings(), o.shards, runjournal.Options{})
 			if err != nil {
 				return fail(err)
 			}
 			defer jr.Close()
 			fcfg.Journal = jr
-			fmt.Fprintf(os.Stderr, "quorumbench: journaling run to %s\n", opts.journal)
+			fmt.Fprintf(os.Stderr, "quorumbench: journaling run to %s\n", o.journal)
 		}
 		coord, err := fleet.New(fcfg)
 		if err != nil {
@@ -559,18 +538,14 @@ func runSharded(spec *scenario.Spec, cfg scenario.RunConfig, opts shardedOptions
 		if err != nil {
 			return fail(err)
 		}
-		return emit(tb, format, spec.Name, start, "\n")
+		return emit(tb, o.format, spec.Name, start, "\n")
 
-	case shard >= 0:
-		if shards <= 0 {
-			fmt.Fprintln(os.Stderr, "quorumbench: -shard needs -shards")
-			return 2
-		}
+	case o.shard >= 0:
 		space, err := scenario.NewSpace(spec, cfg)
 		if err != nil {
 			return fail(err)
 		}
-		part, err := space.Shard(shard, shards)
+		part, err := space.Shard(o.shard, o.shards)
 		if err != nil {
 			return fail(err)
 		}
@@ -592,9 +567,9 @@ func runSharded(spec *scenario.Spec, cfg scenario.RunConfig, opts shardedOptions
 		if err != nil {
 			return fail(err)
 		}
-		partials := make([]*scenario.Partial, shards)
-		for si := 0; si < shards; si++ {
-			part, err := space.Shard(si, shards)
+		partials := make([]*scenario.Partial, o.shards)
+		for si := range partials {
+			part, err := space.Shard(si, o.shards)
 			if err != nil {
 				return fail(err)
 			}
@@ -606,7 +581,7 @@ func runSharded(spec *scenario.Spec, cfg scenario.RunConfig, opts shardedOptions
 		if err != nil {
 			return fail(err)
 		}
-		return emit(tb, format, spec.Name, start, "\n")
+		return emit(tb, o.format, spec.Name, start, "\n")
 	}
 }
 
@@ -614,27 +589,28 @@ func runSharded(spec *scenario.Spec, cfg scenario.RunConfig, opts shardedOptions
 // -join it also keeps a registration lease with an elastic fleet
 // registry, heartbeating so coordinators dispatch to it — and re-assign
 // its shards the moment it stops answering.
-func runFleetWorker(addr, join, advertise string, slots, cores int) int {
+func runFleetWorker(o *options) int {
+	advertise := o.advertise
 	logf := func(f string, args ...interface{}) {
 		fmt.Fprintf(os.Stderr, f+"\n", args...)
 	}
 	w := fleet.NewWorker(fleet.WorkerOptions{Logf: logf})
-	if join != "" {
+	if o.join != "" {
 		if advertise == "" {
-			advertise = addr
+			advertise = o.addr
 			if strings.HasPrefix(advertise, ":") {
 				advertise = "127.0.0.1" + advertise
 			}
 		}
-		lease, err := fleet.Join(join, advertise, fleet.LeaseOptions{Logf: logf, Slots: slots, Cores: cores})
+		lease, err := fleet.Join(o.join, advertise, fleet.LeaseOptions{Logf: logf, Slots: o.slots, Cores: runtime.NumCPU()})
 		if err != nil {
 			return fail(err)
 		}
 		defer lease.Stop()
-		fmt.Fprintf(os.Stderr, "quorumbench: fleet worker joining %s as %s (%d slots)\n", join, advertise, slots)
+		fmt.Fprintf(os.Stderr, "quorumbench: fleet worker joining %s as %s (%d slots)\n", o.join, advertise, o.slots)
 	}
-	fmt.Fprintf(os.Stderr, "quorumbench: fleet worker listening on %s\n", addr)
-	return fail(serve.HTTPServer(addr, w.Handler()).ListenAndServe())
+	fmt.Fprintf(os.Stderr, "quorumbench: fleet worker listening on %s\n", o.addr)
+	return fail(serve.HTTPServer(o.addr, w.Handler()).ListenAndServe())
 }
 
 // logProgress is the -progress handler: per-point completion counts
@@ -710,22 +686,6 @@ func runScenario(arg string, cfg scenario.RunConfig, format string) int {
 		return fail(err)
 	}
 	return emit(tb, format, spec.Name, start, "\n")
-}
-
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "quorumbench:", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC() // materialize up-to-date allocation statistics
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "quorumbench:", err)
-	}
 }
 
 func fail(err error) int {

@@ -1,10 +1,17 @@
 package plan
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/quorumnet/quorumnet/internal/core"
+	"github.com/quorumnet/quorumnet/internal/placement"
+	"github.com/quorumnet/quorumnet/internal/quorum"
+	"github.com/quorumnet/quorumnet/internal/strategy"
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
 
@@ -289,5 +296,110 @@ func BenchmarkReplanRTTDelta1k(b *testing.B) {
 		if deltas >= 5*cold {
 			b.Fatalf("20 rtt deltas took %v, a cold plan %v: want less than 5x", deltas, cold)
 		}
+	}
+}
+
+// BenchmarkASPlan times the planning pipeline stage by stage on
+// synthetic AS graphs, every site a client: generation with the sparse
+// metric closure, the one-to-one placement, and the access LP under the
+// default solver profile. One op is one plan; CI runs each point once
+// under a timeout. The 8-of-15 points (6,435 quorums) scale every
+// capacity by 0.6 so the capacity rows bind and column generation, which
+// auto picks at that width, has to grow columns beyond its seeds; they
+// fail unless it does. The /dense leaf times the dense simplex instead
+// and cross-checks column generation's objective against it to 1e-9.
+func BenchmarkASPlan(b *testing.B) {
+	for _, pt := range []struct {
+		sites, k, n   int
+		caps          float64
+		colgen, dense bool
+	}{
+		{sites: 100, k: 3, n: 5, caps: 1},
+		{sites: 1000, k: 3, n: 5, caps: 1},
+		{sites: 100, k: 8, n: 15, caps: 0.6, colgen: true},
+		{sites: 100, k: 8, n: 15, caps: 0.6, colgen: true, dense: true},
+		{sites: 1000, k: 8, n: 15, caps: 0.6, colgen: true},
+	} {
+		name := fmt.Sprintf("%d-of-%d/sites=%d", pt.k, pt.n, pt.sites)
+		if pt.caps != 1 {
+			name = fmt.Sprintf("%d-of-%d/caps=%g/sites=%d", pt.k, pt.n, pt.caps, pt.sites)
+		}
+		if pt.dense {
+			name += "/dense"
+		}
+		b.Run(name, func(b *testing.B) {
+			sys, err := quorum.NewThreshold(pt.k, pt.n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var stage [3]time.Duration // closure, placement, strategy
+			var res *strategy.Result
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				topo, err := topology.Generate(topology.GenConfig{
+					Name: fmt.Sprintf("as-%d", pt.sites),
+					AS:   &topology.ASGraphSpec{Sites: pt.sites},
+				}, topology.DefaultSeed)
+				if err != nil {
+					b.Fatal(err)
+				}
+				stage[0] += time.Since(start)
+				start = time.Now()
+				f, err := placement.OneToOne(topo, sys, placement.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				stage[1] += time.Since(start)
+				eval, err := core.NewEval(topo, sys, f, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				caps := topo.Capacities()
+				for j := range caps {
+					caps[j] *= pt.caps
+				}
+				solve := func(solver strategy.Solver) *strategy.Result {
+					opt, err := strategy.NewOptimizer(eval, strategy.ConfigFor(false, solver))
+					if err != nil {
+						b.Fatal(err)
+					}
+					res, err := opt.Optimize(caps)
+					if err != nil {
+						b.Fatal(err)
+					}
+					return res
+				}
+				start = time.Now()
+				if pt.dense {
+					res = solve(strategy.SolverDense)
+				} else {
+					res = solve(strategy.SolverAuto)
+				}
+				stage[2] += time.Since(start)
+				if pt.colgen {
+					cg := res
+					if pt.dense {
+						b.StopTimer()
+						cg = solve(strategy.SolverAuto)
+						b.StartTimer()
+						if diff := math.Abs(cg.AvgNetDelay - res.AvgNetDelay); diff > 1e-9*(1+math.Abs(res.AvgNetDelay)) {
+							b.Fatalf("colgen objective %v disagrees with dense %v (diff %g)", cg.AvgNetDelay, res.AvgNetDelay, diff)
+						}
+					}
+					if !strings.HasPrefix(cg.LPMethod, "colgen-") || cg.Colgen == nil || cg.Colgen.Columns <= cg.Colgen.SuperClients {
+						b.Fatalf("auto solved %d-of-%d at %d sites with %q and colgen stats %+v; want column generation adding columns to its seeds",
+							pt.k, pt.n, pt.sites, cg.LPMethod, cg.Colgen)
+					}
+				}
+			}
+			for i, unit := range []string{"closure_ms", "placement_ms", "strategy_ms"} {
+				b.ReportMetric(float64(stage[i].Microseconds())/1e3/float64(b.N), unit)
+			}
+			b.ReportMetric(float64(res.Iterations), "pivots")
+			if res.Colgen != nil {
+				b.ReportMetric(float64(res.Colgen.PricingRounds), "pricing_rounds")
+				b.ReportMetric(float64(res.Colgen.Columns), "columns")
+			}
+		})
 	}
 }

@@ -24,7 +24,7 @@ import (
 // testManager builds a small deterministic deployment whose topology
 // name carries the tenant label, so cross-tenant bleed is detectable
 // in any served payload.
-func testManager(t *testing.T, label string, seed int64) *deploy.Manager {
+func testManager(t testing.TB, label string, seed int64) *deploy.Manager {
 	t.Helper()
 	topo, err := topology.Generate(topology.GenConfig{
 		Name:      "tenant-" + label,

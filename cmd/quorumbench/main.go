@@ -1,6 +1,12 @@
-// Command quorumbench regenerates the paper's figures as text tables and
-// runs declarative scenarios through the scenario engine — locally,
-// sharded across processes, or coordinated over a worker fleet.
+// Command quorumbench regenerates the paper's figures and ablations as
+// tables and runs declarative scenarios through the scenario engine —
+// locally, sharded across processes, or coordinated over a worker
+// fleet. A figure is a scenario spec (scenario.Figures): -fig and -all
+// resolve to specs and run exactly as -scenario does, under the one
+// scenario.RunConfig the flags build. -quick picks the quick-scale
+// figures and caps the Q/U simulation at 2 runs of 3000 ms. The
+// ablations (-ablations, -fig abl-…) are bespoke runners over the same
+// config and run only in this process.
 //
 // Usage:
 //
@@ -62,9 +68,11 @@
 // one line on stderr) before anything runs: at most one of -fig, -all,
 // -ablations, -scenario and -list, and none of them with -standby
 // (-resume takes one -fig or -scenario to cross-check the journal's
-// spec); a -fleet-worker reads only -addr, -join, -advertise and
-// -slots, which no other mode reads; -min-workers needs
-// -fleet-registry and -lease-ttl needs -standby. Contradictory
+// spec); -list takes no other flag; a -fleet-worker reads only -addr,
+// -join, -advertise and -slots, which no other mode reads;
+// -min-workers needs -fleet-registry and -lease-ttl needs -standby; a
+// -shard prints JSON whatever -format says; sharded, fleet and resumed
+// runs take one spec, never -all or an ablation. Contradictory
 // combinations (-fleet with -fleet-registry, -resume with -journal, a
 // -shard outside -shards, ...) are refused the same way.
 package main
@@ -166,6 +174,10 @@ func parse(args []string) (*options, int) {
 		case msg != "":
 		case o.worker && !modeOnly && f.Name != "fleet-worker":
 			msg = fmt.Sprintf("a -fleet-worker only serves shards and reads -addr, -join, -advertise and -slots; drop -%s or drop -fleet-worker", f.Name)
+		case o.list && f.Name != "list":
+			msg = fmt.Sprintf("-list prints the figures and ablations and reads no other flag; drop -%s", f.Name)
+		case f.Name == "format" && o.shard >= 0:
+			msg = "a -shard always prints its partial as JSON; drop -format"
 		case modeOnly && !running[mode]:
 			msg = fmt.Sprintf("-%s is read only by -%s; add -%[2]s or drop -%[1]s", f.Name, mode)
 		case selectors[f.Name]:
@@ -190,7 +202,22 @@ func parse(args []string) (*options, int) {
 		return refuse("-shard %d needs a -shards count above it (shards are 0-based: -shards 4 has 0..3)", o.shard)
 	}
 	if o.quick && o.fig == "" && !o.all && !o.ablations {
-		return refuse("-quick scales the figure runners only; add -fig <id>, -all or -ablations, or drop -quick")
+		return refuse("-quick scales the figures and ablations only; add -fig <id>, -all or -ablations, or drop -quick")
+	}
+	_, ablation := ablationByID(o.fig)
+	oneSpec := o.shards > 0 || o.shard >= 0 || o.mergeArg != "" || o.fleetArg != "" || o.registry != "" || o.resume != ""
+	switch {
+	case o.worker || o.list || o.standby:
+	case o.ablations || ablation:
+		if oneSpec {
+			return refuse("the ablations are not specs and run only in this process; drop -shards, -shard, -merge, -fleet, -fleet-registry and -resume")
+		}
+	case oneSpec && (o.all || o.scen == "list"):
+		return refuse("sharded, fleet and resumed runs take one spec: -fig <id> or -scenario <name|file>")
+	case oneSpec && o.resume == "" && o.fig == "" && o.scen == "":
+		return refuse("sharded and fleet runs need -fig <id> or -scenario <name|file>")
+	case !oneSpec && len(picked) == 0:
+		return refuse("specify -fig <id>, -all, -ablations, -scenario, -fleet-worker, or -list")
 	}
 	if o.fleetArg != "" && o.registry != "" {
 		return refuse("-fleet and -fleet-registry are exclusive; pick a static worker list or an elastic registry")
@@ -236,82 +263,81 @@ func run(args []string) int {
 	if o == nil {
 		return code
 	}
-	if o.worker {
+	switch {
+	case o.worker:
 		return runFleetWorker(o)
-	}
-	if o.list {
-		for _, e := range experiments.All() {
-			fmt.Printf("%-12s %s\n", e.ID, e.Title)
+	case o.list:
+		for _, s := range scenario.Figures(false) {
+			fmt.Printf("%-13s %s\n", s.Name, s.Title)
 		}
-		for _, e := range experiments.Ablations() {
-			fmt.Printf("%-12s %s\n", e.ID, e.Title)
+		for _, a := range experiments.Ablations() {
+			fmt.Printf("%-13s %s\n", a.ID, a.Title)
 		}
 		return 0
+	case o.scen == "list":
+		for _, s := range scenario.Library() {
+			fmt.Printf("%-21s %-9s %s\n", s.Name, s.Kind, s.Title)
+		}
+		return 0
+	case o.standby:
+		return runStandby(o)
+	case o.resume != "":
+		return runResume(o)
 	}
 
-	params := experiments.Params{
+	// The one engine configuration every run below executes under.
+	// -quick caps the Q/U simulation here, as it picks the quick-scale
+	// figures in resolve.
+	cfg := scenario.RunConfig{
 		Seed:         o.seed,
+		Reproducible: o.repro,
 		QURuns:       o.runs,
 		QUDurationMS: o.duration,
-		Quick:        o.quick,
-		Reproducible: o.repro,
 	}
-	// Every -scenario mode runs under this engine configuration; figures
-	// derive theirs from params, which also applies -quick trimming.
-	scenCfg := scenario.RunConfig{
-		Seed:         o.seed,
-		Reproducible: o.repro,
-		QURuns:       o.runs,
-		QUDurationMS: o.duration,
+	if o.quick {
+		cfg.QURuns = min(cfg.QURuns, 2)
+		cfg.QUDurationMS = min(cfg.QUDurationMS, 3000)
 	}
 	if o.progress {
-		scenCfg.Progress = logProgress
+		cfg.Progress = logProgress
 	}
 
-	// Sharded, fleet, merge, resume, and standby modes operate on one
-	// spec's point-space.
-	if o.shards > 0 || o.shard >= 0 || o.mergeArg != "" || o.fleetArg != "" || o.registry != "" || o.resume != "" || o.standby {
-		if o.standby {
-			return runStandby(o)
+	// What to run: the selected ablations, or the selected specs, which
+	// are also what the sharded and fleet modes partition.
+	var ids []string
+	var runs []func() (*scenario.Table, error)
+	if a, ok := ablationByID(o.fig); ok || o.ablations {
+		todo := experiments.Ablations()
+		if ok {
+			todo = []experiments.Ablation{a}
 		}
-		if o.resume != "" {
-			return runResume(o, params, scenCfg)
+		for _, a := range todo {
+			ids = append(ids, a.ID)
+			runs = append(runs, func() (*scenario.Table, error) { return a.Run(cfg, o.quick) })
 		}
-		spec, cfg, code := resolveSpec(o.fig, o.scen, params, scenCfg)
+	} else {
+		specs, code := resolve(o)
 		if code != 0 {
 			return code
 		}
-		return runSharded(spec, cfg, o)
-	}
-
-	if o.scen != "" {
-		return runScenario(o.scen, scenCfg, o.format)
-	}
-
-	var todo []experiments.Experiment
-	switch {
-	case o.all:
-		todo = experiments.All()
-	case o.ablations:
-		todo = experiments.Ablations()
-	case o.fig != "":
-		e, err := experiments.ByID(normalizeFigID(o.fig))
-		if err != nil {
-			return fail(err)
+		if o.shards > 0 || o.shard >= 0 || o.mergeArg != "" || o.fleetArg != "" || o.registry != "" {
+			return runSharded(specs[0], cfg, o) // parse admits one spec here
 		}
-		todo = []experiments.Experiment{e}
-	default:
-		fmt.Fprintln(os.Stderr, "specify -fig <id>, -all, -ablations, -scenario, -fleet-worker, or -list")
-		return 2
+		for _, spec := range specs {
+			ids = append(ids, spec.Name)
+			runs = append(runs, func() (*scenario.Table, error) { return scenario.Run(spec, cfg) })
+		}
 	}
-
-	for _, e := range todo {
+	for i, run := range runs {
+		if i > 0 && o.format == "text" {
+			fmt.Println() // a blank line between the tables of -all and -ablations
+		}
 		start := time.Now()
-		tb, err := e.Run(params)
+		tb, err := run()
 		if err != nil {
-			return fail(fmt.Errorf("%s: %w", e.ID, err))
+			return fail(fmt.Errorf("%s: %w", ids[i], err))
 		}
-		if code := emit(tb, o.format, e.ID, start, "\n\n"); code != 0 {
+		if code := emit(tb, o.format, ids[i], start); code != 0 {
 			return code
 		}
 	}
@@ -325,32 +351,42 @@ func normalizeFigID(id string) string {
 	return id
 }
 
-// resolveSpec finds the declarative spec sharded modes partition: a
-// figure's (-fig), run under its params' configuration, or a
-// scenario's (-scenario), run under scenCfg. Returns a non-zero exit
-// code on failure.
-func resolveSpec(fig, scen string, params experiments.Params, scenCfg scenario.RunConfig) (*scenario.Spec, scenario.RunConfig, int) {
+// ablationByID finds the ablation a -fig argument names, if it names
+// one.
+func ablationByID(fig string) (experiments.Ablation, bool) {
+	id := normalizeFigID(fig)
+	for _, a := range experiments.Ablations() {
+		if a.ID == id {
+			return a, true
+		}
+	}
+	return experiments.Ablation{}, false
+}
+
+// resolve turns what the command line selects into the specs to run:
+// every figure (-all), one figure (-fig), or a library scenario or spec
+// file (-scenario). Figures come at the -quick scale. Returns a
+// non-zero exit code on failure.
+func resolve(o *options) ([]*scenario.Spec, int) {
 	switch {
-	case fig != "":
-		e, err := experiments.ByID(normalizeFigID(fig))
-		if err != nil {
-			return nil, scenario.RunConfig{}, fail(err)
+	case o.all:
+		figs := scenario.Figures(o.quick)
+		specs := make([]*scenario.Spec, len(figs))
+		for i := range figs {
+			specs[i] = &figs[i]
 		}
-		if e.Spec == nil {
-			return nil, scenario.RunConfig{}, fail(fmt.Errorf("%s is a bespoke runner without a declarative spec; it cannot shard", e.ID))
+		return specs, 0
+	case o.fig != "":
+		id := normalizeFigID(o.fig)
+		for _, spec := range scenario.Figures(o.quick) {
+			if spec.Name == id {
+				return []*scenario.Spec{&spec}, 0
+			}
 		}
-		cfg := params.RunConfig()
-		cfg.Progress = scenCfg.Progress
-		return e.Spec(params), cfg, 0
-	case scen != "" && scen != "list":
-		spec, code := loadSpec(scen)
-		if code != 0 {
-			return nil, scenario.RunConfig{}, code
-		}
-		return spec, scenCfg, 0
+		return nil, fail(fmt.Errorf("unknown figure %q", id))
 	default:
-		fmt.Fprintln(os.Stderr, "quorumbench: sharded runs need -fig <id> or -scenario <name|file>")
-		return nil, scenario.RunConfig{}, 2
+		spec, code := loadSpec(o.scen)
+		return []*scenario.Spec{spec}, code
 	}
 }
 
@@ -388,7 +424,7 @@ func fleetConfig(o *options) (fleet.Config, func(), int) {
 // given, reopen the journal at the next epoch, and dispatch only the
 // shards without a recorded result. The merged output is byte-identical
 // to the run the dead coordinator would have produced.
-func runResume(o *options, params experiments.Params, scenCfg scenario.RunConfig) int {
+func runResume(o *options) int {
 	start := time.Now()
 	path := o.resume
 	st, err := runjournal.Load(path)
@@ -396,11 +432,11 @@ func runResume(o *options, params experiments.Params, scenCfg scenario.RunConfig
 		return fail(err)
 	}
 	if o.fig != "" || o.scen != "" {
-		spec, _, code := resolveSpec(o.fig, o.scen, params, scenCfg)
+		specs, code := resolve(o)
 		if code != 0 {
 			return code
 		}
-		h, err := spec.Hash()
+		h, err := specs[0].Hash()
 		if err != nil {
 			return fail(err)
 		}
@@ -439,7 +475,7 @@ func runResume(o *options, params experiments.Params, scenCfg scenario.RunConfig
 	if err != nil {
 		return fail(err)
 	}
-	return emit(tb, o.format, st.Spec.Name, start, "\n")
+	return emit(tb, o.format, st.Spec.Name, start)
 }
 
 // runStandby tails a run journal until the primary coordinator's lease
@@ -475,7 +511,7 @@ func runStandby(o *options) int {
 	if st, err := runjournal.Load(o.journal); err == nil && st.Spec != nil {
 		name = st.Spec.Name
 	}
-	return emit(tb, o.format, name, start, "\n")
+	return emit(tb, o.format, name, start)
 }
 
 // fleetLogf returns the coordinator/registry log sink: stderr under
@@ -510,7 +546,7 @@ func runSharded(spec *scenario.Spec, cfg scenario.RunConfig, o *options) int {
 		if err != nil {
 			return fail(err)
 		}
-		return emit(tb, o.format, spec.Name, start, "\n")
+		return emit(tb, o.format, spec.Name, start)
 
 	case o.registry != "" || o.fleetArg != "":
 		// Fleet run: over the listed workers, or a registry waiting for
@@ -538,7 +574,7 @@ func runSharded(spec *scenario.Spec, cfg scenario.RunConfig, o *options) int {
 		if err != nil {
 			return fail(err)
 		}
-		return emit(tb, o.format, spec.Name, start, "\n")
+		return emit(tb, o.format, spec.Name, start)
 
 	case o.shard >= 0:
 		space, err := scenario.NewSpace(spec, cfg)
@@ -581,7 +617,7 @@ func runSharded(spec *scenario.Spec, cfg scenario.RunConfig, o *options) int {
 		if err != nil {
 			return fail(err)
 		}
-		return emit(tb, o.format, spec.Name, start, "\n")
+		return emit(tb, o.format, spec.Name, start)
 	}
 }
 
@@ -620,10 +656,9 @@ func logProgress(ev scenario.Progress) {
 		ev.Scenario, ev.Shard, ev.Shards, ev.Done, ev.Total, ev.Point.Label, ev.Elapsed.Seconds())
 }
 
-// emit writes one table in the selected format; text appends the timing
-// line the classic paths printed (trailer is its tail: "\n" after
-// figures, "" after scenarios keeps historic spacing).
-func emit(tb *scenario.Table, format, id string, start time.Time, trailer string) int {
+// emit writes one table in the selected format; text appends a timing
+// line.
+func emit(tb *scenario.Table, format, id string, start time.Time) int {
 	switch format {
 	case "markdown":
 		if err := tb.FormatMarkdown(os.Stdout); err != nil {
@@ -643,7 +678,7 @@ func emit(tb *scenario.Table, format, id string, start time.Time, trailer string
 		if err := tb.Format(os.Stdout); err != nil {
 			return fail(err)
 		}
-		fmt.Printf("(%s in %.1fs)%s", id, time.Since(start).Seconds(), trailer)
+		fmt.Printf("(%s in %.1fs)\n", id, time.Since(start).Seconds())
 	}
 	return 0
 }
@@ -665,27 +700,6 @@ func loadSpec(arg string) (*scenario.Spec, int) {
 		return nil, fail(err)
 	}
 	return spec, 0
-}
-
-// runScenario resolves the -scenario argument: "list", a built-in
-// library name, or a JSON spec file path.
-func runScenario(arg string, cfg scenario.RunConfig, format string) int {
-	if arg == "list" {
-		for _, s := range scenario.Library() {
-			fmt.Printf("%-21s %-9s %s\n", s.Name, s.Kind, s.Title)
-		}
-		return 0
-	}
-	spec, code := loadSpec(arg)
-	if code != 0 {
-		return code
-	}
-	start := time.Now()
-	tb, err := scenario.Run(spec, cfg)
-	if err != nil {
-		return fail(err)
-	}
-	return emit(tb, format, spec.Name, start, "\n")
 }
 
 func fail(err error) int {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,6 +33,21 @@ func TestRefusals(t *testing.T) {
 		"-fig 6.3 -slots 2",
 		"-fig 6.3 -shards 2 -fleet 127.0.0.1:1 -min-workers 2",
 		"-fig 6.3 -lease-ttl 1s",
+		// -list reads no other flag.
+		"-list -seed 3",
+		"-list -format csv",
+		// A shard prints its JSON partial whatever -format says.
+		"-fig 6.3 -quick -shards 2 -shard 0 -format csv",
+		// Sharded, fleet and resumed runs take one spec: no ablation,
+		// no -all, no -scenario list, and some spec to run.
+		"-fig abl-dedup -shards 2",
+		"-ablations -fleet 127.0.0.1:1",
+		"-all -shards 2",
+		"-scenario list -shards 2",
+		"-resume run.journal -fleet 127.0.0.1:1 -all",
+		"-shards 2",
+		// Nothing selected to run.
+		"-seed 3",
 	} {
 		t.Run(args, func(t *testing.T) {
 			dir := t.TempDir()
@@ -96,5 +112,44 @@ func TestAcceptances(t *testing.T) {
 				t.Fatalf("refused with exit %d", code)
 			}
 		})
+	}
+}
+
+// TestProgressOnUnshardedFigure: -progress on a plain -fig run logs a
+// per-point line to stderr for every point and leaves the table on
+// stdout as it is without the flag.
+func TestProgressOnUnshardedFigure(t *testing.T) {
+	dir := t.TempDir()
+	args := "-fig 6.3 -quick -reproducible -format csv"
+	stdout := capture(t, filepath.Join(dir, "plain"), &os.Stdout)
+	if code := run(strings.Fields(args)); code != 0 {
+		t.Fatalf("%s: exit %d", args, code)
+	}
+	plain := stdout()
+
+	stdout, stderr := capture(t, filepath.Join(dir, "stdout"), &os.Stdout), capture(t, filepath.Join(dir, "stderr"), &os.Stderr)
+	if code := run(strings.Fields(args + " -progress")); code != 0 {
+		t.Fatalf("%s -progress: exit %d", args, code)
+	}
+	if got := stdout(); got != plain {
+		t.Errorf("-progress changed the table:\n%s\nvs\n%s", got, plain)
+	}
+	lines := strings.Split(strings.TrimSpace(stderr()), "\n")
+	if len(lines) < 2 {
+		t.Fatalf("stderr %q, want a progress line per point", lines)
+	}
+	// Points finish on a worker pool, so the counts arrive in any order;
+	// together they are 1..total, once each.
+	seen := map[int]bool{}
+	for _, l := range lines {
+		var done, total int
+		i := strings.Index(l, ": point ")
+		if !strings.HasPrefix(l, "progress: fig6.3 shard 0/1: point ") || i < 0 {
+			t.Fatalf("stderr line %q is not a fig6.3 progress line", l)
+		}
+		if _, err := fmt.Sscanf(l[i:], ": point %d/%d done", &done, &total); err != nil || total != len(lines) || seen[done] {
+			t.Fatalf("progress line %q: count %d/%d of %d lines (%v)", l, done, total, len(lines), err)
+		}
+		seen[done] = true
 	}
 }

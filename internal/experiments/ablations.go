@@ -9,6 +9,7 @@ import (
 	"github.com/quorumnet/quorumnet/internal/lp"
 	"github.com/quorumnet/quorumnet/internal/placement"
 	"github.com/quorumnet/quorumnet/internal/quorum"
+	"github.com/quorumnet/quorumnet/internal/scenario"
 	"github.com/quorumnet/quorumnet/internal/strategy"
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
@@ -16,8 +17,8 @@ import (
 // Ablations lists the studies that go beyond the paper's figures: the §8
 // future-work load model, design choices DESIGN.md calls out, and the
 // failure behaviour §6 argues about but defers.
-func Ablations() []Experiment {
-	return []Experiment{
+func Ablations() []Ablation {
+	return []Ablation{
 		{ID: "abl-dedup", Title: "§8 future work: deduplicated load model vs the paper's multiplicity model", Run: AblDedup},
 		{ID: "abl-anchor", Title: "placement anchor scoring: uniform vs closest strategy", Run: AblAnchor},
 		{ID: "abl-failures", Title: "response time and availability under node failures (§6 fault-tolerance argument)", Run: AblFailures},
@@ -29,8 +30,8 @@ func Ablations() []Experiment {
 // AblBaselines calibrates the value of the paper's placement algorithms
 // against what an operator would do without them: random one-to-one
 // placement and the "greedy best-average-RTT nodes" heuristic.
-func AblBaselines(p Params) (*Table, error) {
-	topo := topology.PlanetLab50(p.Seed)
+func AblBaselines(cfg scenario.RunConfig, quick bool) (*Table, error) {
+	topo := topology.PlanetLab50(cfg.Seed)
 	tb := &Table{
 		ID:      "abl-baselines",
 		Title:   "Placement algorithm vs baselines on PlanetLab-50 (closest-strategy delay, ms, alpha=0)",
@@ -41,7 +42,7 @@ func AblBaselines(p Params) (*Table, error) {
 		},
 	}
 	var systems []quorum.System
-	if p.Quick {
+	if quick {
 		g, err := quorum.NewGrid(3)
 		if err != nil {
 			return nil, err
@@ -90,7 +91,7 @@ func AblBaselines(p Params) (*Table, error) {
 		sum := 0.0
 		const randTrials = 10
 		for s := int64(0); s < randTrials; s++ {
-			rnd, err := placement.Random(topo, sys, p.Seed+s)
+			rnd, err := placement.Random(topo, sys, cfg.Seed+s)
 			if err != nil {
 				return nil, err
 			}
@@ -111,10 +112,10 @@ func AblBaselines(p Params) (*Table, error) {
 // execute a request only once, can clearly improve the performance."
 // A many-to-one placement of a 5×5 Grid is evaluated at demand 16000
 // under both load models, with LP-optimized strategies per capacity.
-func AblDedup(p Params) (*Table, error) {
-	topo := topology.PlanetLab50(p.Seed)
+func AblDedup(cfg scenario.RunConfig, quick bool) (*Table, error) {
+	topo := topology.PlanetLab50(cfg.Seed)
 	k := 5
-	if p.Quick {
+	if quick {
 		k = 3
 	}
 	sys, err := quorum.NewGrid(k)
@@ -131,16 +132,16 @@ func AblDedup(p Params) (*Table, error) {
 		},
 	}
 	var candidates []int
-	if p.Quick {
+	if quick {
 		candidates = []int{0, 5, 10, 15}
 	}
 	alpha := core.AlphaForDemand(16000)
-	for _, c := range strategy.SweepValues(sys.OptimalLoad(), sweepCount(p)) {
+	for _, c := range strategy.SweepValues(sys.OptimalLoad(), sweepCount(quick)) {
 		tp := topo.Clone()
 		if err := tp.SetUniformCapacity(c); err != nil {
 			return nil, err
 		}
-		f, err := placement.ManyToOne(tp, sys, placement.ManyToOneConfig{Candidates: candidates, LP: lp.OptionsFor(p.Reproducible)})
+		f, err := placement.ManyToOne(tp, sys, placement.ManyToOneConfig{Candidates: candidates, LP: lp.OptionsFor(cfg.Reproducible)})
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +159,7 @@ func AblDedup(p Params) (*Table, error) {
 			e.Mode = mode
 			// The load mode changes the LP coefficients, so each mode
 			// needs its own optimizer workspace.
-			opt, err := strategy.NewOptimizer(e, strategy.ConfigFor(p.Reproducible, strategy.SolverAuto))
+			opt, err := strategy.NewOptimizer(e, strategy.ConfigFor(cfg.Reproducible, strategy.SolverAuto))
 			if err != nil {
 				return 0, err
 			}
@@ -187,8 +188,8 @@ func AblDedup(p Params) (*Table, error) {
 // AblAnchor compares the two natural scorings for the one-to-one anchor
 // search: the uniform (balanced) strategy the paper prescribes in §4.1,
 // and the closest strategy the §6 experiments evaluate with.
-func AblAnchor(p Params) (*Table, error) {
-	topo := topology.PlanetLab50(p.Seed)
+func AblAnchor(cfg scenario.RunConfig, quick bool) (*Table, error) {
+	topo := topology.PlanetLab50(cfg.Seed)
 	tb := &Table{
 		ID:      "abl-anchor",
 		Title:   "One-to-one placement anchor scoring on PlanetLab-50 (closest-strategy response, alpha=0)",
@@ -202,7 +203,7 @@ func AblAnchor(p Params) (*Table, error) {
 		sys quorum.System
 	}
 	var combos []combo
-	if p.Quick {
+	if quick {
 		g, err := quorum.NewGrid(3)
 		if err != nil {
 			return nil, err
@@ -257,10 +258,10 @@ func AblAnchor(p Params) (*Table, error) {
 // worst-case node failures accumulate, and Monte Carlo availability under
 // independent node failures. The singleton wins on response time but dies
 // with its one node; quorum systems degrade gracefully.
-func AblFailures(p Params) (*Table, error) {
-	topo := topology.PlanetLab50(p.Seed)
+func AblFailures(cfg scenario.RunConfig, quick bool) (*Table, error) {
+	topo := topology.PlanetLab50(cfg.Seed)
 	maxF := 4
-	if p.Quick {
+	if quick {
 		maxF = 2
 	}
 	cols := []string{"system", "universe"}
@@ -280,7 +281,7 @@ func AblFailures(p Params) (*Table, error) {
 	}
 
 	systems := []quorum.System{quorum.Singleton{}}
-	if p.Quick {
+	if quick {
 		g, err := quorum.NewGrid(3)
 		if err != nil {
 			return nil, err
@@ -325,7 +326,7 @@ func AblFailures(p Params) (*Table, error) {
 			cells = append(cells, f2(fe.AvgNetworkDelay(core.ClosestStrategy{})))
 		}
 		for _, pf := range []float64{0.05, 0.10} {
-			a, err := faults.Availability(e, pf, 50000, p.Seed)
+			a, err := faults.Availability(e, pf, 50000, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -338,10 +339,10 @@ func AblFailures(p Params) (*Table, error) {
 
 // AblSweep measures how the capacity-sweep resolution (the paper fixes 10
 // points, eq. 7.7) trades optimization effort for the best response found.
-func AblSweep(p Params) (*Table, error) {
-	topo := topology.PlanetLab50(p.Seed)
+func AblSweep(cfg scenario.RunConfig, quick bool) (*Table, error) {
+	topo := topology.PlanetLab50(cfg.Seed)
 	k := 7
-	if p.Quick {
+	if quick {
 		k = 3
 	}
 	sys, err := quorum.NewGrid(k)
@@ -365,11 +366,11 @@ func AblSweep(p Params) (*Table, error) {
 		},
 	}
 	counts := []int{3, 5, 10, 20}
-	if p.Quick {
+	if quick {
 		counts = []int{3, 5}
 	}
 	for _, count := range counts {
-		pts, err := strategy.UniformSweep(e, strategy.SweepValues(sys.OptimalLoad(), count), p.sweepConfig())
+		pts, err := strategy.UniformSweep(e, strategy.SweepValues(sys.OptimalLoad(), count), strategy.SweepConfig{Reproducible: cfg.Reproducible})
 		if err != nil {
 			return nil, err
 		}

@@ -2,165 +2,52 @@ package experiments
 
 import (
 	"bytes"
-	"strings"
+	"crypto/sha256"
+	"fmt"
 	"testing"
+
+	"github.com/quorumnet/quorumnet/internal/scenario"
+	"github.com/quorumnet/quorumnet/internal/topology"
 )
 
-func quickParams() Params {
-	p := DefaultParams()
-	p.Quick = true
-	p.QUDurationMS = 2000
-	p.QURuns = 1
-	return p
+// quickCfg is the RunConfig `quorumbench -ablations -quick
+// -reproducible` builds (the ablations read only its seed and profile).
+func quickCfg() scenario.RunConfig {
+	return scenario.RunConfig{Seed: topology.DefaultSeed, Reproducible: true, QURuns: 2, QUDurationMS: 3000}
 }
 
-// TestAllExperimentsRunQuick smoke-tests every figure runner at reduced
-// scale and validates table structure.
-func TestAllExperimentsRunQuick(t *testing.T) {
-	for _, exp := range All() {
-		exp := exp
-		t.Run(exp.ID, func(t *testing.T) {
-			t.Parallel()
-			tb, err := exp.Run(quickParams())
+// TestAblationTablesPinned byte-checks the five quick-scale ablation
+// tables: each hash is the sha256 of `quorumbench -fig <id> -quick
+// -reproducible -format csv`.
+func TestAblationTablesPinned(t *testing.T) {
+	pinned := map[string]string{
+		"abl-dedup":     "6b0081922753f9df0df601e7cacbe2f21dfbd7a1aa9b5a064fec8ff4e5372f56",
+		"abl-anchor":    "5768273990c3cffe2f479ac36abfb70f1d947100f1289b004547524b76fc416f",
+		"abl-failures":  "bf48f8bf19ea61bad948c7b52eba68edbac8432093a17022e9126ad1f691c26d",
+		"abl-sweep":     "62e84d962d5e616f27d90128c2f389472b49e5882d819f69e76032a141b7ff9e",
+		"abl-baselines": "8a7bb56194960c9022461016400c97682dde1bc0584dc74b9463454ab59fb4aa",
+	}
+	abls := Ablations()
+	if len(abls) != len(pinned) {
+		t.Errorf("%d ablations, %d pinned tables", len(abls), len(pinned))
+	}
+	for _, e := range abls {
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			want, ok := pinned[e.ID]
+			if !ok {
+				t.Fatalf("ablation %q has no pinned table hash", e.ID)
+			}
+			tb, err := e.Run(quickCfg(), true)
 			if err != nil {
-				t.Fatalf("%s: %v", exp.ID, err)
-			}
-			if len(tb.Rows) == 0 {
-				t.Fatalf("%s: empty table", exp.ID)
-			}
-			for i, row := range tb.Rows {
-				if len(row) != len(tb.Columns) {
-					t.Errorf("%s row %d: %d cells for %d columns", exp.ID, i, len(row), len(tb.Columns))
-				}
+				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := tb.Format(&buf); err != nil {
-				t.Fatalf("Format: %v", err)
+			if err := tb.WriteCSV(&buf); err != nil {
+				t.Fatal(err)
 			}
-			if !strings.Contains(buf.String(), exp.ID) {
-				t.Error("formatted output missing figure id")
-			}
-			buf.Reset()
-			if err := tb.FormatMarkdown(&buf); err != nil {
-				t.Fatalf("FormatMarkdown: %v", err)
-			}
-			if !strings.Contains(buf.String(), "|") {
-				t.Error("markdown output has no table")
-			}
-		})
-	}
-}
-
-func TestByID(t *testing.T) {
-	if got := len(All()); got != 10 {
-		t.Errorf("All() = %d figures, want 10", got)
-	}
-	if _, err := ByID("fig6.3"); err != nil {
-		t.Errorf("ByID(fig6.3): %v", err)
-	}
-	if _, err := ByID("fig99"); err == nil {
-		t.Error("ByID(fig99) succeeded")
-	}
-}
-
-func TestTableHelpers(t *testing.T) {
-	tb := &Table{ID: "x", Columns: []string{"a", "b"}}
-	tb.AddRow("1", "2.5")
-	if v, err := tb.Cell(0, 1); err != nil || v != 2.5 {
-		t.Errorf("Cell = %v, %v", v, err)
-	}
-	if _, err := tb.Cell(1, 0); err == nil {
-		t.Error("out-of-range Cell succeeded")
-	}
-	if i, err := tb.Col("b"); err != nil || i != 1 {
-		t.Errorf("Col(b) = %d, %v", i, err)
-	}
-	if _, err := tb.Col("z"); err == nil {
-		t.Error("Col(z) succeeded")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("AddRow with wrong arity did not panic")
-		}
-	}()
-	tb.AddRow("only-one")
-}
-
-// runFigure runs a figure through ByID, the way the CLI does.
-func runFigure(t *testing.T, id string, p Params) *Table {
-	t.Helper()
-	e, err := ByID(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := e.Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tb
-}
-
-// TestFig63SingletonIsLowest: on the quick run, the singleton baseline
-// must not be beaten by any placed quorum system (Lin's 2-approximation
-// argument says nothing can do better than half; in practice singleton
-// wins outright at alpha=0).
-func TestFig63SingletonIsLowest(t *testing.T) {
-	tb := runFigure(t, "fig6.3", quickParams())
-	respCol, err := tb.Col("response_ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := tb.Cell(0, respCol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 1; r < len(tb.Rows); r++ {
-		v, err := tb.Cell(r, respCol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v < single-1e-9 {
-			t.Errorf("row %d response %v beats singleton %v", r, v, single)
-		}
-	}
-}
-
-// TestFig65BalancedResponseDecreases: the headline shape of Figure 6.5 —
-// with demand 16000, the balanced strategy's response time falls as the
-// universe grows (more servers share the load).
-func TestFig65BalancedResponseDecreases(t *testing.T) {
-	p := quickParams()
-	p.Quick = false // need several universe sizes; this runner is cheap
-	tb := runFigure(t, "fig6.5", p)
-	col, err := tb.Col("resp_balanced")
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := tb.Cell(0, col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last, err := tb.Cell(len(tb.Rows)-1, col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last >= first {
-		t.Errorf("balanced response did not decrease: first %v, last %v", first, last)
-	}
-}
-
-// TestAblationsRunQuick smoke-tests every ablation study at reduced scale.
-func TestAblationsRunQuick(t *testing.T) {
-	for _, exp := range Ablations() {
-		exp := exp
-		t.Run(exp.ID, func(t *testing.T) {
-			t.Parallel()
-			tb, err := exp.Run(quickParams())
-			if err != nil {
-				t.Fatalf("%s: %v", exp.ID, err)
-			}
-			if len(tb.Rows) == 0 {
-				t.Fatalf("%s: empty table", exp.ID)
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+				t.Errorf("table hash %s, want %s; table now:\n%s", got, want, buf.String())
 			}
 		})
 	}
@@ -169,7 +56,7 @@ func TestAblationsRunQuick(t *testing.T) {
 // TestAblDedupNeverWorse: the §8 dedup model must never increase response
 // time relative to the multiplicity model at the same capacity.
 func TestAblDedupNeverWorse(t *testing.T) {
-	tb, err := AblDedup(quickParams())
+	tb, err := AblDedup(quickCfg(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +78,7 @@ func TestAblDedupNeverWorse(t *testing.T) {
 // TestAblFailuresSingletonDies: the singleton must be 'down' after its
 // single node fails, while the quorum systems keep serving.
 func TestAblFailuresSingletonDies(t *testing.T) {
-	tb, err := AblFailures(quickParams())
+	tb, err := AblFailures(quickCfg(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,5 +93,25 @@ func TestAblFailuresSingletonDies(t *testing.T) {
 		if tb.Rows[r][f1] == "down" {
 			t.Errorf("row %d (%s) down after a single failure", r, tb.Rows[r][0])
 		}
+	}
+}
+
+// BenchmarkAblations regenerates every ablation study at full scale
+// under the configuration `quorumbench -ablations` runs.
+func BenchmarkAblations(b *testing.B) {
+	cfg := scenario.RunConfig{Seed: topology.DefaultSeed, QURuns: 5, QUDurationMS: 20000}
+	for _, e := range Ablations() {
+		e := e
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tb, err := e.Run(cfg, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(tb.Rows) == 0 {
+					b.Fatalf("%s produced no rows", e.ID)
+				}
+			}
+		})
 	}
 }

@@ -280,7 +280,7 @@ func (c *Coordinator) startLeaseTicker() func() {
 // attemptShard dispatches one shard to one worker and long-polls for
 // its result until ctx expires.
 func (c *Coordinator) attemptShard(ctx context.Context, addr string, spec *scenario.Spec, cfg scenario.RunConfig, shard, shards int) (*scenario.Partial, error) {
-	body, err := json.Marshal(&ShardRequest{Spec: spec, Config: Settings(cfg), Shard: shard, Shards: shards})
+	body, err := json.Marshal(&ShardRequest{Spec: spec, Config: cfg.Settings(), Shard: shard, Shards: shards})
 	if err != nil {
 		return nil, err
 	}

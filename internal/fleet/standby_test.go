@@ -85,7 +85,7 @@ func TestStandbyTakeoverByteIdentical(t *testing.T) {
 	// The dead primary's in-flight duplicate: its dispatch of shard 1
 	// reached this worker and is still executing. The new epoch never
 	// polls this job id, so its result can only be orphaned.
-	body, err := json.Marshal(&ShardRequest{Spec: spec, Config: Settings(cfg), Shard: 1, Shards: 2})
+	body, err := json.Marshal(&ShardRequest{Spec: spec, Config: cfg.Settings(), Shard: 1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/quorumnet/quorumnet/internal/experiments"
+	"github.com/quorumnet/quorumnet/internal/scenario"
+	"github.com/quorumnet/quorumnet/internal/topology"
 )
 
 // TestShardRequestWireStable pins the bytes a coordinator posts for
@@ -15,11 +16,14 @@ import (
 // writes.
 func TestShardRequestWireStable(t *testing.T) {
 	const want = "8a45ac9ca7301ce35d27481b89dc9e2ba6fe591e4d37981ea12c533a0c05b595"
-	p := experiments.DefaultParams()
-	p.Quick = true
-	p.Reproducible = true
-	spec := experiments.SpecFig63(p)
-	body, err := json.Marshal(&ShardRequest{Spec: spec, Config: Settings(p.RunConfig()), Shard: 0, Shards: 2})
+	var spec *scenario.Spec
+	for _, s := range scenario.Figures(true) {
+		if s.Name == "fig6.3" {
+			spec = &s
+		}
+	}
+	cfg := scenario.RunConfig{Seed: topology.DefaultSeed, Reproducible: true, QURuns: 2, QUDurationMS: 3000}
+	body, err := json.Marshal(&ShardRequest{Spec: spec, Config: cfg.Settings(), Shard: 0, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

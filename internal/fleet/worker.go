@@ -51,21 +51,13 @@ import (
 	"github.com/quorumnet/quorumnet/internal/scenario"
 )
 
-// RunSettings is the serializable identity of a scenario.RunConfig —
-// the execution settings a coordinator ships with every shard (and the
-// fingerprint stamped into every Partial).
-type RunSettings = scenario.Settings
-
-// Settings extracts the wire settings from a run configuration
-// (Progress handlers stay local to each process).
-func Settings(cfg scenario.RunConfig) RunSettings { return cfg.Settings() }
-
-// ShardRequest is the POST /v1/shards payload.
+// ShardRequest is the POST /v1/shards payload. Config carries the run's
+// settings, the fingerprint stamped into every Partial.
 type ShardRequest struct {
-	Spec   *scenario.Spec `json:"spec"`
-	Config RunSettings    `json:"config"`
-	Shard  int            `json:"shard"`
-	Shards int            `json:"shards"`
+	Spec   *scenario.Spec    `json:"spec"`
+	Config scenario.Settings `json:"config"`
+	Shard  int               `json:"shard"`
+	Shards int               `json:"shards"`
 }
 
 // ShardResponse is the POST /v1/shards reply.

@@ -1,4 +1,4 @@
-package scenario_test
+package scenario
 
 import (
 	"bytes"
@@ -6,8 +6,15 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/quorumnet/quorumnet/internal/experiments"
+	"github.com/quorumnet/quorumnet/internal/topology"
 )
+
+// quickFigureCfg is the RunConfig `quorumbench -quick -reproducible`
+// builds: the default seed, and the Q/U simulation capped at 2 runs of
+// 3000 ms.
+func quickFigureCfg() RunConfig {
+	return RunConfig{Seed: topology.DefaultSeed, Reproducible: true, QURuns: 2, QUDurationMS: 3000}
+}
 
 // TestFigureTablesPinned byte-checks the ten quick-scale figure tables:
 // each hash is the sha256 of `quorumbench -fig <id> -quick -reproducible
@@ -25,21 +32,18 @@ func TestFigureTablesPinned(t *testing.T) {
 		"fig7.8":  "bd17b9a8a3e469567d0a1f0747c1196cb96998aecdea2ea12bbb0487d9d1489e",
 		"fig8.9":  "a534c0ebf0871ceee9dd87e05645ca1619376857d2b95a166ea0e14f9f93d58b",
 	}
-	p := experiments.DefaultParams()
-	p.Quick = true
-	p.Reproducible = true
-	figs := experiments.All()
+	figs := Figures(true)
 	if len(figs) != len(pinned) {
 		t.Errorf("%d figures, %d pinned tables", len(figs), len(pinned))
 	}
-	for _, e := range figs {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			want, ok := pinned[e.ID]
+	for _, spec := range figs {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			want, ok := pinned[spec.Name]
 			if !ok {
-				t.Fatalf("figure %q has no pinned table hash", e.ID)
+				t.Fatalf("figure %q has no pinned table hash", spec.Name)
 			}
-			tb, err := e.Run(p)
+			tb, err := Run(&spec, quickFigureCfg())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,6 +53,93 @@ func TestFigureTablesPinned(t *testing.T) {
 			}
 			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
 				t.Errorf("table hash %s, want %s; table now:\n%s", got, want, buf.String())
+			}
+		})
+	}
+}
+
+// runFigure runs the named figure at the given scale.
+func runFigure(t *testing.T, name string, quick bool) *Table {
+	t.Helper()
+	for _, spec := range Figures(quick) {
+		if spec.Name == name {
+			tb, err := Run(&spec, quickFigureCfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tb
+		}
+	}
+	t.Fatalf("no figure %q", name)
+	return nil
+}
+
+// TestFig63SingletonIsLowest: on the quick run, the singleton baseline
+// must not be beaten by any placed quorum system (Lin's 2-approximation
+// argument says nothing can do better than half; in practice singleton
+// wins outright at alpha=0).
+func TestFig63SingletonIsLowest(t *testing.T) {
+	tb := runFigure(t, "fig6.3", true)
+	respCol, err := tb.Col("response_ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := tb.Cell(0, respCol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 1; r < len(tb.Rows); r++ {
+		v, err := tb.Cell(r, respCol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v < single-1e-9 {
+			t.Errorf("row %d response %v beats singleton %v", r, v, single)
+		}
+	}
+}
+
+// TestFig65BalancedResponseDecreases: the headline shape of Figure 6.5 —
+// with demand 16000, the balanced strategy's response time falls as the
+// universe grows (more servers share the load). It runs at full scale
+// for several universe sizes; this figure is cheap.
+func TestFig65BalancedResponseDecreases(t *testing.T) {
+	tb := runFigure(t, "fig6.5", false)
+	col, err := tb.Col("resp_balanced")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := tb.Cell(0, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, err := tb.Cell(len(tb.Rows)-1, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last >= first {
+		t.Errorf("balanced response did not decrease: first %v, last %v", first, last)
+	}
+}
+
+// BenchmarkFigures regenerates every figure of the paper's evaluation at
+// full scale, end to end (topology synthesis, placement, strategy
+// optimization or protocol simulation, and table assembly), under the
+// configuration `quorumbench -all` runs; see EXPERIMENTS.md for the
+// recorded outputs.
+func BenchmarkFigures(b *testing.B) {
+	cfg := RunConfig{Seed: topology.DefaultSeed, QURuns: 5, QUDurationMS: 20000}
+	for _, spec := range Figures(false) {
+		spec := spec
+		b.Run(spec.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tb, err := Run(&spec, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(tb.Rows) == 0 {
+					b.Fatalf("%s produced no rows", spec.Name)
+				}
 			}
 		})
 	}

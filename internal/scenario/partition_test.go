@@ -132,15 +132,18 @@ func TestPartitionExactCover(t *testing.T) {
 // TestShardedRunByteIdentical is the core invariant: for every kind,
 // any shard count 1..8, and any completion order, the merged table is
 // byte-identical to the unsharded Run output — in reproducible mode and
-// on the default fast path.
+// on the default fast path. Besides the small per-kind specs it covers
+// the ten quick-scale figures and the library's multi-seed scaled
+// study, the specs fleets shard in practice.
 func TestShardedRunByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("executes every spec 9 times per mode")
 	}
+	specs := append(append(shardSpecs(), Figures(true)...), SeedScaleStudy())
 	for _, repro := range []bool{true, false} {
 		cfg := shardCfg()
 		cfg.Reproducible = repro
-		for _, spec := range shardSpecs() {
+		for _, spec := range specs {
 			spec := spec
 			base, err := Run(&spec, cfg)
 			if err != nil {
@@ -393,4 +396,29 @@ func TestTableCSVAndJSON(t *testing.T) {
 	if err := back.UnmarshalJSON([]byte(`{"id":"x","columns":["a"],"rows":[["1","2"]]}`)); err == nil {
 		t.Error("row arity mismatch accepted")
 	}
+}
+
+// TestTableHelpers covers the numeric accessors figure-shape tests read
+// tables through, and AddRow's arity check.
+func TestTableHelpers(t *testing.T) {
+	tb := &Table{ID: "x", Columns: []string{"a", "b"}}
+	tb.AddRow("1", "2.5")
+	if v, err := tb.Cell(0, 1); err != nil || v != 2.5 {
+		t.Errorf("Cell = %v, %v", v, err)
+	}
+	if _, err := tb.Cell(1, 0); err == nil {
+		t.Error("out-of-range Cell succeeded")
+	}
+	if i, err := tb.Col("b"); err != nil || i != 1 {
+		t.Errorf("Col(b) = %d, %v", i, err)
+	}
+	if _, err := tb.Col("z"); err == nil {
+		t.Error("Col(z) succeeded")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AddRow with wrong arity did not panic")
+		}
+	}()
+	tb.AddRow("only-one")
 }

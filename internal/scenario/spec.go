@@ -5,10 +5,11 @@
 // engine validates the spec, expands its axes into plan points, and
 // executes them on the shared bounded worker pool, producing a Table.
 //
-// Every figure of the paper is a Spec (see internal/experiments), the
-// built-in workload library (regional outage, diurnal demand shift, RTT
-// drift, site churn, flash crowd, heterogeneous demand) is a set of
-// Specs, and cmd/quorumbench loads further Specs from JSON files.
+// Every figure of the paper is a Spec (Figures), the built-in workload
+// library (regional outage, diurnal demand shift, RTT drift, site churn,
+// flash crowd, heterogeneous demand) is a set of Specs, and
+// cmd/quorumbench loads further Specs from JSON files; all of them run
+// through Run or its sharded form.
 package scenario
 
 import (

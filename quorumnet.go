@@ -23,22 +23,21 @@
 //	fmt.Println(e.AvgResponseTime(quorumnet.Closest))
 //
 // The package exports what its runnable examples (examples/,
-// example_test.go) and the figure benchmarks (bench_test.go) use: the
-// paper's pipeline from WAN metric through quorum system, placement
-// (§4.1), access-strategy LP (§4.2) and response-time evaluation
-// (§6–7), the Q/U protocol simulator (§3), the staged Planner with its
-// Deployment and serving plane, the probe mesh, and the figure runners.
-// An exported name stays only if one of those callers uses it or it
-// appears in the declaration of one that does; a test enforces this. Everything else — many-to-one placement, the §4.2
-// iterative algorithm, solver options, the scenario sharding and fleet
-// stack, run journals — is reached through the commands under cmd/ and
-// is not a public API.
+// example_test.go) use: the paper's pipeline from WAN metric through
+// quorum system, placement (§4.1), access-strategy LP (§4.2) and
+// response-time evaluation (§6–7), the Q/U protocol simulator (§3), and
+// the staged Planner with its Deployment and serving plane and the probe
+// mesh. An exported name stays only if one of those callers uses it or
+// it appears in the declaration of one that does; a test enforces this.
+// Everything else — many-to-one placement, the §4.2 iterative
+// algorithm, solver options, the paper's figures and ablations, the
+// scenario sharding and fleet stack, run journals — is reached through
+// the commands under cmd/ and is not a public API.
 package quorumnet
 
 import (
 	"github.com/quorumnet/quorumnet/internal/core"
 	"github.com/quorumnet/quorumnet/internal/deploy"
-	"github.com/quorumnet/quorumnet/internal/experiments"
 	"github.com/quorumnet/quorumnet/internal/faults"
 	"github.com/quorumnet/quorumnet/internal/placement"
 	"github.com/quorumnet/quorumnet/internal/plan"
@@ -379,15 +378,3 @@ type ManagerDeltaPoster = probe.ManagerPoster
 
 // NewDeltaBatcher builds a batcher over the given poster.
 func NewDeltaBatcher(p DeltaPoster) *DeltaBatcher { return probe.NewBatcher(p) }
-
-// Experiment regenerates one of the paper's figures.
-type Experiment = experiments.Experiment
-
-// ExperimentParams scales the experiment harness.
-type ExperimentParams = experiments.Params
-
-// ExperimentByID looks up a figure runner ("fig6.3", "fig8.9", …).
-func ExperimentByID(id string) (Experiment, error) { return experiments.ByID(id) }
-
-// DefaultExperimentParams mirrors the paper's configuration.
-func DefaultExperimentParams() ExperimentParams { return experiments.DefaultParams() }

@@ -133,22 +133,6 @@ func TestPublicAPIPlanner(t *testing.T) {
 	}
 }
 
-func TestPublicAPIExperiments(t *testing.T) {
-	exp, err := quorumnet.ExperimentByID("fig6.3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := quorumnet.DefaultExperimentParams()
-	p.Quick = true
-	tb, err := exp.Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) == 0 {
-		t.Error("empty experiment table")
-	}
-}
-
 // TestPublicAPIServeRegistry opens two deployments behind one
 // ServeRegistry and checks tenant routing plus the legacy alias.
 func TestPublicAPIServeRegistry(t *testing.T) {
@@ -206,7 +190,7 @@ func TestPublicAPIServeRegistry(t *testing.T) {
 
 // TestFacadeExportsAreExercised pins the façade to the surface its
 // callers use. An exported declaration of quorumnet.go stays only if
-// the examples, example_test.go or bench_test.go refer to one of its
+// the examples or example_test.go refer to one of its
 // names as quorumnet.<Name>, or if it appears in the declaration of
 // one that stays (NewEval keeps Eval, NewDeltaBatcher keeps
 // DeltaPoster). A grouped const or var block is one declaration.
@@ -228,7 +212,7 @@ func TestFacadeExportsAreExercised(t *testing.T) {
 		}
 	}
 
-	callers := []string{"example_test.go", "bench_test.go"}
+	callers := []string{"example_test.go"}
 	err = filepath.WalkDir("examples", func(path string, d fs.DirEntry, err error) error {
 		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
 			callers = append(callers, path)
@@ -299,7 +283,7 @@ func TestFacadeExportsAreExercised(t *testing.T) {
 		}
 	}
 	if len(unused) > 0 {
-		t.Fatalf("%d façade declarations are used by no example, example_test.go or bench_test.go, "+
+		t.Fatalf("%d façade declarations are used by no example or example_test.go, "+
 			"nor by the declaration of one that is:\n\t%s", len(unused), strings.Join(unused, "\n\t"))
 	}
 }

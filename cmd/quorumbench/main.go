@@ -205,7 +205,7 @@ func parse(args []string) (*options, int) {
 		return refuse("-quick scales the figures and ablations only; add -fig <id>, -all or -ablations, or drop -quick")
 	}
 	_, ablation := ablationByID(o.fig)
-	oneSpec := o.shards > 0 || o.shard >= 0 || o.mergeArg != "" || o.fleetArg != "" || o.registry != "" || o.resume != ""
+	oneSpec := o.sharded() || o.resume != ""
 	switch {
 	case o.worker || o.list || o.standby:
 	case o.ablations || ablation:
@@ -251,6 +251,12 @@ func parse(args []string) (*options, int) {
 		}
 	}
 	return o, 0
+}
+
+// sharded reports whether the run partitions one spec's point-space:
+// locally, per shard, by merging partials, or over a fleet.
+func (o *options) sharded() bool {
+	return o.shards > 0 || o.shard >= 0 || o.mergeArg != "" || o.fleetArg != "" || o.registry != ""
 }
 
 func refuse(format string, args ...interface{}) (*options, int) {
@@ -309,7 +315,7 @@ func run(args []string) int {
 	if a, ok := ablationByID(o.fig); ok || o.ablations {
 		todo := experiments.Ablations()
 		if ok {
-			todo = []experiments.Ablation{a}
+			todo = []experiments.Experiment{a}
 		}
 		for _, a := range todo {
 			ids = append(ids, a.ID)
@@ -320,7 +326,7 @@ func run(args []string) int {
 		if code != 0 {
 			return code
 		}
-		if o.shards > 0 || o.shard >= 0 || o.mergeArg != "" || o.fleetArg != "" || o.registry != "" {
+		if o.sharded() {
 			return runSharded(specs[0], cfg, o) // parse admits one spec here
 		}
 		for _, spec := range specs {
@@ -353,14 +359,14 @@ func normalizeFigID(id string) string {
 
 // ablationByID finds the ablation a -fig argument names, if it names
 // one.
-func ablationByID(fig string) (experiments.Ablation, bool) {
+func ablationByID(fig string) (experiments.Experiment, bool) {
 	id := normalizeFigID(fig)
 	for _, a := range experiments.Ablations() {
 		if a.ID == id {
 			return a, true
 		}
 	}
-	return experiments.Ablation{}, false
+	return experiments.Experiment{}, false
 }
 
 // resolve turns what the command line selects into the specs to run:

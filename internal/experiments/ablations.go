@@ -17,8 +17,8 @@ import (
 // Ablations lists the studies that go beyond the paper's figures: the §8
 // future-work load model, design choices DESIGN.md calls out, and the
 // failure behaviour §6 argues about but defers.
-func Ablations() []Ablation {
-	return []Ablation{
+func Ablations() []Experiment {
+	return []Experiment{
 		{ID: "abl-dedup", Title: "§8 future work: deduplicated load model vs the paper's multiplicity model", Run: AblDedup},
 		{ID: "abl-anchor", Title: "placement anchor scoring: uniform vs closest strategy", Run: AblAnchor},
 		{ID: "abl-failures", Title: "response time and availability under node failures (§6 fault-tolerance argument)", Run: AblFailures},

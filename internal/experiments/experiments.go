@@ -16,9 +16,9 @@ import (
 // scenario engine's table type, so both print the same way.
 type Table = scenario.Table
 
-// Ablation pairs an ablation id with its runner. A runner reads the
+// Experiment pairs an ablation id with its runner. A runner reads the
 // seed and the solver profile from cfg; quick trims it to smoke scale.
-type Ablation struct {
+type Experiment struct {
 	ID    string
 	Title string
 	Run   func(cfg scenario.RunConfig, quick bool) (*Table, error)

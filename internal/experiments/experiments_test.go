@@ -42,6 +42,9 @@ func TestAblationTablesPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if tb.ID != e.ID {
+				t.Errorf("table id %q, want %q", tb.ID, e.ID)
+			}
 			var buf bytes.Buffer
 			if err := tb.WriteCSV(&buf); err != nil {
 				t.Fatal(err)

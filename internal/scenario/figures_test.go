@@ -47,6 +47,9 @@ func TestFigureTablesPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if tb.ID != spec.Name || tb.Title != spec.Title {
+				t.Errorf("table %q %q, want the spec's name and title %q %q", tb.ID, tb.Title, spec.Name, spec.Title)
+			}
 			var buf bytes.Buffer
 			if err := tb.WriteCSV(&buf); err != nil {
 				t.Fatal(err)

@@ -399,10 +399,19 @@ func TestTableCSVAndJSON(t *testing.T) {
 }
 
 // TestTableHelpers covers the numeric accessors figure-shape tests read
-// tables through, and AddRow's arity check.
+// tables through, the text and markdown layouts' headers, and AddRow's
+// arity check.
 func TestTableHelpers(t *testing.T) {
-	tb := &Table{ID: "x", Columns: []string{"a", "b"}}
+	tb := &Table{ID: "x", Title: "t", Columns: []string{"a", "b"}}
 	tb.AddRow("1", "2.5")
+	var buf bytes.Buffer
+	if err := tb.Format(&buf); err != nil || !strings.HasPrefix(buf.String(), "== x: t ==\n") {
+		t.Errorf("Format = %q, %v", buf.String(), err)
+	}
+	buf.Reset()
+	if err := tb.FormatMarkdown(&buf); err != nil || !strings.Contains(buf.String(), "### x — t\n\n| a | b |\n| --- | --- |\n| 1 | 2.5 |\n") {
+		t.Errorf("FormatMarkdown = %q, %v", buf.String(), err)
+	}
 	if v, err := tb.Cell(0, 1); err != nil || v != 2.5 {
 		t.Errorf("Cell = %v, %v", v, err)
 	}

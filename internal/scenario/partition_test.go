@@ -140,51 +140,66 @@ func TestShardedRunByteIdentical(t *testing.T) {
 		t.Skip("executes every spec 9 times per mode")
 	}
 	specs := append(append(shardSpecs(), Figures(true)...), SeedScaleStudy())
-	for _, repro := range []bool{true, false} {
+	for _, mode := range []struct {
+		name  string
+		repro bool
+	}{{"reproducible", true}, {"fast", false}} {
 		cfg := shardCfg()
-		cfg.Reproducible = repro
-		for _, spec := range specs {
-			spec := spec
-			base, err := Run(&spec, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", spec.Name, err)
+		cfg.Reproducible = mode.repro
+		t.Run(mode.name, func(t *testing.T) {
+			for _, spec := range specs {
+				spec := spec
+				t.Run(spec.Name, func(t *testing.T) {
+					t.Parallel()
+					assertShardedMergeIdentical(t, &spec, cfg)
+				})
 			}
-			var baseText bytes.Buffer
-			if err := base.Format(&baseText); err != nil {
+		})
+	}
+}
+
+// assertShardedMergeIdentical runs spec unsharded and at every shard
+// count 1..8, merging the partials out of shard order, and fails unless
+// each merged table equals the unsharded one, formatted and unformatted.
+func assertShardedMergeIdentical(t *testing.T, spec *Spec, cfg RunConfig) {
+	t.Helper()
+	base, err := Run(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var baseText bytes.Buffer
+	if err := base.Format(&baseText); err != nil {
+		t.Fatal(err)
+	}
+	for shards := 1; shards <= 8; shards++ {
+		space, err := NewSpace(spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		partials := make([]*Partial, shards)
+		for si := 0; si < shards; si++ {
+			part, err := space.Shard(si, shards)
+			if err != nil {
 				t.Fatal(err)
 			}
-			for shards := 1; shards <= 8; shards++ {
-				space, err := NewSpace(&spec, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", spec.Name, err)
-				}
-				partials := make([]*Partial, shards)
-				for si := 0; si < shards; si++ {
-					part, err := space.Shard(si, shards)
-					if err != nil {
-						t.Fatal(err)
-					}
-					partials[si], err = part.Execute()
-					if err != nil {
-						t.Fatalf("%s: shard %d/%d: %v", spec.Name, si, shards, err)
-					}
-				}
-				merged, err := space.Merge(scramble(partials, shards))
-				if err != nil {
-					t.Fatalf("%s: merge %d shards: %v", spec.Name, shards, err)
-				}
-				if !reflect.DeepEqual(base, merged) {
-					t.Fatalf("%s (repro=%v): %d-shard merge differs from Run:\n%v\nvs\n%v",
-						spec.Name, repro, shards, base.Rows, merged.Rows)
-				}
-				var mergedText bytes.Buffer
-				if err := merged.Format(&mergedText); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(baseText.Bytes(), mergedText.Bytes()) {
-					t.Fatalf("%s (repro=%v): %d-shard formatted output differs", spec.Name, repro, shards)
-				}
+			partials[si], err = part.Execute()
+			if err != nil {
+				t.Fatalf("shard %d/%d: %v", si, shards, err)
 			}
+		}
+		merged, err := space.Merge(scramble(partials, shards))
+		if err != nil {
+			t.Fatalf("merge %d shards: %v", shards, err)
+		}
+		if !reflect.DeepEqual(base, merged) {
+			t.Fatalf("%d-shard merge differs from Run:\n%v\nvs\n%v", shards, base.Rows, merged.Rows)
+		}
+		var mergedText bytes.Buffer
+		if err := merged.Format(&mergedText); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(baseText.Bytes(), mergedText.Bytes()) {
+			t.Fatalf("%d-shard formatted output differs", shards)
 		}
 	}
 }

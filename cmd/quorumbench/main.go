@@ -301,8 +301,7 @@ func run(args []string) int {
 		QUDurationMS: o.duration,
 	}
 	if o.quick {
-		cfg.QURuns = min(cfg.QURuns, 2)
-		cfg.QUDurationMS = min(cfg.QUDurationMS, 3000)
+		cfg = cfg.QuickScale()
 	}
 	if o.progress {
 		cfg.Progress = logProgress

@@ -136,7 +136,7 @@ func AblDedup(cfg scenario.RunConfig, quick bool) (*Table, error) {
 		candidates = []int{0, 5, 10, 15}
 	}
 	alpha := core.AlphaForDemand(16000)
-	for _, c := range strategy.SweepValues(sys.OptimalLoad(), sweepCount(quick)) {
+	for _, c := range strategy.SweepValues(sys.OptimalLoad(), scenario.SweepPoints(quick)) {
 		tp := topo.Clone()
 		if err := tp.SetUniformCapacity(c); err != nil {
 			return nil, err

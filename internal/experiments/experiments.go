@@ -24,15 +24,6 @@ type Experiment struct {
 	Run   func(cfg scenario.RunConfig, quick bool) (*Table, error)
 }
 
-// sweepCount is the capacity-sweep resolution: the paper's 10 points,
-// or 4 on quick runs.
-func sweepCount(quick bool) int {
-	if quick {
-		return 4
-	}
-	return 10
-}
-
 func f2(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
 func f3(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
 func itoa(v int) string   { return strconv.Itoa(v) }

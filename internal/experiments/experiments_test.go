@@ -10,10 +10,47 @@ import (
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
 
-// quickCfg is the RunConfig `quorumbench -ablations -quick
-// -reproducible` builds (the ablations read only its seed and profile).
-func quickCfg() scenario.RunConfig {
-	return scenario.RunConfig{Seed: topology.DefaultSeed, Reproducible: true, QURuns: 2, QUDurationMS: 3000}
+// quickCfg is the RunConfig `quorumbench -ablations -quick` builds from
+// the flag defaults on the given solver profile (the ablations read
+// only its seed and profile).
+func quickCfg(reproducible bool) scenario.RunConfig {
+	return scenario.RunConfig{Seed: topology.DefaultSeed, Reproducible: reproducible, QURuns: 5, QUDurationMS: 20000}.QuickScale()
+}
+
+// profiles runs f once per solver profile: the default fast path
+// (warm-started, partially priced LP solves) that a plain `quorumbench
+// -ablations` takes, and the reproducible one the pins cover.
+func profiles(t *testing.T, f func(t *testing.T, cfg scenario.RunConfig)) {
+	for _, p := range []struct {
+		name  string
+		repro bool
+	}{{"fast", false}, {"reproducible", true}} {
+		t.Run(p.name, func(t *testing.T) { f(t, quickCfg(p.repro)) })
+	}
+}
+
+// TestAblationsRunQuick smoke-runs every quick ablation on the default
+// fast profile, which the reproducible pins do not reach: each must
+// produce a non-empty table whose rows fill its columns.
+func TestAblationsRunQuick(t *testing.T) {
+	for _, e := range Ablations() {
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			tb, err := e.Run(quickCfg(false), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tb.Rows) == 0 {
+				t.Fatal("empty table")
+			}
+			for i, row := range tb.Rows {
+				if len(row) != len(tb.Columns) {
+					t.Errorf("row %d: %d cells for %d columns", i, len(row), len(tb.Columns))
+				}
+			}
+		})
+	}
 }
 
 // TestAblationTablesPinned byte-checks the five quick-scale ablation
@@ -38,7 +75,7 @@ func TestAblationTablesPinned(t *testing.T) {
 			if !ok {
 				t.Fatalf("ablation %q has no pinned table hash", e.ID)
 			}
-			tb, err := e.Run(quickCfg(), true)
+			tb, err := e.Run(quickCfg(true), true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,44 +96,48 @@ func TestAblationTablesPinned(t *testing.T) {
 // TestAblDedupNeverWorse: the §8 dedup model must never increase response
 // time relative to the multiplicity model at the same capacity.
 func TestAblDedupNeverWorse(t *testing.T) {
-	tb, err := AblDedup(quickCfg(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gain, err := tb.Col("dedup_gain_ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := range tb.Rows {
-		v, err := tb.Cell(r, gain)
+	profiles(t, func(t *testing.T, cfg scenario.RunConfig) {
+		tb, err := AblDedup(cfg, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v < -1e-6 {
-			t.Errorf("row %d: dedup made response worse by %v ms", r, -v)
+		gain, err := tb.Col("dedup_gain_ms")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		for r := range tb.Rows {
+			v, err := tb.Cell(r, gain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v < -1e-6 {
+				t.Errorf("row %d: dedup made response worse by %v ms", r, -v)
+			}
+		}
+	})
 }
 
 // TestAblFailuresSingletonDies: the singleton must be 'down' after its
 // single node fails, while the quorum systems keep serving.
 func TestAblFailuresSingletonDies(t *testing.T) {
-	tb, err := AblFailures(quickCfg(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1, err := tb.Col("resp_f1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tb.Rows[0][f1]; got != "down" {
-		t.Errorf("singleton after 1 failure = %q, want down", got)
-	}
-	for r := 1; r < len(tb.Rows); r++ {
-		if tb.Rows[r][f1] == "down" {
-			t.Errorf("row %d (%s) down after a single failure", r, tb.Rows[r][0])
+	profiles(t, func(t *testing.T, cfg scenario.RunConfig) {
+		tb, err := AblFailures(cfg, true)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		f1, err := tb.Col("resp_f1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tb.Rows[0][f1]; got != "down" {
+			t.Errorf("singleton after 1 failure = %q, want down", got)
+		}
+		for r := 1; r < len(tb.Rows); r++ {
+			if tb.Rows[r][f1] == "down" {
+				t.Errorf("row %d (%s) down after a single failure", r, tb.Rows[r][0])
+			}
+		}
+	})
 }
 
 // BenchmarkAblations regenerates every ablation study at full scale

@@ -90,6 +90,19 @@ func (c RunConfig) quDuration() float64 {
 	return c.QUDurationMS
 }
 
+// QuickScale returns c with the protocol simulation capped at the quick
+// scale `quorumbench -quick` runs Figures(true) and the ablations at: at
+// most 2 runs per point, each at most 3000 ms long. A non-positive
+// duration means its 20000 ms default and is capped with it; a
+// non-positive QURuns keeps its default of 5 runs.
+func (c RunConfig) QuickScale() RunConfig {
+	if c.QURuns > 2 {
+		c.QURuns = 2
+	}
+	c.QUDurationMS = min(c.quDuration(), 3000)
+	return c
+}
+
 // Run validates the spec, expands its point-space, executes every point,
 // and assembles the result table. It is the single-shard composition of
 // the engine's three layers — partition (NewSpace/Shard), execute

@@ -201,9 +201,10 @@ func fig65(quick bool) Spec {
 	}
 }
 
-// figSweepPoints is the capacity-sweep resolution of §7 and §8: the
-// paper's 10 points (eq. 7.7), or 4 on quick runs.
-func figSweepPoints(quick bool) int {
+// SweepPoints is the capacity-sweep resolution of §7 and §8 and of the
+// ablations' sweeps: the paper's 10 points (eq. 7.7), or 4 on quick
+// runs.
+func SweepPoints(quick bool) int {
 	if quick {
 		return 4
 	}
@@ -232,7 +233,7 @@ func fig76(quick bool) Spec {
 		},
 		Topology: TopologySpec{Source: "planetlab50"},
 		Systems:  []SystemAxis{capacityAxis(quick)},
-		Sweep:    &SweepSpec{Points: figSweepPoints(quick), Demand: 16000},
+		Sweep:    &SweepSpec{Points: SweepPoints(quick), Demand: 16000},
 		Columns:  []string{"universe", "capacity", "net_delay_ms", "response_ms"},
 	}
 }
@@ -250,7 +251,7 @@ func fig77(quick bool) Spec {
 		Topology: TopologySpec{Source: "planetlab50"},
 		Systems:  []SystemAxis{capacityAxis(quick)},
 		Sweep: &SweepSpec{
-			Points:   figSweepPoints(quick),
+			Points:   SweepPoints(quick),
 			Demand:   16000,
 			Variants: []string{"uniform", "nonuniform"},
 		},
@@ -276,7 +277,7 @@ func fig78(quick bool) Spec {
 		Systems:    []SystemAxis{{Family: "grid", Params: []int{k}}},
 		RowColumns: []string{"capacity"},
 		Sweep: &SweepSpec{
-			Points:   figSweepPoints(quick),
+			Points:   SweepPoints(quick),
 			Demand:   16000,
 			Variants: []string{"uniform", "nonuniform"},
 		},
@@ -309,7 +310,7 @@ func fig89(quick bool) Spec {
 		Topology: TopologySpec{Source: "planetlab50"},
 		Systems:  []SystemAxis{{Family: "grid", Params: []int{k}}},
 		Iterate: &IterateSpec{
-			Points:        figSweepPoints(quick),
+			Points:        SweepPoints(quick),
 			MaxIterations: 2,
 			Candidates:    candidates,
 		},

@@ -9,11 +9,32 @@ import (
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
 
-// quickFigureCfg is the RunConfig `quorumbench -quick -reproducible`
-// builds: the default seed, and the Q/U simulation capped at 2 runs of
-// 3000 ms.
-func quickFigureCfg() RunConfig {
-	return RunConfig{Seed: topology.DefaultSeed, Reproducible: true, QURuns: 2, QUDurationMS: 3000}
+// quickFigureCfg is the RunConfig `quorumbench -quick` builds from the
+// flag defaults on the given solver profile: the default seed, and the
+// Q/U simulation at the quick scale.
+func quickFigureCfg(reproducible bool) RunConfig {
+	return RunConfig{Seed: topology.DefaultSeed, Reproducible: reproducible, QURuns: 5, QUDurationMS: 20000}.QuickScale()
+}
+
+// TestQuickScale: -quick caps the Q/U simulation at 2 runs of 3000 ms,
+// a non-positive duration included; shorter settings pass through.
+func TestQuickScale(t *testing.T) {
+	for _, c := range []struct {
+		runs, wantRuns int
+		ms, wantMS     float64
+	}{
+		{5, 2, 20000, 3000},
+		{1, 1, 2000, 2000},
+		{2, 2, 3000, 3000},
+		{0, 0, 0, 3000},
+		{-1, -1, -5, 3000},
+	} {
+		got := RunConfig{Seed: 7, Reproducible: true, QURuns: c.runs, QUDurationMS: c.ms}.QuickScale()
+		want := RunConfig{Seed: 7, Reproducible: true, QURuns: c.wantRuns, QUDurationMS: c.wantMS}
+		if got.Settings() != want.Settings() {
+			t.Errorf("runs %d, %v ms: quick scale %+v, want %+v", c.runs, c.ms, got.Settings(), want.Settings())
+		}
+	}
 }
 
 // TestFigureTablesPinned byte-checks the ten quick-scale figure tables:
@@ -43,7 +64,7 @@ func TestFigureTablesPinned(t *testing.T) {
 			if !ok {
 				t.Fatalf("figure %q has no pinned table hash", spec.Name)
 			}
-			tb, err := Run(&spec, quickFigureCfg())
+			tb, err := Run(&spec, quickFigureCfg(true))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,12 +82,14 @@ func TestFigureTablesPinned(t *testing.T) {
 	}
 }
 
-// runFigure runs the named figure at the given scale.
+// runFigure runs the named figure at the given scale on the default
+// fast profile, as `quorumbench -fig <name> -quick` does without
+// -reproducible; the pins cover the reproducible profile.
 func runFigure(t *testing.T, name string, quick bool) *Table {
 	t.Helper()
 	for _, spec := range Figures(quick) {
 		if spec.Name == name {
-			tb, err := Run(&spec, quickFigureCfg())
+			tb, err := Run(&spec, quickFigureCfg(false))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -133,25 +133,36 @@ func TestPartitionExactCover(t *testing.T) {
 // any shard count 1..8, and any completion order, the merged table is
 // byte-identical to the unsharded Run output — in reproducible mode and
 // on the default fast path. Besides the small per-kind specs it covers
-// the ten quick-scale figures and the library's multi-seed scaled
-// study, the specs fleets shard in practice.
+// the library's multi-seed scaled study and the ten quick-scale
+// figures, the specs fleets shard in practice; the figures run under
+// the configuration `quorumbench -fig <id> -quick` builds.
 func TestShardedRunByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("executes every spec 9 times per mode")
 	}
-	specs := append(append(shardSpecs(), Figures(true)...), SeedScaleStudy())
 	for _, mode := range []struct {
 		name  string
 		repro bool
 	}{{"reproducible", true}, {"fast", false}} {
 		cfg := shardCfg()
 		cfg.Reproducible = mode.repro
+		type input struct {
+			spec Spec
+			cfg  RunConfig
+		}
+		var inputs []input
+		for _, spec := range append(shardSpecs(), SeedScaleStudy()) {
+			inputs = append(inputs, input{spec, cfg})
+		}
+		for _, spec := range Figures(true) {
+			inputs = append(inputs, input{spec, quickFigureCfg(mode.repro)})
+		}
 		t.Run(mode.name, func(t *testing.T) {
-			for _, spec := range specs {
-				spec := spec
-				t.Run(spec.Name, func(t *testing.T) {
+			for _, in := range inputs {
+				in := in
+				t.Run(in.spec.Name, func(t *testing.T) {
 					t.Parallel()
-					assertShardedMergeIdentical(t, &spec, cfg)
+					assertShardedMergeIdentical(t, &in.spec, in.cfg)
 				})
 			}
 		})

@@ -45,6 +45,11 @@
 // unjournaled one does and serves the same bytes, because the planner
 // is a deterministic function of its inputs and the batch sequence.
 //
+// Re-plans run their wide loops (closure sources, placement anchors,
+// pricing groups) on up to GOMAXPROCS cores, shared by every tenant of
+// the process; bound that with the GOMAXPROCS environment variable, as
+// for any Go program.
+//
 // -debug-addr starts a second listener with net/http/pprof and
 // /debug/vars (expvar), where the per-tenant serving counters — reads,
 // 304s, long-poll parks/wakeups, delta batches, re-plan durations —
@@ -99,7 +104,6 @@ func main() {
 		history   = flag.Int("history", 64, "re-plan history entries retained")
 		maxWait   = flag.Duration("max-wait", 30*time.Second, "long-poll timeout cap")
 		maxWatch  = flag.Int("max-watchers", 0, "parked long-poll watchers allowed per tenant before 503 (0 = default cap)")
-		workers   = flag.Int("workers", 0, "placement search workers per tenant (0 = GOMAXPROCS)")
 		jpath     = flag.String("journal", "", "durable delta journal for the single default tenant (restart with the same flags; incompatible with -deployment)")
 		jdir      = flag.String("journal-dir", "", "directory of per-tenant delta journals (<dir>/<name>.journal), replayed on restart")
 	)
@@ -137,7 +141,7 @@ func main() {
 	reg := serve.NewRegistry(serve.Options{MaxWait: *maxWait, MaxWatchers: *maxWatch})
 	for _, spec := range specs {
 		start := time.Now()
-		m, replayed, err := buildTenant(spec, *workers, journalPath(spec.name, *jpath, *jdir))
+		m, replayed, err := buildTenant(spec, journalPath(spec.name, *jpath, *jdir))
 		if err != nil {
 			fatal(fmt.Errorf("deployment %q: %w", spec.name, err))
 		}
@@ -197,7 +201,7 @@ func journalPath(name, jpath, jdir string) string {
 // buildTenant constructs one tenant's planner and manager, recovering
 // from its journal when one is configured. The planner is the same
 // either way: durability does not pick the solver profile.
-func buildTenant(spec tenantSpec, workers int, journal string) (*deploy.Manager, int, error) {
+func buildTenant(spec tenantSpec, journal string) (*deploy.Manager, int, error) {
 	topo, err := buildTopology(spec.topo, spec.seed)
 	if err != nil {
 		return nil, 0, err
@@ -211,7 +215,6 @@ func buildTenant(spec tenantSpec, workers int, journal string) (*deploy.Manager,
 		Algorithm: plan.Algorithm(spec.algo),
 		Strategy:  plan.StrategyKind(spec.strat),
 		Demand:    spec.demand,
-		Workers:   workers,
 	})
 	if err != nil {
 		return nil, 0, err

@@ -41,7 +41,7 @@ type daemon struct {
 
 func startDaemon(t *testing.T, journal string) *daemon {
 	t.Helper()
-	m, replayed, err := buildTenant(testSpec, 1, journal)
+	m, replayed, err := buildTenant(testSpec, journal)
 	if err != nil {
 		t.Fatal(err)
 	}

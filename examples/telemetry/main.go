@@ -55,7 +55,7 @@ func probeMesh(ctx context.Context) {
 	// deterministic noise: ±0.4ms jitter and a 25ms spike every 7th
 	// measurement — the retransmit blips of a real WAN.
 	snap := dep.Current().Snapshot
-	mesh := quorumnet.NewFakeMesh(1)
+	mesh := quorumnet.NewFakeMesh()
 	names := make([]string, snap.Topology.Size())
 	for i := range names {
 		names[i] = snap.Topology.Site(i).Name

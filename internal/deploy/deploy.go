@@ -215,10 +215,6 @@ type Config struct {
 	MoveCost float64
 	// HistoryLimit bounds the snapshot history ring (default 32).
 	HistoryLimit int
-	// RecordDeltas keeps the full applied-delta log in memory (DeltaLog),
-	// letting auditors replay any prefix; off by default because the log
-	// grows without bound on a long-lived deployment.
-	RecordDeltas bool
 }
 
 func (c Config) historyLimit() int {
@@ -238,8 +234,8 @@ type Entry struct {
 	// decisions.
 	Decision string
 	// Applied is the cumulative number of deltas applied when this entry
-	// was published (the prefix length of the delta log it corresponds
-	// to).
+	// was published: the prefix length, over the concatenated batches of
+	// the deployment's journal (see Recover), of the deltas it reflects.
 	Applied int
 }
 
@@ -249,11 +245,10 @@ type Entry struct {
 type Manager struct {
 	cfg Config
 
-	mu       sync.Mutex // serializes the apply loop (planner access)
-	p        *plan.Planner
-	applied  int
-	deltaLog []Delta
-	journal  *journal.Writer // optional durable batch log (see Recover)
+	mu      sync.Mutex // serializes the apply loop (planner access)
+	p       *plan.Planner
+	applied int
+	journal *journal.Writer // optional durable batch log (see Recover)
 
 	// queued counts Apply calls in flight (holding or waiting on mu);
 	// see ApplyQueue.
@@ -315,14 +310,6 @@ func (m *Manager) History() []*Entry {
 	return append([]*Entry(nil), m.history...)
 }
 
-// DeltaLog returns a copy of the applied-delta log (empty unless
-// Config.RecordDeltas). Entry.Applied indexes prefixes of this log.
-func (m *Manager) DeltaLog() []Delta {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Delta(nil), m.deltaLog...)
-}
-
 // Notify returns the epoch channel closed at the next publish: every
 // parked receiver is woken by that single close, so fan-out cost is
 // independent of the watcher count. The protocol for a lost-wakeup-free
@@ -381,9 +368,6 @@ func (m *Manager) Apply(deltas []Delta) (*Entry, error) {
 		}
 	}
 	m.applied += len(batch)
-	if m.cfg.RecordDeltas {
-		m.deltaLog = append(m.deltaLog, batch...)
-	}
 
 	// Publish only when the batch changed something. Leftover dirt from
 	// a previous move decision (the planner lazily reconstructs the

@@ -2,8 +2,10 @@ package deploy
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -11,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/quorumnet/quorumnet/internal/journal"
 	"github.com/quorumnet/quorumnet/internal/plan"
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
@@ -421,17 +424,20 @@ func TestNotify(t *testing.T) {
 // TestManagerConcurrent hammers a manager with concurrent delta posts
 // and snapshot reads (run it with -race): versions must be monotonic
 // from every reader's point of view, and every published snapshot must
-// equal a cold plan of the applied-delta prefix it corresponds to.
+// equal a cold plan of the applied-delta prefix it corresponds to, read
+// back from the manager's journal.
 func TestManagerConcurrent(t *testing.T) {
 	topo := deployTopo(t)
 	p, err := plan.New(topo, deployPlanConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(p, Config{MoveCost: 0, RecordDeltas: true, HistoryLimit: 4096})
+	path := filepath.Join(t.TempDir(), "concurrent.journal")
+	m, _, err := Recover(p, Config{MoveCost: 0, HistoryLimit: 4096}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer m.CloseJournal()
 	siteName := func(i int) string { return topo.Site(i).Name }
 
 	const appliers = 4
@@ -529,11 +535,26 @@ func TestManagerConcurrent(t *testing.T) {
 	}
 
 	// Verification: versions strictly increase through history, and each
-	// entry reproduces a cold plan of its applied-delta prefix.
+	// entry reproduces a cold plan of its applied-delta prefix, the
+	// journal's batches in commit order.
 	entries := m.History()
-	log := m.DeltaLog()
+	records, torn, err := journal.ReadAll(path)
+	if err != nil || torn || len(records) != 1+appliers*batches {
+		t.Fatalf("journal: %d records torn=%v err=%v, want header + %d", len(records), torn, err, appliers*batches)
+	}
+	var log []Delta
+	for i, raw := range records[1:] {
+		var rec journalRecord
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatal(err)
+		}
+		log = append(log, rec.Deltas...)
+		if rec.Applied != len(log) {
+			t.Fatalf("batch %d records %d applied, its batches sum to %d", i+1, rec.Applied, len(log))
+		}
+	}
 	if len(log) != appliers*batches {
-		t.Fatalf("delta log has %d entries, want %d", len(log), appliers*batches)
+		t.Fatalf("journal holds %d deltas, want %d", len(log), appliers*batches)
 	}
 	last := uint64(0)
 	for _, e := range entries {

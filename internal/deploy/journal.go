@@ -73,7 +73,7 @@ func (m *Manager) journalBatch(rec journalRecord) error {
 //
 // The planner must be constructed exactly as it was for the journal's
 // original manager (same topology, system, strategy, demand, solver
-// profile — i.e. the daemon restarted with the same flags; Workers may
+// profile — i.e. the daemon restarted with the same flags; GOMAXPROCS may
 // differ): the journal stores only the delta batches, and determinism
 // of the planning pipeline does the rest. A fresh path starts a new
 // journal; an existing one is verified against the rebuilt deployment

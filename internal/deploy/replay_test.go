@@ -12,6 +12,7 @@ import (
 
 	"github.com/quorumnet/quorumnet/internal/deploy"
 	"github.com/quorumnet/quorumnet/internal/journal"
+	"github.com/quorumnet/quorumnet/internal/par/partest"
 	"github.com/quorumnet/quorumnet/internal/plan"
 	"github.com/quorumnet/quorumnet/internal/serve"
 	"github.com/quorumnet/quorumnet/internal/topology"
@@ -79,18 +80,17 @@ func randomBatch(rng *rand.Rand, topo *topology.Topology) []deploy.Delta {
 // default solver profile — partial pricing, warm re-solves carried from
 // batch to batch — a long random batch sequence with hysteresis in
 // force, a starved (ErrReplan) stretch and its recovery replays on a
-// fresh planner, built with a different Workers, to the same history in
+// fresh planner, at a different GOMAXPROCS, to the same history in
 // every compared field and to the same served bytes, both at the end of
 // the journal and at a crash point inside it.
 func TestRecoverReproducesRandomHistoryDefaultProfile(t *testing.T) {
 	const batches = 200
 	dcfg := deploy.Config{MoveCost: 5, HistoryLimit: 2 * batches}
-	planner := func(workers int) *plan.Planner {
+	planner := func() *plan.Planner {
 		p, err := plan.New(topology.PlanetLab50(topology.DefaultSeed), plan.Config{
 			System:   plan.SystemSpec{Family: "grid", Param: 4},
 			Strategy: plan.StratLP,
 			Demand:   8000,
-			Workers:  workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -109,7 +109,8 @@ func TestRecoverReproducesRandomHistoryDefaultProfile(t *testing.T) {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			path := filepath.Join(t.TempDir(), "live.journal")
-			live, _, err := deploy.Recover(planner(1), dcfg, path)
+			partest.SetGOMAXPROCS(t, 1)
+			live, _, err := deploy.Recover(planner(), dcfg, path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +154,8 @@ func TestRecoverReproducesRandomHistoryDefaultProfile(t *testing.T) {
 				if err := os.WriteFile(crashed, prefix.Bytes(), 0o644); err != nil {
 					t.Fatal(err)
 				}
-				m, replayed, err := deploy.Recover(planner(3), dcfg, crashed)
+				partest.SetGOMAXPROCS(t, 3)
+				m, replayed, err := deploy.Recover(planner(), dcfg, crashed)
 				if err != nil {
 					t.Fatalf("recover after %d batches: %v", cut, err)
 				}

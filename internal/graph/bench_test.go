@@ -50,7 +50,7 @@ func BenchmarkClosure(b *testing.B) {
 	b.Run("sparse-1k", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = g.sparseClosure(0)
+			_ = g.sparseClosure()
 		}
 	})
 	b.Run("dense-fw-1k", func(b *testing.B) {

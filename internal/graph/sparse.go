@@ -319,19 +319,18 @@ func (q *dial) run(src int, dist []float64) {
 func closureDense(n, edges int) bool { return n > 0 && 8*edges >= n*n }
 
 // Closure returns the shortest-path distance matrix (metric closure) of the
-// graph. Sparse graphs run Dijkstra from every source, fanned out across a
-// worker pool (workers <= 0 means GOMAXPROCS); dense graphs fall back to
-// MetricClosure's Floyd–Warshall, which is faster when most pairs are
-// already edges. Both paths symmetrize with the minimum of the two
-// directions, so the result is exactly symmetric with a zero diagonal.
-// Disconnected pairs are Inf.
-func (g *Graph) Closure(workers int) *Matrix {
+// graph. Sparse graphs run Dijkstra from every source, fanned out with
+// par.For; dense graphs fall back to MetricClosure's Floyd–Warshall,
+// which is faster when most pairs are already edges. Both paths
+// symmetrize with the minimum of the two directions, so the result is
+// exactly symmetric with a zero diagonal. Disconnected pairs are Inf.
+func (g *Graph) Closure() *Matrix {
 	if closureDense(g.n, g.NumEdges()) {
 		m := g.edgeMatrix()
 		m.MetricClosure()
 		return m
 	}
-	return g.sparseClosure(workers)
+	return g.sparseClosure()
 }
 
 // edgeMatrix returns the direct-edge distance matrix: 0 on the diagonal,
@@ -367,7 +366,7 @@ type ssspRunner interface {
 // reusing a pooled workspace and writing straight into its matrix row, then
 // symmetrizes in two triangle passes (read-lower/write-upper, then
 // read-upper/write-lower) so no two goroutines touch the same cell.
-func (g *Graph) sparseClosure(workers int) *Matrix {
+func (g *Graph) sparseClosure() *Matrix {
 	m := NewMatrix(g.n)
 	c := newCSR(g)
 	cmin, cmax := c.edgeLengthRange()
@@ -376,12 +375,12 @@ func (g *Graph) sparseClosure(workers int) *Matrix {
 		newRunner = func() ssspRunner { return newDial(c, cmin, cmax) }
 	}
 	pool := sync.Pool{New: func() any { return newRunner() }}
-	par.For(g.n, workers, func(src int) {
+	par.For(g.n, func(src int) {
 		d := pool.Get().(ssspRunner)
 		d.run(src, m.rows[src])
 		pool.Put(d)
 	})
-	par.For(g.n, workers, func(i int) {
+	par.For(g.n, func(i int) {
 		ri := m.rows[i]
 		for j := i + 1; j < g.n; j++ {
 			if d := m.rows[j][i]; d < ri[j] {
@@ -389,7 +388,7 @@ func (g *Graph) sparseClosure(workers int) *Matrix {
 			}
 		}
 	})
-	par.For(g.n, workers, func(j int) {
+	par.For(g.n, func(j int) {
 		rj := m.rows[j]
 		for i := 0; i < j; i++ {
 			rj[i] = m.rows[i][j]

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/quorumnet/quorumnet/internal/par/partest"
 )
 
 // refClosure is the trusted oracle: the direct-edge matrix run through the
@@ -34,20 +36,21 @@ func matricesEqual(t *testing.T, got, want *Matrix, tol float64) {
 
 // TestSparseClosureMatchesMetricClosure is the tentpole property test:
 // the parallel all-pairs-Dijkstra closure must agree with Floyd–Warshall
-// on random sparse graphs, at every worker count.
+// on random sparse graphs, at every pool width.
 func TestSparseClosureMatchesMetricClosure(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(60)
-		deg := 2 + rng.Intn(4)
-		g := randSparse(n, deg, seed+100)
-		want := refClosure(g)
-		for _, workers := range []int{1, 2, 7, 0} {
-			matricesEqual(t, g.sparseClosure(workers), want, 1e-9)
+	for _, width := range []int{1, 2, 7} {
+		partest.SetGOMAXPROCS(t, width)
+		for seed := int64(0); seed < 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			n := 2 + rng.Intn(60)
+			deg := 2 + rng.Intn(4)
+			g := randSparse(n, deg, seed+100)
+			want := refClosure(g)
+			matricesEqual(t, g.sparseClosure(), want, 1e-9)
+			// The public entry point must agree regardless of which
+			// branch the density heuristic picks.
+			matricesEqual(t, g.Closure(), want, 1e-9)
 		}
-		// The public entry point must agree regardless of which branch
-		// the density heuristic picks.
-		matricesEqual(t, g.Closure(0), want, 1e-9)
 	}
 }
 
@@ -92,7 +95,7 @@ func TestSparseClosureHugeWeightRatio(t *testing.T) {
 	if dialEligible(cmin, cmax) {
 		t.Fatalf("ratio %v should not be dial-eligible", cmax/cmin)
 	}
-	matricesEqual(t, g.sparseClosure(2), refClosure(g), 1e-9)
+	matricesEqual(t, g.sparseClosure(), refClosure(g), 1e-9)
 }
 
 // TestSparseClosureDisconnected checks +Inf handling: pairs in different
@@ -106,7 +109,7 @@ func TestSparseClosureDisconnected(t *testing.T) {
 		}
 	}
 	want := refClosure(g)
-	got := g.sparseClosure(3)
+	got := g.sparseClosure()
 	matricesEqual(t, got, want, 0)
 	if !math.IsInf(got.At(0, 3), 1) || !math.IsInf(got.At(5, 6), 1) {
 		t.Fatalf("cross-component distances not Inf: %v, %v", got.At(0, 3), got.At(5, 6))
@@ -156,8 +159,8 @@ func TestClosureDenseSelection(t *testing.T) {
 	if closureDense(tree.NumNodes(), tree.NumEdges()) {
 		t.Error("tree should select the sparse path")
 	}
-	matricesEqual(t, complete.Closure(2), refClosure(complete), 1e-9)
-	matricesEqual(t, tree.Closure(2), refClosure(tree), 1e-9)
+	matricesEqual(t, complete.Closure(), refClosure(complete), 1e-9)
+	matricesEqual(t, tree.Closure(), refClosure(tree), 1e-9)
 }
 
 // TestShortestFromMatchesClosure ties the single-source entry point to the

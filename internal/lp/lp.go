@@ -297,13 +297,12 @@ const (
 	PricingPartial
 )
 
+// Tol is the solver's feasibility/optimality tolerance.
+const Tol = 1e-9
+
 // Options tunes the solver. The zero value selects sensible defaults.
+// The pivot limit is automatic, proportional to problem size.
 type Options struct {
-	// MaxIterations bounds total pivots; 0 means an automatic limit
-	// proportional to problem size.
-	MaxIterations int
-	// Tol is the feasibility/optimality tolerance; 0 means 1e-9.
-	Tol float64
 	// Pricing selects the entering-column rule (default PricingDantzig).
 	Pricing Pricing
 }

@@ -40,13 +40,11 @@ type simplex struct {
 	isBasic  []bool    // by column
 	binv     []float64 // m×m row-major basis inverse
 	xB       []float64 // current basic values
-	tol      float64
 	maxIters int
 
-	iters         int
-	degenerate    int // consecutive degenerate pivots, triggers Bland's rule
-	pricing       Pricing
-	explicitIters bool // caller set Options.MaxIterations as a hard budget
+	iters      int
+	degenerate int // consecutive degenerate pivots, triggers Bland's rule
+	pricing    Pricing
 
 	// Scratch buffers reused across pivots (and across solves).
 	y   []float64 // dual estimate c_B B⁻¹
@@ -66,22 +64,18 @@ const (
 
 // SolveWith minimizes the objective with the given options.
 func (p *Problem) SolveWith(opts Options) (*Solution, error) {
-	tol := opts.Tol
-	if tol == 0 {
-		tol = 1e-9
-	}
 	if len(p.rows) == 0 {
 		// Unconstrained non-negative minimization: each variable sits at 0
 		// unless its cost is negative, in which case the LP is unbounded.
 		for j, c := range p.obj {
-			if c < -tol {
+			if c < -Tol {
 				return nil, fmt.Errorf("variable %d has negative cost and no constraints: %w", j, ErrUnbounded)
 			}
 		}
 		return &Solution{X: make([]float64, p.nVars), Method: MethodCold}, nil
 	}
 	s := p.workspace()
-	s.applyOptions(p, opts, tol)
+	s.applyOptions(p, opts)
 	return s.coldTagged(p)
 }
 
@@ -97,15 +91,11 @@ func (p *Problem) SolveWith(opts Options) (*Solution, error) {
 // SolveWarm is always safe to call. Solution.Method reports which path
 // ran.
 func (p *Problem) SolveWarm(opts Options, basis Basis) (*Solution, error) {
-	tol := opts.Tol
-	if tol == 0 {
-		tol = 1e-9
-	}
 	if len(p.rows) == 0 || basis == nil {
 		return p.SolveWith(opts)
 	}
 	s := p.workspace()
-	s.applyOptions(p, opts, tol)
+	s.applyOptions(p, opts)
 	if !s.tryWarmBasis(basis) {
 		return s.coldTagged(p)
 	}
@@ -122,9 +112,6 @@ func (p *Problem) SolveWarm(opts Options, basis Basis) (*Solution, error) {
 				return s.coldTagged(p)
 			}
 			if errors.Is(err, ErrIterationLimit) {
-				if s.explicitIters {
-					return nil, err
-				}
 				s.iters = 0
 				s.degenerate = 0
 				s.priceStart = 0
@@ -140,13 +127,8 @@ func (p *Problem) SolveWarm(opts Options, basis Basis) (*Solution, error) {
 		}
 		if errors.Is(err, ErrIterationLimit) {
 			// Numeric trouble along the warm path (stall or a singular
-			// basis during refactorization). With the automatic pivot
-			// limit, retry from scratch with a fresh budget; a
-			// caller-specified MaxIterations is a hard compute bound, so
-			// honor it and surface the limit instead.
-			if s.explicitIters {
-				return nil, err
-			}
+			// basis during refactorization): retry from scratch with a
+			// fresh pivot budget.
 			s.iters = 0
 			s.degenerate = 0
 			s.priceStart = 0
@@ -179,16 +161,8 @@ func (p *Problem) workspace() *simplex {
 
 // applyOptions refreshes per-solve tunables and the phase-2 costs (the
 // objective may have been edited between solves).
-func (s *simplex) applyOptions(p *Problem, opts Options, tol float64) {
-	s.tol = tol
-	s.maxIters = opts.MaxIterations
-	s.explicitIters = s.maxIters != 0
-	if s.maxIters == 0 {
-		s.maxIters = 200 * (s.m + s.n)
-		if s.maxIters < 20000 {
-			s.maxIters = 20000
-		}
-	}
+func (s *simplex) applyOptions(p *Problem, opts Options) {
+	s.maxIters = max(200*(s.m+s.n), 20000)
 	copy(s.costPh2, p.obj)
 	for j := s.nStr; j < s.n; j++ {
 		s.costPh2[j] = 0
@@ -493,7 +467,7 @@ func (s *simplex) runDual(cost []float64) error {
 		// Leaving row: most negative basic value (Dantzig's dual rule),
 		// ties to the lowest row index.
 		leave := -1
-		worst := -s.tol
+		worst := -Tol
 		for i := 0; i < m; i++ {
 			if v := s.xB[i]; v < worst {
 				worst = v
@@ -538,7 +512,7 @@ func (s *simplex) runDual(cost []float64) error {
 			for t := s.colPtr[j]; t < s.colPtr[j+1]; t++ {
 				alpha += rowL[s.rowInd[t]] * s.vals[t]
 			}
-			if alpha >= -s.tol {
+			if alpha >= -Tol {
 				continue
 			}
 			d := cost[j] - s.reduceDot(j, y)
@@ -546,7 +520,7 @@ func (s *simplex) runDual(cost []float64) error {
 				d = 0 // dual feasibility holds up to tolerance
 			}
 			ratio := d / -alpha
-			if ratio < bestRatio-s.tol || (ratio < bestRatio+s.tol && (enter == -1 || j < enter)) {
+			if ratio < bestRatio-Tol || (ratio < bestRatio+Tol && (enter == -1 || j < enter)) {
 				bestRatio = ratio
 				enter = j
 			}
@@ -746,13 +720,13 @@ func (s *simplex) run(cost []float64, banFrom int, phase1 bool) error {
 		theta := math.Inf(1)
 		for i := 0; i < m; i++ {
 			bj := s.basis[i]
-			if dir[i] > s.tol {
+			if dir[i] > Tol {
 				r := s.xB[i] / dir[i]
-				if r < theta-s.tol || (r < theta+s.tol && (leave == -1 || bj < s.basis[leave])) {
+				if r < theta-Tol || (r < theta+Tol && (leave == -1 || bj < s.basis[leave])) {
 					theta = r
 					leave = i
 				}
-			} else if !phase1 && bj >= banFrom && dir[i] < -s.tol && s.xB[i] <= s.tol {
+			} else if !phase1 && bj >= banFrom && dir[i] < -Tol && s.xB[i] <= Tol {
 				// Zero-valued artificial would grow; force it out now.
 				theta = 0
 				leave = i
@@ -766,7 +740,7 @@ func (s *simplex) run(cost []float64, banFrom int, phase1 bool) error {
 			theta = 0
 		}
 
-		if theta <= s.tol {
+		if theta <= Tol {
 			s.degenerate++
 		} else {
 			s.degenerate = 0
@@ -834,7 +808,7 @@ func (s *simplex) price(cost []float64, banFrom int, y []float64) int {
 			if s.isBasic[j] {
 				continue
 			}
-			if cost[j]-s.reduceDot(j, y) < -s.tol {
+			if cost[j]-s.reduceDot(j, y) < -Tol {
 				return j
 			}
 		}
@@ -846,7 +820,7 @@ func (s *simplex) price(cost []float64, banFrom int, y []float64) int {
 		// reduced costs — and therefore the pivot sequence — are
 		// bit-identical to the straightforward per-column evaluation.
 		bestJ := -1
-		best := -s.tol
+		best := -Tol
 		colPtr, rowInd, vals, isBasic := s.colPtr, s.rowInd, s.vals, s.isBasic
 		start := colPtr[0]
 		for j := 0; j < limit; j++ {
@@ -877,7 +851,7 @@ func (s *simplex) price(cost []float64, banFrom int, y []float64) int {
 	}
 	scanned := 0
 	bestJ := -1
-	best := -s.tol
+	best := -Tol
 	for scanned < limit {
 		blockEnd := scanned + block
 		if blockEnd > limit {

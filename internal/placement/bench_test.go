@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/quorumnet/quorumnet/internal/core"
+	"github.com/quorumnet/quorumnet/internal/par/partest"
 	"github.com/quorumnet/quorumnet/internal/quorum"
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
@@ -146,6 +147,7 @@ func BenchmarkAnchorSearch300(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	partest.SetGOMAXPROCS(b, 1) // the modes compare on one core
 	for _, bc := range []struct {
 		name string
 		mode SearchMode
@@ -156,7 +158,7 @@ func BenchmarkAnchorSearch300(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := GridOneToOne(topo, sys, Options{Search: bc.mode, Workers: 1}); err != nil {
+				if _, err := GridOneToOne(topo, sys, Options{Search: bc.mode}); err != nil {
 					b.Fatal(err)
 				}
 			}

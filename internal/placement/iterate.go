@@ -29,9 +29,6 @@ type IterateConfig struct {
 	// The zero value reproduces the original solver's pivot sequence;
 	// lp.PricingPartial trades that bit-reproducibility for speed.
 	LP lp.Options
-	// Workers bounds the embedded anchor search's worker pool
-	// (0 = GOMAXPROCS); pass 1 when running Iterate calls in parallel.
-	Workers int
 }
 
 // PhaseRecord captures the measures after each phase of one iteration,
@@ -90,7 +87,6 @@ func Iterate(topo *topology.Topology, sys quorum.System, cfg IterateConfig) (*It
 			Candidates:   cfg.Candidates,
 			Clients:      cfg.Clients,
 			LP:           cfg.LP,
-			Workers:      cfg.Workers,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("placement: iteration %d phase 1: %w", j, err)

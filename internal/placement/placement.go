@@ -29,10 +29,6 @@ type Options struct {
 	// Clients restricts the client set used for scoring; nil uses all
 	// nodes (the paper's model).
 	Clients []int
-	// Workers bounds the anchor-search worker pool (0 = GOMAXPROCS).
-	// Callers that already run placements in parallel should pass 1 to
-	// avoid multiplying pools.
-	Workers int
 	// Search selects the anchor-search algorithm for the ball-based
 	// one-to-one constructions. SearchAuto (the default) switches to the
 	// probe-and-prune search on large candidate sets; SearchExhaustive
@@ -171,8 +167,6 @@ type ManyToOneConfig struct {
 	// zero value reproduces the original solver's pivot sequence;
 	// lp.PricingPartial trades that bit-reproducibility for speed.
 	LP lp.Options
-	// Workers bounds the anchor-search worker pool, as in Options.
-	Workers int
 }
 
 // ManyToOne computes the almost-capacity-respecting many-to-one placement:
@@ -197,7 +191,7 @@ func ManyToOne(topo *topology.Topology, sys quorum.System, cfg ManyToOneConfig) 
 	if eps == 0 {
 		eps = 1
 	}
-	opts := Options{ScoreBy: cfg.ScoreBy, Candidates: cfg.Candidates, Clients: cfg.Clients, Workers: cfg.Workers}
+	opts := Options{ScoreBy: cfg.ScoreBy, Candidates: cfg.Candidates, Clients: cfg.Clients}
 
 	caps := topo.Capacities()
 	return searchAnchors(topo, sys, opts, func(v0 int) (core.Placement, error) {

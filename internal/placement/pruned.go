@@ -183,7 +183,7 @@ func (s *Search) Place(topo *topology.Topology, changed []int) (core.Placement, 
 	build := func(v0 int) (core.Placement, error) { return s.build(topo, v0) }
 	score := func(idx []int) {
 		s.scored += len(idx)
-		par.For(len(idx), opts.Workers, func(k int) {
+		par.For(len(idx), func(k int) {
 			results[idx[k]] = evalAnchor(topo, s.sys, opts, build, candidates[idx[k]])
 		})
 	}
@@ -224,7 +224,7 @@ func (s *Search) Place(topo *topology.Topology, changed []int) (core.Placement, 
 	bound := ballBound(topo, s.sys, s.perm, opts)
 	var survivors []int
 	fresh = slices.DeleteFunc(fresh, func(i int) bool { return results[i].done || results[i].buildErr != nil })
-	par.For(len(fresh), opts.Workers, func(k int) {
+	par.For(len(fresh), func(k int) {
 		i := fresh[k]
 		lb, err := bound(candidates[i], best)
 		if err != nil {
@@ -293,7 +293,7 @@ func evalAnchor(topo *topology.Topology, sys quorum.System, opts Options,
 // searchAnchors builds and scores one candidate placement per anchor and
 // keeps the best: the exhaustive search of constructions that have no
 // score bound (ManyToOne). Anchors are independent, so they are evaluated
-// on a GOMAXPROCS-bounded worker pool; the results are merged in
+// with par.For; the results are merged in
 // candidate order afterwards, which makes the outcome identical to the
 // serial scan (ties keep the earliest candidate) regardless of
 // scheduling.
@@ -301,7 +301,7 @@ func searchAnchors(topo *topology.Topology, sys quorum.System, opts Options,
 	build func(v0 int) (core.Placement, error)) (core.Placement, error) {
 	candidates := opts.candidates(topo)
 	results := make([]anchorResult, len(candidates))
-	par.For(len(candidates), opts.Workers, func(i int) {
+	par.For(len(candidates), func(i int) {
 		results[i] = evalAnchor(topo, sys, opts, build, candidates[i])
 	})
 	return mergeAnchors(results)

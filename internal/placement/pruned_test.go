@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/quorumnet/quorumnet/internal/core"
+	"github.com/quorumnet/quorumnet/internal/par/partest"
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
 
@@ -16,7 +17,7 @@ func prunedTopos(t *testing.T) []*topology.Topology {
 	t.Helper()
 	as, err := topology.Generate(topology.GenConfig{
 		Name: "as-pruned-test",
-		AS:   &topology.ASGraphSpec{Sites: 150, Workers: 1},
+		AS:   &topology.ASGraphSpec{Sites: 150},
 	}, topology.DefaultSeed)
 	if err != nil {
 		t.Fatal(err)
@@ -71,17 +72,19 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 		}
 
 		cases := []struct {
-			name string
-			topo *topology.Topology
-			opts Options
+			name  string
+			topo  *topology.Topology
+			opts  Options
+			width int
 		}{
-			{"all", topo, Options{Workers: 1}},
-			{"capacity-dip", constrained, Options{Workers: 1}},
-			{"clients-subset", topo, Options{Clients: someClients, Workers: 1}},
-			{"candidates-subset", topo, Options{Candidates: someCandidates, Workers: 1}},
-			{"parallel", topo, Options{Workers: 4}},
+			{"all", topo, Options{}, 1},
+			{"capacity-dip", constrained, Options{}, 1},
+			{"clients-subset", topo, Options{Clients: someClients}, 1},
+			{"candidates-subset", topo, Options{Candidates: someCandidates}, 1},
+			{"parallel", topo, Options{}, 4},
 		}
 		for _, tc := range cases {
+			partest.SetGOMAXPROCS(t, tc.width)
 			ex, pr := tc.opts, tc.opts
 			ex.Search = SearchExhaustive
 			pr.Search = SearchPruned
@@ -115,6 +118,7 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 func TestPrunedMatchesExhaustiveRandomCaps(t *testing.T) {
 	topo := topology.Daxlist161(topology.DefaultSeed)
 	sys := mustThreshold(t, 5, 9)
+	partest.SetGOMAXPROCS(t, 1)
 	for trial := 0; trial < 10; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
 		tp := topo.Clone()
@@ -123,8 +127,8 @@ func TestPrunedMatchesExhaustiveRandomCaps(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		fEx, errEx := MajorityOneToOne(tp, sys, Options{Search: SearchExhaustive, Workers: 1})
-		fPr, errPr := MajorityOneToOne(tp, sys, Options{Search: SearchPruned, Workers: 1})
+		fEx, errEx := MajorityOneToOne(tp, sys, Options{Search: SearchExhaustive})
+		fPr, errPr := MajorityOneToOne(tp, sys, Options{Search: SearchPruned})
 		if (errEx == nil) != (errPr == nil) {
 			t.Fatalf("trial %d: exhaustive err=%v, pruned err=%v", trial, errEx, errPr)
 		}
@@ -143,8 +147,9 @@ func TestPrunedInfeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := mustThreshold(t, 8, 15) // uniform element load 1/15 >> 0.001
+	partest.SetGOMAXPROCS(t, 1)
 	for _, mode := range []SearchMode{SearchExhaustive, SearchPruned} {
-		if _, err := MajorityOneToOne(tp, sys, Options{Search: mode, Workers: 1}); err == nil {
+		if _, err := MajorityOneToOne(tp, sys, Options{Search: mode}); err == nil {
 			t.Errorf("mode %d: expected no-feasible-anchor error", mode)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/quorumnet/quorumnet/internal/graph"
+	"github.com/quorumnet/quorumnet/internal/par/partest"
 	"github.com/quorumnet/quorumnet/internal/quorum"
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
@@ -32,17 +33,22 @@ func retopo(t *testing.T, topo *topology.Topology, dist *graph.Matrix) *topology
 // property: a Search carried through a chain of metric changes, told only
 // which sites' rows changed, returns after every change exactly the
 // placement a search from scratch on that topology returns — in every
-// search mode, for both constructions, at one worker and several, and
+// search mode, for both constructions, at one pool width and several, and
 // across an eligibility change, which it must notice by itself.
 func TestRetainedSearchMatchesCold(t *testing.T) {
 	for _, topo := range prunedTopos(t) {
 		for _, sys := range []quorum.System{mustThreshold(t, 8, 15), mustGrid(t, 4)} {
-			for _, opts := range []Options{
-				{Search: SearchAuto, Workers: 1},
-				{Search: SearchExhaustive, Workers: 3},
-				{Search: SearchPruned, Workers: 1},
-				{Search: SearchPruned, Workers: 4},
+			for _, tc := range []struct {
+				search SearchMode
+				width  int
+			}{
+				{SearchAuto, 1},
+				{SearchExhaustive, 3},
+				{SearchPruned, 1},
+				{SearchPruned, 4},
 			} {
+				partest.SetGOMAXPROCS(t, tc.width)
+				opts := Options{Search: tc.search}
 				rng := rand.New(rand.NewSource(11))
 				s, err := NewSearch(sys, opts)
 				if err != nil {
@@ -114,7 +120,8 @@ func TestRetainedSearchMatchesCold(t *testing.T) {
 func TestRetainedSearchReopensPrunedAnchor(t *testing.T) {
 	topo := prunedTopos(t)[2] // the AS graph
 	sys := mustGrid(t, 4)
-	opts := Options{Search: SearchPruned, Workers: 1}
+	partest.SetGOMAXPROCS(t, 1)
+	opts := Options{Search: SearchPruned}
 	s, err := NewSearch(sys, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@
 // Reproducible planner, and for the default profile with the same
 // placement, the metric to 1e-9 relative and the LP optimum to 1e-6;
 // the package's tests assert both for random delta sequences at every
-// worker count.
+// pool width.
 //
 // Each Plan call publishes an immutable, versioned Snapshot: deep-copied
 // artifacts, the evaluation measures, and a Provenance recording which
@@ -183,9 +183,6 @@ type Config struct {
 	// of the construction inputs and the delta sequence (strategy.ConfigFor
 	// is where the setting becomes solver options).
 	Reproducible bool `json:"reproducible,omitempty"`
-	// Workers bounds the placement anchor search's worker pool
-	// (0 = GOMAXPROCS).
-	Workers int `json:"workers,omitempty"`
 	// Candidates restricts placement anchor nodes (nil tries every site).
 	Candidates []int `json:"candidates,omitempty"`
 	// Solver selects the access-LP algorithm for the "lp" strategy:

@@ -493,9 +493,6 @@ func (p *Planner) PlacementPinned() bool { return p.pin != nil }
 // layer chooses its adaptation path from this conservative answer.
 func (p *Planner) Dirty(s Stage) bool { return slices.Contains(p.dirty[:s+1], true) }
 
-// AnyDirty reports whether the next Plan would recompute anything.
-func (p *Planner) AnyDirty() bool { return p.Dirty(numStages - 1) }
-
 // Version returns the version of the most recent Plan (0 before the
 // first).
 func (p *Planner) Version() uint64 { return p.version }
@@ -725,7 +722,7 @@ func (p *Planner) computePlacement() (core.Placement, error) {
 		}
 		return core.NewPlacement(p.pin, p.topo)
 	}
-	opts := placement.Options{Workers: p.cfg.Workers, Candidates: p.cfg.Candidates}
+	opts := placement.Options{Candidates: p.cfg.Candidates}
 	switch p.cfg.algorithm() {
 	case AlgoSingleton:
 		return placement.Singleton(p.topo, p.sys.UniverseSize())
@@ -747,7 +744,6 @@ func (p *Planner) computePlacement() (core.Placement, error) {
 		return placement.ManyToOne(p.topo, p.sys, placement.ManyToOneConfig{
 			Candidates: p.cfg.Candidates,
 			LP:         lp.OptionsFor(p.cfg.Reproducible),
-			Workers:    p.cfg.Workers,
 		})
 	default:
 		return core.Placement{}, fmt.Errorf("unknown algorithm %q", p.cfg.Algorithm)
@@ -774,9 +770,7 @@ func (p *Planner) computeStrategy() error {
 		p.opt = nil
 	}
 	if p.opt == nil {
-		ocfg := strategy.ConfigFor(p.cfg.Reproducible, strategy.Solver(p.cfg.Solver))
-		ocfg.Workers = p.cfg.Workers
-		opt, err := strategy.NewOptimizer(p.eval, ocfg)
+		opt, err := strategy.NewOptimizer(p.eval, strategy.ConfigFor(p.cfg.Reproducible, strategy.Solver(p.cfg.Solver)))
 		if err != nil {
 			return err
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/quorumnet/quorumnet/internal/lp"
+	"github.com/quorumnet/quorumnet/internal/par/partest"
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
 
@@ -243,7 +244,7 @@ func applyRandomDelta(t *testing.T, rng *rand.Rand, p *Planner, churn bool) stri
 // TestReplanEquivalence is the package's core property: any sequence of
 // deltas with Plan() interleaved after each one ends in exactly the state
 // a cold plan of the final inputs produces — for every placement
-// algorithm, strategy kind, and worker count.
+// algorithm, strategy kind, and pool width.
 func TestReplanEquivalence(t *testing.T) {
 	topo := smallTopo(t)
 	cases := []struct {
@@ -256,14 +257,13 @@ func TestReplanEquivalence(t *testing.T) {
 		{name: "many-to-one/lp", cfg: Config{System: SystemSpec{Family: "grid", Param: 3}, Algorithm: AlgoManyToOne, Strategy: StratLP, Demand: 16000, Reproducible: true}, churn: false},
 		{name: "singleton/balanced", cfg: Config{System: SystemSpec{Family: "singleton"}, Algorithm: AlgoSingleton, Strategy: StratBalanced, Reproducible: true}, churn: true},
 	}
-	workerCounts := []int{1, 2, 3, 8}
 	const deltas = 8
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, workers := range workerCounts {
+			for _, width := range []int{1, 2, 3, 8} {
+				partest.SetGOMAXPROCS(t, width)
 				cfg := tc.cfg
-				cfg.Workers = workers
-				rng := rand.New(rand.NewSource(int64(workers) * 977))
+				rng := rand.New(rand.NewSource(int64(width) * 977))
 
 				inc, err := New(topo, cfg)
 				if err != nil {
@@ -278,7 +278,7 @@ func TestReplanEquivalence(t *testing.T) {
 				}
 
 				var trace []string
-				rngCold := rand.New(rand.NewSource(int64(workers) * 977))
+				rngCold := rand.New(rand.NewSource(int64(width) * 977))
 				var incRes *Snapshot
 				var incErr error
 				for i := 0; i < deltas; i++ {
@@ -288,7 +288,7 @@ func TestReplanEquivalence(t *testing.T) {
 				}
 				coldRes, coldErr := tryPlan(t, cold)
 
-				ctx := fmt.Sprintf("workers=%d trace=%v", workers, trace)
+				ctx := fmt.Sprintf("GOMAXPROCS=%d trace=%v", width, trace)
 				if (incErr == nil) != (coldErr == nil) {
 					t.Fatalf("%s: incremental err %v, cold err %v", ctx, incErr, coldErr)
 				}
@@ -327,7 +327,7 @@ func TestReplanEquivalence(t *testing.T) {
 // is: after any chain of rtt, capacity, demand, weights and pin deltas
 // with a Plan after each, the placement targets equal a cold plan's of
 // the final inputs exactly, the closed metric agrees to 1e-9 relative and
-// the LP optimum to 1e-6 relative, at every worker count.
+// the LP optimum to 1e-6 relative, at every pool width.
 func TestReplanEquivalenceDefaultProfile(t *testing.T) {
 	topo := smallTopo(t)
 	cases := []struct {
@@ -340,10 +340,10 @@ func TestReplanEquivalenceDefaultProfile(t *testing.T) {
 	const deltas = 40
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, workers := range []int{1, 2, 3, 8} {
+			for _, width := range []int{1, 2, 3, 8} {
+				partest.SetGOMAXPROCS(t, width)
 				cfg := tc.cfg
-				cfg.Workers = workers
-				rng := rand.New(rand.NewSource(int64(workers) * 131))
+				rng := rand.New(rand.NewSource(int64(width) * 131))
 				inc, err := New(topo, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -417,7 +417,7 @@ func TestReplanEquivalenceDefaultProfile(t *testing.T) {
 				}
 				coldRes, coldErr := tryPlan(t, cold)
 
-				ctx := fmt.Sprintf("workers=%d trace=%v", workers, trace)
+				ctx := fmt.Sprintf("GOMAXPROCS=%d trace=%v", width, trace)
 				if (incErr == nil) != (coldErr == nil) {
 					t.Fatalf("%s: incremental err %v, cold err %v", ctx, incErr, coldErr)
 				}

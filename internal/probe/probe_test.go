@@ -58,7 +58,7 @@ func meshManager(t testing.TB) *deploy.Manager {
 // RTT matrix as ground truth.
 func meshFromSnapshot(m *deploy.Manager) (*FakeMesh, []string) {
 	topo := m.Current().Snapshot.Topology
-	mesh := NewFakeMesh(1)
+	mesh := NewFakeMesh()
 	names := make([]string, topo.Size())
 	for i := range names {
 		names[i] = topo.Site(i).Name
@@ -187,7 +187,7 @@ func TestProbeNoiseHysteresisSuppressesReplans(t *testing.T) {
 }
 
 func TestAgentRoundEmitsAfterWarmup(t *testing.T) {
-	mesh := NewFakeMesh(3)
+	mesh := NewFakeMesh()
 	mesh.SetRTT("a", "b", 50)
 	mesh.SetRTT("a", "c", 80)
 	a, err := NewAgent(AgentConfig{
@@ -220,7 +220,7 @@ func TestAgentRoundEmitsAfterWarmup(t *testing.T) {
 }
 
 func TestAgentSkipsFailingPeer(t *testing.T) {
-	mesh := NewFakeMesh(3)
+	mesh := NewFakeMesh()
 	mesh.SetRTT("a", "b", 50)
 	mesh.SetRTT("a", "c", 80)
 	mesh.SetError("a", "c", errors.New("peer down"))

@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"math/rand"
+	"maps"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -12,26 +12,23 @@ import (
 )
 
 // FakeMesh is an injectable transport for tests and simulations: a
-// programmable symmetric base RTT matrix plus deterministic noise.
+// programmable symmetric base RTT matrix plus scripted noise.
 // Every agent of a simulated mesh shares one FakeMesh and measures
 // through Transport(site).
 type FakeMesh struct {
 	mu    sync.Mutex
-	rng   *rand.Rand
 	base  map[string]float64
 	count map[string]int
 	errs  map[string]error
-	noise float64
-	// noiseFn, when set, replaces the uniform noise: it receives the
-	// sorted pair and the pair's 1-based measurement count, so tests can
-	// script exact noise sequences independent of goroutine schedule.
+	// noiseFn, when set, adds noise: it receives the sorted pair and the
+	// pair's 1-based measurement count, so tests can script exact noise
+	// sequences independent of goroutine schedule.
 	noiseFn func(a, b string, n int) float64
 }
 
-// NewFakeMesh builds an empty mesh; the seed drives the uniform noise.
-func NewFakeMesh(seed int64) *FakeMesh {
+// NewFakeMesh builds an empty, noise-free mesh.
+func NewFakeMesh() *FakeMesh {
 	return &FakeMesh{
-		rng:   rand.New(rand.NewSource(seed)),
 		base:  make(map[string]float64),
 		count: make(map[string]int),
 		errs:  make(map[string]error),
@@ -52,16 +49,9 @@ func (f *FakeMesh) SetRTT(a, b string, ms float64) {
 	f.base[pairKey(a, b)] = ms
 }
 
-// SetNoise sets the half-width (ms) of uniform additive noise.
-func (f *FakeMesh) SetNoise(halfWidthMS float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.noise = halfWidthMS
-}
-
 // SetNoiseFunc installs a deterministic noise schedule: fn(a, b, n)
 // returns the additive noise of the pair's n-th measurement (sorted
-// pair, n starts at 1). Overrides SetNoise.
+// pair, n starts at 1).
 func (f *FakeMesh) SetNoiseFunc(fn func(a, b string, n int) float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -102,14 +92,10 @@ func (t *fakeTransport) Measure(_ context.Context, peer string) (float64, error)
 		return 0, fmt.Errorf("probe: fake mesh has no RTT for %s", key)
 	}
 	f.count[key]++
-	var n float64
-	switch {
-	case f.noiseFn != nil:
-		n = f.noiseFn(minStr(t.local, peer), maxStr(t.local, peer), f.count[key])
-	case f.noise > 0:
-		n = (f.rng.Float64()*2 - 1) * f.noise
+	v := base
+	if f.noiseFn != nil {
+		v += f.noiseFn(minStr(t.local, peer), maxStr(t.local, peer), f.count[key])
 	}
-	v := base + n
 	if v < 0.001 {
 		v = 0.001
 	}
@@ -178,8 +164,7 @@ func (s *EchoServer) Close() error {
 // UDPTransport measures RTTs with nonce-tagged UDP echo exchanges
 // against peer EchoServers.
 type UDPTransport struct {
-	mu      sync.Mutex
-	peers   map[string]string // peer name → udp address
+	peers   map[string]string // peer name → udp address, fixed at construction
 	timeout time.Duration
 	seq     atomic.Uint64
 }
@@ -191,31 +176,13 @@ func NewUDPTransport(peers map[string]string, timeout time.Duration) *UDPTranspo
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	m := make(map[string]string, len(peers))
-	for name, addr := range peers {
-		m[name] = addr
-	}
-	return &UDPTransport{peers: m, timeout: timeout}
-}
-
-// SetPeer adds or updates one peer's echo address.
-func (t *UDPTransport) SetPeer(name, addr string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.peers[name] = addr
-}
-
-func (t *UDPTransport) addr(peer string) (string, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	addr, ok := t.peers[peer]
-	return addr, ok
+	return &UDPTransport{peers: maps.Clone(peers), timeout: timeout}
 }
 
 // Measure sends one nonce-tagged datagram and times the echo. Stale
 // echoes from earlier timed-out probes are discarded by nonce.
 func (t *UDPTransport) Measure(ctx context.Context, peer string) (float64, error) {
-	addr, ok := t.addr(peer)
+	addr, ok := t.peers[peer]
 	if !ok {
 		return 0, fmt.Errorf("probe: unknown peer %q", peer)
 	}

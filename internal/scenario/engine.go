@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -164,29 +163,15 @@ func expandSystems(axes []SystemAxis, topoSize int) []systemPoint {
 	return out
 }
 
-// poolWidth resolves a Workers setting to the effective pool width.
-func poolWidth(workers, n int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	return workers
-}
-
 // buildPlacement runs the spec's placement algorithm.
-func buildPlacement(spec *Spec, cfg RunConfig, topo *topology.Topology, sys quorum.System, workers int) (core.Placement, error) {
+func buildPlacement(spec *Spec, cfg RunConfig, topo *topology.Topology, sys quorum.System) (core.Placement, error) {
 	switch spec.Placement.algorithm() {
 	case plan.AlgoSingleton:
 		return placement.Singleton(topo, sys.UniverseSize())
 	case plan.AlgoManyToOne:
-		return placement.ManyToOne(topo, sys, placement.ManyToOneConfig{
-			LP:      lp.OptionsFor(cfg.Reproducible),
-			Workers: workers,
-		})
+		return placement.ManyToOne(topo, sys, placement.ManyToOneConfig{LP: lp.OptionsFor(cfg.Reproducible)})
 	default:
-		return placement.OneToOne(topo, sys, placement.Options{Workers: workers})
+		return placement.OneToOne(topo, sys, placement.Options{})
 	}
 }
 
@@ -231,12 +216,12 @@ func trimFloat(v float64) string {
 
 // ---------------------------------------------------------------- eval
 
-func evalRow(spec *Spec, cfg RunConfig, topo *topology.Topology, pt systemPoint, workers int) ([]string, error) {
+func evalRow(spec *Spec, cfg RunConfig, topo *topology.Topology, pt systemPoint) ([]string, error) {
 	sys, err := pt.spec.Build()
 	if err != nil {
 		return nil, err
 	}
-	f, err := buildPlacement(spec, cfg, topo, sys, workers)
+	f, err := buildPlacement(spec, cfg, topo, sys)
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +264,7 @@ func evalRow(spec *Spec, cfg RunConfig, topo *topology.Topology, pt systemPoint,
 	strats := make([]core.Strategy, len(spec.Strategies))
 	infeasible := make([]bool, len(spec.Strategies))
 	for si, st := range spec.Strategies {
-		strats[si], infeasible[si], err = resolveStrategy(st, e, spec, cfg, workers)
+		strats[si], infeasible[si], err = resolveStrategy(st, e, spec, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -387,7 +372,7 @@ func dedupe(ids []int) []int {
 // resolveStrategy materializes a strategy name against an evaluation;
 // "lp" solves the access-strategy LP under the spec's uniform capacity,
 // with the spec's solver selection (reproducible runs pin dense).
-func resolveStrategy(name string, e *core.Eval, spec *Spec, cfg RunConfig, workers int) (core.Strategy, bool, error) {
+func resolveStrategy(name string, e *core.Eval, spec *Spec, cfg RunConfig) (core.Strategy, bool, error) {
 	switch name {
 	case "closest":
 		return core.ClosestStrategy{}, false, nil
@@ -402,9 +387,7 @@ func resolveStrategy(name string, e *core.Eval, spec *Spec, cfg RunConfig, worke
 		for i := range caps {
 			caps[i] = c
 		}
-		ocfg := strategy.ConfigFor(cfg.Reproducible, strategy.Solver(spec.Solver))
-		ocfg.Workers = workers
-		opt, err := strategy.NewOptimizer(e, ocfg)
+		opt, err := strategy.NewOptimizer(e, strategy.ConfigFor(cfg.Reproducible, strategy.Solver(spec.Solver)))
 		if err != nil {
 			return nil, false, err
 		}

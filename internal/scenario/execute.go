@@ -58,9 +58,9 @@ type Partial struct {
 	Table *Table   `json:"table"`
 }
 
-// Execute runs the partition's points on the spec's worker pool and
-// returns the tagged partial table. Output depends only on the spec,
-// the RunConfig, and the partition's point set — never on worker counts
+// Execute runs the partition's points in parallel and returns the
+// tagged partial table. Output depends only on the spec, the
+// RunConfig, and the partition's point set — never on pool width
 // or scheduling — so merged shards reproduce an unsharded run exactly.
 func (p *Partition) Execute() (*Partial, error) {
 	s := p.space
@@ -152,19 +152,11 @@ func (p *Partition) executeEval(rows [][][]string, report func(int)) error {
 	s := p.space
 	spec, cfg := s.spec, s.cfg
 	n := len(p.Points)
-	// Points fan out over the engine pool; when more than one runs at a
-	// time, the per-row anchor searches go serial so the pools do not
-	// multiply. Either way the output is identical.
-	rowPool := poolWidth(spec.Workers, n)
-	innerWorkers := spec.Workers
-	if rowPool > 1 {
-		innerWorkers = 1
-	}
 	errs := make([]error, n)
-	par.For(n, spec.Workers, func(i int) {
+	par.For(n, func(i int) {
 		sub := s.subs[p.Points[i].SeedIdx]
 		pt := sub.systems[p.Points[i].Index]
-		row, err := evalRow(spec, cfg, sub.topo, pt, innerWorkers)
+		row, err := evalRow(spec, cfg, sub.topo, pt)
 		if err != nil {
 			errs[i] = fmt.Errorf("system %s/%d: %w", pt.spec.Family, pt.spec.Param, err)
 			return
@@ -218,7 +210,7 @@ func (p *Partition) sweepSetups() (map[setupKey]*sweepSetup, error) {
 		if err != nil {
 			return nil, err
 		}
-		f, err := buildPlacement(spec, cfg, sub.topo, sys, spec.Workers)
+		f, err := buildPlacement(spec, cfg, sub.topo, sys)
 		if err != nil {
 			return nil, err
 		}
@@ -249,10 +241,10 @@ func (p *Partition) executeSweep(rows [][][]string, report func(int)) error {
 	// Each point is one warm-start chunk of one system's sweep; running
 	// it alone reproduces the exact solve chain of the unsharded sweep,
 	// whose chunk boundaries depend only on the point count.
-	swCfg := strategy.SweepConfig{Reproducible: cfg.Reproducible, Workers: 1}
+	swCfg := strategy.SweepConfig{Reproducible: cfg.Reproducible}
 	n := len(p.Points)
 	errs := make([]error, n)
-	par.For(n, spec.Workers, func(i int) {
+	par.For(n, func(i int) {
 		pt := p.Points[i]
 		su := setups[setupKey{pt.SeedIdx, pt.Index}]
 		lo, hi := strategy.ChunkBounds(pt.Sub, len(su.values))
@@ -340,7 +332,7 @@ func (p *Partition) executeIterate(rows [][][]string, report func(int)) error {
 		if err != nil {
 			return err
 		}
-		oto, err := buildPlacement(spec, cfg, sub.topo, sys, spec.Workers)
+		oto, err := buildPlacement(spec, cfg, sub.topo, sys)
 		if err != nil {
 			return err
 		}
@@ -359,7 +351,7 @@ func (p *Partition) executeIterate(rows [][][]string, report func(int)) error {
 	// on its own topology clone.
 	n := len(p.Points)
 	errs := make([]error, n)
-	par.For(n, spec.Workers, func(i int) {
+	par.For(n, func(i int) {
 		su := setups[p.Points[i].SeedIdx]
 		sys, values, otoDelay := su.sys, su.values, su.otoDelay
 		vi := p.Points[i].Index
@@ -373,9 +365,6 @@ func (p *Partition) executeIterate(rows [][][]string, report func(int)) error {
 			MaxIterations: maxIter,
 			Candidates:    spec.Iterate.Candidates,
 			LP:            lp.OptionsFor(cfg.Reproducible),
-			// The capacity points already saturate the pool; nesting the
-			// anchor search's pool would multiply live LP workspaces.
-			Workers: 1,
 		})
 		if err != nil {
 			errs[i] = err
@@ -434,7 +423,7 @@ func (p *Partition) executeProtocol(rows [][][]string, report func(int)) error {
 		if err != nil {
 			return err
 		}
-		f, err := placement.MajorityOneToOne(sub.topo, sys, placement.Options{Workers: spec.Workers})
+		f, err := placement.MajorityOneToOne(sub.topo, sys, placement.Options{})
 		if err != nil {
 			return err
 		}
@@ -453,7 +442,7 @@ func (p *Partition) executeProtocol(rows [][][]string, report func(int)) error {
 	// independent, seeded simulation.
 	n := len(p.Points)
 	errs := make([]error, n)
-	par.For(n, spec.Workers, func(i int) {
+	par.For(n, func(i int) {
 		cell := p.Points[i].Index
 		su := setups[setupKey{p.Points[i].SeedIdx, cell / len(ps.PerSite)}]
 		perSite := ps.PerSite[cell%len(ps.PerSite)]

@@ -56,7 +56,7 @@ type Space struct {
 
 // NewSpace validates the spec, builds its topologies (one per seed),
 // and enumerates its point-space. The enumeration depends only on the
-// spec and the RunConfig seed — never on worker counts or scheduling —
+// spec and the RunConfig seed — never on pool width or scheduling —
 // so every shard of a fleet recomputes the identical ordering. Scale
 // multipliers are folded in here, once, for the same reason.
 func NewSpace(spec *Spec, cfg RunConfig) (*Space, error) {

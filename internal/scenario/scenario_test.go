@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"github.com/quorumnet/quorumnet/internal/par/partest"
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
 
@@ -111,15 +113,22 @@ func TestLibraryJSONRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsUnknownFields(t *testing.T) {
-	if _, err := Load(strings.NewReader(`{"name":"x","kind":"eval","topology":{"source":"planetlab50"},"frobnicate":1}`)); err == nil {
-		t.Fatal("unknown field accepted")
+	for _, doc := range []string{
+		`{"name":"x","kind":"eval","topology":{"source":"planetlab50"},"frobnicate":1}`,
+		// Pool width is not configuration: GOMAXPROCS bounds it.
+		`{"name":"x","kind":"eval","topology":{"source":"planetlab50"},"workers":2}`,
+		`{"name":"x","kind":"eval","topology":{"source":"synth","synth":{"as":{"sites":20,"workers":2}}}}`,
+	} {
+		if _, err := Load(strings.NewReader(doc)); err == nil {
+			t.Fatalf("unknown field accepted: %s", doc)
+		}
 	}
 }
 
-// TestEvalWorkerIndependence runs the same eval spec serially and on the
-// full pool; the tables must match byte for byte.
+// TestEvalWorkerIndependence runs the same eval spec serially and at
+// wider pool widths; the tables must match byte for byte.
 func TestEvalWorkerIndependence(t *testing.T) {
-	mk := func(workers int) Spec {
+	mk := func() Spec {
 		return Spec{
 			Name:       "worker-independence",
 			Kind:       KindEval,
@@ -128,12 +137,12 @@ func TestEvalWorkerIndependence(t *testing.T) {
 			Demands:    []float64{0, 4000},
 			Strategies: []string{"closest", "balanced"},
 			Measures:   []string{"response"},
-			Workers:    workers,
 		}
 	}
 	var tables []*Table
-	for _, w := range []int{1, 2, 0} {
-		spec := mk(w)
+	for _, width := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		partest.SetGOMAXPROCS(t, width)
+		spec := mk()
 		tb, err := Run(&spec, RunConfig{Reproducible: true})
 		if err != nil {
 			t.Fatal(err)
@@ -142,7 +151,7 @@ func TestEvalWorkerIndependence(t *testing.T) {
 	}
 	for i := 1; i < len(tables); i++ {
 		if !reflect.DeepEqual(tables[0].Rows, tables[i].Rows) {
-			t.Fatalf("worker count changed rows:\n%v\nvs\n%v", tables[0].Rows, tables[i].Rows)
+			t.Fatalf("pool width changed rows:\n%v\nvs\n%v", tables[0].Rows, tables[i].Rows)
 		}
 	}
 	if len(tables[0].Rows) != 5 {

@@ -3,7 +3,7 @@
 // algorithm, demand and strategy axes, capacity sweeps, fault
 // injections, protocol-simulation grids, or delta timelines — and the
 // engine validates the spec, expands its axes into plan points, and
-// executes them on the shared bounded worker pool, producing a Table.
+// executes them in parallel (package par), producing a Table.
 //
 // Every figure of the paper is a Spec (Figures), the built-in workload
 // library (regional outage, diurnal demand shift, RTT drift, site churn,
@@ -112,10 +112,6 @@ type Spec struct {
 	// add_sites) render "-"; a failure no quorum survives renders
 	// "down".
 	CompareUnreplanned bool `json:"compare_unreplanned,omitempty"`
-
-	// Workers bounds the engine's point-level worker pool
-	// (0 = GOMAXPROCS). Results never depend on the worker count.
-	Workers int `json:"workers,omitempty"`
 }
 
 // TopologySpec names the WAN the scenario runs on.

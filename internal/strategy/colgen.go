@@ -71,7 +71,6 @@ type colgen struct {
 	have []uint64
 
 	basis lp.Basis // master basis carried across Optimize calls (WarmStart)
-	tol   float64
 
 	// Pricing scratch, allocated once; the per-group pricing loop itself
 	// is allocation-free.
@@ -92,10 +91,6 @@ func newColgen(e *core.Eval, cfg Config) (*colgen, error) {
 		cfg: cfg,
 		m:   e.Sys.NumQuorums(),
 		nc:  len(e.Clients),
-		tol: cfg.LP.Tol,
-	}
-	if c.tol == 0 {
-		c.tol = 1e-9 // the lp package's default optimality tolerance
 	}
 	support := e.F.Support()
 	c.groups = groupClients(e, support, !cfg.NoAggregate)
@@ -325,11 +320,11 @@ func (c *colgen) optimize(caps []float64) (*Result, error) {
 
 // priceRound scans, for every group, all m quorums for the best absent
 // column and appends one column per group that qualifies, returning how
-// many were added. The scan fans groups across the worker pool; each
+// many were added. The scan fans groups out with par.For; each
 // group's inner loop reads only shared precomputed state (the CSR loads,
 // the per-quorum dual load term, the topology's RTT row) and writes only
 // its own bestQ/bestD slot, so the pass is allocation-free and
-// deterministic regardless of worker count.
+// deterministic regardless of pool width.
 //
 // With farkas=false, y is the master's dual vector and the criterion is
 // the reduced cost w_g·δ_g(Q_i) − μ_g − w_g·Σ_{v∈Q_i} λ_v·load_i(v) of
@@ -351,14 +346,14 @@ func (c *colgen) priceRound(y []float64, farkas bool) int {
 		}
 		c.qcap[i] = s
 	}
-	par.For(c.ng, c.cfg.Workers, func(g int) {
+	par.For(c.ng, func(g int) {
 		row := c.e.Topo.RTTRow(c.groups.site[g])
 		w := c.groups.weight[g]
 		yg := y[g]
 		best := int32(-1)
-		bestScore := c.tol // farkas: need > tol
+		bestScore := lp.Tol // farkas: need > tol
 		if !farkas {
-			bestScore = -c.tol // reduced cost: need < -tol
+			bestScore = -lp.Tol // reduced cost: need < -tol
 		}
 		bestD := 0.0
 		for i := 0; i < c.m; i++ {

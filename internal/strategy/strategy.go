@@ -9,8 +9,8 @@
 // coefficients, per-quorum node loads, constraint rows) once per
 // evaluation and mutates only those right-hand sides between solves,
 // optionally warm-starting each solve from the previous optimal basis.
-// Sweeps additionally run independent capacity points on a bounded
-// worker pool, chunked so results do not depend on the worker count.
+// Sweeps additionally run independent capacity points in parallel,
+// chunked so results do not depend on the pool width.
 package strategy
 
 import (
@@ -114,9 +114,6 @@ type Config struct {
 	WarmStart bool
 	// Solver picks the LP algorithm; see SolverAuto.
 	Solver Solver
-	// Workers bounds the colgen pricing worker pool (0 = GOMAXPROCS).
-	// The dense path ignores it.
-	Workers int
 	// NoAggregate disables exact client aggregation on the colgen path,
 	// giving every client its own super-client. Diagnostic: aggregation
 	// is provably exact, and tests use this knob to verify that.
@@ -126,7 +123,7 @@ type Config struct {
 // ConfigFor is the one translation from a caller's solver profile —
 // its reproducibility setting and the solver a spec names (validated
 // where the spec enters: plan.New, scenario's Spec.Validate) — to an
-// Optimizer Config; callers add only Workers. The reproducible profile
+// Optimizer Config. The reproducible profile
 // is cold solves with Dantzig pricing on the dense path, whatever
 // solver was named: byte-reproducibility is defined by the dense pivot
 // sequence. Every other run takes partial pricing, warm re-solves, and
@@ -143,7 +140,7 @@ func ConfigFor(reproducible bool, solver Solver) Config {
 // per-client/per-quorum delay matrix δ_f(v, Q_i), the per-quorum node
 // loads, and the LP skeleton — once, and re-solves after mutating only
 // the capacity right-hand sides. An Optimizer is not safe for concurrent
-// use; sweeps give each worker its own.
+// use; sweeps give each chunk its own.
 type Optimizer struct {
 	e   *core.Eval
 	cfg Config
@@ -469,13 +466,10 @@ type SweepPoint struct {
 }
 
 // SweepConfig tunes sweep execution. The zero value is the fast path:
-// warm-started partial-pricing solves on a GOMAXPROCS-bounded worker
-// pool.
+// warm-started partial-pricing solves. Sweep points are processed in
+// fixed-size chunks, in parallel, whose boundaries depend only on the
+// number of points, so results are identical at every pool width.
 type SweepConfig struct {
-	// Workers bounds the worker pool (0 = GOMAXPROCS). Sweep points are
-	// processed in fixed-size chunks whose boundaries depend only on the
-	// number of points, so results are identical for every worker count.
-	Workers int
 	// Reproducible solves every point cold with Dantzig pricing,
 	// bit-for-bit reproducing the original serial sweep (useful when
 	// regenerating the paper's tables for comparison). The default warm
@@ -486,7 +480,7 @@ type SweepConfig struct {
 }
 
 // SweepChunkSize fixes the warm-start chain length. Chunk boundaries
-// must not depend on worker count, or results would change with
+// must not depend on pool width, or results would change with
 // parallelism: each chunk always starts with a cold solve and
 // warm-starts the points after it. The scenario engine partitions
 // sweeps at these boundaries, so sharded execution reproduces the
@@ -570,13 +564,13 @@ func NonUniformSweep(e *core.Eval, lopt float64, values []float64, cfg SweepConf
 	})
 }
 
-// runSweep evaluates every capacity value on a bounded worker pool.
-// capsFor produces the capacity vector for one value; it may reuse the
-// scratch slice it is handed (which is nil on a chunk's first point).
-// Points are partitioned into fixed chunks processed in any order by the
-// workers; within a chunk one Optimizer carries warm-start state from
-// point to point, so the outcome depends only on the chunk partition —
-// never on scheduling — and parallel output is identical to serial.
+// runSweep evaluates every capacity value in parallel. capsFor produces
+// the capacity vector for one value; it may reuse the scratch slice it is
+// handed (which is nil on a chunk's first point). Points are partitioned
+// into fixed chunks processed in any order by par.For; within a chunk
+// one Optimizer carries warm-start state from point to point, so the
+// outcome depends only on the chunk partition — never on scheduling —
+// and parallel output is identical to serial.
 func runSweep(e *core.Eval, values []float64, cfg SweepConfig,
 	capsFor func(c float64, scratch []float64) ([]float64, error)) ([]SweepPoint, error) {
 	n := len(values)
@@ -589,7 +583,7 @@ func runSweep(e *core.Eval, values []float64, cfg SweepConfig,
 
 	nChunks := (n + SweepChunkSize - 1) / SweepChunkSize
 	errs := make([]error, nChunks)
-	par.For(nChunks, cfg.Workers, func(ci int) {
+	par.For(nChunks, func(ci int) {
 		lo, hi := ChunkBounds(ci, n)
 		errs[ci] = sweepChunk(e, values[lo:hi], out[lo:hi], cfg, capsFor)
 	})

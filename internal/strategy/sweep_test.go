@@ -6,34 +6,39 @@ import (
 	"testing"
 
 	"github.com/quorumnet/quorumnet/internal/lp"
+	"github.com/quorumnet/quorumnet/internal/par/partest"
 )
 
 // TestParallelSweepIdenticalToSerial: sweeps must produce byte-identical
-// results at every worker count — both on the default warm path (chunk
+// results at every pool width — both on the default warm path (chunk
 // boundaries fix the warm-start chains) and in reproducible mode.
 func TestParallelSweepIdenticalToSerial(t *testing.T) {
 	e := gridEval(t, 12, 3, 42, 5)
 	values := SweepValues(e.Sys.OptimalLoad(), 10)
+	lopt := e.Sys.OptimalLoad()
 	for _, repro := range []bool{false, true} {
-		serial, err := UniformSweep(e, values, SweepConfig{Workers: 1, Reproducible: repro})
+		cfg := SweepConfig{Reproducible: repro}
+		partest.SetGOMAXPROCS(t, 1)
+		serial, err := UniformSweep(e, values, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 3, 8} {
-			par, err := UniformSweep(e, values, SweepConfig{Workers: workers, Reproducible: repro})
+		serialNU, err := NonUniformSweep(e, lopt, values, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, width := range []int{2, 3, 8} {
+			partest.SetGOMAXPROCS(t, width)
+			par, err := UniformSweep(e, values, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(serial, par) {
-				t.Fatalf("reproducible=%v: %d-worker uniform sweep differs from serial", repro, workers)
+				t.Fatalf("reproducible=%v: %d-wide uniform sweep differs from serial", repro, width)
 			}
 		}
-		lopt := e.Sys.OptimalLoad()
-		serialNU, err := NonUniformSweep(e, lopt, values, SweepConfig{Workers: 1, Reproducible: repro})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parNU, err := NonUniformSweep(e, lopt, values, SweepConfig{Workers: 4, Reproducible: repro})
+		partest.SetGOMAXPROCS(t, 4)
+		parNU, err := NonUniformSweep(e, lopt, values, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

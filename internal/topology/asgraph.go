@@ -26,8 +26,6 @@ type ASGraphSpec struct {
 	// the attachment tree, modeling IXP shortcuts. Default 0.05; set
 	// negative to disable.
 	ExtraPeerFrac float64 `json:"extra_peer_frac,omitempty"`
-	// Workers bounds the closure fan-out; <= 0 means GOMAXPROCS.
-	Workers int `json:"workers,omitempty"`
 	// ClientStubs appends this many degree-1 "stub" sites after the AS
 	// core, each attached to one random AS by a single access link whose
 	// latency is quantized into StubClasses fixed values. Stubs model
@@ -200,5 +198,5 @@ func generateAS(cfg GenConfig, seed int64) (*Topology, error) {
 		}
 		sites[n+s] = Site{Name: fmt.Sprintf("stub-%04d", s), Region: tierStub}
 	}
-	return FromGraph(cfg.Name, sites, g, spec.Workers)
+	return FromGraph(cfg.Name, sites, g)
 }

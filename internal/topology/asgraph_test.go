@@ -181,7 +181,7 @@ func TestGenerateASValidation(t *testing.T) {
 func TestFromGraphValidation(t *testing.T) {
 	g := graph.New(3)
 	sites := []Site{{Name: "a"}, {Name: "b"}, {Name: "c"}}
-	if _, err := FromGraph("x", sites, g, 1); err == nil {
+	if _, err := FromGraph("x", sites, g); err == nil {
 		t.Error("disconnected graph should be rejected")
 	}
 	if err := g.AddEdge(0, 1, 1); err != nil {
@@ -190,14 +190,14 @@ func TestFromGraphValidation(t *testing.T) {
 	if err := g.AddEdge(1, 2, 2); err != nil {
 		t.Fatal(err)
 	}
-	topo, err := FromGraph("x", sites, g, 1)
+	topo, err := FromGraph("x", sites, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := topo.RTT(0, 2); got != 3 {
 		t.Fatalf("RTT(0,2) = %v, want 3 (path through b)", got)
 	}
-	if _, err := FromGraph("x", sites[:2], g, 1); err == nil {
+	if _, err := FromGraph("x", sites[:2], g); err == nil {
 		t.Error("site/node count mismatch should be rejected")
 	}
 }

@@ -65,18 +65,18 @@ func NewMetric(name string, sites []Site, dist *graph.Matrix) (*Topology, error)
 }
 
 // FromGraph builds a topology whose RTT metric is the shortest-path closure
-// of an edge graph, computed on the sparse parallel path (workers <= 0
-// means GOMAXPROCS). The graph must be connected: a disconnected graph
-// would put +Inf RTTs in the metric, which every downstream consumer
-// (placement balls, LP coefficients) would silently corrupt on.
-func FromGraph(name string, sites []Site, g *graph.Graph, workers int) (*Topology, error) {
+// of an edge graph, computed on the sparse parallel path. The graph must
+// be connected: a disconnected graph would put +Inf RTTs in the metric,
+// which every downstream consumer (placement balls, LP coefficients)
+// would silently corrupt on.
+func FromGraph(name string, sites []Site, g *graph.Graph) (*Topology, error) {
 	if g.NumNodes() != len(sites) {
 		return nil, fmt.Errorf("topology: %d sites but %d graph nodes", len(sites), g.NumNodes())
 	}
 	if !g.Connected() {
 		return nil, fmt.Errorf("topology %q: edge graph is disconnected", name)
 	}
-	return newTrusted(name, sites, g.Closure(workers)), nil
+	return newTrusted(name, sites, g.Closure()), nil
 }
 
 func newTrusted(name string, sites []Site, dist *graph.Matrix) *Topology {

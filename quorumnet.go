@@ -357,9 +357,9 @@ type ProbeSmoother = probe.SmootherConfig
 func NewProbeAgent(cfg ProbeAgentConfig) (*ProbeAgent, error) { return probe.NewAgent(cfg) }
 
 // NewFakeMesh builds a deterministic in-process probe transport with
-// programmable pair RTTs, noise, and failures — the unit under the
-// hysteresis regression tests.
-func NewFakeMesh(seed int64) *probe.FakeMesh { return probe.NewFakeMesh(seed) }
+// programmable pair RTTs, scripted noise, and failures — the unit under
+// the hysteresis regression tests.
+func NewFakeMesh() *probe.FakeMesh { return probe.NewFakeMesh() }
 
 // DeltaBatcher is the client-side debouncer between delta producers
 // (probe agents, demand reporters) and a deployment: it coalesces

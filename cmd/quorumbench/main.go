@@ -143,7 +143,7 @@ func parse(args []string) (*options, int) {
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:9190", "listen address for -fleet-worker")
 	fs.StringVar(&o.join, "join", "", "registry address a -fleet-worker self-registers with (elastic fleet)")
 	fs.StringVar(&o.advertise, "advertise", "", "address a -fleet-worker advertises to the registry (default: -addr with 127.0.0.1 for an empty host)")
-	fs.IntVar(&o.slots, "slots", 1, "shard slots a -fleet-worker advertises; coordinators weight dispatch by free slots")
+	fs.IntVar(&o.slots, "slots", 1, "shards a -fleet-worker runs at once and advertises; coordinators weight dispatch by free slots")
 	fs.StringVar(&o.journal, "journal", "", "record this fleet run's dispatch/completion protocol to an append-only journal file")
 	fs.StringVar(&o.resume, "resume", "", "resume a crashed fleet run from its journal, dispatching only the unrecorded shards")
 	fs.BoolVar(&o.standby, "standby", false, "tail -journal as a standby coordinator and take over when the primary's lease goes stale")
@@ -635,7 +635,7 @@ func runFleetWorker(o *options) int {
 	logf := func(f string, args ...interface{}) {
 		fmt.Fprintf(os.Stderr, f+"\n", args...)
 	}
-	w := fleet.NewWorker(fleet.WorkerOptions{Logf: logf})
+	w := fleet.NewWorker(fleet.WorkerOptions{Slots: o.slots, Logf: logf})
 	if o.join != "" {
 		if advertise == "" {
 			advertise = o.addr

@@ -49,9 +49,6 @@ func (h *eventHeap) Pop() interface{} {
 // this library).
 func (s *Simulator) Now() float64 { return s.now }
 
-// Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return s.queue.Len() }
-
 // Schedule queues fn to run after delay. Zero delays are allowed (the
 // event runs after already-queued events at the same instant).
 func (s *Simulator) Schedule(delay float64, fn func()) error {
@@ -81,17 +78,5 @@ func (s *Simulator) Step() bool {
 // Run processes events until the queue is empty.
 func (s *Simulator) Run() {
 	for s.Step() {
-	}
-}
-
-// RunUntil processes all events with time ≤ t, then advances the clock to
-// t. Events scheduled during processing are honored if they fall within
-// the horizon.
-func (s *Simulator) RunUntil(t float64) {
-	for s.queue.Len() > 0 && s.queue[0].at <= t {
-		s.Step()
-	}
-	if t > s.now {
-		s.now = t
 	}
 }

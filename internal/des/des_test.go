@@ -76,27 +76,6 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestRunUntilHorizon(t *testing.T) {
-	var s Simulator
-	ran := 0
-	mustSchedule(t, &s, 1, func() { ran++ })
-	mustSchedule(t, &s, 10, func() { ran++ })
-	s.RunUntil(5)
-	if ran != 1 {
-		t.Errorf("ran = %d events before horizon, want 1", ran)
-	}
-	if s.Now() != 5 {
-		t.Errorf("Now() = %v, want 5", s.Now())
-	}
-	if s.Pending() != 1 {
-		t.Errorf("Pending() = %d, want 1", s.Pending())
-	}
-	s.Run()
-	if ran != 2 || s.Now() != 10 {
-		t.Errorf("after Run: ran=%d now=%v", ran, s.Now())
-	}
-}
-
 func TestZeroDelayRunsAfterQueuedSameTime(t *testing.T) {
 	var s Simulator
 	var order []int

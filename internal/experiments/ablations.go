@@ -349,7 +349,7 @@ func AblSweep(cfg scenario.RunConfig, quick bool) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := placement.GridOneToOne(topo, sys, placement.Options{})
+	f, err := placement.OneToOne(topo, sys, placement.Options{})
 	if err != nil {
 		return nil, err
 	}

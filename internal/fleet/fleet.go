@@ -48,9 +48,6 @@ type Config struct {
 	// canceling them (0 = cancel immediately). Late results are
 	// discarded by shard-attempt id either way.
 	DrainGrace time.Duration
-	// PollTimeout is the long-poll duration of each result request
-	// (0 = 30s).
-	PollTimeout time.Duration
 	// ShardTimeout bounds one shard attempt end to end, dispatch through
 	// result (0 = 10m). A worker that accepted a job but hangs — while
 	// still heartbeating — charges one attempt when it expires; a worker
@@ -63,12 +60,6 @@ type Config struct {
 	// journal write failure aborts the run — an unjournaled run that
 	// claims to be journaled is worse than a loud failure.
 	Journal *runjournal.Run
-	// LeaseInterval is the cadence of journal lease renewals during
-	// quiet stretches (0 = 1s). Irrelevant without Journal.
-	LeaseInterval time.Duration
-	// Client overrides the HTTP client (nil = a default without global
-	// timeout; per-request contexts bound every call).
-	Client *http.Client
 	// Logf, when set, receives dispatch/retry/completion logs.
 	Logf func(format string, args ...interface{})
 	// OnEvent, when set, observes dispatch lifecycle events (progress
@@ -122,12 +113,13 @@ const (
 	EventAbandon = "abandon"
 )
 
-func (c Config) pollTimeout() time.Duration {
-	if c.PollTimeout <= 0 {
-		return 30 * time.Second
-	}
-	return c.PollTimeout
-}
+const (
+	// pollTimeout is the long-poll duration of each result request.
+	pollTimeout = 30 * time.Second
+	// leaseInterval is the cadence of journal lease renewals during
+	// quiet stretches.
+	leaseInterval = time.Second
+)
 
 func (c Config) shardTimeout() time.Duration {
 	if c.ShardTimeout <= 0 {
@@ -155,9 +147,8 @@ func (c Config) attempts() int {
 // Registry, or a private one holding the configured Workers pinned.
 // Safe for sequential reuse across runs.
 type Coordinator struct {
-	cfg    Config
-	reg    *Registry
-	client *http.Client
+	cfg Config
+	reg *Registry
 }
 
 // New validates the configuration and builds a coordinator.
@@ -179,11 +170,7 @@ func New(cfg Config) (*Coordinator, error) {
 			reg.pin(a)
 		}
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
-	return &Coordinator{cfg: cfg, reg: reg, client: client}, nil
+	return &Coordinator{cfg: cfg, reg: reg}, nil
 }
 
 // normalizeAddr canonicalizes a worker or registry address: trimmed, no
@@ -250,22 +237,18 @@ func (c *Coordinator) startLeaseTicker() func() {
 	if c.cfg.Journal == nil {
 		return func() {}
 	}
-	interval := c.cfg.LeaseInterval
-	if interval <= 0 {
-		interval = time.Second
-	}
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ticker := time.NewTicker(interval)
+		ticker := time.NewTicker(leaseInterval)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-stop:
 				return
 			case <-ticker.C:
-				if err := c.cfg.Journal.RenewLease(interval); err != nil {
+				if err := c.cfg.Journal.RenewLease(leaseInterval); err != nil {
 					c.logf("fleet: journal lease renewal failed: %v", err)
 				}
 			}
@@ -292,7 +275,7 @@ func (c *Coordinator) attemptShard(ctx context.Context, addr string, spec *scena
 		return nil, fmt.Errorf("worker returned no job id")
 	}
 
-	url := fmt.Sprintf("%s/v1/shards/%s/result?timeout=%s", addr, sub.ID, c.cfg.pollTimeout())
+	url := fmt.Sprintf("%s/v1/shards/%s/result?timeout=%s", addr, sub.ID, pollTimeout)
 	for {
 		var res ResultResponse
 		if err := c.doJSON(ctx, http.MethodGet, url, nil, &res); err != nil {
@@ -328,7 +311,8 @@ func (c *Coordinator) doJSON(ctx context.Context, method, url string, body []byt
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.client.Do(req)
+	// No client-wide timeout: the per-request context bounds every call.
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -201,4 +202,111 @@ func TestWorkerHTTPValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("re-fetch of delivered job: HTTP %d, want 404", resp.StatusCode)
 	}
+}
+
+// TestWorkerRunsSlotsShardsAtOnce: a 2-slot worker executes two shards
+// at once, so GET /v1/shards lists both as running. Each job blocks in
+// its "started" log line until both have started; a worker that runs
+// one shard at a time never starts the second.
+func TestWorkerRunsSlotsShardsAtOnce(t *testing.T) {
+	started := make(chan struct{}, 2)
+	release := make(chan struct{})
+	logf := func(format string, args ...interface{}) {
+		if strings.HasSuffix(format, "started") {
+			started <- struct{}{}
+			<-release
+		}
+	}
+	srv := httptest.NewServer(NewWorker(WorkerOptions{Slots: 2, Logf: logf}).Handler())
+	t.Cleanup(srv.Close)
+	defer close(release)
+
+	submitShards(t, srv.URL, 2)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-started:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of 2 jobs started: the worker runs fewer shards at once than its slots", i)
+		}
+	}
+
+	jobs := listJobs(t, srv.URL)
+	running := 0
+	for _, j := range jobs {
+		if j.Status == StatusRunning {
+			running++
+		}
+	}
+	if running != 2 {
+		t.Fatalf("GET /v1/shards: %d running, want 2: %+v", running, jobs)
+	}
+}
+
+// TestWorkerQueuesJobsBeyondSlots: a 1-slot worker given two shards
+// runs one and lists the other as queued until the slot frees.
+func TestWorkerQueuesJobsBeyondSlots(t *testing.T) {
+	started := make(chan struct{}, 2)
+	release := make(chan struct{})
+	logf := func(format string, args ...interface{}) {
+		if strings.HasSuffix(format, "started") {
+			started <- struct{}{}
+			<-release
+		}
+	}
+	srv := httptest.NewServer(NewWorker(WorkerOptions{Logf: logf}).Handler())
+	t.Cleanup(srv.Close)
+	defer close(release)
+
+	submitShards(t, srv.URL, 2)
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no job started")
+	}
+
+	jobs := listJobs(t, srv.URL)
+	count := map[string]int{}
+	for _, j := range jobs {
+		count[j.Status]++
+	}
+	if count[StatusRunning] != 1 || count[StatusQueued] != 1 || len(jobs) != 2 {
+		t.Fatalf("GET /v1/shards: %v, want 1 running and 1 queued: %+v", count, jobs)
+	}
+}
+
+// submitShards posts shards 0..n-1 of testSpec to a worker.
+func submitShards(t *testing.T, url string, n int) {
+	t.Helper()
+	specJSON, err := json.Marshal(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for shard := 0; shard < n; shard++ {
+		body := fmt.Sprintf(`{"spec": %s, "config": {"reproducible": true}, "shard": %d, "shards": %d}`, specJSON, shard, n)
+		resp, err := http.Post(url+"/v1/shards", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit shard %d: HTTP %d", shard, resp.StatusCode)
+		}
+	}
+}
+
+// listJobs returns a worker's GET /v1/shards list.
+func listJobs(t *testing.T, url string) []JobInfo {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/shards")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct {
+		Jobs []JobInfo `json:"jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	return list.Jobs
 }

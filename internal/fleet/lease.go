@@ -22,8 +22,6 @@ type LeaseOptions struct {
 	Slots int
 	// Cores advertises the worker's CPU count (informational).
 	Cores int
-	// Client overrides the HTTP client.
-	Client *http.Client
 	// Logf, when set, receives lease lifecycle logs.
 	Logf func(format string, args ...interface{})
 }
@@ -63,15 +61,11 @@ func Join(registryAddr, advertise string, opts LeaseOptions) (*Lease, error) {
 	if strings.TrimSpace(advertise) == "" {
 		return nil, fmt.Errorf("fleet: empty advertise address")
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
 	l := &Lease{
 		registry:  registryAddr,
 		advertise: strings.TrimSpace(advertise),
 		opts:      opts,
-		client:    client,
+		client:    &http.Client{Timeout: 10 * time.Second},
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}

@@ -18,12 +18,9 @@ type StandbyOptions struct {
 	Owner string
 	// LeaseTTL is how stale the primary's newest journal record may be
 	// before the standby declares it dead and takes over (default 5s).
-	// Must comfortably exceed the primary's LeaseInterval, or a healthy
-	// primary gets fenced mid-run.
+	// Must comfortably exceed the primary's lease renewal interval (1s),
+	// or a healthy primary gets fenced mid-run.
 	LeaseTTL time.Duration
-	// PollInterval is the journal re-read cadence while the primary is
-	// healthy (default 1s).
-	PollInterval time.Duration
 	// Now overrides the clock used for staleness checks; tests drive
 	// takeovers with fake clocks instead of sleeping. Journal timestamps
 	// compare against this clock, so primary and standby clocks must be
@@ -50,12 +47,9 @@ func (o StandbyOptions) leaseTTL() time.Duration {
 	return o.LeaseTTL
 }
 
-func (o StandbyOptions) pollInterval() time.Duration {
-	if o.PollInterval <= 0 {
-		return time.Second
-	}
-	return o.PollInterval
-}
+// standbyPollInterval is the journal re-read cadence while the primary
+// is healthy.
+const standbyPollInterval = time.Second
 
 func (o StandbyOptions) now() time.Time {
 	if o.Now == nil {
@@ -151,7 +145,7 @@ func (s *Standby) Run(ctx context.Context) (*scenario.Table, error) {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-time.After(s.opts.pollInterval()):
+		case <-time.After(standbyPollInterval):
 		}
 	}
 }

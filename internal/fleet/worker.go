@@ -15,7 +15,8 @@
 //	POST /v1/shards              — {"spec": ..., "config": ..., "shard":
 //	                               i, "shards": n} enqueues one shard
 //	                               job and returns {"id": ...}.
-//	GET  /v1/shards              — lists jobs (id, label, status).
+//	GET  /v1/shards              — lists jobs (id, label, status);
+//	                               Slots of them run at once.
 //	GET  /v1/shards/<id>/result  — long-polls (?timeout, capped by the
 //	                               worker's MaxWait) until the job
 //	                               finishes; replies {"status":
@@ -65,8 +66,11 @@ type ShardResponse struct {
 	ID string `json:"id"`
 }
 
-// Job statuses reported by the result and list endpoints.
+// Job statuses reported by the result and list endpoints. Only the
+// list tells a queued job (waiting for an executor slot) from a running
+// one; a result long-poll reports both as running.
 const (
+	StatusQueued  = "queued"
 	StatusRunning = "running"
 	StatusDone    = "done"
 	StatusError   = "error"
@@ -93,19 +97,10 @@ type JobInfo struct {
 type WorkerOptions struct {
 	// MaxWait caps a result long-poll's ?timeout (default 30s).
 	MaxWait time.Duration
-	// Jobs bounds concurrently executing shard jobs (default 1: the
-	// engine already fans one job's points across the process's worker
-	// pool, so stacking jobs just multiplies live LP workspaces).
-	Jobs int
-	// MaxJobs bounds the jobs retained at once — queued, running, and
-	// finished-but-unfetched (default 64). Submissions beyond it get
-	// 503 until slots free up, so abandoned coordinators cannot grow
-	// the worker without bound.
-	MaxJobs int
-	// Retention is how long a finished job waits to be fetched before
-	// eviction (default 15m). Delivered jobs are evicted immediately; a
-	// coordinator that comes back later re-dispatches the shard.
-	Retention time.Duration
+	// Slots bounds concurrently executing shard jobs (<= 0 means 1): the
+	// capacity a worker advertises with LeaseOptions.Slots, so a
+	// coordinator that weights dispatch by it finds the slots it counted.
+	Slots int
 	// Logf, when set, receives job lifecycle and progress logs.
 	Logf func(format string, args ...interface{})
 }
@@ -117,26 +112,17 @@ func (o WorkerOptions) maxWait() time.Duration {
 	return o.MaxWait
 }
 
-func (o WorkerOptions) jobs() int {
-	if o.Jobs <= 0 {
-		return 1
-	}
-	return o.Jobs
-}
-
-func (o WorkerOptions) maxJobs() int {
-	if o.MaxJobs <= 0 {
-		return 64
-	}
-	return o.MaxJobs
-}
-
-func (o WorkerOptions) retention() time.Duration {
-	if o.Retention <= 0 {
-		return 15 * time.Minute
-	}
-	return o.Retention
-}
+const (
+	// maxJobs bounds the jobs retained at once — queued, running, and
+	// finished-but-unfetched. Submissions beyond it get 503 until slots
+	// free up, so abandoned coordinators cannot grow the worker without
+	// bound.
+	maxJobs = 64
+	// retention is how long a finished job waits to be fetched before
+	// eviction. Delivered jobs are evicted immediately; a coordinator
+	// that comes back later re-dispatches the shard.
+	retention = 15 * time.Minute
+)
 
 // Worker executes shard jobs for coordinators. Mount Handler on an HTTP
 // server; jobs queue on a bounded executor and results are collected
@@ -153,6 +139,7 @@ type Worker struct {
 type job struct {
 	id      string
 	label   string
+	started bool          // an executor slot is running it
 	done    chan struct{} // closed when the job finishes
 	doneAt  time.Time     // zero while running; set before done closes
 	partial *scenario.Partial
@@ -163,9 +150,9 @@ type job struct {
 // window. Callers hold w.mu.
 func (w *Worker) sweepLocked(now time.Time) {
 	for id, j := range w.jobs {
-		if !j.doneAt.IsZero() && now.Sub(j.doneAt) > w.opts.retention() {
+		if !j.doneAt.IsZero() && now.Sub(j.doneAt) > retention {
 			delete(w.jobs, id)
-			w.logf("fleet worker: %s (%s) evicted unfetched after %s", j.id, j.label, w.opts.retention())
+			w.logf("fleet worker: %s (%s) evicted unfetched after %s", j.id, j.label, retention)
 		}
 	}
 }
@@ -174,7 +161,7 @@ func (w *Worker) sweepLocked(now time.Time) {
 func NewWorker(opts WorkerOptions) *Worker {
 	return &Worker{
 		opts: opts,
-		sem:  make(chan struct{}, opts.jobs()),
+		sem:  make(chan struct{}, max(opts.Slots, 1)),
 		jobs: map[string]*job{},
 	}
 }
@@ -230,10 +217,10 @@ func (w *Worker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 
 	w.mu.Lock()
 	w.sweepLocked(time.Now())
-	if len(w.jobs) >= w.opts.maxJobs() {
+	if len(w.jobs) >= maxJobs {
 		w.mu.Unlock()
 		httpError(rw, http.StatusServiceUnavailable,
-			fmt.Sprintf("worker holds %d jobs; retry later", w.opts.maxJobs()))
+			fmt.Sprintf("worker holds %d jobs; retry later", maxJobs))
 		return
 	}
 	w.seq++
@@ -252,6 +239,9 @@ func (w *Worker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 func (w *Worker) execute(j *job, req *ShardRequest) {
 	w.sem <- struct{}{}
 	defer func() { <-w.sem }()
+	w.mu.Lock()
+	j.started = true
+	w.mu.Unlock()
 	w.logf("fleet worker: %s (%s) started", j.id, j.label)
 	start := time.Now()
 
@@ -297,7 +287,10 @@ func (w *Worker) handleList(rw http.ResponseWriter) {
 	w.sweepLocked(time.Now())
 	out := make([]JobInfo, 0, len(w.jobs))
 	for _, j := range w.jobs {
-		info := JobInfo{ID: j.id, Label: j.label, Status: StatusRunning}
+		info := JobInfo{ID: j.id, Label: j.label, Status: StatusQueued}
+		if j.started {
+			info.Status = StatusRunning
+		}
 		select {
 		case <-j.done:
 			if j.errMsg != "" {

@@ -21,7 +21,7 @@ import (
 var Inf = math.Inf(1)
 
 // Graph is an undirected graph with non-negative edge lengths. The zero
-// value is an empty graph; add nodes with AddNodes and edges with AddEdge.
+// value is an empty graph; New sizes it and AddEdge adds edges.
 // Parallel edges are permitted; shortest-path computations use the minimum
 // length among them. Self-loops are ignored for distance purposes.
 type Graph struct {
@@ -54,18 +54,6 @@ func (g *Graph) NumEdges() int {
 	return total / 2
 }
 
-// AddNodes appends k nodes to the graph and returns the index of the first
-// new node.
-func (g *Graph) AddNodes(k int) int {
-	if k < 0 {
-		panic("graph: negative node count")
-	}
-	first := g.n
-	g.n += k
-	g.adj = append(g.adj, make([][]halfEdge, k)...)
-	return first
-}
-
 // AddEdge adds an undirected edge between u and v with the given length.
 // It returns an error if either endpoint is out of range or the length is
 // negative or NaN. Adding a self-loop is an error: self-distances are
@@ -86,13 +74,6 @@ func (g *Graph) AddEdge(u, v int, length float64) error {
 	return nil
 }
 
-// Neighbors calls fn for every half-edge leaving u.
-func (g *Graph) Neighbors(u int, fn func(v int, length float64)) {
-	for _, e := range g.adj[u] {
-		fn(e.to, e.length)
-	}
-}
-
 // ShortestFrom computes single-source shortest-path distances from src to
 // every node using Dijkstra's algorithm over an index-addressed 4-ary heap
 // (see sparse.go). Unreachable nodes get Inf.
@@ -103,27 +84,6 @@ func (g *Graph) ShortestFrom(src int) []float64 {
 	dist := make([]float64, g.n)
 	newDijkstra(nil, g.n).runGraph(g, src, dist)
 	return dist
-}
-
-// AllPairs computes the full shortest-path distance matrix serially. It
-// runs Dijkstra from every node, reusing one workspace. The result is
-// exactly symmetric: the two directions of each pair can accumulate
-// floating-point error in different orders, so the minimum of the two is
-// used. Closure is the parallel, auto-selecting variant.
-func (g *Graph) AllPairs() *Matrix {
-	m := NewMatrix(g.n)
-	d := newDijkstra(newCSR(g), g.n)
-	for v := 0; v < g.n; v++ {
-		d.run(v, m.rows[v])
-	}
-	for i := 0; i < g.n; i++ {
-		for j := i + 1; j < g.n; j++ {
-			d := math.Min(m.rows[i][j], m.rows[j][i])
-			m.rows[i][j] = d
-			m.rows[j][i] = d
-		}
-	}
-	return m
 }
 
 // Matrix is a symmetric distance matrix: the metric d(v, w) induced by a
@@ -276,15 +236,6 @@ func (m *Matrix) Ball(center, k int) []int {
 	// simple at these sizes.
 	sortByDist(idx, row)
 	return idx[:k]
-}
-
-// AvgDistanceTo returns the average distance from all nodes to w.
-func (m *Matrix) AvgDistanceTo(w int) float64 {
-	sum := 0.0
-	for v := 0; v < m.n; v++ {
-		sum += m.rows[v][w]
-	}
-	return sum / float64(m.n)
 }
 
 // sortByDist sorts idx by (dist[idx], idx) ascending.

@@ -26,20 +26,6 @@ func TestNewGraphNegativePanics(t *testing.T) {
 	New(-1)
 }
 
-func TestAddNodes(t *testing.T) {
-	g := New(2)
-	first := g.AddNodes(3)
-	if first != 2 {
-		t.Errorf("AddNodes(3) = %d, want 2", first)
-	}
-	if got := g.NumNodes(); got != 5 {
-		t.Errorf("NumNodes() = %d, want 5", got)
-	}
-	if err := g.AddEdge(0, 4, 1); err != nil {
-		t.Errorf("AddEdge to appended node: %v", err)
-	}
-}
-
 func TestAddEdgeErrors(t *testing.T) {
 	g := New(3)
 	tests := []struct {
@@ -114,7 +100,7 @@ func TestShortestFromDisconnected(t *testing.T) {
 
 func TestAllPairsSymmetric(t *testing.T) {
 	g := randomConnectedGraph(rand.New(rand.NewSource(1)), 20, 0.3)
-	m := g.AllPairs()
+	m := g.Closure()
 	for i := 0; i < m.Size(); i++ {
 		if m.At(i, i) != 0 {
 			t.Errorf("At(%d,%d) = %v, want 0", i, i, m.At(i, i))
@@ -129,7 +115,7 @@ func TestAllPairsSymmetric(t *testing.T) {
 
 func TestAllPairsIsMetric(t *testing.T) {
 	g := randomConnectedGraph(rand.New(rand.NewSource(2)), 15, 0.4)
-	m := g.AllPairs()
+	m := g.Closure()
 	if !m.IsMetric(1e-9) {
 		t.Error("shortest-path matrix violates metric properties")
 	}
@@ -195,7 +181,7 @@ func TestMedianSimple(t *testing.T) {
 	g := New(3)
 	mustEdge(t, g, 0, 1, 1)
 	mustEdge(t, g, 1, 2, 1)
-	m := g.AllPairs()
+	m := g.Closure()
 	node, avg := m.Median()
 	if node != 1 {
 		t.Errorf("Median() node = %d, want 1", node)
@@ -207,10 +193,14 @@ func TestMedianSimple(t *testing.T) {
 
 func TestMedianIsArgmin(t *testing.T) {
 	g := randomConnectedGraph(rand.New(rand.NewSource(3)), 25, 0.3)
-	m := g.AllPairs()
+	m := g.Closure()
 	node, avg := m.Median()
 	for w := 0; w < m.Size(); w++ {
-		if got := m.AvgDistanceTo(w); got < avg-1e-12 {
+		sum := 0.0
+		for v := 0; v < m.Size(); v++ {
+			sum += m.At(v, w)
+		}
+		if got := sum / float64(m.Size()); got < avg-1e-12 {
 			t.Errorf("node %d has avg dist %v < median node %d's %v", w, got, node, avg)
 		}
 	}
@@ -238,7 +228,7 @@ func TestBallOrderingAndContents(t *testing.T) {
 
 func TestBallIncludesCenterFirst(t *testing.T) {
 	g := randomConnectedGraph(rand.New(rand.NewSource(4)), 12, 0.5)
-	m := g.AllPairs()
+	m := g.Closure()
 	for c := 0; c < m.Size(); c++ {
 		ball := m.Ball(c, 5)
 		if ball[0] != c {
@@ -254,7 +244,7 @@ func TestBallProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(20)
 		g := randomConnectedGraph(rng, n, 0.4)
-		m := g.AllPairs()
+		m := g.Closure()
 		c := rng.Intn(n)
 		k := 1 + rng.Intn(n)
 		ball := m.Ball(c, k)
@@ -298,17 +288,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestNeighbors(t *testing.T) {
-	g := New(3)
-	mustEdge(t, g, 0, 1, 1.5)
-	mustEdge(t, g, 0, 2, 2.5)
-	seen := map[int]float64{}
-	g.Neighbors(0, func(v int, l float64) { seen[v] = l })
-	if len(seen) != 2 || seen[1] != 1.5 || seen[2] != 2.5 {
-		t.Errorf("Neighbors(0) = %v", seen)
-	}
-}
-
 // mustEdge adds an edge or fails the test.
 func mustEdge(t *testing.T, g *Graph, u, v int, l float64) {
 	t.Helper()
@@ -339,16 +318,15 @@ func randomConnectedGraph(rng *rand.Rand, n int, p float64) *Graph {
 	return g
 }
 
-// TestDijkstraMatchesFloydWarshall cross-checks AllPairs (repeated
-// Dijkstra) against an independent Floyd–Warshall implementation.
+// TestDijkstraMatchesFloydWarshall cross-checks ShortestFrom (Dijkstra)
+// from every source, and Closure, against an independent Floyd–Warshall
+// over the same edges.
 func TestDijkstraMatchesFloydWarshall(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(15)
 		g := randomConnectedGraph(rng, n, 0.3)
-		got := g.AllPairs()
 
-		// Independent Floyd–Warshall on the same edges.
 		fw := make([][]float64, n)
 		for i := range fw {
 			fw[i] = make([]float64, n)
@@ -359,12 +337,12 @@ func TestDijkstraMatchesFloydWarshall(t *testing.T) {
 			}
 		}
 		for u := 0; u < n; u++ {
-			g.Neighbors(u, func(v int, l float64) {
-				if l < fw[u][v] {
-					fw[u][v] = l
-					fw[v][u] = l
+			for _, e := range g.adj[u] {
+				if e.length < fw[u][e.to] {
+					fw[u][e.to] = e.length
+					fw[e.to][u] = e.length
 				}
-			})
+			}
 		}
 		for k := 0; k < n; k++ {
 			for i := 0; i < n; i++ {
@@ -375,9 +353,11 @@ func TestDijkstraMatchesFloydWarshall(t *testing.T) {
 				}
 			}
 		}
+		closure := g.Closure()
 		for i := 0; i < n; i++ {
+			row := g.ShortestFrom(i)
 			for j := 0; j < n; j++ {
-				if math.Abs(got.At(i, j)-fw[i][j]) > 1e-6 {
+				if math.Abs(row[j]-fw[i][j]) > 1e-6 || math.Abs(closure.At(i, j)-fw[i][j]) > 1e-6 {
 					return false
 				}
 			}
@@ -406,7 +386,7 @@ func TestMatrixSizeAndAccessors(t *testing.T) {
 
 func TestBallFullGraph(t *testing.T) {
 	g := randomConnectedGraph(rand.New(rand.NewSource(9)), 8, 0.5)
-	m := g.AllPairs()
+	m := g.Closure()
 	ball := m.Ball(3, 8)
 	if len(ball) != 8 {
 		t.Fatalf("full ball size %d", len(ball))

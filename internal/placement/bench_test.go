@@ -17,7 +17,7 @@ func BenchmarkGridOneToOnePlanetLab(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := GridOneToOne(topo, sys, Options{}); err != nil {
+		if _, err := OneToOne(topo, sys, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -31,7 +31,7 @@ func BenchmarkMajorityOneToOneDaxlist(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MajorityOneToOne(topo, sys, Options{}); err != nil {
+		if _, err := OneToOne(topo, sys, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,7 +60,7 @@ func BenchmarkEvalResponseTime(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := GridOneToOne(topo, sys, Options{})
+	f, err := OneToOne(topo, sys, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func BenchmarkAnchorSearch(b *testing.B) {
 		} {
 			b.Run(tb.name+"/"+bc.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := MajorityOneToOne(tb.topo, sys, Options{Search: bc.mode}); err != nil {
+					if _, err := OneToOne(tb.topo, sys, Options{Search: bc.mode}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -158,7 +158,7 @@ func BenchmarkAnchorSearch300(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := GridOneToOne(topo, sys, Options{Search: bc.mode}); err != nil {
+				if _, err := OneToOne(topo, sys, Options{Search: bc.mode}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -78,25 +78,6 @@ func score(topo *topology.Topology, sys quorum.System, f core.Placement, opts Op
 	return e.AvgNetworkDelay(opts.scoreBy()), nil
 }
 
-// MajorityOneToOne places a threshold system one-to-one: for each anchor
-// v0, the universe maps onto the ball B(v0, n) of the n nodes closest to
-// v0 whose capacity covers the uniform per-element load (Gupta et al.
-// showed any one-to-one map onto a fixed ball has the same single-client
-// delay); the anchor with the lowest all-clients average delay wins.
-func MajorityOneToOne(topo *topology.Topology, sys quorum.Threshold, opts Options) (core.Placement, error) {
-	return OneToOne(topo, sys, opts)
-}
-
-// GridOneToOne places a k×k grid one-to-one using the paper's shell
-// construction: sort the ball's nodes by decreasing distance from v0 and
-// fill the grid in L-shaped shells from the top-left, so the bottom-right
-// row+column quorum consists of the 2k−1 closest nodes. The same
-// element→ball-rank permutation drives both the build and the score
-// lower bound, so they cannot drift apart.
-func GridOneToOne(topo *topology.Topology, sys quorum.Grid, opts Options) (core.Placement, error) {
-	return OneToOne(topo, sys, opts)
-}
-
 // gridShellRanks returns the shell construction's element→ball-rank map:
 // element u of the k×k grid is hosted on the gridShellRanks(k)[u]-th
 // closest ball node. The ball is filled in L-shaped shells from the
@@ -123,7 +104,13 @@ func gridShellRanks(k int) []int {
 }
 
 // OneToOne runs the construction matching the system's type: one Place
-// call on a fresh Search.
+// call on a fresh Search. A threshold system maps onto the ball
+// B(v0, n) of the n nodes closest to each anchor v0 whose capacity
+// covers the uniform per-element load (Gupta et al. showed any
+// one-to-one map onto a fixed ball has the same single-client delay); a
+// k×k grid fills that ball in L-shaped shells (gridShellRanks), so the
+// bottom-right row+column quorum consists of the 2k−1 closest nodes.
+// The anchor with the lowest all-clients average delay wins.
 func OneToOne(topo *topology.Topology, sys quorum.System, opts Options) (core.Placement, error) {
 	s, err := NewSearch(sys, opts)
 	if err != nil {

@@ -64,7 +64,7 @@ func TestSingletonAtMedian(t *testing.T) {
 func TestMajorityOneToOneIsOneToOne(t *testing.T) {
 	topo := testTopo(t, 15, 2)
 	sys := mustThreshold(t, 4, 7)
-	f, err := MajorityOneToOne(topo, sys, Options{})
+	f, err := OneToOne(topo, sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestMajoritySingleClientOptimal(t *testing.T) {
 	topo := testTopo(t, 15, 3)
 	sys := mustThreshold(t, 4, 7)
 	const v0 = 3
-	f, err := MajorityOneToOne(topo, sys, Options{
+	f, err := OneToOne(topo, sys, Options{
 		Candidates: []int{v0},
 		Clients:    []int{v0},
 		ScoreBy:    core.ClosestStrategy{},
@@ -115,7 +115,7 @@ func TestGridSingleClientOptimal(t *testing.T) {
 	topo := testTopo(t, 30, 4)
 	sys := mustGrid(t, 4)
 	const v0 = 7
-	f, err := GridOneToOne(topo, sys, Options{
+	f, err := OneToOne(topo, sys, Options{
 		Candidates: []int{v0},
 		Clients:    []int{v0},
 		ScoreBy:    core.ClosestStrategy{},
@@ -147,7 +147,7 @@ func TestGridShellBeatsReversed(t *testing.T) {
 	topo := testTopo(t, 30, 5)
 	sys := mustGrid(t, 4)
 	const v0 = 0
-	f, err := GridOneToOne(topo, sys, Options{Candidates: []int{v0}, Clients: []int{v0}})
+	f, err := OneToOne(topo, sys, Options{Candidates: []int{v0}, Clients: []int{v0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestCapacityFilterExcludesSmallNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f, err := MajorityOneToOne(topo, sys, Options{})
+	f, err := OneToOne(topo, sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestCapacityFilterInfeasible(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := MajorityOneToOne(topo, sys, Options{}); err == nil {
+	if _, err := OneToOne(topo, sys, Options{}); err == nil {
 		t.Error("placement succeeded with insufficient capacities")
 	}
 }
@@ -225,7 +225,7 @@ func TestCapacityFilterInfeasible(t *testing.T) {
 func TestManyToOneReducesDelay(t *testing.T) {
 	topo := testTopo(t, 16, 9)
 	sys := mustGrid(t, 3)
-	oto, err := GridOneToOne(topo, sys, Options{})
+	oto, err := OneToOne(topo, sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestIterateBeatsOneToOneOnNetworkDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oto, err := GridOneToOne(topo, sys, Options{})
+	oto, err := OneToOne(topo, sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,6 +366,15 @@ func TestRandomPlacement(t *testing.T) {
 	}
 }
 
+// avgDistanceTo is the average distance from every site to w.
+func avgDistanceTo(topo *topology.Topology, w int) float64 {
+	sum := 0.0
+	for v := 0; v < topo.Size(); v++ {
+		sum += topo.RTT(v, w)
+	}
+	return sum / float64(topo.Size())
+}
+
 func TestGreedyMedianPicksBestNodes(t *testing.T) {
 	topo := testTopo(t, 12, 21)
 	sys := mustThreshold(t, 2, 3)
@@ -381,14 +390,14 @@ func TestGreedyMedianPicksBestNodes(t *testing.T) {
 	used := map[int]bool{}
 	for _, w := range f.Support() {
 		used[w] = true
-		if d := topo.Distances().AvgDistanceTo(w); d > worstUsed {
+		if d := avgDistanceTo(topo, w); d > worstUsed {
 			worstUsed = d
 		}
 	}
 	for w := 0; w < topo.Size(); w++ {
-		if !used[w] && topo.Distances().AvgDistanceTo(w) < worstUsed-1e-9 {
+		if !used[w] && avgDistanceTo(topo, w) < worstUsed-1e-9 {
 			t.Errorf("node %d (avg %v) unused but better than worst used (%v)",
-				w, topo.Distances().AvgDistanceTo(w), worstUsed)
+				w, avgDistanceTo(topo, w), worstUsed)
 		}
 	}
 }

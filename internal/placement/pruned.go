@@ -63,9 +63,9 @@ type anchorResult struct {
 }
 
 // Search is the anchor search of one ball-based one-to-one construction
-// (MajorityOneToOne, GridOneToOne) for one system and one set of options,
-// keeping each anchor's exact score, or the bound that pruned it, from
-// one Place call to the next. Told which sites' RTT rows changed in
+// (OneToOne's threshold ball or grid shells) for one system and one set
+// of options, keeping each anchor's exact score, or the bound that
+// pruned it, from one Place call to the next. Told which sites' RTT rows changed in
 // between, the next call re-evaluates only the anchors those sites can
 // affect and still returns exactly the placement a search from scratch
 // returns. A Search is not safe for concurrent use.

@@ -90,8 +90,8 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 			pr.Search = SearchPruned
 
 			maj := mustThreshold(t, 8, 15)
-			fEx, errEx := MajorityOneToOne(tc.topo, maj, ex)
-			fPr, errPr := MajorityOneToOne(tc.topo, maj, pr)
+			fEx, errEx := OneToOne(tc.topo, maj, ex)
+			fPr, errPr := OneToOne(tc.topo, maj, pr)
 			if (errEx == nil) != (errPr == nil) {
 				t.Fatalf("%s/%s majority: exhaustive err=%v, pruned err=%v", tc.topo.Name(), tc.name, errEx, errPr)
 			}
@@ -100,8 +100,8 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 			}
 
 			grid := mustGrid(t, 4)
-			gEx, errEx := GridOneToOne(tc.topo, grid, ex)
-			gPr, errPr := GridOneToOne(tc.topo, grid, pr)
+			gEx, errEx := OneToOne(tc.topo, grid, ex)
+			gPr, errPr := OneToOne(tc.topo, grid, pr)
 			if (errEx == nil) != (errPr == nil) {
 				t.Fatalf("%s/%s grid: exhaustive err=%v, pruned err=%v", tc.topo.Name(), tc.name, errEx, errPr)
 			}
@@ -127,8 +127,8 @@ func TestPrunedMatchesExhaustiveRandomCaps(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		fEx, errEx := MajorityOneToOne(tp, sys, Options{Search: SearchExhaustive})
-		fPr, errPr := MajorityOneToOne(tp, sys, Options{Search: SearchPruned})
+		fEx, errEx := OneToOne(tp, sys, Options{Search: SearchExhaustive})
+		fPr, errPr := OneToOne(tp, sys, Options{Search: SearchPruned})
 		if (errEx == nil) != (errPr == nil) {
 			t.Fatalf("trial %d: exhaustive err=%v, pruned err=%v", trial, errEx, errPr)
 		}
@@ -149,7 +149,7 @@ func TestPrunedInfeasible(t *testing.T) {
 	sys := mustThreshold(t, 8, 15) // uniform element load 1/15 >> 0.001
 	partest.SetGOMAXPROCS(t, 1)
 	for _, mode := range []SearchMode{SearchExhaustive, SearchPruned} {
-		if _, err := MajorityOneToOne(tp, sys, Options{Search: mode}); err == nil {
+		if _, err := OneToOne(tp, sys, Options{Search: mode}); err == nil {
 			t.Errorf("mode %d: expected no-feasible-anchor error", mode)
 		}
 	}

@@ -21,7 +21,6 @@
 //	                              distance moved
 //	AddSite, RemoveSite         → topology (raw re-closed in full), and
 //	                              everything indexed by site starts over
-//	SetSystem                   → system, then placement
 //	SetSiteCapacity             → placement only if a site crosses the
 //	                              one-to-one eligibility threshold
 //	                              (always for many-to-one); otherwise

@@ -176,9 +176,6 @@ func (p *Planner) RTT(u, v int) float64 { return p.raw.At(u, v) }
 // Capacity returns site v's capacity.
 func (p *Planner) Capacity(v int) float64 { return p.caps[v] }
 
-// Demand returns the current per-client demand.
-func (p *Planner) Demand() float64 { return p.alpha / core.OpServiceTimeMS }
-
 // SetRTT updates the raw round-trip time between two sites (both
 // directions). The topology stage brings the closed metric up to date on
 // the next Plan, so other pairs may ride through the edited link if that
@@ -346,22 +343,6 @@ func (p *Planner) SetClientWeights(weights []float64) error {
 	return nil
 }
 
-// SetSystem swaps the quorum-system family or parameter, invalidating
-// everything from the system stage down.
-func (p *Planner) SetSystem(spec SystemSpec) error {
-	sys, err := spec.Build()
-	if err != nil {
-		return err
-	}
-	if p.cfg.strategy() == StratLP && !sys.Enumerable() {
-		return fmt.Errorf("plan: strategy %q needs an enumerable system, got %s", StratLP, sys.Name())
-	}
-	p.cfg.System = spec
-	p.note("system=%s/%d", spec.Family, spec.Param)
-	p.dirty[StageSystem] = true
-	return nil
-}
-
 // AddSite appends a site with raw RTTs to every existing site (in index
 // order) and the given capacity. Client weights reset to uniform.
 func (p *Planner) AddSite(site topology.Site, rtts []float64, capacity float64) error {
@@ -482,9 +463,6 @@ func (p *Planner) ClearPlacementPin() {
 	p.note("unpin-placement")
 	p.dirty[StagePlacement] = true
 }
-
-// PlacementPinned reports whether a pin is in force.
-func (p *Planner) PlacementPinned() bool { return p.pin != nil }
 
 // Dirty reports whether the next Plan may recompute the stage: one of its
 // inputs, or of an earlier stage's, changed. After SetRTT that is a "may"
@@ -708,11 +686,6 @@ func (p *Planner) closeTopology() error {
 	}
 	return nil
 }
-
-// Eval exposes the internal evaluator for read-only composition (e.g.
-// fault injection via the faults package). It is only valid after a Plan
-// call and is invalidated by the next delta.
-func (p *Planner) Eval() *core.Eval { return p.eval }
 
 func (p *Planner) computePlacement() (core.Placement, error) {
 	if p.pin != nil {

@@ -115,14 +115,6 @@ func TestDirtyTracking(t *testing.T) {
 		t.Fatalf("RTT delta recomputed %v, want %v", got, want)
 	}
 
-	if err := p.SetSystem(SystemSpec{Family: "grid", Param: 4}); err != nil {
-		t.Fatal(err)
-	}
-	res = mustPlan(t, p)
-	if got, want := stageNames(res), "[system placement strategy eval]"; got != want {
-		t.Fatalf("system delta recomputed %v, want %v", got, want)
-	}
-
 	// The rows above are a reproducible planner's: its contract is
 	// bit-equality with a cold pipeline, so an RTT delta always re-closes
 	// from raw and re-runs everything below. The default profile
@@ -398,10 +390,13 @@ func TestReplanEquivalenceDefaultProfile(t *testing.T) {
 						both(func(p *Planner) error { return p.SetClientWeights(w) })
 						trace = append(trace, "SetClientWeights")
 					default: // hold the current placement, or let it go
-						if inc.PlacementPinned() {
+						if incErr != nil {
+							break
+						}
+						if incRes.Provenance.Pinned {
 							both(func(p *Planner) error { p.ClearPlacementPin(); return nil })
 							trace = append(trace, "ClearPlacementPin")
-						} else if incErr == nil {
+						} else {
 							pin := incRes.Placement.Targets()
 							both(func(p *Planner) error { return p.PinPlacement(pin) })
 							trace = append(trace, "PinPlacement")
@@ -808,7 +803,7 @@ func TestPinPlacement(t *testing.T) {
 	if err := p.RemoveSite(p.Site(p.Size() - 1).Name); err != nil {
 		t.Fatal(err)
 	}
-	if p.PlacementPinned() {
+	if s4 := mustPlan(t, p); s4.Provenance.Pinned {
 		t.Error("pin survived a membership change")
 	}
 

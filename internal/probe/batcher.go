@@ -56,28 +56,13 @@ type HTTPPoster struct {
 	// URL is the deltas endpoint, e.g.
 	// http://host:8080/v1/deltas or .../v1/deployments/<name>/deltas.
 	URL string
-	// Client defaults to http.DefaultClient.
-	Client *http.Client
-	// MaxAttempts bounds tries per batch (default 5).
-	MaxAttempts int
 	// Backoff is the initial retry delay (default 200ms), doubled per
 	// attempt; a Retry-After header overrides it.
 	Backoff time.Duration
 }
 
-func (p *HTTPPoster) client() *http.Client {
-	if p.Client != nil {
-		return p.Client
-	}
-	return http.DefaultClient
-}
-
-func (p *HTTPPoster) maxAttempts() int {
-	if p.MaxAttempts <= 0 {
-		return 5
-	}
-	return p.MaxAttempts
-}
+// postAttempts bounds tries per batch.
+const postAttempts = 5
 
 func (p *HTTPPoster) backoff() time.Duration {
 	if p.Backoff <= 0 {
@@ -98,7 +83,7 @@ func (p *HTTPPoster) Post(ctx context.Context, batch []deploy.Delta) error {
 	}
 	backoff := p.backoff()
 	var last error
-	for attempt := 0; attempt < p.maxAttempts(); attempt++ {
+	for attempt := 0; attempt < postAttempts; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
@@ -112,7 +97,7 @@ func (p *HTTPPoster) Post(ctx context.Context, batch []deploy.Delta) error {
 			return err
 		}
 		req.Header.Set("Content-Type", "application/json")
-		resp, err := p.client().Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -142,15 +127,15 @@ func (p *HTTPPoster) Post(ctx context.Context, batch []deploy.Delta) error {
 			last = fmt.Errorf("probe: post %s: %s: %s", p.URL, resp.Status, bytes.TrimSpace(msg))
 		}
 	}
-	return fmt.Errorf("probe: giving up after %d attempts: %w", p.maxAttempts(), last)
+	return fmt.Errorf("probe: giving up after %d attempts: %w", postAttempts, last)
 }
 
 // Batcher is the client-side debouncer between delta producers (mesh
-// agents, demand reporters) and a deployment: producers Add emitted
-// deltas at any rate, the batcher coalesces them locally with
-// deploy.Coalesce semantics, and only the cadence loop posts — one
-// batch per window, never mid-window. A window of probe chatter
-// becomes at most one delta per site pair and one published version.
+// agents) and a deployment: producers Add emitted deltas at any rate,
+// the batcher coalesces them locally with deploy.Coalesce semantics,
+// and only the cadence loop posts — one batch per window, never
+// mid-window. A window of probe chatter becomes at most one delta per
+// site pair and one published version.
 type Batcher struct {
 	poster Poster
 	// OnFlush, when set, observes every posted window (n = batch size).

@@ -1,6 +1,6 @@
 // Package probe closes the telemetry loop: it is the measurement side
 // of the deployment plane, producing the typed deltas that
-// deploy.Manager consumes. Three pieces compose:
+// deploy.Manager consumes. Two pieces compose:
 //
 //   - Agent measures one row of the N×N RTT ping mesh against its peer
 //     agents — over a real UDP echo Transport or an injectable FakeMesh
@@ -10,9 +10,6 @@
 //     hysteresis stacks under the deploy manager's move hysteresis:
 //     noise that never clears the emission band never even reaches the
 //     planner, so a noisy-but-stationary mesh costs zero re-plans.
-//
-//   - Reporter aggregates per-site client request counts into windowed
-//     demand/weights deltas with the same relative-change hysteresis.
 //
 //   - Batcher coalesces emitted deltas locally (deploy.Coalesce
 //     semantics — a window of probe chatter collapses to one delta per

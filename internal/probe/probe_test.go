@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -162,7 +161,7 @@ func TestProbeNoiseHysteresisSuppressesReplans(t *testing.T) {
 	}
 
 	t.Run("smoothing-on", func(t *testing.T) {
-		m, flushes := run(t, SmootherConfig{Window: 9, MADGate: 4, Noise: 0.05, NoiseFloorMS: 0.5})
+		m, flushes := run(t, SmootherConfig{Window: 9, Noise: 0.05})
 		if moves := countMoves(m); moves != 0 {
 			t.Errorf("smoothed mesh moved the placement %d times, want 0", moves)
 		}
@@ -265,69 +264,6 @@ func TestUDPTransportMeasuresEcho(t *testing.T) {
 	dead := NewUDPTransport(map[string]string{"gone": "127.0.0.1:1"}, 50*time.Millisecond)
 	if _, err := dead.Measure(context.Background(), "gone"); err == nil {
 		t.Fatal("unreachable peer measured")
-	}
-}
-
-func TestReporterWindowsAndHysteresis(t *testing.T) {
-	r := NewReporter(ReporterConfig{Noise: 0.05})
-
-	if got := r.Flush(); got != nil {
-		t.Fatalf("empty window emitted %+v", got)
-	}
-
-	r.Observe("a", 600)
-	r.Observe("b", 300)
-	r.Observe("c", 100)
-	ds := r.Flush()
-	if len(ds) != 2 || ds[0].Kind != deploy.KindDemand || ds[1].Kind != deploy.KindWeights {
-		t.Fatalf("first window emitted %+v", ds)
-	}
-	if ds[0].Value != 1000 {
-		t.Fatalf("demand %v, want 1000", ds[0].Value)
-	}
-	// Mean-1 normalization over the three observed sites.
-	want := map[string]float64{"a": 1.8, "b": 0.9, "c": 0.3}
-	for site, w := range want {
-		if got := ds[1].Weights[site]; math.Abs(got-w) > 1e-9 {
-			t.Fatalf("weight[%s] = %v, want %v", site, got, w)
-		}
-	}
-
-	// A statistically identical window is absorbed by hysteresis.
-	r.Observe("a", 610)
-	r.Observe("b", 295)
-	r.Observe("c", 99)
-	if ds := r.Flush(); ds != nil {
-		t.Fatalf("steady window re-emitted %+v", ds)
-	}
-
-	// A flash crowd on one site re-emits.
-	r.Observe("a", 600)
-	r.Observe("b", 2400)
-	r.Observe("c", 100)
-	ds = r.Flush()
-	if len(ds) != 2 {
-		t.Fatalf("flash crowd emitted %+v", ds)
-	}
-	if ds[0].Value != 3100 {
-		t.Fatalf("flash-crowd demand %v", ds[0].Value)
-	}
-
-	// A site that goes silent keeps a positive floor weight: the deltas
-	// must stay valid for deploy.
-	r.Observe("a", 500)
-	r.Observe("b", 2000)
-	ds = r.Flush()
-	if len(ds) != 2 {
-		t.Fatalf("silent-site window emitted %+v", ds)
-	}
-	for _, d := range ds {
-		if err := d.Validate(); err != nil {
-			t.Fatalf("reporter emitted invalid delta: %v", err)
-		}
-	}
-	if w := ds[1].Weights["c"]; w <= 0 {
-		t.Fatalf("silent site weight %v, want positive floor", w)
 	}
 }
 
@@ -439,6 +375,53 @@ func TestHTTPPosterRetriesAndHonorsRetryAfter(t *testing.T) {
 	pb := &HTTPPoster{URL: bad.URL, Backoff: time.Millisecond}
 	if err := pb.Post(context.Background(), []deploy.Delta{{Kind: deploy.KindDemand, Value: 1}}); !errors.Is(err, ErrGone) {
 		t.Fatalf("err %v, want ErrGone", err)
+	}
+}
+
+func TestHTTPPosterGivesUpAfterFiveAttempts(t *testing.T) {
+	var mu sync.Mutex
+	attempts := 0
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		attempts++
+		mu.Unlock()
+		http.Error(w, "busy", http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+
+	p := &HTTPPoster{URL: srv.URL, Backoff: time.Millisecond}
+	err := p.Post(context.Background(), []deploy.Delta{{Kind: deploy.KindDemand, Value: 1}})
+	if err == nil || errors.Is(err, ErrGone) {
+		t.Fatalf("err %v, want a retryable give-up", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if attempts != 5 {
+		t.Fatalf("%d attempts, want 5", attempts)
+	}
+}
+
+func TestHTTPPosterConflictIsApplied(t *testing.T) {
+	// 409 means the deltas were applied but the world is not plannable:
+	// re-posting would apply them twice, so one attempt and success.
+	var mu sync.Mutex
+	attempts := 0
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		attempts++
+		mu.Unlock()
+		http.Error(w, "applied, not plannable", http.StatusConflict)
+	}))
+	defer srv.Close()
+
+	p := &HTTPPoster{URL: srv.URL, Backoff: time.Millisecond}
+	if err := p.Post(context.Background(), []deploy.Delta{{Kind: deploy.KindDemand, Value: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if attempts != 1 {
+		t.Fatalf("%d attempts, want 1", attempts)
 	}
 }
 

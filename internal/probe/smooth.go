@@ -6,29 +6,14 @@ import (
 )
 
 // SmootherConfig tunes the per-pair sample filter. The zero value gets
-// sane defaults: window 9, MAD gate 4, shift run 5, 5% noise band with
-// a 0.5ms floor.
+// sane defaults: window 9 and a 5% noise band.
 type SmootherConfig struct {
 	// Window is the sliding-window length the median is taken over.
 	Window int
-	// MADGate rejects a sample whose deviation from the window median
-	// exceeds MADGate × MAD (median absolute deviation) — the classic
-	// robust outlier test; RTT spike artifacts (queueing, scheduler
-	// stalls) die here. Negative disables the gate.
-	MADGate float64
-	// ShiftRuns is the number of consecutive rejected samples after
-	// which the window is declared stale and flushed: a genuine level
-	// shift (path change) looks like an endless run of outliers, and
-	// flushing lets the smoother re-converge on the new level instead of
-	// rejecting reality forever.
-	ShiftRuns int
 	// Noise is the relative emission band: a new median is emitted only
 	// when it differs from the last emitted value by more than
-	// Noise × lastEmitted (default 5%).
+	// Noise × lastEmitted (default 5%), and by at least noiseFloorMS.
 	Noise float64
-	// NoiseFloorMS is the absolute floor of the emission band (default
-	// 0.5ms), so sub-millisecond links don't emit on every wiggle.
-	NoiseFloorMS float64
 	// Raw disables smoothing and hysteresis entirely: every sample is
 	// emitted as measured. It exists to A/B the filter's effect (and for
 	// the regression test proving the filter suppresses re-plans).
@@ -42,20 +27,6 @@ func (c SmootherConfig) window() int {
 	return c.Window
 }
 
-func (c SmootherConfig) madGate() float64 {
-	if c.MADGate == 0 {
-		return 4
-	}
-	return c.MADGate
-}
-
-func (c SmootherConfig) shiftRuns() int {
-	if c.ShiftRuns <= 0 {
-		return 5
-	}
-	return c.ShiftRuns
-}
-
 func (c SmootherConfig) noise() float64 {
 	if c.Noise <= 0 {
 		return 0.05
@@ -63,12 +34,22 @@ func (c SmootherConfig) noise() float64 {
 	return c.Noise
 }
 
-func (c SmootherConfig) noiseFloor() float64 {
-	if c.NoiseFloorMS <= 0 {
-		return 0.5
-	}
-	return c.NoiseFloorMS
-}
+const (
+	// madGate rejects a sample whose deviation from the window median
+	// exceeds madGate × MAD (median absolute deviation) — the classic
+	// robust outlier test; RTT spike artifacts (queueing, scheduler
+	// stalls) die here.
+	madGate = 4
+	// shiftRuns is the number of consecutive rejected samples after
+	// which the window is declared stale and flushed: a genuine level
+	// shift (path change) looks like an endless run of outliers, and
+	// flushing lets the smoother re-converge on the new level instead of
+	// rejecting reality forever.
+	shiftRuns = 5
+	// noiseFloorMS is the absolute floor of the emission band, so
+	// sub-millisecond links don't emit on every wiggle.
+	noiseFloorMS = 0.5
+)
 
 // Smoother filters one measurement stream (one site pair): windowed
 // median, MAD outlier rejection with level-shift recovery, and an
@@ -103,16 +84,16 @@ func (s *Smoother) Observe(v float64) (float64, bool) {
 
 	// MAD gate: once enough samples exist for a meaningful deviation
 	// estimate, reject spikes instead of letting them drag the median.
-	if len(s.window) >= 4 && s.cfg.madGate() > 0 {
+	if len(s.window) >= 4 {
 		med, mad := s.stats()
 		// Floor the MAD so a near-constant window (MAD → 0) doesn't
 		// reject ordinary sub-noise wiggle as outliers.
-		if floor := s.cfg.noiseFloor() / s.cfg.madGate(); mad < floor {
+		if floor := noiseFloorMS / madGate; mad < floor {
 			mad = floor
 		}
-		if math.Abs(v-med) > s.cfg.madGate()*mad {
+		if math.Abs(v-med) > madGate*mad {
 			s.outlierRun++
-			if s.outlierRun >= s.cfg.shiftRuns() {
+			if s.outlierRun >= shiftRuns {
 				// A run of consistent "outliers" is a level shift, not
 				// noise: flush the stale window and re-converge from this
 				// sample.
@@ -138,8 +119,8 @@ func (s *Smoother) Observe(v float64) (float64, bool) {
 
 	med, _ := s.stats()
 	band := s.cfg.noise() * s.emitted
-	if floor := s.cfg.noiseFloor(); band < floor {
-		band = floor
+	if band < noiseFloorMS {
+		band = noiseFloorMS
 	}
 	if !s.hasEmitted || math.Abs(med-s.emitted) > band {
 		s.emitted = med

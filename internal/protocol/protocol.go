@@ -1,6 +1,6 @@
 // Package protocol implements a Q/U-style single-round quorum RPC
-// protocol and the machinery to run it over simulated or real transports,
-// reproducing the motivating experiment of §3.
+// protocol and runs it on a discrete-event simulator, reproducing the
+// motivating experiment of §3.
 //
 // Q/U (Abd-El-Malek et al., SOSP 2005) is a Byzantine fault-tolerant
 // protocol with n = 5t+1 servers and quorums of 4t+1; in the common case
@@ -22,32 +22,6 @@ import (
 	"github.com/quorumnet/quorumnet/internal/des"
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
-
-// Transport delivers scheduled actions between sites after a delay, and
-// exposes a clock. Implementations: SimTransport (discrete-event,
-// deterministic) and RealTransport (goroutines and wall-clock timers).
-type Transport interface {
-	// Deliver runs action after delayMS milliseconds of simulated (or
-	// scaled real) time. Actions are executed serially.
-	Deliver(delayMS float64, action func()) error
-	// Now returns the transport's current time in milliseconds.
-	Now() float64
-}
-
-// SimTransport runs actions on a discrete-event simulator.
-type SimTransport struct {
-	Sim *des.Simulator
-}
-
-var _ Transport = (*SimTransport)(nil)
-
-// Deliver implements Transport.
-func (t *SimTransport) Deliver(delayMS float64, action func()) error {
-	return t.Sim.Schedule(delayMS, action)
-}
-
-// Now implements Transport.
-func (t *SimTransport) Now() float64 { return t.Sim.Now() }
 
 // Config describes one protocol run.
 type Config struct {
@@ -74,14 +48,11 @@ type Config struct {
 	// client-count-dependent delay in Figures 3.1/3.2. Zero disables link
 	// modeling (infinite bandwidth).
 	LinkTxMS float64
-	// ThinkTimeMS is the pause between a client's operation completing
-	// and its next request (0 = the paper's back-to-back closed loop).
-	ThinkTimeMS float64
-	// DurationMS is how long clients keep issuing requests.
+	// DurationMS is how long clients keep issuing requests, back to back
+	// (§3's closed loop: a client's next request leaves the moment its
+	// operation completes). Requests started in the first 10% are
+	// warm-up and excluded from the metrics.
 	DurationMS float64
-	// WarmupMS excludes initial requests from the metrics (defaults to
-	// 10% of DurationMS).
-	WarmupMS float64
 	// Seed drives quorum selection.
 	Seed int64
 }
@@ -100,8 +71,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("protocol: negative service time")
 	case c.LinkTxMS < 0:
 		return fmt.Errorf("protocol: negative link transmission time")
-	case c.ThinkTimeMS < 0:
-		return fmt.Errorf("protocol: negative think time")
 	case c.DurationMS <= 0:
 		return fmt.Errorf("protocol: non-positive duration")
 	}
@@ -135,10 +104,10 @@ type Metrics struct {
 	MaxServerQueueMS float64
 }
 
-// cluster is the protocol state machine, driven by a Transport.
+// cluster is the protocol state machine, driven by a simulator.
 type cluster struct {
 	cfg  Config
-	tr   Transport
+	sim  *des.Simulator
 	rng  *rand.Rand
 	half [][]float64 // one-way delays client-site × server index
 
@@ -161,21 +130,18 @@ type clientState struct {
 	count   int
 }
 
-// Run executes the protocol on the given transport until DurationMS, then
-// drains in-flight requests and reports metrics. With a SimTransport the
+// RunSim executes the protocol on a fresh discrete-event simulator until
+// DurationMS, then drains in-flight requests and reports metrics. The
 // run is fully deterministic for a fixed seed.
-func Run(cfg Config, tr Transport) (*Metrics, error) {
+func RunSim(cfg Config) (*Metrics, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	warmup := cfg.WarmupMS
-	if warmup == 0 {
-		warmup = cfg.DurationMS / 10
-	}
+	warmup := cfg.DurationMS / 10
 
 	c := &cluster{
 		cfg:       cfg,
-		tr:        tr,
+		sim:       &des.Simulator{},
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		busyUntil: make([]float64, len(cfg.ServerSites)),
 		upBusy:    make([]float64, cfg.Topo.Size()),
@@ -197,12 +163,12 @@ func Run(cfg Config, tr Transport) (*Metrics, error) {
 
 	var issue func(cl *clientState) error
 	issue = func(cl *clientState) error {
-		if c.tr.Now() >= cfg.DurationMS {
+		if c.sim.Now() >= cfg.DurationMS {
 			return nil // run over; stop the closed loop
 		}
 		quorum := c.sampleQuorum()
 		cl.pending = len(quorum)
-		cl.started = c.tr.Now()
+		cl.started = c.sim.Now()
 		cl.netMax = 0
 		for _, srv := range quorum {
 			oneWay := c.half[cl.idx][srv]
@@ -212,9 +178,9 @@ func Run(cfg Config, tr Transport) (*Metrics, error) {
 			srv := srv
 			// The request serializes onto the client site's uplink, then
 			// travels to the server.
-			txDone := c.sendOnLink(cl.site, c.tr.Now())
-			err := c.tr.Deliver(txDone-c.tr.Now()+oneWay, func() {
-				arrival := c.tr.Now()
+			txDone := c.sendOnLink(cl.site, c.sim.Now())
+			err := c.sim.Schedule(txDone-c.sim.Now()+oneWay, func() {
+				arrival := c.sim.Now()
 				start := arrival
 				if c.busyUntil[srv] > start {
 					start = c.busyUntil[srv]
@@ -228,29 +194,20 @@ func Run(cfg Config, tr Transport) (*Metrics, error) {
 				// travels back.
 				replyTxDone := c.sendOnLink(cfg.ServerSites[srv], done)
 				replyDelay := (replyTxDone - arrival) + oneWay
-				if err := c.tr.Deliver(replyDelay, func() {
+				if err := c.sim.Schedule(replyDelay, func() {
 					cl.pending--
 					if cl.pending > 0 {
 						return
 					}
 					// Operation complete at the slowest quorum member.
-					resp := c.tr.Now() - cl.started
+					resp := c.sim.Now() - cl.started
 					if cl.started >= warmup {
 						cl.sumResp += resp
 						cl.sumNet += cl.netMax
 						cl.count++
 					}
-					next := func() {
-						if err := issue(cl); err != nil {
-							panic(err) // unreachable: issue only errs via Deliver
-						}
-					}
-					if cfg.ThinkTimeMS > 0 {
-						if err := c.tr.Deliver(cfg.ThinkTimeMS, next); err != nil {
-							panic(err)
-						}
-					} else {
-						next()
+					if err := issue(cl); err != nil {
+						panic(err) // unreachable: issue only errs via Schedule
 					}
 				}); err != nil {
 					panic(err)
@@ -268,11 +225,7 @@ func Run(cfg Config, tr Transport) (*Metrics, error) {
 			return nil, err
 		}
 	}
-	if sim, ok := tr.(*SimTransport); ok {
-		sim.Sim.Run()
-	} else if waiter, ok := tr.(interface{ Wait() }); ok {
-		waiter.Wait()
-	}
+	c.sim.Run()
 
 	m := &Metrics{MaxServerQueueMS: c.maxQueue}
 	active := 0
@@ -315,11 +268,6 @@ func (c *cluster) sampleQuorum() []int {
 	perm := c.rng.Perm(n)[:q]
 	sort.Ints(perm)
 	return perm
-}
-
-// RunSim is the common case: execute on a fresh discrete-event simulator.
-func RunSim(cfg Config) (*Metrics, error) {
-	return Run(cfg, &SimTransport{Sim: &des.Simulator{}})
 }
 
 // RunSimAveraged repeats RunSim with seeds seed, seed+1, … and averages

@@ -106,6 +106,24 @@ func TestClosedLoopThroughput(t *testing.T) {
 	}
 }
 
+func TestWarmupIsFirstTenthOfDuration(t *testing.T) {
+	// One client on a flat topology completes an operation every 41 ms
+	// (RTT 40 + 1 ms service), so operations start at k·41 ms for
+	// k = 0..99 before the 4100 ms horizon. The first 10% (410 ms) is
+	// warm-up: the ten operations that start before it are not counted,
+	// the one starting exactly at 410 ms is.
+	cfg := baseConfig(t)
+	cfg.ClientSites = []int{6}
+	cfg.DurationMS = 4100
+	m, err := RunSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Requests != 90 {
+		t.Errorf("Requests = %d, want 90 (100 operations less 10 in warm-up)", m.Requests)
+	}
+}
+
 func TestDeterministicForSeed(t *testing.T) {
 	cfg := baseConfig(t)
 	a, err := RunSim(cfg)
@@ -218,41 +236,6 @@ func TestRunSimAveraged(t *testing.T) {
 	}
 }
 
-func TestRealTransportProtocolCorrectness(t *testing.T) {
-	// The engine must behave identically (in protocol terms) over the
-	// goroutine transport: requests complete, response ≥ network delay.
-	cfg := baseConfig(t)
-	cfg.DurationMS = 300
-	// 1 simulated ms = 0.02 real ms → the run lasts ~6 real ms.
-	tr, err := NewRealTransport(0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Run(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Requests == 0 {
-		t.Fatal("no requests completed on real transport")
-	}
-	if m.AvgResponseMS < m.AvgNetDelayMS {
-		t.Errorf("response %v below network delay %v", m.AvgResponseMS, m.AvgNetDelayMS)
-	}
-}
-
-func TestRealTransportValidation(t *testing.T) {
-	if _, err := NewRealTransport(0); err == nil {
-		t.Error("zero scale accepted")
-	}
-	tr, err := NewRealTransport(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Deliver(-1, func() {}); err == nil {
-		t.Error("negative delay accepted")
-	}
-}
-
 func manyClients(from, to, per int) []int {
 	var out []int
 	for site := from; site <= to; site++ {
@@ -342,33 +325,5 @@ func TestNegativeLinkTxRejected(t *testing.T) {
 	cfg.LinkTxMS = -1
 	if _, err := RunSim(cfg); err == nil {
 		t.Error("negative LinkTxMS accepted")
-	}
-}
-
-func TestThinkTimeReducesThroughputAndLoad(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.ClientSites = manyClients(6, 11, 8)
-	busy, err := RunSim(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ThinkTimeMS = 100
-	idle, err := RunSim(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idle.Requests >= busy.Requests {
-		t.Errorf("think time did not reduce throughput: %d vs %d", idle.Requests, busy.Requests)
-	}
-	if idle.AvgResponseMS > busy.AvgResponseMS+1e-9 {
-		t.Errorf("think time increased response: %v vs %v", idle.AvgResponseMS, busy.AvgResponseMS)
-	}
-}
-
-func TestNegativeThinkTimeRejected(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.ThinkTimeMS = -1
-	if _, err := RunSim(cfg); err == nil {
-		t.Error("negative think time accepted")
 	}
 }

@@ -423,7 +423,7 @@ func (p *Partition) executeProtocol(rows [][][]string, report func(int)) error {
 		if err != nil {
 			return err
 		}
-		f, err := placement.MajorityOneToOne(sub.topo, sys, placement.Options{})
+		f, err := placement.OneToOne(sub.topo, sys, placement.Options{})
 		if err != nil {
 			return err
 		}

@@ -20,8 +20,7 @@ const DefaultTenant = "default"
 // listener, the coarse long-poll wheel, and the planner worker pools
 // are shared. Tenants are served at /v1/deployments/<name>/{plan,
 // deltas,history}; the legacy single-tenant routes alias the default
-// tenant (the first one opened, unless SetDefault picks another) with
-// byte-identical responses.
+// tenant (the first one opened) with byte-identical responses.
 type Registry struct {
 	opts  Options
 	wheel *wheel
@@ -59,8 +58,8 @@ func ValidTenantName(name string) bool {
 }
 
 // Open registers a named deployment and returns its tenant. The first
-// tenant opened becomes the default (legacy-route alias) until
-// SetDefault overrides it. The manager must not be registered twice.
+// tenant opened becomes the default (legacy-route alias). The manager
+// must not be registered twice.
 func (r *Registry) Open(name string, m *deploy.Manager) (*Tenant, error) {
 	if !ValidTenantName(name) {
 		return nil, fmt.Errorf("serve: invalid deployment name %q (want 1-64 of [a-zA-Z0-9._-], not starting with '.')", name)
@@ -79,18 +78,6 @@ func (r *Registry) Open(name string, m *deploy.Manager) (*Tenant, error) {
 		r.def = t
 	}
 	return t, nil
-}
-
-// SetDefault picks the tenant the legacy single-tenant routes alias.
-func (r *Registry) SetDefault(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.tenants[name]
-	if !ok {
-		return fmt.Errorf("serve: no deployment named %q", name)
-	}
-	r.def = t
-	return nil
 }
 
 // Tenant returns the named tenant, or nil.

@@ -199,9 +199,6 @@ func TestRegistryOpenRejects(t *testing.T) {
 	if _, err := reg.Open("nil", nil); err == nil {
 		t.Error("nil manager accepted")
 	}
-	if err := reg.SetDefault("nosuch"); err == nil {
-		t.Error("SetDefault of unknown tenant accepted")
-	}
 }
 
 // TestServeTimeoutZero is the long-poll edge regression: ?after ≥

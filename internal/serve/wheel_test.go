@@ -20,9 +20,13 @@ func TestWheelNeverEarly(t *testing.T) {
 // TestWheelSharesBuckets: waits landing in the same bucket share one
 // channel (one timer for any number of watchers).
 func TestWheelSharesBuckets(t *testing.T) {
-	w := newWheel(time.Hour) // one giant bucket: everything shares
+	// Buckets are aligned to the epoch, so two waits straddle a boundary
+	// only if one falls between their deadlines: equal waits issued back
+	// to back are nanoseconds apart, where a minute apart failed in the
+	// last minutes of every hour.
+	w := newWheel(time.Hour)
 	ch1 := w.after(time.Minute)
-	ch2 := w.after(2 * time.Minute)
+	ch2 := w.after(time.Minute)
 	if ch1 != ch2 {
 		t.Fatal("same-bucket waits got distinct channels")
 	}

@@ -18,7 +18,7 @@ func BenchmarkOptimizePlanetLabGrid7(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := placement.GridOneToOne(topo, sys, placement.Options{})
+	f, err := placement.OneToOne(topo, sys, placement.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func BenchmarkOptimizeDaxlistGrid12(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := placement.GridOneToOne(topo, sys, placement.Options{})
+	f, err := placement.OneToOne(topo, sys, placement.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

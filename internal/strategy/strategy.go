@@ -22,7 +22,6 @@ import (
 	"github.com/quorumnet/quorumnet/internal/core"
 	"github.com/quorumnet/quorumnet/internal/lp"
 	"github.com/quorumnet/quorumnet/internal/par"
-	"github.com/quorumnet/quorumnet/internal/topology"
 )
 
 // Result is an optimized set of client access strategies.
@@ -644,14 +643,3 @@ func Best(points []SweepPoint) (SweepPoint, error) {
 }
 
 func isInfeasible(err error) bool { return errors.Is(err, lp.ErrInfeasible) }
-
-// AvgDistanceTo reports the average distance from the evaluation's
-// clients to node w (the s_i of the non-uniform heuristic); exported for
-// diagnostics and tests.
-func AvgDistanceTo(topo *topology.Topology, clients []int, w int) float64 {
-	s := 0.0
-	for _, v := range clients {
-		s += topo.RTT(v, w)
-	}
-	return s / float64(len(clients))
-}

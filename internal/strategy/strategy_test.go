@@ -197,10 +197,10 @@ func TestNonUniformCapsFormula(t *testing.T) {
 	// Identify the closest and farthest support nodes from the clients.
 	closest, farthest := support[0], support[0]
 	for _, w := range support {
-		if AvgDistanceTo(e.Topo, e.Clients, w) < AvgDistanceTo(e.Topo, e.Clients, closest) {
+		if avgDistanceTo(e, w) < avgDistanceTo(e, closest) {
 			closest = w
 		}
-		if AvgDistanceTo(e.Topo, e.Clients, w) > AvgDistanceTo(e.Topo, e.Clients, farthest) {
+		if avgDistanceTo(e, w) > avgDistanceTo(e, farthest) {
 			farthest = w
 		}
 	}
@@ -460,4 +460,14 @@ func TestRebindMatchesFreshOptimizer(t *testing.T) {
 	if err := cg.Rebind(e); err == nil {
 		t.Error("a column-generation optimizer accepted a re-bind")
 	}
+}
+
+// avgDistanceTo is the s_i of the non-uniform heuristic: the average
+// distance from the evaluation's clients to node w.
+func avgDistanceTo(e *core.Eval, w int) float64 {
+	s := 0.0
+	for _, v := range e.Clients {
+		s += e.Topo.RTT(v, w)
+	}
+	return s / float64(len(e.Clients))
 }

@@ -362,7 +362,7 @@ func NewProbeAgent(cfg ProbeAgentConfig) (*ProbeAgent, error) { return probe.New
 func NewFakeMesh() *probe.FakeMesh { return probe.NewFakeMesh() }
 
 // DeltaBatcher is the client-side debouncer between delta producers
-// (probe agents, demand reporters) and a deployment: it coalesces
+// (probe agents) and a deployment: it coalesces
 // added deltas locally (a later value supersedes an earlier one) and
 // posts one batch per cadence window — never mid-window — re-queueing
 // batches on transient failures so newer values still supersede them.

@@ -9,10 +9,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/fstest"
 
 	quorumnet "github.com/quorumnet/quorumnet"
 )
@@ -317,4 +321,190 @@ func anyUsed(names []string, used map[string]bool) bool {
 		}
 	}
 	return false
+}
+
+// configSeams are the Config/Options fields that only tests set: each
+// lets a test set a wait, or select the reference implementation it
+// compares production output against.
+var configSeams = map[string]string{
+	"fleet.Config.Attempts":                   "retry tests exhaust a shard after one or two attempts",
+	"fleet.Config.RetryBackoff":               "the single-worker retry test backs off in milliseconds",
+	"fleet.Config.DrainGrace":                 "the late-duplicate test waits for a superseded attempt's result",
+	"fleet.Config.ShardTimeout":               "tests bound a hung attempt to a second, or stretch it to show re-dispatch preempts it",
+	"fleet.RegistryOptions.HeartbeatInterval": "registry and lease tests beat every few milliseconds",
+	"fleet.RegistryOptions.MissedHeartbeats":  "fake-clock tests state the eviction window they advance across",
+	"fleet.LeaseOptions.RetryDelay":           "the lease test re-registers in milliseconds",
+	"serve.Options.MaxApplyQueue":             "the backpressure test fills a two-deep queue",
+	"placement.Options.Search":                "the exhaustive anchor search is the pruned search's reference",
+	"strategy.Config.NoAggregate":             "the unaggregated LP is the aggregated LP's reference",
+}
+
+// TestConfigFieldsHaveCallers keeps configuration to what programs
+// configure. Every exported field of an exported *Config or *Options
+// struct under internal/ must be written by some non-test file of the
+// module or of bench/, as a composite-literal key or an assignment
+// target, matched by field name. Fields with a json tag are a file or
+// wire format and are exempt; so are configSeams.
+func TestConfigFieldsHaveCallers(t *testing.T) {
+	// The walk from the module root takes in bench/, a module of its own.
+	fields, written, err := configFieldWrites(os.DirFS("."))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var bad []string
+	for key, field := range fields {
+		if !written[field] && configSeams[key] == "" {
+			bad = append(bad, key)
+		}
+	}
+	for key := range configSeams {
+		if _, ok := fields[key]; !ok {
+			bad = append(bad, key+" (allowlisted, but no such field)")
+		} else if written[fields[key]] {
+			bad = append(bad, key+" (allowlisted, but a program sets it)")
+		}
+	}
+	sort.Strings(bad)
+	if len(bad) > 0 {
+		t.Fatalf("%d Config/Options fields disagree with configSeams; make a field no program "+
+			"sets a constant or, if tests need it, a configSeams entry with the reason:\n\t%s",
+			len(bad), strings.Join(bad, "\n\t"))
+	}
+}
+
+// configFieldWrites scans the non-test .go files of fsys. It returns
+// every exported, non-json-tagged field of an exported *Config or
+// *Options struct under internal/, keyed "pkg.Type.Field" with the
+// field's name as value, and the set of names written as a
+// composite-literal key or an assignment target.
+func configFieldWrites(fsys fs.FS) (fields map[string]string, written map[string]bool, err error) {
+	fields = map[string]string{}
+	written = map[string]bool{}
+	fset := token.NewFileSet()
+	err = fs.WalkDir(fsys, ".", func(name string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && name != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return fs.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		src, err := fs.ReadFile(fsys, name)
+		if err != nil {
+			return err
+		}
+		f, err := parser.ParseFile(fset, name, src, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					written[id.Name] = true
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						written[sel.Sel.Name] = true
+					}
+				}
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				typ := n.Name.Name
+				pkg, internal := strings.CutPrefix(path.Dir(name), "internal/")
+				if !ok || !internal || !ast.IsExported(typ) ||
+					!(strings.HasSuffix(typ, "Config") || strings.HasSuffix(typ, "Options")) {
+					return true
+				}
+				for _, fld := range st.Fields.List {
+					if fld.Tag != nil && strings.Contains(fld.Tag.Value, `json:"`) {
+						continue
+					}
+					for _, id := range fld.Names {
+						if id.IsExported() {
+							fields[pkg+"."+typ+"."+id.Name] = id.Name
+						}
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	return fields, written, err
+}
+
+// TestConfigFieldWritesScan pins what the guard counts: a field is
+// declared only by an exported *Config/*Options struct under internal/
+// and only when exported and untagged; a write counts from a non-test
+// file, as a literal key or an assignment to a selector.
+func TestConfigFieldWritesScan(t *testing.T) {
+	fsys := fstest.MapFS{
+		"internal/knob/knob.go": {Data: []byte(`package knob
+
+type DialConfig struct {
+	Literal  int
+	Assigned int
+	TestOnly int
+	Wire     int ` + "`json:\"wire\"`" + `
+	hidden   int
+}
+
+type DialState struct{ Level int }
+
+type dialOptions struct{ Depth int }
+`)},
+		"cmd/knob/main.go": {Data: []byte(`package main
+
+import "example/internal/knob"
+
+func main() {
+	c := knob.DialConfig{Literal: 1}
+	c.Assigned = 2
+	Local := 3
+	_, _ = c, Local
+}
+`)},
+		"cmd/knob/main_test.go": {Data: []byte(`package main
+
+import "example/internal/knob"
+
+var _ = knob.DialConfig{TestOnly: 1}
+`)},
+		"internal/knob/testdata/fixture.go": {Data: []byte(`package fixture
+
+var _ = struct{ Level int }{Level: 1}
+`)},
+	}
+	fields, written, err := configFieldWrites(fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFields := map[string]string{
+		"knob.DialConfig.Literal":  "Literal",
+		"knob.DialConfig.Assigned": "Assigned",
+		"knob.DialConfig.TestOnly": "TestOnly",
+	}
+	if len(fields) != len(wantFields) {
+		t.Errorf("fields %v, want %v", fields, wantFields)
+	}
+	for k, v := range wantFields {
+		if fields[k] != v {
+			t.Errorf("fields[%q] = %q, want %q", k, fields[k], v)
+		}
+	}
+	for _, name := range []string{"Literal", "Assigned"} {
+		if !written[name] {
+			t.Errorf("%s not counted as written", name)
+		}
+	}
+	for _, name := range []string{"TestOnly", "Level", "Local"} {
+		if written[name] {
+			t.Errorf("%s counted as written", name)
+		}
+	}
 }

@@ -92,15 +92,15 @@ func TestPlacementAccessors(t *testing.T) {
 	if got, want := f.ElementsOn(2), []int{0, 1}; !equalInts(got, want) {
 		t.Errorf("ElementsOn(2) = %v, want %v", got, want)
 	}
-	if f.IsOneToOne() {
-		t.Error("IsOneToOne true for many-to-one placement")
+	if len(f.Support()) == f.UniverseSize() {
+		t.Error("many-to-one placement has one node per element")
 	}
 	if got, want := f.QuorumNodes([]int{0, 1, 3}), []int{0, 2}; !equalInts(got, want) {
 		t.Errorf("QuorumNodes = %v, want %v", got, want)
 	}
 	one := identityPlacement(t, 5, topo)
-	if !one.IsOneToOne() {
-		t.Error("IsOneToOne false for identity placement")
+	if len(one.Support()) != one.UniverseSize() {
+		t.Error("identity placement shares a node")
 	}
 }
 
@@ -435,7 +435,7 @@ func TestExplicitValidate(t *testing.T) {
 	}
 }
 
-func TestProfile(t *testing.T) {
+func TestMeasures(t *testing.T) {
 	topo := testTopo(t, 9, 16)
 	sys := mustGrid(t, 3)
 	f := identityPlacement(t, 9, topo)
@@ -443,14 +443,14 @@ func TestProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := e.Profile(BalancedStrategy{})
-	if p.Strategy != "balanced" {
-		t.Errorf("Strategy = %q", p.Strategy)
+	s := BalancedStrategy{}
+	if s.Name() != "balanced" {
+		t.Errorf("Name = %q", s.Name())
 	}
-	if p.AvgResponse < p.AvgNetDelay {
-		t.Error("response below network delay in profile")
+	if e.AvgResponseTime(s) < e.AvgNetworkDelay(s) {
+		t.Error("response below network delay")
 	}
-	if p.MaxNodeLoad <= 0 {
+	if e.MaxNodeLoad(s) <= 0 {
 		t.Error("MaxNodeLoad not positive")
 	}
 }
@@ -502,7 +502,7 @@ func TestClientResponseTimeMatchesAverage(t *testing.T) {
 	}
 }
 
-func TestProfileDedupMode(t *testing.T) {
+func TestDedupModeMeasures(t *testing.T) {
 	topo := testTopo(t, 6, 18)
 	sys := mustGrid(t, 3)
 	target := []int{0, 0, 1, 1, 2, 2, 3, 3, 4}
@@ -514,18 +514,19 @@ func TestProfileDedupMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := BalancedStrategy{}
 	e.Mode = LoadMultiplicity
-	mult := e.Profile(BalancedStrategy{})
+	multLoad, multResp, multNet := e.MaxNodeLoad(s), e.AvgResponseTime(s), e.AvgNetworkDelay(s)
 	e.Mode = LoadDedup
-	dedup := e.Profile(BalancedStrategy{})
-	if dedup.MaxNodeLoad > mult.MaxNodeLoad+1e-9 {
-		t.Errorf("dedup max load %v above multiplicity %v", dedup.MaxNodeLoad, mult.MaxNodeLoad)
+	dedupLoad, dedupResp, dedupNet := e.MaxNodeLoad(s), e.AvgResponseTime(s), e.AvgNetworkDelay(s)
+	if dedupLoad > multLoad+1e-9 {
+		t.Errorf("dedup max load %v above multiplicity %v", dedupLoad, multLoad)
 	}
-	if dedup.AvgResponse > mult.AvgResponse+1e-9 {
-		t.Errorf("dedup response %v above multiplicity %v", dedup.AvgResponse, mult.AvgResponse)
+	if dedupResp > multResp+1e-9 {
+		t.Errorf("dedup response %v above multiplicity %v", dedupResp, multResp)
 	}
-	if dedup.AvgNetDelay != mult.AvgNetDelay {
-		t.Errorf("load mode changed network delay: %v vs %v", dedup.AvgNetDelay, mult.AvgNetDelay)
+	if dedupNet != multNet {
+		t.Errorf("load mode changed network delay: %v vs %v", dedupNet, multNet)
 	}
 }
 

@@ -237,21 +237,3 @@ func (e *Eval) elementCosts(v int, loads []float64, alpha float64) []float64 {
 	}
 	return out
 }
-
-// Profile bundles the measures reported in the paper's figures.
-type Profile struct {
-	Strategy    string
-	AvgResponse float64 // avg_v Δ_f(v) with alpha
-	AvgNetDelay float64 // same with alpha = 0
-	MaxNodeLoad float64
-}
-
-// Profile computes all measures for one strategy.
-func (e *Eval) Profile(s Strategy) Profile {
-	return Profile{
-		Strategy:    s.Name(),
-		AvgResponse: e.AvgResponseTime(s),
-		AvgNetDelay: e.AvgNetworkDelay(s),
-		MaxNodeLoad: e.MaxNodeLoad(s),
-	}
-}

@@ -82,18 +82,6 @@ func (f Placement) ElementsOn(w int) []int {
 	return out
 }
 
-// IsOneToOne reports whether no two elements share a node.
-func (f Placement) IsOneToOne() bool {
-	seen := map[int]bool{}
-	for _, w := range f.target {
-		if seen[w] {
-			return false
-		}
-		seen[w] = true
-	}
-	return true
-}
-
 // QuorumNodes returns the distinct nodes f(Q) hosting the given quorum's
 // elements.
 func (f Placement) QuorumNodes(elems []int) []int {

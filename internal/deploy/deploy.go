@@ -250,10 +250,6 @@ type Manager struct {
 	applied int
 	journal *journal.Writer // optional durable batch log (see Recover)
 
-	// queued counts Apply calls in flight (holding or waiting on mu);
-	// see ApplyQueue.
-	queued atomic.Int64
-
 	cur atomic.Pointer[Entry]
 	// lastPlan holds the planner's counters for the plan that absorbed
 	// the latest batch (see LastPlan).
@@ -352,8 +348,6 @@ var ErrReplan = fmt.Errorf("deploy: re-plan failed")
 // WAS applied but planning it failed. A batch that dirties nothing new
 // returns the current entry without publishing a new version.
 func (m *Manager) Apply(deltas []Delta) (*Entry, error) {
-	m.queued.Add(1)
-	defer m.queued.Add(-1)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -454,11 +448,6 @@ func (m *Manager) validateBatch(batch []Delta) error {
 	}
 	return nil
 }
-
-// ApplyQueue reports the number of Apply calls currently in flight:
-// the one holding the apply loop plus any queued behind it. Serving
-// layers use it as the backpressure signal for delta ingestion.
-func (m *Manager) ApplyQueue() int { return int(m.queued.Load()) }
 
 // replan runs the adaptation policy: free re-plans pass straight
 // through; placement-dirtying batches run the move-vs-hold comparison.

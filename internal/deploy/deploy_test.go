@@ -437,7 +437,7 @@ func TestManagerConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.CloseJournal()
+	defer m.journal.Close()
 	siteName := func(i int) string { return topo.Site(i).Name }
 
 	const appliers = 4

@@ -179,16 +179,3 @@ func Recover(p *plan.Planner, cfg Config, path string) (*Manager, int, error) {
 	m.journal = w
 	return m, replayed, nil
 }
-
-// CloseJournal syncs and closes the journal, if one is attached. The
-// manager keeps working afterwards, just without durability.
-func (m *Manager) CloseJournal() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.journal == nil {
-		return nil
-	}
-	err := m.journal.Close()
-	m.journal = nil
-	return err
-}

@@ -115,7 +115,7 @@ func testRecoverFreshJournal(t *testing.T, pcfg plan.Config) {
 	if header.Type != jTypeHeader || header.Sites != 18 || header.System == "" {
 		t.Fatalf("header %+v", header)
 	}
-	if err := m.CloseJournal(); err != nil {
+	if err := m.journal.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -172,9 +171,6 @@ func TestApplyContinuousSmallBatches(t *testing.T) {
 	if got := one.Current().Snapshot.Version; got != 2 {
 		t.Errorf("coalesced version %d, want 2", got)
 	}
-	if seq.ApplyQueue() != 0 || one.ApplyQueue() != 0 {
-		t.Errorf("idle ApplyQueue = %d / %d, want 0", seq.ApplyQueue(), one.ApplyQueue())
-	}
 }
 
 // TestMembershipDeltas covers the add-site/remove-site wire kinds:
@@ -300,38 +296,6 @@ func TestCoalesceKeepsMembershipOrder(t *testing.T) {
 	}
 	if got := Coalesce(in); !reflect.DeepEqual(got, want) {
 		t.Errorf("Coalesce = %+v, want %+v", got, want)
-	}
-}
-
-// TestApplyQueueGauge: the in-flight gauge the serving layer uses for
-// backpressure counts queued Apply calls and drains back to zero.
-func TestApplyQueueGauge(t *testing.T) {
-	m := newManager(t, Config{})
-	if got := m.ApplyQueue(); got != 0 {
-		t.Fatalf("idle ApplyQueue = %d", got)
-	}
-	m.mu.Lock() // stall the apply loop
-	done := make(chan error, 1)
-	go func() {
-		_, err := m.Apply([]Delta{{Kind: KindDemand, Value: 4000}})
-		done <- err
-	}()
-	for m.ApplyQueue() != 1 {
-		runtime.Gosched()
-	}
-	m.mu.Unlock()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if got := m.ApplyQueue(); got != 0 {
-		t.Fatalf("ApplyQueue after drain = %d", got)
-	}
-	// A rejected batch must drain the gauge too.
-	if _, err := m.Apply([]Delta{{Kind: "bogus"}}); err == nil {
-		t.Fatal("bogus delta accepted")
-	}
-	if got := m.ApplyQueue(); got != 0 {
-		t.Fatalf("ApplyQueue after rejection = %d", got)
 	}
 }
 

@@ -159,7 +159,7 @@ func AblDedup(cfg scenario.RunConfig, quick bool) (*Table, error) {
 			e.Mode = mode
 			// The load mode changes the LP coefficients, so each mode
 			// needs its own optimizer workspace.
-			opt, err := strategy.NewOptimizer(e, strategy.ConfigFor(cfg.Reproducible, strategy.SolverAuto))
+			opt, err := strategy.NewOptimizer(e, strategy.ConfigFor(cfg.Reproducible))
 			if err != nil {
 				return 0, err
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"strconv"
 	"testing"
 
 	"github.com/quorumnet/quorumnet/internal/scenario"
@@ -101,12 +102,12 @@ func TestAblDedupNeverWorse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gain, err := tb.Col("dedup_gain_ms")
+		gain, err := colOf(tb, "dedup_gain_ms")
 		if err != nil {
 			t.Fatal(err)
 		}
 		for r := range tb.Rows {
-			v, err := tb.Cell(r, gain)
+			v, err := cellOf(tb, r, gain)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +126,7 @@ func TestAblFailuresSingletonDies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f1, err := tb.Col("resp_f1")
+		f1, err := colOf(tb, "resp_f1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,4 +159,22 @@ func BenchmarkAblations(b *testing.B) {
 			}
 		})
 	}
+}
+
+// cellOf returns the numeric value of a cell of tb.
+func cellOf(tb *scenario.Table, row, col int) (float64, error) {
+	if row < 0 || row >= len(tb.Rows) || col < 0 || col >= len(tb.Columns) {
+		return 0, fmt.Errorf("cell (%d,%d) out of range", row, col)
+	}
+	return strconv.ParseFloat(tb.Rows[row][col], 64)
+}
+
+// colOf returns the index of a named column of tb.
+func colOf(tb *scenario.Table, name string) (int, error) {
+	for i, c := range tb.Columns {
+		if c == name {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("table %s has no column %q", tb.ID, name)
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/quorumnet/quorumnet/internal/fleet/faultinject"
 	"github.com/quorumnet/quorumnet/internal/scenario"
 )
 
@@ -83,9 +82,8 @@ func newFleetHarness(t *testing.T) *fleetHarness {
 		log:   &eventLog{},
 		reg: NewRegistry(RegistryOptions{
 			HeartbeatInterval: time.Second,
-			MissedHeartbeats:  2,
 			Now:               clock.Now,
-			Logf:              t.Logf,
+			Logf:              testLogf(t),
 		}),
 	}
 	base, err := scenario.Run(testSpec(), testCfg())
@@ -104,16 +102,16 @@ func newFleetHarness(t *testing.T) *fleetHarness {
 // startWorker starts a worker and returns its address.
 func (h *fleetHarness) startWorker() string {
 	h.t.Helper()
-	srv := httptest.NewServer(NewWorker(WorkerOptions{MaxWait: 100 * time.Millisecond, Logf: h.t.Logf}).Handler())
+	srv := httptest.NewServer(NewWorker(WorkerOptions{MaxWait: 100 * time.Millisecond, Logf: testLogf(h.t)}).Handler())
 	h.t.Cleanup(srv.Close)
 	return srv.URL
 }
 
 // startProxiedWorker starts a worker behind a fault-injection proxy and
 // returns the proxy's address.
-func (h *fleetHarness) startProxiedWorker() (string, *faultinject.Proxy) {
+func (h *fleetHarness) startProxiedWorker() (string, *faultProxy) {
 	h.t.Helper()
-	proxy, err := faultinject.New(h.startWorker())
+	proxy, err := newFaultProxy(h.startWorker())
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -131,7 +129,7 @@ func (h *fleetHarness) addWorker() WorkerRef {
 
 // addProxiedWorker starts a proxied worker and registers the proxy's
 // address.
-func (h *fleetHarness) addProxiedWorker() (WorkerRef, *faultinject.Proxy) {
+func (h *fleetHarness) addProxiedWorker() (WorkerRef, *faultProxy) {
 	h.t.Helper()
 	url, proxy := h.startProxiedWorker()
 	return h.reg.Register(url, 1, 0), proxy
@@ -250,11 +248,11 @@ func TestMidExecuteDeathRedispatch(t *testing.T) {
 	victim, proxy := h.addProxiedWorker()
 	survivor := h.addWorker()
 
-	proxy.After(faultinject.PointDispatch, func() {
+	proxy.After(pointDispatch, func() {
 		// Mid-execute: the job is accepted and running. The worker's
 		// polls now hang like a TCP blackhole, and its heartbeats stop —
 		// kill advances the clock exactly two intervals.
-		proxy.Hold(faultinject.PointPoll)
+		proxy.Hold(pointPoll)
 		h.kill(victim.ID)
 	})
 
@@ -305,7 +303,7 @@ func TestSingleWorkerRetryBacksOff(t *testing.T) {
 		t.Run(roster, func(t *testing.T) {
 			h := newFleetHarness(t)
 			url, proxy := h.startProxiedWorker()
-			proxy.DropNext(faultinject.PointDispatch, 2)
+			proxy.DropNext(pointDispatch, 2)
 
 			cfg := h.rosterConfig(roster, url)
 			cfg.Shards = 1
@@ -337,7 +335,7 @@ func TestPreResultSeverRedispatch(t *testing.T) {
 	h := newFleetHarness(t)
 	victim, proxy := h.addProxiedWorker()
 	survivor := h.addWorker()
-	proxy.DropNext(faultinject.PointResult, 1)
+	proxy.DropNext(pointResult, 1)
 
 	coord := h.coordinator(Config{Shards: 2})
 	got, err := coord.Run(testSpec(), testCfg())
@@ -372,8 +370,8 @@ func TestLateDuplicateResultDiscarded(t *testing.T) {
 	// Park the victim's finished result at the proxy, kill the victim's
 	// heartbeats the moment it accepts the shard, and release the parked
 	// result only once the re-dispatched attempt has won the shard.
-	releaseResult := proxy.Hold(faultinject.PointResult)
-	proxy.After(faultinject.PointDispatch, func() { h.kill(victim.ID) })
+	releaseResult := proxy.Hold(pointResult)
+	proxy.After(pointDispatch, func() { h.kill(victim.ID) })
 	h.log.hook(func(ev Event) {
 		if ev.Kind == EventShardDone && ev.Shard == 0 && ev.Worker != victim.ID {
 			releaseResult()
@@ -422,7 +420,7 @@ func TestElasticRunFailsAfterMaxAttempts(t *testing.T) {
 func TestExhaustedShardFailsRunAtOnce(t *testing.T) {
 	h := newFleetHarness(t)
 	hung, proxy := h.startProxiedWorker()
-	t.Cleanup(proxy.Hold(faultinject.PointPoll))
+	t.Cleanup(proxy.Hold(pointPoll))
 	dead := httptest.NewServer(nil)
 	dead.Close() // now refuses connections
 

@@ -7,12 +7,34 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/quorumnet/quorumnet/internal/scenario"
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
+
+// testLogf returns a Logf for a Worker, Coordinator, Registry or Lease
+// that forwards to t.Logf until t's cleanup runs and drops lines after
+// that: a job's execute goroutine may still log once the test has
+// returned, and t.Logf must not be called then.
+func testLogf(t *testing.T) func(format string, args ...interface{}) {
+	var mu sync.Mutex
+	ended := false
+	t.Cleanup(func() {
+		mu.Lock()
+		ended = true
+		mu.Unlock()
+	})
+	return func(format string, args ...interface{}) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !ended {
+			t.Logf(format, args...)
+		}
+	}
+}
 
 // testSpec is a small eval scenario with enough points (5) to spread
 // across workers.
@@ -65,7 +87,7 @@ func TestFleetRetriesDeadWorker(t *testing.T) {
 		Workers:  []string{dead.URL, live.URL},
 		Shards:   2,
 		Attempts: 2,
-		Logf:     t.Logf,
+		Logf:     testLogf(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +107,7 @@ func TestFleetSurfacesJobErrors(t *testing.T) {
 	spec := testSpec()
 	spec.Topology = scenario.TopologySpec{Source: "file", Path: "/nonexistent/topo.txt"}
 	live := startWorker(t)
-	coord, err := New(Config{Workers: []string{live.URL}, Logf: t.Logf})
+	coord, err := New(Config{Workers: []string{live.URL}, Logf: testLogf(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func (o LeaseOptions) retryDelay() time.Duration {
 // registration reply dictates, and re-registers under a fresh id
 // whenever the registry stops recognizing the current one (expiry,
 // registry restart). Stop ends the lease; the registry then declares
-// the worker dead after MissedHeartbeats intervals.
+// the worker dead after missedHeartbeats intervals.
 type Lease struct {
 	registry  string
 	advertise string
@@ -46,7 +46,6 @@ type Lease struct {
 	client    *http.Client
 
 	mu   sync.Mutex
-	id   string
 	stop chan struct{}
 	done chan struct{}
 }
@@ -79,14 +78,6 @@ func (l *Lease) logf(format string, args ...interface{}) {
 	}
 }
 
-// ID returns the current worker id ("" until the first registration
-// lands).
-func (l *Lease) ID() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.id
-}
-
 // Stop ends the lease and waits for its goroutine.
 func (l *Lease) Stop() {
 	l.mu.Lock()
@@ -106,9 +97,6 @@ func (l *Lease) run() {
 		if !ok {
 			return // stopped
 		}
-		l.mu.Lock()
-		l.id = resp.ID
-		l.mu.Unlock()
 		interval := time.Duration(resp.HeartbeatMS) * time.Millisecond
 		if interval <= 0 {
 			interval = time.Second

@@ -17,17 +17,18 @@ import (
 // slate) instead of resurrecting its old one.
 var ErrUnknownWorker = fmt.Errorf("fleet: unknown worker")
 
+// missedHeartbeats is how many heartbeat intervals may pass without a
+// beat before a worker is declared dead. Death is what triggers mid-job
+// shard re-dispatch, so this — not ShardTimeout — bounds how long a
+// crashed worker stalls its shards.
+const missedHeartbeats = 2
+
 // RegistryOptions tunes worker liveness tracking.
 type RegistryOptions struct {
 	// HeartbeatInterval is the cadence workers are told to beat at
 	// (default 1s). Registration replies carry it, so workers need no
 	// matching configuration.
 	HeartbeatInterval time.Duration
-	// MissedHeartbeats is how many intervals may pass without a beat
-	// before a worker is declared dead (default 2). Death is what
-	// triggers mid-job shard re-dispatch, so this — not ShardTimeout —
-	// bounds how long a crashed worker stalls its shards.
-	MissedHeartbeats int
 	// Logf, when set, receives registration and expiry logs.
 	Logf func(format string, args ...interface{})
 	// Now overrides the clock (fault-injection tests drive liveness by
@@ -40,13 +41,6 @@ func (o RegistryOptions) interval() time.Duration {
 		return time.Second
 	}
 	return o.HeartbeatInterval
-}
-
-func (o RegistryOptions) missed() int {
-	if o.MissedHeartbeats <= 0 {
-		return 2
-	}
-	return o.MissedHeartbeats
 }
 
 // WorkerRef identifies one registered worker.
@@ -82,7 +76,7 @@ type regWorker struct {
 // Registry tracks the fleet's workers by self-registration and
 // heartbeat: workers join with POST /v1/workers, beat with
 // POST /v1/workers/<id>/heartbeat, and are declared dead after
-// MissedHeartbeats silent intervals. A coordinator configured with a
+// missedHeartbeats silent intervals. A coordinator configured with a
 // worker list instead pins each address into a private registry, where
 // it stays live for good. The coordinator dispatches over
 // Live() and watches Changed() to react to joins and deaths the moment
@@ -206,7 +200,7 @@ func (r *Registry) Heartbeat(id string) error {
 // expireLocked marks workers silent past the liveness window dead and
 // reports the newly dead. Callers hold r.mu.
 func (r *Registry) expireLocked(now time.Time) []WorkerRef {
-	window := time.Duration(r.opts.missed()) * r.opts.interval()
+	window := time.Duration(missedHeartbeats) * r.opts.interval()
 	var dead []WorkerRef
 	for _, w := range r.workers {
 		if !w.dead && !w.pinned && now.Sub(w.lastBeat) >= window {
@@ -218,7 +212,7 @@ func (r *Registry) expireLocked(now time.Time) []WorkerRef {
 		sort.Slice(dead, func(a, b int) bool { return dead[a].ID < dead[b].ID })
 		for _, ref := range dead {
 			r.logf("fleet registry: %s (%s) missed %d heartbeats, declared dead",
-				ref.ID, ref.Addr, r.opts.missed())
+				ref.ID, ref.Addr, missedHeartbeats)
 		}
 		r.broadcastLocked()
 	}
@@ -331,7 +325,7 @@ func (r *Registry) handleWorkers(rw http.ResponseWriter, req *http.Request) {
 		writeJSON(rw, http.StatusCreated, &RegisterResponse{
 			ID:          ref.ID,
 			HeartbeatMS: r.opts.interval().Milliseconds(),
-			Missed:      r.opts.missed(),
+			Missed:      missedHeartbeats,
 		})
 	case http.MethodGet:
 		r.mu.Lock()

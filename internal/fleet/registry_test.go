@@ -37,9 +37,8 @@ func TestRegistryLifecycle(t *testing.T) {
 	clock := newFakeClock()
 	reg := NewRegistry(RegistryOptions{
 		HeartbeatInterval: time.Second,
-		MissedHeartbeats:  2,
 		Now:               clock.Now,
-		Logf:              t.Logf,
+		Logf:              testLogf(t),
 	})
 
 	a := reg.Register("127.0.0.1:1001", 1, 0)
@@ -97,7 +96,6 @@ func TestPinnedWorkerNeverExpires(t *testing.T) {
 	clock := newFakeClock()
 	reg := NewRegistry(RegistryOptions{
 		HeartbeatInterval: time.Second,
-		MissedHeartbeats:  2,
 		Now:               clock.Now,
 	})
 	reg.pin("http://127.0.0.1:1001")
@@ -146,7 +144,6 @@ func TestRegistryHTTP(t *testing.T) {
 	clock := newFakeClock()
 	reg := NewRegistry(RegistryOptions{
 		HeartbeatInterval: 250 * time.Millisecond,
-		MissedHeartbeats:  2,
 		Now:               clock.Now,
 	})
 	srv := httptest.NewServer(reg.Handler())
@@ -220,15 +217,14 @@ func TestRegistryHTTP(t *testing.T) {
 func TestLeaseRegistersAndReRegisters(t *testing.T) {
 	reg := NewRegistry(RegistryOptions{
 		HeartbeatInterval: 10 * time.Millisecond,
-		MissedHeartbeats:  2,
-		Logf:              t.Logf,
+		Logf:              testLogf(t),
 	})
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
 
 	lease, err := Join(srv.URL, "127.0.0.1:9190", LeaseOptions{
 		RetryDelay: 10 * time.Millisecond,
-		Logf:       t.Logf,
+		Logf:       testLogf(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,13 +248,6 @@ func TestLeaseRegistersAndReRegisters(t *testing.T) {
 		}
 	}
 	first := waitLive("initial registration")
-	// The registry records the id a beat before the lease stores it.
-	for d := time.Now().Add(5 * time.Second); lease.ID() != first.ID; {
-		if time.Now().After(d) {
-			t.Fatalf("lease id %q never caught up to registry id %q", lease.ID(), first.ID)
-		}
-		time.Sleep(time.Millisecond)
-	}
 
 	// Forcibly expire the lease (as a long partition would); the next
 	// heartbeat is rejected and the lease re-registers with a fresh id.
@@ -272,11 +261,6 @@ func TestLeaseRegistersAndReRegisters(t *testing.T) {
 		reg.ExpireNow()
 		second := waitLive("re-registration")
 		if second.ID != first.ID {
-			if lease.ID() != second.ID {
-				// The lease may not have stored the fresh id yet; the
-				// registry's roster is the source of truth here.
-				t.Logf("lease id %q lagging registry id %q", lease.ID(), second.ID)
-			}
 			break
 		}
 		if time.Now().After(deadline) {

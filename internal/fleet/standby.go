@@ -13,9 +13,6 @@ import (
 type StandbyOptions struct {
 	// Journal is the path of the run journal to tail. Required.
 	Journal string
-	// Owner identifies this standby in the lease records it writes after
-	// taking over (default "standby").
-	Owner string
 	// LeaseTTL is how stale the primary's newest journal record may be
 	// before the standby declares it dead and takes over (default 5s).
 	// Must comfortably exceed the primary's lease renewal interval (1s),
@@ -33,12 +30,9 @@ type StandbyOptions struct {
 	Coordinator Config
 }
 
-func (o StandbyOptions) owner() string {
-	if o.Owner == "" {
-		return "standby"
-	}
-	return o.Owner
-}
+// standbyOwner identifies a standby in the lease records it writes
+// after taking over.
+const standbyOwner = "standby"
 
 func (o StandbyOptions) leaseTTL() time.Duration {
 	if o.LeaseTTL <= 0 {
@@ -105,7 +99,7 @@ func (s *Standby) Check() (st *runjournal.State, stale bool, err error) {
 // resume dispatch of the unfinished shards on the template coordinator.
 func (s *Standby) TakeOver(st *runjournal.State) (*scenario.Table, error) {
 	run, err := runjournal.Continue(s.opts.Journal, st, runjournal.Options{
-		Owner: s.opts.owner(),
+		Owner: standbyOwner,
 		Now:   s.opts.Now,
 	})
 	if err != nil {
@@ -120,7 +114,7 @@ func (s *Standby) TakeOver(st *runjournal.State) (*scenario.Table, error) {
 		return nil, err
 	}
 	s.logf("fleet standby: %s taking over %s at epoch %d (%d/%d shards recorded, last activity %s by %s)",
-		s.opts.owner(), s.opts.Journal, run.Epoch(), len(st.Completed), st.Shards,
+		standbyOwner, s.opts.Journal, run.Epoch(), len(st.Completed), st.Shards,
 		st.LastActivity.Format(time.RFC3339), st.LeaseOwner)
 	return coord.Resume(st.Spec, st.Config.RunConfig(), st.Completed)
 }

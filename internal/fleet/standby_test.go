@@ -100,12 +100,11 @@ func TestStandbyTakeoverByteIdentical(t *testing.T) {
 
 	sb, err := NewStandby(StandbyOptions{
 		Journal:  path,
-		Owner:    "standby-1",
 		LeaseTTL: 5 * time.Second,
 		Now:      h.clock.Now,
 		Coordinator: Config{
 			Registry: h.reg,
-			Logf:     t.Logf,
+			Logf:     testLogf(t),
 			OnEvent:  h.log.record,
 		},
 	})
@@ -180,7 +179,7 @@ func TestStandbyTakeoverByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st2.Merged || st2.Epoch != 2 || st2.LeaseOwner != "standby-1" {
+	if !st2.Merged || st2.Epoch != 2 || st2.LeaseOwner != standbyOwner {
 		t.Fatalf("post-takeover state %+v", st2)
 	}
 }
@@ -217,7 +216,7 @@ func TestStandbyTakeoverFromEveryRecordBoundary(t *testing.T) {
 			Journal:     prefix,
 			LeaseTTL:    5 * time.Second,
 			Now:         farFuture,
-			Coordinator: Config{Workers: []string{w1.URL, w2.URL}, Logf: t.Logf},
+			Coordinator: Config{Workers: []string{w1.URL, w2.URL}, Logf: testLogf(t)},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -274,7 +273,7 @@ func TestStandbyStandsDownWhenMerged(t *testing.T) {
 	sb, err := NewStandby(StandbyOptions{
 		Journal:     path,
 		Now:         h.clock.Now,
-		Coordinator: Config{Registry: h.reg, Logf: t.Logf},
+		Coordinator: Config{Registry: h.reg, Logf: testLogf(t)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -71,7 +71,7 @@ func (ins *Instance) Validate() error {
 // on machine w (rows sum to 1 over finite-cost machines).
 type Fractional [][]float64
 
-// SolveLP solves the LP relaxation:
+// SolveLPWith solves the LP relaxation with the given solver options:
 //
 //	min  Σ cost[u][w]·x[u][w]
 //	s.t. Σ_w x[u][w] = 1          for every job u
@@ -80,10 +80,6 @@ type Fractional [][]float64
 //
 // It returns lp.ErrInfeasible (wrapped) when capacities cannot host the
 // jobs.
-func SolveLP(ins *Instance) (Fractional, error) { return SolveLPWith(ins, lp.Options{}) }
-
-// SolveLPWith is SolveLP with explicit solver options (e.g. partial
-// pricing for speed where bit-reproducibility is not required).
 func SolveLPWith(ins *Instance, opts lp.Options) (Fractional, error) {
 	if err := ins.Validate(); err != nil {
 		return nil, err
@@ -203,13 +199,10 @@ func Filter(ins *Instance, x Fractional, eps float64) (Fractional, error) {
 	return out, nil
 }
 
-// Round converts a fractional assignment into an integral one using the
-// Shmoys–Tardos slot construction. The returned slice maps each job to
-// its machine. Machine loads exceed the fractional loads of x by at most
-// the largest job size assigned fractionally to that machine.
-func Round(ins *Instance, x Fractional) ([]int, error) { return RoundWith(ins, x, lp.Options{}) }
-
-// RoundWith is Round with explicit solver options.
+// RoundWith converts a fractional assignment into an integral one using
+// the Shmoys–Tardos slot construction. The returned slice maps each job
+// to its machine. Machine loads exceed the fractional loads of x by at
+// most the largest job size assigned fractionally to that machine.
 func RoundWith(ins *Instance, x Fractional, opts lp.Options) ([]int, error) {
 	nj, nm := len(ins.Sizes), len(ins.Capacities)
 
@@ -342,13 +335,9 @@ type Assignment struct {
 	LPCost float64
 }
 
-// Solve runs LP → filter(eps) → round and summarizes the result.
-func Solve(ins *Instance, eps float64) (*Assignment, error) {
-	return SolveWith(ins, eps, lp.Options{})
-}
-
-// SolveWith is Solve with explicit solver options, threaded through both
-// the relaxation and the matching LP.
+// SolveWith runs LP → filter(eps) → round and summarizes the result,
+// threading the solver options through both the relaxation and the
+// matching LP.
 func SolveWith(ins *Instance, eps float64, opts lp.Options) (*Assignment, error) {
 	x, err := SolveLPWith(ins, opts)
 	if err != nil {

@@ -59,9 +59,9 @@ func TestSolveLPTrivial(t *testing.T) {
 			{0, 10},
 		},
 	}
-	x, err := SolveLP(ins)
+	x, err := SolveLPWith(ins, lp.Options{})
 	if err != nil {
-		t.Fatalf("SolveLP: %v", err)
+		t.Fatalf("SolveLPWith: %v", err)
 	}
 	// Each job fully assigned; machine 0 can hold only one.
 	load0 := x[0][0] + x[1][0]
@@ -82,7 +82,7 @@ func TestSolveLPInfeasible(t *testing.T) {
 		Capacities: []float64{1, 1}, // total capacity 2 < 3
 		Cost:       uniformCosts(3, 2, func(u, w int) float64 { return 1 }),
 	}
-	if _, err := SolveLP(ins); !errors.Is(err, lp.ErrInfeasible) {
+	if _, err := SolveLPWith(ins, lp.Options{}); !errors.Is(err, lp.ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -94,9 +94,9 @@ func TestSolveLPForbiddenPairs(t *testing.T) {
 		Capacities: []float64{5, 5},
 		Cost:       [][]float64{{inf, 3}},
 	}
-	x, err := SolveLP(ins)
+	x, err := SolveLPWith(ins, lp.Options{})
 	if err != nil {
-		t.Fatalf("SolveLP: %v", err)
+		t.Fatalf("SolveLPWith: %v", err)
 	}
 	if x[0][0] != 0 {
 		t.Errorf("forbidden pair got mass %v", x[0][0])
@@ -113,7 +113,7 @@ func TestSolveLPAllForbidden(t *testing.T) {
 		Capacities: []float64{5},
 		Cost:       [][]float64{{inf}},
 	}
-	if _, err := SolveLP(ins); !errors.Is(err, lp.ErrInfeasible) {
+	if _, err := SolveLPWith(ins, lp.Options{}); !errors.Is(err, lp.ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -170,9 +170,9 @@ func TestRoundIntegralInput(t *testing.T) {
 		Cost:       uniformCosts(2, 2, func(u, w int) float64 { return float64(u + w) }),
 	}
 	x := Fractional{{1, 0}, {0, 1}}
-	assign, err := Round(ins, x)
+	assign, err := RoundWith(ins, x, lp.Options{})
 	if err != nil {
-		t.Fatalf("Round: %v", err)
+		t.Fatalf("RoundWith: %v", err)
 	}
 	if assign[0] != 0 || assign[1] != 1 {
 		t.Errorf("assign = %v, want [0 1]", assign)
@@ -187,9 +187,9 @@ func TestRoundSplitJob(t *testing.T) {
 		Cost:       [][]float64{{2, 2}},
 	}
 	x := Fractional{{0.5, 0.5}}
-	assign, err := Round(ins, x)
+	assign, err := RoundWith(ins, x, lp.Options{})
 	if err != nil {
-		t.Fatalf("Round: %v", err)
+		t.Fatalf("RoundWith: %v", err)
 	}
 	if assign[0] != 0 && assign[0] != 1 {
 		t.Errorf("assign = %v", assign)
@@ -209,9 +209,9 @@ func TestSolvePipelineSmall(t *testing.T) {
 			{5, 1},
 		},
 	}
-	a, err := Solve(ins, 1)
+	a, err := SolveWith(ins, 1, lp.Options{})
 	if err != nil {
-		t.Fatalf("Solve: %v", err)
+		t.Fatalf("SolveWith: %v", err)
 	}
 	if a.MachineOf[0] != 0 || a.MachineOf[1] != 0 || a.MachineOf[2] != 1 || a.MachineOf[3] != 1 {
 		t.Errorf("MachineOf = %v, want [0 0 1 1]", a.MachineOf)
@@ -249,7 +249,7 @@ func TestSolveCapacityViolationBound(t *testing.T) {
 		for w := range ins.Capacities {
 			ins.Capacities[w] = total * 1.5 / float64(nm) * (0.5 + rng.Float64())
 		}
-		a, err := Solve(ins, 1)
+		a, err := SolveWith(ins, 1, lp.Options{})
 		if errors.Is(err, lp.ErrInfeasible) {
 			return true // capacities happened to be too tight; fine
 		}
@@ -284,7 +284,7 @@ func TestSolveCostNeverBelowLP(t *testing.T) {
 		for w := range ins.Capacities {
 			ins.Capacities[w] = float64(nj) // generous: LP integral anyway
 		}
-		a, err := Solve(ins, 1)
+		a, err := SolveWith(ins, 1, lp.Options{})
 		if err != nil {
 			return false
 		}
@@ -313,7 +313,7 @@ func TestSolveAssignsEveryJob(t *testing.T) {
 		for w := range ins.Capacities {
 			ins.Capacities[w] = 2 * total / float64(nm)
 		}
-		a, err := Solve(ins, 1)
+		a, err := SolveWith(ins, 1, lp.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -357,9 +357,9 @@ func TestRoundRespectsSlotBound(t *testing.T) {
 				x[u][w] /= sum
 			}
 		}
-		assign, err := Round(ins, x)
+		assign, err := RoundWith(ins, x, lp.Options{})
 		if err != nil {
-			t.Fatalf("trial %d: Round: %v", trial, err)
+			t.Fatalf("trial %d: RoundWith: %v", trial, err)
 		}
 		fracLoad := make([]float64, nm)
 		intLoad := make([]float64, nm)

@@ -14,8 +14,8 @@
 // and is reported as an error rather than silently skipped.
 //
 // Fsync policy is the caller's: Append leaves the line in the OS page
-// cache (cheap, batchable), AppendSync forces it to disk, and Sync
-// flushes everything appended so far. Writers put the records whose
+// cache (cheap, batchable), and AppendSync forces it and everything
+// appended before it to disk. Writers put the records whose
 // loss merely costs recomputation (dispatch, lease renewals) through
 // Append and the ones that carry results (completed partials, published
 // versions) through AppendSync.
@@ -79,7 +79,7 @@ func Open(path string) (*Writer, error) {
 
 // Append marshals v and appends it as one line with a single write
 // call. The line reaches the OS but not necessarily the disk; use
-// AppendSync or Sync for durability barriers.
+// AppendSync for durability barriers.
 func (w *Writer) Append(v interface{}) error {
 	return w.append(v, false)
 }
@@ -109,16 +109,6 @@ func (w *Writer) append(v interface{}, sync bool) error {
 		return w.syncLocked()
 	}
 	return nil
-}
-
-// Sync fsyncs every record appended so far.
-func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return fmt.Errorf("journal: writer closed")
-	}
-	return w.syncLocked()
 }
 
 func (w *Writer) syncLocked() error {

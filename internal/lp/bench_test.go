@@ -15,7 +15,7 @@ func assignmentLP(b *testing.B, jobs, machines int, seed int64) *Problem {
 	for i := range obj {
 		obj[i] = rng.Float64() * 10
 	}
-	if err := p.SetObjective(obj); err != nil {
+	if err := setObjective(p, obj); err != nil {
 		b.Fatal(err)
 	}
 	ones := make([]float64, machines)
@@ -52,7 +52,7 @@ func BenchmarkSolveAssignment25x50(b *testing.B) {
 		b.StopTimer()
 		p := assignmentLP(b, 25, 50, int64(i))
 		b.StartTimer()
-		if _, err := p.Solve(); err != nil {
+		if _, err := p.SolveWith(Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,7 +63,7 @@ func BenchmarkSolveAssignment144x50(b *testing.B) {
 		b.StopTimer()
 		p := assignmentLP(b, 144, 50, int64(i))
 		b.StartTimer()
-		if _, err := p.Solve(); err != nil {
+		if _, err := p.SolveWith(Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

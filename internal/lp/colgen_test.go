@@ -228,7 +228,7 @@ func TestInfeasibleRayCertificate(t *testing.T) {
 	if err := p.AddConstraint([]int{0}, []float64{1}, GE, 2); err != nil {
 		t.Fatal(err)
 	}
-	_, err := p.Solve()
+	_, err := p.SolveWith(Options{})
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -273,7 +273,7 @@ func TestInfeasibleRayAbsent(t *testing.T) {
 // verdicts through a cold phase 1, so the ray must be present there too.
 func TestInfeasibleRayThroughSolveWarm(t *testing.T) {
 	p := NewProblem(2)
-	if err := p.SetObjective([]float64{1, 2}); err != nil {
+	if err := setObjective(p, []float64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.AddConstraint([]int{0, 1}, []float64{1, 1}, EQ, 1); err != nil {
@@ -282,7 +282,7 @@ func TestInfeasibleRayThroughSolveWarm(t *testing.T) {
 	if err := p.AddConstraint([]int{0, 1}, []float64{1, 2}, LE, 4); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := p.Solve()
+	sol, err := p.SolveWith(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

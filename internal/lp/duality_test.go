@@ -21,7 +21,7 @@ func TestStrongDuality(t *testing.T) {
 		for j := range obj {
 			obj[j] = rng.Float64() * 5 // non-negative costs: bounded LP
 		}
-		if err := p.SetObjective(obj); err != nil {
+		if err := setObjective(p, obj); err != nil {
 			return false
 		}
 		type row struct {
@@ -54,7 +54,7 @@ func TestStrongDuality(t *testing.T) {
 			rows = append(rows, row{a: a, op: LE, rhs: 10})
 		}
 
-		sol, err := p.Solve()
+		sol, err := p.SolveWith(Options{})
 		if err != nil {
 			return false
 		}
@@ -102,14 +102,14 @@ func TestStrongDuality(t *testing.T) {
 func TestComplementarySlackness(t *testing.T) {
 	// min 2x + y s.t. x + y >= 3, x >= 1, x,y <= 10.
 	p := NewProblem(2)
-	if err := p.SetObjective([]float64{2, 1}); err != nil {
+	if err := setObjective(p, []float64{2, 1}); err != nil {
 		t.Fatal(err)
 	}
 	mustConstraint(t, p, []int{0, 1}, []float64{1, 1}, GE, 3)
 	mustConstraint(t, p, []int{0}, []float64{1}, GE, 1)
 	mustConstraint(t, p, []int{0}, []float64{1}, LE, 10)
 	mustConstraint(t, p, []int{1}, []float64{1}, LE, 10)
-	sol, err := p.Solve()
+	sol, err := p.SolveWith(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestWarmDualTightenRelax(t *testing.T) {
 func TestDualPredictsSensitivity(t *testing.T) {
 	build := func(demand float64) *Problem {
 		p := NewProblem(2)
-		if err := p.SetObjective([]float64{3, 5}); err != nil {
+		if err := setObjective(p, []float64{3, 5}); err != nil {
 			t.Fatal(err)
 		}
 		mustConstraint(t, p, []int{0, 1}, []float64{1, 1}, GE, demand)
@@ -210,12 +210,12 @@ func TestDualPredictsSensitivity(t *testing.T) {
 		mustConstraint(t, p, []int{1}, []float64{1}, LE, 8)
 		return p
 	}
-	base, err := build(6).Solve()
+	base, err := build(6).SolveWith(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const eps = 0.25
-	bumped, err := build(6 + eps).Solve()
+	bumped, err := build(6 + eps).SolveWith(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func InfeasibleRay(err error) []float64 {
 
 // Problem is a minimization LP over non-negative variables. The zero value
 // is unusable; create with NewProblem. A Problem is not safe for
-// concurrent use: it caches a solver workspace across Solve calls so that
+// concurrent use: it caches a solver workspace across SolveWith calls so that
 // RHS-only re-solves (SetRHS + SolveWarm) reuse the assembled columns.
 type Problem struct {
 	nVars int
@@ -111,15 +111,6 @@ func (p *Problem) NumVars() int { return p.nVars }
 
 // NumConstraints returns the number of rows added so far.
 func (p *Problem) NumConstraints() int { return len(p.rows) }
-
-// SetObjective sets the full objective coefficient vector (minimized).
-func (p *Problem) SetObjective(c []float64) error {
-	if len(c) != p.nVars {
-		return fmt.Errorf("lp: objective length %d, want %d", len(c), p.nVars)
-	}
-	copy(p.obj, c)
-	return nil
-}
 
 // SetObjectiveCoeff sets a single objective coefficient.
 func (p *Problem) SetObjectiveCoeff(j int, c float64) error {
@@ -224,9 +215,6 @@ func (p *Problem) SetRHS(i int, rhs float64) error {
 	return nil
 }
 
-// RHS returns the current right-hand side of row i.
-func (p *Problem) RHS(i int) float64 { return p.rows[i].rhs }
-
 // Basis identifies the set of basic columns of a vertex solution:
 // Basis[i] is the column basic in row i. Structural variables are
 // recorded by index; basic slack/surplus columns are encoded relative to
@@ -251,7 +239,7 @@ const (
 	MethodWarmDual = "warm-dual"
 )
 
-// Solution is the result of a successful Solve.
+// Solution is the result of a successful solve.
 type Solution struct {
 	// X holds the optimal values of the structural variables.
 	X []float64
@@ -317,6 +305,3 @@ func OptionsFor(reproducible bool) Options {
 	}
 	return Options{Pricing: PricingPartial}
 }
-
-// Solve minimizes the objective with default options.
-func (p *Problem) Solve() (*Solution, error) { return p.SolveWith(Options{}) }

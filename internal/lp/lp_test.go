@@ -8,6 +8,16 @@ import (
 	"testing/quick"
 )
 
+// setObjective sets the objective coefficients of p from c.
+func setObjective(p *Problem, c []float64) error {
+	for j, v := range c {
+		if err := p.SetObjectiveCoeff(j, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func mustConstraint(t *testing.T, p *Problem, idx []int, coef []float64, op Op, rhs float64) {
 	t.Helper()
 	if err := p.AddConstraint(idx, coef, op, rhs); err != nil {
@@ -17,7 +27,7 @@ func mustConstraint(t *testing.T, p *Problem, idx []int, coef []float64, op Op, 
 
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	sol, err := p.Solve()
+	sol, err := p.SolveWith(Options{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -28,7 +38,7 @@ func TestSimpleLP(t *testing.T) {
 	// min -x - 2y  s.t. x + y <= 4, x <= 3, y <= 2  → x=2? No:
 	// optimum is y=2, x=2 (x+y=4): objective -6.
 	p := NewProblem(2)
-	if err := p.SetObjective([]float64{-1, -2}); err != nil {
+	if err := setObjective(p, []float64{-1, -2}); err != nil {
 		t.Fatal(err)
 	}
 	mustConstraint(t, p, []int{0, 1}, []float64{1, 1}, LE, 4)
@@ -46,7 +56,7 @@ func TestSimpleLP(t *testing.T) {
 func TestEqualityLP(t *testing.T) {
 	// min x + 3y s.t. x + y = 10, x <= 4  →  x=4, y=6, obj=22.
 	p := NewProblem(2)
-	if err := p.SetObjective([]float64{1, 3}); err != nil {
+	if err := setObjective(p, []float64{1, 3}); err != nil {
 		t.Fatal(err)
 	}
 	mustConstraint(t, p, []int{0, 1}, []float64{1, 1}, EQ, 10)
@@ -60,7 +70,7 @@ func TestEqualityLP(t *testing.T) {
 func TestGEConstraints(t *testing.T) {
 	// min 2x + y s.t. x + y >= 3, x >= 1 → x=1, y=2, obj=4.
 	p := NewProblem(2)
-	if err := p.SetObjective([]float64{2, 1}); err != nil {
+	if err := setObjective(p, []float64{2, 1}); err != nil {
 		t.Fatal(err)
 	}
 	mustConstraint(t, p, []int{0, 1}, []float64{1, 1}, GE, 3)
@@ -74,7 +84,7 @@ func TestGEConstraints(t *testing.T) {
 func TestNegativeRHS(t *testing.T) {
 	// min x s.t. -x <= -5  (i.e. x >= 5) → x=5.
 	p := NewProblem(1)
-	if err := p.SetObjective([]float64{1}); err != nil {
+	if err := setObjective(p, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
 	mustConstraint(t, p, []int{0}, []float64{-1}, LE, -5)
@@ -88,7 +98,7 @@ func TestInfeasible(t *testing.T) {
 	p := NewProblem(1)
 	mustConstraint(t, p, []int{0}, []float64{1}, LE, 1)
 	mustConstraint(t, p, []int{0}, []float64{1}, GE, 2)
-	if _, err := p.Solve(); !errors.Is(err, ErrInfeasible) {
+	if _, err := p.SolveWith(Options{}); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -98,7 +108,7 @@ func TestInfeasibleEquality(t *testing.T) {
 	p := NewProblem(2)
 	mustConstraint(t, p, []int{0, 1}, []float64{1, 1}, EQ, 1)
 	mustConstraint(t, p, []int{0, 1}, []float64{1, 1}, EQ, 2)
-	if _, err := p.Solve(); !errors.Is(err, ErrInfeasible) {
+	if _, err := p.SolveWith(Options{}); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -106,28 +116,28 @@ func TestInfeasibleEquality(t *testing.T) {
 func TestUnbounded(t *testing.T) {
 	// min -x s.t. x >= 1 → unbounded below.
 	p := NewProblem(1)
-	if err := p.SetObjective([]float64{-1}); err != nil {
+	if err := setObjective(p, []float64{-1}); err != nil {
 		t.Fatal(err)
 	}
 	mustConstraint(t, p, []int{0}, []float64{1}, GE, 1)
-	if _, err := p.Solve(); !errors.Is(err, ErrUnbounded) {
+	if _, err := p.SolveWith(Options{}); !errors.Is(err, ErrUnbounded) {
 		t.Errorf("err = %v, want ErrUnbounded", err)
 	}
 }
 
 func TestUnboundedNoConstraints(t *testing.T) {
 	p := NewProblem(2)
-	if err := p.SetObjective([]float64{0, -1}); err != nil {
+	if err := setObjective(p, []float64{0, -1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Solve(); !errors.Is(err, ErrUnbounded) {
+	if _, err := p.SolveWith(Options{}); !errors.Is(err, ErrUnbounded) {
 		t.Errorf("err = %v, want ErrUnbounded", err)
 	}
 }
 
 func TestNoConstraintsZeroCost(t *testing.T) {
 	p := NewProblem(3)
-	if err := p.SetObjective([]float64{1, 0, 2}); err != nil {
+	if err := setObjective(p, []float64{1, 0, 2}); err != nil {
 		t.Fatal(err)
 	}
 	sol := solveOK(t, p)
@@ -139,7 +149,7 @@ func TestNoConstraintsZeroCost(t *testing.T) {
 func TestRedundantConstraints(t *testing.T) {
 	// Duplicate equality rows make the basis singular without care.
 	p := NewProblem(2)
-	if err := p.SetObjective([]float64{1, 1}); err != nil {
+	if err := setObjective(p, []float64{1, 1}); err != nil {
 		t.Fatal(err)
 	}
 	mustConstraint(t, p, []int{0, 1}, []float64{1, 1}, EQ, 2)
@@ -154,7 +164,7 @@ func TestRedundantConstraints(t *testing.T) {
 func TestDuplicateIndicesSummed(t *testing.T) {
 	// 2x (written as x + x) = 4 → x = 2.
 	p := NewProblem(1)
-	if err := p.SetObjective([]float64{1}); err != nil {
+	if err := setObjective(p, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
 	mustConstraint(t, p, []int{0, 0}, []float64{1, 1}, EQ, 4)
@@ -167,7 +177,7 @@ func TestDuplicateIndicesSummed(t *testing.T) {
 func TestDegenerateLP(t *testing.T) {
 	// Highly degenerate: many constraints active at the optimum.
 	p := NewProblem(2)
-	if err := p.SetObjective([]float64{-1, -1}); err != nil {
+	if err := setObjective(p, []float64{-1, -1}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -190,7 +200,7 @@ func TestTransportationProblem(t *testing.T) {
 		4, 2, 3, // source 1
 	}
 	p := NewProblem(6)
-	if err := p.SetObjective(cost); err != nil {
+	if err := setObjective(p, cost); err != nil {
 		t.Fatal(err)
 	}
 	mustConstraint(t, p, []int{0, 1, 2}, []float64{1, 1, 1}, LE, 3)
@@ -209,9 +219,6 @@ func TestTransportationProblem(t *testing.T) {
 
 func TestValidationErrors(t *testing.T) {
 	p := NewProblem(2)
-	if err := p.SetObjective([]float64{1}); err == nil {
-		t.Error("SetObjective with wrong length succeeded")
-	}
 	if err := p.SetObjectiveCoeff(5, 1); err == nil {
 		t.Error("SetObjectiveCoeff out of range succeeded")
 	}
@@ -247,7 +254,7 @@ func TestRandomLPsAgainstBruteForce(t *testing.T) {
 		for j := range obj {
 			obj[j] = math.Round((rng.Float64()*4-1)*8) / 8 // mostly positive costs
 		}
-		if err := p.SetObjective(obj); err != nil {
+		if err := setObjective(p, obj); err != nil {
 			t.Fatal(err)
 		}
 		var rows []testRow
@@ -281,7 +288,7 @@ func TestRandomLPsAgainstBruteForce(t *testing.T) {
 		_ = box
 		_ = idx
 
-		sol, err := p.Solve()
+		sol, err := p.SolveWith(Options{})
 		if errors.Is(err, ErrInfeasible) {
 			// Verify no feasible point exists on a coarse grid (sanity
 			// check, not a proof).
@@ -404,7 +411,7 @@ func TestNoFeasiblePointBeatsOptimum(t *testing.T) {
 		for j := range obj {
 			obj[j] = rng.Float64()*2 - 0.5
 		}
-		if err := p.SetObjective(obj); err != nil {
+		if err := setObjective(p, obj); err != nil {
 			return false
 		}
 		// x_j <= u_j box plus a couple of random LE rows: always feasible
@@ -429,7 +436,7 @@ func TestNoFeasiblePointBeatsOptimum(t *testing.T) {
 			}
 			rows = append(rows, testRow{a: a, op: LE, rhs: rhs})
 		}
-		sol, err := p.Solve()
+		sol, err := p.SolveWith(Options{})
 		if err != nil {
 			return false
 		}
@@ -469,7 +476,7 @@ func TestLargeStructuredLP(t *testing.T) {
 	for i := range obj {
 		obj[i] = rng.Float64() * 10
 	}
-	if err := p.SetObjective(obj); err != nil {
+	if err := setObjective(p, obj); err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < jobs; j++ {

@@ -38,7 +38,7 @@ func newWarmTestInstance(rng *rand.Rand, jobs, machines int) *warmTestInstance {
 func (ins *warmTestInstance) build(t *testing.T) *Problem {
 	t.Helper()
 	p := NewProblem(ins.jobs * ins.machines)
-	if err := p.SetObjective(ins.obj); err != nil {
+	if err := setObjective(p, ins.obj); err != nil {
 		t.Fatal(err)
 	}
 	idx := make([]int, ins.machines)
@@ -270,21 +270,21 @@ func TestSetRHSValidation(t *testing.T) {
 	if err := p.SetRHS(0, math.Inf(1)); err == nil {
 		t.Error("SetRHS(+Inf) succeeded")
 	}
-	if got := p.RHS(0); got != 1 {
+	if got := p.rows[0].rhs; got != 1 {
 		t.Errorf("RHS = %v, want 1", got)
 	}
-	if _, err := p.Solve(); err != nil {
+	if _, err := p.SolveWith(Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Sign flip forces a workspace rebuild; x ≥ 0 satisfies Σx ≥ -1
 	// trivially, so the optimum of min x0+x1 drops to 0.
-	if err := p.SetObjective([]float64{1, 1}); err != nil {
+	if err := setObjective(p, []float64{1, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.SetRHS(0, -1); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := p.Solve()
+	sol, err := p.SolveWith(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,15 +15,11 @@ type IterateConfig struct {
 	// Alpha is the load-to-delay factor used for the halting criterion
 	// (expected response time).
 	Alpha float64
-	// Eps is the Lin–Vitter parameter for the embedded many-to-one
-	// placements (default 1).
-	Eps float64
 	// MaxIterations bounds the loop (default 8); the paper observes most
 	// runs terminate after the first iteration.
 	MaxIterations int
-	// Candidates / Clients as in Options.
+	// Candidates as in Options.
 	Candidates []int
-	Clients    []int
 	// LP passes solver options through to both phases' LPs (the GAP
 	// pipeline of the many-to-one placement and the access-strategy LP).
 	// The zero value reproduces the original solver's pivot sequence;
@@ -79,19 +75,17 @@ func Iterate(topo *topology.Topology, sys quorum.System, cfg IterateConfig) (*It
 	for j := 1; j <= maxIter; j++ {
 		// Phase 1: many-to-one placement under the shared strategy.
 		elemLoads := elementLoadsOf(sys, shared)
-		scoreBy := sharedStrategy(topo, cfg.Clients, shared)
+		scoreBy := sharedStrategy(topo, shared)
 		f, err := ManyToOne(topo, sys, ManyToOneConfig{
 			ElementLoads: elemLoads,
 			ScoreBy:      scoreBy,
-			Eps:          cfg.Eps,
 			Candidates:   cfg.Candidates,
-			Clients:      cfg.Clients,
 			LP:           cfg.LP,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("placement: iteration %d phase 1: %w", j, err)
 		}
-		e, err := newEval(topo, sys, f, cfg)
+		e, err := core.NewEval(topo, sys, f, cfg.Alpha)
 		if err != nil {
 			return nil, err
 		}
@@ -141,19 +135,6 @@ func Iterate(topo *topology.Topology, sys quorum.System, cfg IterateConfig) (*It
 	return result, nil
 }
 
-func newEval(topo *topology.Topology, sys quorum.System, f core.Placement, cfg IterateConfig) (*core.Eval, error) {
-	e, err := core.NewEval(topo, sys, f, cfg.Alpha)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Clients != nil {
-		if err := e.SetClients(cfg.Clients); err != nil {
-			return nil, err
-		}
-	}
-	return e, nil
-}
-
 // elementLoadsOf computes load_p(u) = Σ_{Q_i ∋ u} p(i) for a shared
 // strategy.
 func elementLoadsOf(sys quorum.System, shared []float64) []float64 {
@@ -171,12 +152,8 @@ func elementLoadsOf(sys quorum.System, shared []float64) []float64 {
 
 // sharedStrategy wraps a single distribution as an ExplicitStrategy whose
 // rows (one per client) are identical.
-func sharedStrategy(topo *topology.Topology, clients []int, shared []float64) *core.ExplicitStrategy {
-	n := topo.Size()
-	if clients != nil {
-		n = len(clients)
-	}
-	rows := make([][]float64, n)
+func sharedStrategy(topo *topology.Topology, shared []float64) *core.ExplicitStrategy {
+	rows := make([][]float64, topo.Size())
 	for k := range rows {
 		rows[k] = append([]float64(nil), shared...)
 	}

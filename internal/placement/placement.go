@@ -145,16 +145,17 @@ type ManyToOneConfig struct {
 	// ScoreBy scores candidate placements (defaults to the balanced
 	// strategy, matching ElementLoads' default).
 	ScoreBy core.Strategy
-	// Eps is the Lin–Vitter filtering parameter (default 1).
-	Eps float64
-	// Candidates and Clients as in Options.
+	// Candidates as in Options.
 	Candidates []int
-	Clients    []int
 	// LP passes solver options through to the GAP pipeline's LPs. The
 	// zero value reproduces the original solver's pivot sequence;
 	// lp.PricingPartial trades that bit-reproducibility for speed.
 	LP lp.Options
 }
+
+// linVitterEps is the Lin–Vitter filtering parameter of ManyToOne's GAP
+// pipeline.
+const linVitterEps = 1
 
 // ManyToOne computes the almost-capacity-respecting many-to-one placement:
 // for each anchor v0 it solves the GAP LP relaxation with costs
@@ -174,11 +175,7 @@ func ManyToOne(topo *topology.Topology, sys quorum.System, cfg ManyToOneConfig) 
 	if len(loads) != n {
 		return core.Placement{}, fmt.Errorf("placement: %d element loads for universe %d", len(loads), n)
 	}
-	eps := cfg.Eps
-	if eps == 0 {
-		eps = 1
-	}
-	opts := Options{ScoreBy: cfg.ScoreBy, Candidates: cfg.Candidates, Clients: cfg.Clients}
+	opts := Options{ScoreBy: cfg.ScoreBy, Candidates: cfg.Candidates}
 
 	caps := topo.Capacities()
 	return searchAnchors(topo, sys, opts, func(v0 int) (core.Placement, error) {
@@ -191,7 +188,7 @@ func ManyToOne(topo *topology.Topology, sys quorum.System, cfg ManyToOneConfig) 
 			}
 		}
 		ins := &gap.Instance{Sizes: loads, Capacities: caps, Cost: cost}
-		a, err := gap.SolveWith(ins, eps, cfg.LP)
+		a, err := gap.SolveWith(ins, linVitterEps, cfg.LP)
 		if err != nil {
 			return core.Placement{}, fmt.Errorf("placement: anchor %d: %w", v0, err)
 		}

@@ -359,7 +359,9 @@ func BenchmarkASPlan(b *testing.B) {
 					caps[j] *= pt.caps
 				}
 				solve := func(solver strategy.Solver) *strategy.Result {
-					opt, err := strategy.NewOptimizer(eval, strategy.ConfigFor(false, solver))
+					cfg := strategy.ConfigFor(false)
+					cfg.Solver = solver
+					opt, err := strategy.NewOptimizer(eval, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -184,13 +184,6 @@ type Config struct {
 	Reproducible bool `json:"reproducible,omitempty"`
 	// Candidates restricts placement anchor nodes (nil tries every site).
 	Candidates []int `json:"candidates,omitempty"`
-	// Solver selects the access-LP algorithm for the "lp" strategy:
-	// "auto" (default: dense at paper scale, column generation above
-	// strategy.DefaultColgenThreshold client×quorum variables), "dense",
-	// or "colgen". Reproducible pins the dense path regardless, since the
-	// byte-reproducibility contract is defined by the dense pivot
-	// sequence.
-	Solver string `json:"solver,omitempty"`
 }
 
 func (c Config) algorithm() Algorithm {

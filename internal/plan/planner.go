@@ -123,9 +123,6 @@ func New(topo *topology.Topology, cfg Config) (*Planner, error) {
 	if cfg.Demand < 0 || math.IsNaN(cfg.Demand) || math.IsInf(cfg.Demand, 0) {
 		return nil, fmt.Errorf("plan: invalid demand %v", cfg.Demand)
 	}
-	if _, err := strategy.ParseSolver(cfg.Solver); err != nil {
-		return nil, fmt.Errorf("plan: %w", err)
-	}
 	sys, err := cfg.System.Build()
 	if err != nil {
 		return nil, err
@@ -172,9 +169,6 @@ func (p *Planner) SiteIndex(name string) int {
 // sites. The planned topology's metric may be lower where the closure
 // found a shorter path.
 func (p *Planner) RTT(u, v int) float64 { return p.raw.At(u, v) }
-
-// Capacity returns site v's capacity.
-func (p *Planner) Capacity(v int) float64 { return p.caps[v] }
 
 // SetRTT updates the raw round-trip time between two sites (both
 // directions). The topology stage brings the closed metric up to date on
@@ -471,10 +465,6 @@ func (p *Planner) ClearPlacementPin() {
 // layer chooses its adaptation path from this conservative answer.
 func (p *Planner) Dirty(s Stage) bool { return slices.Contains(p.dirty[:s+1], true) }
 
-// Version returns the version of the most recent Plan (0 before the
-// first).
-func (p *Planner) Version() uint64 { return p.version }
-
 // PendingDeltas counts the effective mutations applied since the last
 // Plan (value no-ops do not count) — the deployment layer's signal for
 // whether a batch changed anything.
@@ -743,7 +733,7 @@ func (p *Planner) computeStrategy() error {
 		p.opt = nil
 	}
 	if p.opt == nil {
-		opt, err := strategy.NewOptimizer(p.eval, strategy.ConfigFor(p.cfg.Reproducible, strategy.Solver(p.cfg.Solver)))
+		opt, err := strategy.NewOptimizer(p.eval, strategy.ConfigFor(p.cfg.Reproducible))
 		if err != nil {
 			return err
 		}

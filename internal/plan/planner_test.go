@@ -856,3 +856,21 @@ func TestProvenanceHygiene(t *testing.T) {
 		t.Fatalf("overflow marker %q, want \"… (+6 more)\"", ds[64])
 	}
 }
+
+// TestPlannerReproducibleProfile: a reproducible planner solves the
+// access LP cold with Dantzig pricing, on the algorithm the problem's
+// size picks — dense at this size, so no colgen provenance.
+func TestPlannerReproducibleProfile(t *testing.T) {
+	p, err := New(smallTopo(t), Config{
+		System:       SystemSpec{Family: "grid", Param: 3},
+		Strategy:     StratLP,
+		Reproducible: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := mustPlan(t, p)
+	if snap.LP == nil || snap.LP.LPMethod != lp.MethodCold || snap.LP.Colgen != nil {
+		t.Fatalf("reproducible planner did not solve dense and cold: %+v", snap.LP)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"github.com/quorumnet/quorumnet/internal/deploy"
@@ -40,7 +39,6 @@ func (c AgentConfig) timeout() time.Duration {
 type Agent struct {
 	cfg    AgentConfig
 	smooth map[string]*Smoother
-	errs   atomic.Uint64
 }
 
 // NewAgent validates the configuration and builds the per-peer
@@ -65,12 +63,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	return &Agent{cfg: cfg, smooth: smooth}, nil
 }
 
-// Site returns the agent's local site name.
-func (a *Agent) Site() string { return a.cfg.Site }
-
-// Errors returns the cumulative measurement-failure count.
-func (a *Agent) Errors() uint64 { return a.errs.Load() }
-
 // Round probes every peer once, in configured order, and returns the
 // rtt deltas that cleared smoothing and hysteresis. A failed
 // measurement skips that peer (its smoother keeps its state — a
@@ -84,7 +76,6 @@ func (a *Agent) Round(ctx context.Context) ([]deploy.Delta, error) {
 		ms, err := a.cfg.Transport.Measure(mctx, peer)
 		cancel()
 		if err != nil {
-			a.errs.Add(1)
 			errs = append(errs, err)
 			continue
 		}

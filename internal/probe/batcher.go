@@ -144,7 +144,6 @@ type Batcher struct {
 
 	mu      sync.Mutex
 	pending []deploy.Delta
-	dropped uint64
 }
 
 // NewBatcher builds a batcher over the given poster.
@@ -160,21 +159,6 @@ func (b *Batcher) Add(ds ...deploy.Delta) {
 	b.mu.Lock()
 	b.pending = deploy.Coalesce(append(b.pending, ds...))
 	b.mu.Unlock()
-}
-
-// Pending returns the coalesced pending-delta count.
-func (b *Batcher) Pending() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.pending)
-}
-
-// Dropped returns how many deltas were discarded on permanent
-// rejections (ErrGone).
-func (b *Batcher) Dropped() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
 }
 
 // Flush posts the pending window (if any) as one batch. On a transient
@@ -194,10 +178,6 @@ func (b *Batcher) Flush(ctx context.Context) (int, error) {
 	if err != nil && !errors.Is(err, ErrGone) {
 		b.mu.Lock()
 		b.pending = deploy.Coalesce(append(batch, b.pending...))
-		b.mu.Unlock()
-	} else if errors.Is(err, ErrGone) {
-		b.mu.Lock()
-		b.dropped += uint64(len(batch))
 		b.mu.Unlock()
 	}
 	return len(batch), err

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -218,15 +219,27 @@ func TestAgentRoundEmitsAfterWarmup(t *testing.T) {
 	}
 }
 
+// downPeer fails every measurement of one peer and passes the rest on.
+type downPeer struct {
+	Transport
+	peer string
+}
+
+func (d downPeer) Measure(ctx context.Context, peer string) (float64, error) {
+	if peer == d.peer {
+		return 0, errors.New("peer down")
+	}
+	return d.Transport.Measure(ctx, peer)
+}
+
 func TestAgentSkipsFailingPeer(t *testing.T) {
 	mesh := NewFakeMesh()
 	mesh.SetRTT("a", "b", 50)
 	mesh.SetRTT("a", "c", 80)
-	mesh.SetError("a", "c", errors.New("peer down"))
 	a, err := NewAgent(AgentConfig{
 		Site:      "a",
 		Peers:     []string{"b", "c"},
-		Transport: mesh.Transport("a"),
+		Transport: downPeer{mesh.Transport("a"), "c"},
 		Smoother:  SmootherConfig{Window: 1},
 	})
 	if err != nil {
@@ -239,8 +252,8 @@ func TestAgentSkipsFailingPeer(t *testing.T) {
 	if len(deltas) != 1 || deltas[0].B != "b" {
 		t.Fatalf("deltas %+v, want just the live peer", deltas)
 	}
-	if a.Errors() != 1 {
-		t.Fatalf("error count %d, want 1", a.Errors())
+	if n := strings.Count(rerr.Error(), "peer down"); n != 1 {
+		t.Fatalf("error %q reports %d failures, want 1", rerr, n)
 	}
 }
 
@@ -294,7 +307,7 @@ func TestBatcherCoalescesAndRequeues(t *testing.T) {
 	b.Add(deploy.Delta{Kind: deploy.KindRTT, A: "a", B: "b", Value: 10})
 	b.Add(deploy.Delta{Kind: deploy.KindRTT, A: "b", B: "a", Value: 12})
 	b.Add(deploy.Delta{Kind: deploy.KindDemand, Value: 100})
-	if got := b.Pending(); got != 2 {
+	if got := len(b.pending); got != 2 {
 		t.Fatalf("pending %d after coalescing adds, want 2", got)
 	}
 
@@ -302,7 +315,7 @@ func TestBatcherCoalescesAndRequeues(t *testing.T) {
 	if _, err := b.Flush(ctx); err == nil {
 		t.Fatal("flaky post succeeded")
 	}
-	if got := b.Pending(); got != 2 {
+	if got := len(b.pending); got != 2 {
 		t.Fatalf("pending %d after failed flush, want 2 re-queued", got)
 	}
 	// A newer value added between retries supersedes the re-queued one.
@@ -310,8 +323,8 @@ func TestBatcherCoalescesAndRequeues(t *testing.T) {
 	if _, err := b.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if b.Pending() != 0 {
-		t.Fatalf("pending %d after successful flush", b.Pending())
+	if len(b.pending) != 0 {
+		t.Fatalf("pending %d after successful flush", len(b.pending))
 	}
 	if len(p.got) != 1 {
 		t.Fatalf("%d batches posted, want 1", len(p.got))
@@ -332,8 +345,8 @@ func TestBatcherCoalescesAndRequeues(t *testing.T) {
 	if _, err := drop.Flush(ctx); !errors.Is(err, ErrGone) {
 		t.Fatalf("err %v, want ErrGone", err)
 	}
-	if drop.Pending() != 0 || drop.Dropped() != 1 {
-		t.Fatalf("pending %d dropped %d, want 0/1", drop.Pending(), drop.Dropped())
+	if n, err := drop.Flush(ctx); n != 0 || err != nil {
+		t.Fatalf("flush after a permanent rejection posted %d deltas (err %v), want the batch dropped", n, err)
 	}
 }
 

@@ -19,7 +19,6 @@ type FakeMesh struct {
 	mu    sync.Mutex
 	base  map[string]float64
 	count map[string]int
-	errs  map[string]error
 	// noiseFn, when set, adds noise: it receives the sorted pair and the
 	// pair's 1-based measurement count, so tests can script exact noise
 	// sequences independent of goroutine schedule.
@@ -31,7 +30,6 @@ func NewFakeMesh() *FakeMesh {
 	return &FakeMesh{
 		base:  make(map[string]float64),
 		count: make(map[string]int),
-		errs:  make(map[string]error),
 	}
 }
 
@@ -58,17 +56,6 @@ func (f *FakeMesh) SetNoiseFunc(fn func(a, b string, n int) float64) {
 	f.noiseFn = fn
 }
 
-// SetError makes measurements of the pair fail with err (nil clears).
-func (f *FakeMesh) SetError(a, b string, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err == nil {
-		delete(f.errs, pairKey(a, b))
-		return
-	}
-	f.errs[pairKey(a, b)] = err
-}
-
 // Transport returns the measurement view of one mesh site.
 func (f *FakeMesh) Transport(local string) Transport {
 	return &fakeTransport{mesh: f, local: local}
@@ -84,9 +71,6 @@ func (t *fakeTransport) Measure(_ context.Context, peer string) (float64, error)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	key := pairKey(t.local, peer)
-	if err := f.errs[key]; err != nil {
-		return 0, err
-	}
 	base, ok := f.base[key]
 	if !ok {
 		return 0, fmt.Errorf("probe: fake mesh has no RTT for %s", key)

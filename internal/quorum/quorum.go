@@ -63,28 +63,6 @@ type System interface {
 // C(n, q) at most this bound also qualify.
 const maxEnumerable = 200000
 
-// Verify checks the defining property — every pair of quorums intersects —
-// for an enumerable system. It reports the first offending pair, or
-// (-1, -1) if the property holds. Intended for tests.
-func Verify(s System) (i, j int) {
-	if !s.Enumerable() {
-		return -1, -1
-	}
-	m := s.NumQuorums()
-	sets := make([][]int, m)
-	for q := 0; q < m; q++ {
-		sets[q] = s.Quorum(q)
-	}
-	for a := 0; a < m; a++ {
-		for b := a + 1; b < m; b++ {
-			if !sortedIntersect(sets[a], sets[b]) {
-				return a, b
-			}
-		}
-	}
-	return -1, -1
-}
-
 func sortedIntersect(a, b []int) bool {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {

@@ -113,7 +113,7 @@ func TestVerifyIntersectionSmallSystems(t *testing.T) {
 		Singleton{},
 	}
 	for _, s := range systems {
-		if i, j := Verify(s); i != -1 {
+		if i, j := verify(s); i != -1 {
 			t.Errorf("%s: quorums %d and %d do not intersect", s.Name(), i, j)
 		}
 	}
@@ -325,7 +325,7 @@ func TestGridQuorumsPairwiseIntersectProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		i, j := Verify(s)
+		i, j := verify(s)
 		return i == -1 && j == -1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -493,4 +493,26 @@ func TestUniformTouchProbabilityEdges(t *testing.T) {
 	if a != c {
 		t.Errorf("out-of-range ids changed result: %v vs %v", a, c)
 	}
+}
+
+// verify checks the defining property — every pair of quorums intersects —
+// for an enumerable system. It reports the first offending pair, or
+// (-1, -1) if the property holds.
+func verify(s System) (i, j int) {
+	if !s.Enumerable() {
+		return -1, -1
+	}
+	m := s.NumQuorums()
+	sets := make([][]int, m)
+	for q := 0; q < m; q++ {
+		sets[q] = s.Quorum(q)
+	}
+	for a := 0; a < m; a++ {
+		for b := a + 1; b < m; b++ {
+			if !sortedIntersect(sets[a], sets[b]) {
+				return a, b
+			}
+		}
+	}
+	return -1, -1
 }

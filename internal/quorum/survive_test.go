@@ -122,7 +122,7 @@ func TestSurviveGrid(t *testing.T) {
 		t.Errorf("survivor universe = %d, want 8", got)
 	}
 	// The survivor system must still be a quorum system.
-	if i, j := Verify(sv.Sub); i != -1 {
+	if i, j := verify(sv.Sub); i != -1 {
 		t.Errorf("survivor quorums %d and %d do not intersect", i, j)
 	}
 }

@@ -387,7 +387,7 @@ func resolveStrategy(name string, e *core.Eval, spec *Spec, cfg RunConfig) (core
 		for i := range caps {
 			caps[i] = c
 		}
-		opt, err := strategy.NewOptimizer(e, strategy.ConfigFor(cfg.Reproducible, strategy.Solver(spec.Solver)))
+		opt, err := strategy.NewOptimizer(e, strategy.ConfigFor(cfg.Reproducible))
 		if err != nil {
 			return nil, false, err
 		}

@@ -106,16 +106,16 @@ func runFigure(t *testing.T, name string, quick bool) *Table {
 // wins outright at alpha=0).
 func TestFig63SingletonIsLowest(t *testing.T) {
 	tb := runFigure(t, "fig6.3", true)
-	respCol, err := tb.Col("response_ms")
+	respCol, err := colOf(tb, "response_ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := tb.Cell(0, respCol)
+	single, err := cellOf(tb, 0, respCol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := 1; r < len(tb.Rows); r++ {
-		v, err := tb.Cell(r, respCol)
+		v, err := cellOf(tb, r, respCol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,15 +131,15 @@ func TestFig63SingletonIsLowest(t *testing.T) {
 // for several universe sizes; this figure is cheap.
 func TestFig65BalancedResponseDecreases(t *testing.T) {
 	tb := runFigure(t, "fig6.5", false)
-	col, err := tb.Col("resp_balanced")
+	col, err := colOf(tb, "resp_balanced")
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := tb.Cell(0, col)
+	first, err := cellOf(tb, 0, col)
 	if err != nil {
 		t.Fatal(err)
 	}
-	last, err := tb.Cell(len(tb.Rows)-1, col)
+	last, err := cellOf(tb, len(tb.Rows)-1, col)
 	if err != nil {
 		t.Fatal(err)
 	}

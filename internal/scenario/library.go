@@ -297,8 +297,10 @@ func ScaleFrontier() Spec {
 // ScaleFrontierStrategy is the scale-frontier variant the access LP used
 // to be "deliberately out of range" for: the same 1000-AS graph, now
 // planning the optimized "lp" strategy over all 1000 clients × 6435
-// majority-8-of-15 quorums via the column-generation solver. The closest
-// strategy rides along as the baseline the LP improves on.
+// majority-8-of-15 quorums. At 6.4M variables the LP is above
+// strategy.DefaultColgenThreshold, so the optimizer solves it by column
+// generation under either solver profile. The closest strategy rides
+// along as the baseline the LP improves on.
 func ScaleFrontierStrategy() Spec {
 	return Spec{
 		Name:  "scale-frontier-strategy",
@@ -307,7 +309,7 @@ func ScaleFrontierStrategy() Spec {
 		Notes: []string{
 			"1000 clients x 6435 quorums = 6.4M LP variables: the dense simplex wall colgen breaks",
 			"the colgen master only materializes priced columns; the optimum is certified for the full LP",
-			"solver 'colgen' is explicit here; 'auto' picks it anyway above strategy.DefaultColgenThreshold",
+			"the LP is above strategy.DefaultColgenThreshold, so the solver picks column generation by size",
 			"capacity 0.6 binds, so the lp column is the capacity-feasible optimum the closest strategy violates",
 		},
 		Topology: TopologySpec{
@@ -321,7 +323,6 @@ func ScaleFrontierStrategy() Spec {
 		Strategies:      []string{"closest", "lp"},
 		Demands:         []float64{0},
 		Measures:        []string{"net"},
-		Solver:          "colgen",
 		UniformCapacity: 0.6,
 	}
 }

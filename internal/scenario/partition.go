@@ -162,18 +162,11 @@ func (s *Space) enumerate(si int, sub *seedSpace) error {
 	return nil
 }
 
-// Spec returns the spec the space was enumerated from.
-func (s *Space) Spec() *Spec { return s.spec }
-
 // NumPoints is the size of the point-space.
 func (s *Space) NumPoints() int { return len(s.points) }
 
-// Points returns a copy of the enumeration, in ordinal order.
-func (s *Space) Points() []Point { return append([]Point(nil), s.points...) }
-
-// Columns returns the output column names (after any explicit override).
-func (s *Space) Columns() []string { return append([]string(nil), s.finalColumns()...) }
-
+// finalColumns returns the output column names (after any explicit
+// override).
 func (s *Space) finalColumns() []string {
 	if len(s.spec.Columns) > 0 {
 		return s.spec.Columns

@@ -3,7 +3,9 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -438,16 +440,16 @@ func TestTableHelpers(t *testing.T) {
 	if err := tb.FormatMarkdown(&buf); err != nil || !strings.Contains(buf.String(), "### x — t\n\n| a | b |\n| --- | --- |\n| 1 | 2.5 |\n") {
 		t.Errorf("FormatMarkdown = %q, %v", buf.String(), err)
 	}
-	if v, err := tb.Cell(0, 1); err != nil || v != 2.5 {
+	if v, err := cellOf(tb, 0, 1); err != nil || v != 2.5 {
 		t.Errorf("Cell = %v, %v", v, err)
 	}
-	if _, err := tb.Cell(1, 0); err == nil {
+	if _, err := cellOf(tb, 1, 0); err == nil {
 		t.Error("out-of-range Cell succeeded")
 	}
-	if i, err := tb.Col("b"); err != nil || i != 1 {
+	if i, err := colOf(tb, "b"); err != nil || i != 1 {
 		t.Errorf("Col(b) = %d, %v", i, err)
 	}
-	if _, err := tb.Col("z"); err == nil {
+	if _, err := colOf(tb, "z"); err == nil {
 		t.Error("Col(z) succeeded")
 	}
 	defer func() {
@@ -456,4 +458,22 @@ func TestTableHelpers(t *testing.T) {
 		}
 	}()
 	tb.AddRow("only-one")
+}
+
+// cellOf returns the numeric value of a cell of tb.
+func cellOf(tb *Table, row, col int) (float64, error) {
+	if row < 0 || row >= len(tb.Rows) || col < 0 || col >= len(tb.Columns) {
+		return 0, fmt.Errorf("cell (%d,%d) out of range", row, col)
+	}
+	return strconv.ParseFloat(tb.Rows[row][col], 64)
+}
+
+// colOf returns the index of a named column of tb.
+func colOf(tb *Table, name string) (int, error) {
+	for i, c := range tb.Columns {
+		if c == name {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("table %s has no column %q", tb.ID, name)
 }

@@ -118,6 +118,8 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 		// Pool width is not configuration: GOMAXPROCS bounds it.
 		`{"name":"x","kind":"eval","topology":{"source":"planetlab50"},"workers":2}`,
 		`{"name":"x","kind":"eval","topology":{"source":"synth","synth":{"as":{"sites":20,"workers":2}}}}`,
+		// The access-LP solver is chosen by problem size, not by a spec.
+		`{"name":"x","kind":"eval","topology":{"source":"planetlab50"},"solver":"colgen"}`,
 	} {
 		if _, err := Load(strings.NewReader(doc)); err == nil {
 			t.Fatalf("unknown field accepted: %s", doc)
@@ -182,11 +184,11 @@ func TestEvalFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vf, err := withFault.Cell(0, 3)
+	vf, err := cellOf(withFault, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vc, err := clean.Cell(0, 3)
+	vc, err := cellOf(clean, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +225,7 @@ func TestTimelineLibrary(t *testing.T) {
 			if len(tb.Rows) != len(spec.Timeline)+1 {
 				t.Fatalf("%d rows for %d steps", len(tb.Rows), len(spec.Timeline))
 			}
-			repCol, err := tb.Col("replanned")
+			repCol, err := colOf(tb, "replanned")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -409,7 +411,7 @@ func TestTimelineWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repCol, err := tb.Col("replanned")
+	repCol, err := colOf(tb, "replanned")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,15 +420,15 @@ func TestTimelineWeights(t *testing.T) {
 			t.Errorf("weights step %d recomputed %q, want strategy,eval", i, got)
 		}
 	}
-	base, err := tb.Cell(0, 2)
+	base, err := cellOf(tb, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	skew, err := tb.Cell(1, 2)
+	skew, err := cellOf(tb, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev, err := tb.Cell(2, 2)
+	rev, err := cellOf(tb, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +471,7 @@ func TestTimelineCompareUnreplanned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := tb.Col("unreplanned_ms")
+	col, err := colOf(tb, "unreplanned_ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,11 +480,11 @@ func TestTimelineCompareUnreplanned(t *testing.T) {
 	}
 	// Demand-only step: the LP strategy does not depend on alpha, so not
 	// re-planning costs nothing — the cells must match.
-	replanned, err := tb.Cell(1, 2)
+	replanned, err := cellOf(tb, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unreplanned, err := tb.Cell(1, col)
+	unreplanned, err := cellOf(tb, 1, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,11 +497,11 @@ func TestTimelineCompareUnreplanned(t *testing.T) {
 	// renormalized over the surviving quorums). Neither side dominates
 	// in general: the un-replanned deployment keeps the wider
 	// pre-failure metric but a thinner quorum set.
-	replanned, err = tb.Cell(2, 2)
+	replanned, err = cellOf(tb, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unreplanned, err = tb.Cell(2, col)
+	unreplanned, err = cellOf(tb, 2, col)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -248,9 +248,9 @@ func TestScaleMultipliers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := strings.Join(multiSpace.Columns(), ",")
+	cols := strings.Join(multiSpace.finalColumns(), ",")
 	if !strings.Contains(cols, "_d10000") || !strings.Contains(cols, "_d20000") {
-		t.Fatalf("scaled demand columns missing from %v", multiSpace.Columns())
+		t.Fatalf("scaled demand columns missing from %v", multiSpace.finalColumns())
 	}
 	// The caller's spec is never mutated by scaling.
 	if multi.Demands[0] != 4000 || multi.Topology.Synth.Regions[0].Count != 5 {
@@ -320,7 +320,7 @@ func TestSeedsAndScaleValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := space.Points()[0].Label; !strings.Contains(got, "clients=30") {
+	if got := space.points[0].Label; !strings.Contains(got, "clients=30") {
 		t.Fatalf("scaled protocol label %q, want clients=30 (2*3 per site x 5 sites)", got)
 	}
 	if ps.Protocol.PerSite[0] != 2 {

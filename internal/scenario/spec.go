@@ -19,7 +19,6 @@ import (
 	"math"
 
 	"github.com/quorumnet/quorumnet/internal/plan"
-	"github.com/quorumnet/quorumnet/internal/strategy"
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
 
@@ -78,11 +77,6 @@ type Spec struct {
 	// UniformCapacity is the per-site capacity the "lp" strategy solves
 	// under in eval scenarios (default 1).
 	UniformCapacity float64 `json:"uniform_capacity,omitempty"`
-	// Solver selects the access-LP algorithm for the "lp" strategy and
-	// timeline plans: "auto" (default), "dense", or "colgen". Reproducible
-	// runs pin the dense path regardless — the byte-reproducibility
-	// contract is defined by the dense pivot sequence.
-	Solver string `json:"solver,omitempty"`
 	// Faults injects failures/slowdowns before evaluation (eval kind).
 	Faults *FaultSpec `json:"faults,omitempty"`
 
@@ -546,9 +540,6 @@ func (s *Spec) Validate() error {
 		if !validStrategies[st] {
 			return fail("unknown strategy %q", st)
 		}
-	}
-	if _, err := strategy.ParseSolver(s.Solver); err != nil {
-		return fail("unknown solver %q (want auto, dense, or colgen)", s.Solver)
 	}
 	for _, m := range s.Measures {
 		if !validMeasures[m] {

@@ -63,7 +63,6 @@ func timelinePlanner(spec *Spec, cfg RunConfig, topo *topology.Topology, system 
 		Strategy:     strat,
 		Demand:       demand,
 		Reproducible: cfg.Reproducible,
-		Solver:       spec.Solver,
 	})
 }
 

@@ -125,24 +125,6 @@ func (t *Table) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Cell returns the numeric value of a cell (tests and shape checks).
-func (t *Table) Cell(row, col int) (float64, error) {
-	if row < 0 || row >= len(t.Rows) || col < 0 || col >= len(t.Columns) {
-		return 0, fmt.Errorf("scenario: cell (%d,%d) out of range", row, col)
-	}
-	return strconv.ParseFloat(t.Rows[row][col], 64)
-}
-
-// Col returns the index of a named column.
-func (t *Table) Col(name string) (int, error) {
-	for i, c := range t.Columns {
-		if c == name {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: table %s has no column %q", t.ID, name)
-}
-
 func f2(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
 func f3(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
 func itoa(v int) string   { return strconv.Itoa(v) }

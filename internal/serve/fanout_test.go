@@ -26,7 +26,7 @@ func TestCachedReadAllocs(t *testing.T) {
 			tenant.Encoded()
 		}
 	}) / reads
-	cur := tenant.Manager().Current()
+	cur := tenant.m.Current()
 	marshal := testing.AllocsPerRun(10, func() {
 		if _, err := json.MarshalIndent(planJSON(cur), "", "  "); err != nil {
 			t.Fatal(err)
@@ -109,7 +109,7 @@ func benchFanout(b *testing.B, nw, nt int) {
 				// Stamped before Apply: a stamp taken after it can land
 				// after the wakeups the publish caused.
 				posted[ti] = time.Now().UnixNano()
-				_, errs[ti] = tenants[ti].Manager().Apply([]deploy.Delta{{Kind: deploy.KindDemand, Value: float64(9000 + 1000*r)}})
+				_, errs[ti] = tenants[ti].m.Apply([]deploy.Delta{{Kind: deploy.KindDemand, Value: float64(9000 + 1000*r)}})
 			}(ti)
 		}
 		writers.Wait()

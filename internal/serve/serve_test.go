@@ -316,7 +316,7 @@ func testServeJournalRestart(t *testing.T, reproducible bool) {
 	}
 	wantHistory, _ := getRaw(t, ts1.URL+"/v1/history")
 	wantPlan, wantHdr := getRaw(t, ts1.URL+"/v1/plan")
-	ts1.Close() // the kill: no CloseJournal, no drain
+	ts1.Close() // the kill: no journal close, no drain
 
 	ts2, _, replayed := journaledServer(t, reproducible, path)
 	if replayed != 3 {

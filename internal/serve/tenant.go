@@ -73,9 +73,6 @@ func newTenant(name string, m *deploy.Manager, opts Options, w *wheel) *Tenant {
 // Name returns the tenant's deployment name.
 func (t *Tenant) Name() string { return t.name }
 
-// Manager returns the tenant's deployment manager.
-func (t *Tenant) Manager() *deploy.Manager { return t.m }
-
 // Notify returns the tenant's epoch channel, closed at the next
 // publish (see deploy.Manager.Notify for the park protocol).
 func (t *Tenant) Notify() <-chan struct{} { return t.m.Notify() }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/quorumnet/quorumnet/internal/core"
@@ -353,8 +354,10 @@ func TestColgenWarmAcrossCapacities(t *testing.T) {
 // TestColgenAggregationUnderWeightDeltas: after every SetClientWeights
 // delta (and a rebuild, since weights are baked into the skeleton),
 // aggregated and unaggregated colgen must agree with each other and with
-// dense. Duplicate client sites keep the aggregation non-trivial across
-// all weight assignments.
+// dense, and the last step's return to uniform weights too. Colgen
+// aggregates clients by delay signature, dense never does; duplicate
+// client sites keep the aggregation non-trivial across all weight
+// assignments.
 func TestColgenAggregationUnderWeightDeltas(t *testing.T) {
 	e := gridEval(t, 12, 3, 21, 0)
 	if err := e.SetClients([]int{0, 1, 2, 3, 4, 5, 2, 3}); err != nil {
@@ -362,11 +365,14 @@ func TestColgenAggregationUnderWeightDeltas(t *testing.T) {
 	}
 	caps := uniformCaps(12, 0.7)
 	rng := rand.New(rand.NewSource(4))
-	for step := 0; step < 5; step++ {
+	for step := 0; step < 6; step++ {
 		if step > 0 {
 			w := make([]float64, len(e.Clients))
 			for i := range w {
-				w[i] = 0.3 + rng.Float64()*2
+				w[i] = 1 // the last step returns to uniform weights
+				if step < 5 {
+					w[i] = 0.3 + rng.Float64()*2
+				}
 			}
 			if err := e.SetClientWeights(w); err != nil {
 				t.Fatal(err)
@@ -375,6 +381,9 @@ func TestColgenAggregationUnderWeightDeltas(t *testing.T) {
 		dres, err := Optimize(e, caps)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if strings.HasPrefix(dres.LPMethod, "colgen-") || dres.Colgen != nil {
+			t.Fatalf("step %d: dense result carries colgen provenance: method %q", step, dres.LPMethod)
 		}
 		for _, noagg := range []bool{false, true} {
 			opt, err := NewOptimizer(e, Config{Solver: SolverColgen, NoAggregate: noagg})
@@ -385,6 +394,9 @@ func TestColgenAggregationUnderWeightDeltas(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d noagg=%v: %v", step, noagg, err)
 			}
+			if !strings.HasPrefix(res.LPMethod, "colgen-") || res.Colgen == nil {
+				t.Fatalf("step %d noagg=%v: colgen result lacks colgen provenance: method %q", step, noagg, res.LPMethod)
+			}
 			if d := relDiff(res.AvgNetDelay, dres.AvgNetDelay); d > 1e-9 {
 				t.Errorf("step %d noagg=%v: objective %v, dense %v (rel diff %g)",
 					step, noagg, res.AvgNetDelay, dres.AvgNetDelay, d)
@@ -393,38 +405,22 @@ func TestColgenAggregationUnderWeightDeltas(t *testing.T) {
 	}
 }
 
-// TestSolverSelection covers ParseSolver and the auto rule.
+// TestSolverSelection covers the auto rule: size alone picks the
+// algorithm, and a pinned solver is kept.
 func TestSolverSelection(t *testing.T) {
 	for _, c := range []struct {
-		in   string
+		s    Solver
+		size int
 		want Solver
-		ok   bool
 	}{
-		{"", SolverAuto, true},
-		{"auto", SolverAuto, true},
-		{"dense", SolverDense, true},
-		{"colgen", SolverColgen, true},
-		{"simplex", "", false},
+		{SolverAuto, DefaultColgenThreshold - 1, SolverDense},
+		{SolverAuto, DefaultColgenThreshold, SolverColgen},
+		{SolverDense, DefaultColgenThreshold, SolverDense},
+		{SolverColgen, 10, SolverColgen},
 	} {
-		got, err := ParseSolver(c.in)
-		if c.ok && (err != nil || got != c.want) {
-			t.Errorf("ParseSolver(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		if got := resolveSolver(c.s, c.size); got != c.want {
+			t.Errorf("resolveSolver(%q, %d) = %q, want %q", c.s, c.size, got, c.want)
 		}
-		if !c.ok && err == nil {
-			t.Errorf("ParseSolver(%q) accepted", c.in)
-		}
-	}
-	if s, err := resolveSolver(SolverAuto, DefaultColgenThreshold-1); err != nil || s != SolverDense {
-		t.Errorf("auto below threshold: %v, %v", s, err)
-	}
-	if s, err := resolveSolver(SolverAuto, DefaultColgenThreshold); err != nil || s != SolverColgen {
-		t.Errorf("auto at threshold: %v, %v", s, err)
-	}
-	if _, err := resolveSolver(Solver("bogus"), 10); err == nil {
-		t.Error("resolveSolver accepted bogus solver")
-	}
-	if _, err := NewOptimizer(gridEval(t, 8, 2, 5, 0), Config{Solver: Solver("bogus")}); err == nil {
-		t.Error("NewOptimizer accepted bogus solver")
 	}
 	// Auto at paper scale must stay dense (no "colgen-" method prefix).
 	e := gridEval(t, 8, 2, 5, 0)
@@ -438,5 +434,28 @@ func TestSolverSelection(t *testing.T) {
 	}
 	if res.LPMethod != lp.MethodCold || res.Colgen != nil {
 		t.Errorf("auto at paper scale: method %q, colgen stats %v; want plain dense cold", res.LPMethod, res.Colgen)
+	}
+}
+
+// TestReproducibleProfileChoosesBySize: the reproducible profile does
+// not pin the dense path, so a problem at DefaultColgenThreshold
+// client×quorum variables builds the column-generation optimizer. 500
+// clients on 16 sites times Grid(20)'s 400 quorums is exactly the
+// threshold; the optimizer is built, never solved.
+func TestReproducibleProfileChoosesBySize(t *testing.T) {
+	e := gridEval(t, 16, 20, 9, 0)
+	clients := make([]int, DefaultColgenThreshold/e.Sys.NumQuorums())
+	for i := range clients {
+		clients[i] = i % 16
+	}
+	if err := e.SetClients(clients); err != nil {
+		t.Fatal(err)
+	}
+	o, err := NewOptimizer(e, ConfigFor(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.cg == nil {
+		t.Fatalf("%d×%d LP under ConfigFor(true) built the dense optimizer", len(e.Clients), e.Sys.NumQuorums())
 	}
 }

@@ -49,8 +49,8 @@ type Solver string
 
 // Solver values for Config.Solver.
 const (
-	// SolverAuto (the zero value; "auto" parses to it too) picks dense
-	// below DefaultColgenThreshold client×quorum variables and column
+	// SolverAuto (the zero value) picks dense below
+	// DefaultColgenThreshold client×quorum variables and column
 	// generation at or above it — every paper-scale problem stays on the
 	// bit-reproducible dense path.
 	SolverAuto Solver = ""
@@ -68,32 +68,15 @@ const (
 // topologies is around this size (see DESIGN.md §14).
 const DefaultColgenThreshold = 200000
 
-// ParseSolver normalizes a solver name ("", "auto", "dense", "colgen").
-func ParseSolver(s string) (Solver, error) {
-	switch s {
-	case "", "auto":
-		return SolverAuto, nil
-	case "dense":
-		return SolverDense, nil
-	case "colgen":
-		return SolverColgen, nil
-	default:
-		return "", fmt.Errorf("strategy: unknown solver %q (want auto, dense, or colgen)", s)
-	}
-}
-
 // resolveSolver applies the auto rule for a problem of nc·m variables.
-func resolveSolver(s Solver, size int) (Solver, error) {
-	switch s {
-	case SolverAuto, Solver("auto"):
-		if size >= DefaultColgenThreshold {
-			return SolverColgen, nil
-		}
-		return SolverDense, nil
-	case SolverDense, SolverColgen:
-		return s, nil
+func resolveSolver(s Solver, size int) Solver {
+	switch {
+	case s != SolverAuto:
+		return s
+	case size >= DefaultColgenThreshold:
+		return SolverColgen
 	default:
-		return "", fmt.Errorf("strategy: unknown solver %q (want auto, dense, or colgen)", string(s))
+		return SolverDense
 	}
 }
 
@@ -111,7 +94,9 @@ type Config struct {
 	// colgen path it additionally carries the master basis (and the
 	// generated columns, which persist regardless) across Optimize calls.
 	WarmStart bool
-	// Solver picks the LP algorithm; see SolverAuto.
+	// Solver pins the LP algorithm; the zero value, SolverAuto, chooses
+	// by problem size. Only the colgen ≡ dense tests pin it: the dense
+	// LP is column generation's reference.
 	Solver Solver
 	// NoAggregate disables exact client aggregation on the colgen path,
 	// giving every client its own super-client. Diagnostic: aggregation
@@ -119,19 +104,13 @@ type Config struct {
 	NoAggregate bool
 }
 
-// ConfigFor is the one translation from a caller's solver profile —
-// its reproducibility setting and the solver a spec names (validated
-// where the spec enters: plan.New, scenario's Spec.Validate) — to an
-// Optimizer Config. The reproducible profile
-// is cold solves with Dantzig pricing on the dense path, whatever
-// solver was named: byte-reproducibility is defined by the dense pivot
-// sequence. Every other run takes partial pricing, warm re-solves, and
-// the named solver.
-func ConfigFor(reproducible bool, solver Solver) Config {
-	if reproducible {
-		solver = SolverDense
-	}
-	return Config{LP: lp.OptionsFor(reproducible), WarmStart: !reproducible, Solver: solver}
+// ConfigFor is the one translation from a caller's solver profile to
+// an Optimizer Config. The reproducible profile is cold solves with
+// Dantzig pricing; every other run takes partial pricing and warm
+// re-solves. Both leave the algorithm to SolverAuto, which chooses by
+// problem size alone.
+func ConfigFor(reproducible bool) Config {
+	return Config{LP: lp.OptionsFor(reproducible), WarmStart: !reproducible}
 }
 
 // Optimizer solves the access-strategy LP repeatedly for one evaluation
@@ -204,11 +183,7 @@ func NewOptimizer(e *core.Eval, cfg Config) (*Optimizer, error) {
 	nc := len(clients)
 	nVars := nc * m
 
-	solver, err := resolveSolver(cfg.Solver, nVars)
-	if err != nil {
-		return nil, err
-	}
-	if solver == SolverColgen {
+	if resolveSolver(cfg.Solver, nVars) == SolverColgen {
 		cg, err := newColgen(e, cfg)
 		if err != nil {
 			return nil, err
@@ -425,7 +400,7 @@ func (o *Optimizer) Optimize(caps []float64) (*Result, error) {
 // Optimize solves cold with the default (Dantzig) pricing, bit-for-bit
 // reproducing the original solver at paper scale (the auto solver stays
 // dense below DefaultColgenThreshold); build an Optimizer directly for
-// warm-started, alternatively-priced, or explicitly colgen solves.
+// warm-started or alternatively-priced solves.
 func Optimize(e *core.Eval, caps []float64) (*Result, error) {
 	o, err := NewOptimizer(e, Config{})
 	if err != nil {
@@ -598,7 +573,7 @@ func runSweep(e *core.Eval, values []float64, cfg SweepConfig,
 // Optimizer, chaining warm starts unless configured reproducible.
 func sweepChunk(e *core.Eval, values []float64, out []SweepPoint, cfg SweepConfig,
 	capsFor func(c float64, scratch []float64) ([]float64, error)) error {
-	opt, err := NewOptimizer(e, ConfigFor(cfg.Reproducible, SolverAuto))
+	opt, err := NewOptimizer(e, ConfigFor(cfg.Reproducible))
 	if err != nil {
 		return err
 	}

@@ -361,19 +361,14 @@ func TestOptimizeWeightedMatchesDuplicated(t *testing.T) {
 
 // TestConfigForProfiles pins the one solver-profile translation: the
 // default profile is exactly the literal bench/shadow.go mirrors by
-// hand, and the reproducible one is cold Dantzig with the dense path
-// pinned whatever solver was named.
+// hand, and the reproducible one is cold Dantzig. Both leave the
+// algorithm to the size rule (SolverAuto).
 func TestConfigForProfiles(t *testing.T) {
-	if got, want := ConfigFor(false, SolverAuto), (Config{LP: lp.Options{Pricing: lp.PricingPartial}, WarmStart: true}); got != want {
+	if got, want := ConfigFor(false), (Config{LP: lp.Options{Pricing: lp.PricingPartial}, WarmStart: true}); got != want {
 		t.Errorf("default profile = %+v, want %+v", got, want)
 	}
-	if got := ConfigFor(false, SolverColgen).Solver; got != SolverColgen {
-		t.Errorf("default profile dropped the named solver: %q", got)
-	}
-	for _, s := range []Solver{SolverAuto, SolverDense, SolverColgen} {
-		if got, want := ConfigFor(true, s), (Config{Solver: SolverDense}); got != want {
-			t.Errorf("reproducible profile with solver %q = %+v, want %+v", s, got, want)
-		}
+	if got, want := ConfigFor(true), (Config{}); got != want {
+		t.Errorf("reproducible profile = %+v, want %+v", got, want)
 	}
 }
 
@@ -383,7 +378,7 @@ func TestConfigForProfiles(t *testing.T) {
 // pivots, never cold), and must refuse an evaluation that differs in
 // anything the skeleton depends on.
 func TestRebindMatchesFreshOptimizer(t *testing.T) {
-	cfg := ConfigFor(false, SolverAuto)
+	cfg := ConfigFor(false)
 	e := gridEval(t, 24, 3, 5, 0)
 	caps := uniformCaps(24, 0.7)
 	o, err := NewOptimizer(e, cfg)

@@ -2,8 +2,10 @@ package quorumnet_test
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io"
 	"io/fs"
 	"math"
@@ -11,10 +13,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path"
-	"path/filepath"
+	"reflect"
 	"sort"
-	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/fstest"
 
@@ -38,7 +40,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.IsOneToOne() {
+	if len(f.Support()) != f.UniverseSize() {
 		t.Error("OneToOne returned a many-to-one placement")
 	}
 
@@ -192,89 +194,69 @@ func TestPublicAPIServeRegistry(t *testing.T) {
 	}
 }
 
-// TestFacadeExportsAreExercised pins the façade to the surface its
-// callers use. An exported declaration of quorumnet.go stays only if
-// the examples or example_test.go refer to one of its
-// names as quorumnet.<Name>, or if it appears in the declaration of
-// one that stays (NewEval keeps Eval, NewDeltaBatcher keeps
-// DeltaPoster). A grouped const or var block is one declaration.
-func TestFacadeExportsAreExercised(t *testing.T) {
-	fset := token.NewFileSet()
-	facade, err := parser.ParseFile(fset, "quorumnet.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exported := map[string]bool{}
-	var decls []ast.Decl
-	for _, d := range facade.Decls {
-		if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.IMPORT {
-			continue
-		}
-		decls = append(decls, d)
-		for _, n := range declNames(d) {
-			exported[n] = true
-		}
-	}
+// The three caller guards below read one type-checked scan of the
+// module: every non-test .go file under the root, bench/, cmd/ and
+// examples/ included. A use is an identifier the type checker resolves
+// to an object, so a field or method is told apart from another of the
+// same name.
+var moduleScan = sync.OnceValues(func() (*modScan, error) { return scanModule(os.DirFS(".")) })
 
-	callers := []string{"example_test.go"}
-	err = filepath.WalkDir("examples", func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
-			callers = append(callers, path)
-		}
-		return err
-	})
+func loadModuleScan(t *testing.T) *modScan {
+	t.Helper()
+	s, err := moduleScan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	used := map[string]bool{}
-	for _, path := range callers {
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
+	return s
+}
+
+// TestFacadeExportsAreExercised pins the façade to the surface its
+// callers use. An exported declaration of the root package stays only
+// if the examples or example_test.go use one of its names, or if the
+// declaration of one that stays does (NewEval keeps Eval,
+// NewDeltaBatcher keeps DeltaPoster). A grouped const or var block is
+// one declaration.
+func TestFacadeExportsAreExercised(t *testing.T) {
+	s := loadModuleScan(t)
+	root := s.pkgs[s.module]
+	used := map[types.Object]bool{}
+	for path, info := range s.infos {
+		if strings.HasPrefix(path, s.module+"/examples/") {
+			addUses(used, info, root)
 		}
-		local := ""
-		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "github.com/quorumnet/quorumnet" {
-				local = "quorumnet"
-				if imp.Name != nil {
-					local = imp.Name.Name
-				}
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && local != "" && x.Name == local {
-					used[sel.Sel.Name] = true
-				}
-			}
-			return true
-		})
 	}
+	ex, err := parser.ParseFile(s.fset, "example_test.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exInfo := newInfo()
+	if _, err := (&types.Config{Importer: s}).Check(s.module+"_test", s.fset, []*ast.File{ex}, exInfo); err != nil {
+		t.Fatal(err)
+	}
+	addUses(used, exInfo, root)
 
 	// Keep declarations to a fixed point: a kept declaration keeps every
-	// façade name its own declaration mentions.
+	// façade name its own declaration uses.
+	info := s.infos[s.module]
+	var decls []ast.Decl
+	for _, f := range s.files[s.module] {
+		for _, d := range f.Decls {
+			if g, ok := d.(*ast.GenDecl); !ok || g.Tok != token.IMPORT {
+				decls = append(decls, d)
+			}
+		}
+	}
 	kept := make([]bool, len(decls))
 	for changed := true; changed; {
 		changed = false
 		for i, d := range decls {
-			if kept[i] || !anyUsed(declNames(d), used) {
+			if kept[i] || !anyUsed(declObjects(d, info), used) {
 				continue
 			}
 			kept[i], changed = true, true
 			ast.Inspect(d, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					ast.Inspect(n.X, func(m ast.Node) bool {
-						if id, ok := m.(*ast.Ident); ok && exported[id.Name] {
-							used[id.Name] = true
-						}
-						return true
-					})
-					return false
-				case *ast.Ident:
-					if exported[n.Name] {
-						used[n.Name] = true
-					}
+				if id, ok := n.(*ast.Ident); ok && info.Uses[id] != nil && info.Uses[id].Parent() == root.Scope() {
+					used[info.Uses[id]] = true
 				}
 				return true
 			})
@@ -283,7 +265,11 @@ func TestFacadeExportsAreExercised(t *testing.T) {
 	var unused []string
 	for i, d := range decls {
 		if !kept[i] {
-			unused = append(unused, strings.Join(declNames(d), "/"))
+			var names []string
+			for _, obj := range declObjects(d, info) {
+				names = append(names, obj.Name())
+			}
+			unused = append(unused, strings.Join(names, "/"))
 		}
 	}
 	if len(unused) > 0 {
@@ -292,31 +278,44 @@ func TestFacadeExportsAreExercised(t *testing.T) {
 	}
 }
 
-// declNames lists the names a top-level declaration introduces.
-func declNames(d ast.Decl) []string {
+// addUses adds to used every package-level object of pkg that info
+// resolves an identifier to.
+func addUses(used map[types.Object]bool, info *types.Info, pkg *types.Package) {
+	for _, obj := range info.Uses {
+		if obj.Parent() == pkg.Scope() {
+			used[obj] = true
+		}
+	}
+}
+
+// declObjects lists the objects a top-level declaration defines.
+func declObjects(d ast.Decl, info *types.Info) []types.Object {
+	var idents []*ast.Ident
 	switch d := d.(type) {
 	case *ast.FuncDecl:
-		return []string{d.Name.Name}
+		idents = append(idents, d.Name)
 	case *ast.GenDecl:
-		var names []string
 		for _, s := range d.Specs {
 			switch s := s.(type) {
 			case *ast.TypeSpec:
-				names = append(names, s.Name.Name)
+				idents = append(idents, s.Name)
 			case *ast.ValueSpec:
-				for _, n := range s.Names {
-					names = append(names, n.Name)
-				}
+				idents = append(idents, s.Names...)
 			}
 		}
-		return names
 	}
-	return nil
+	var objs []types.Object
+	for _, id := range idents {
+		if obj := info.Defs[id]; obj != nil {
+			objs = append(objs, obj)
+		}
+	}
+	return objs
 }
 
-func anyUsed(names []string, used map[string]bool) bool {
-	for _, n := range names {
-		if used[n] {
+func anyUsed(objs []types.Object, used map[types.Object]bool) bool {
+	for _, obj := range objs {
+		if used[obj] {
 			return true
 		}
 	}
@@ -324,48 +323,33 @@ func anyUsed(names []string, used map[string]bool) bool {
 }
 
 // configSeams are the Config/Options fields that only tests set: each
-// lets a test set a wait, or select the reference implementation it
-// compares production output against.
+// lets a test set a wait or a fake clock, narrow the clients a placement
+// is scored at, or select the reference implementation it compares
+// production output against.
 var configSeams = map[string]string{
 	"fleet.Config.Attempts":                   "retry tests exhaust a shard after one or two attempts",
 	"fleet.Config.RetryBackoff":               "the single-worker retry test backs off in milliseconds",
 	"fleet.Config.DrainGrace":                 "the late-duplicate test waits for a superseded attempt's result",
 	"fleet.Config.ShardTimeout":               "tests bound a hung attempt to a second, or stretch it to show re-dispatch preempts it",
 	"fleet.RegistryOptions.HeartbeatInterval": "registry and lease tests beat every few milliseconds",
-	"fleet.RegistryOptions.MissedHeartbeats":  "fake-clock tests state the eviction window they advance across",
+	"fleet.RegistryOptions.Now":               "fault-injection tests expire workers by advancing a fake clock",
+	"fleet.StandbyOptions.Now":                "standby tests trigger a takeover by advancing a fake clock",
+	"fleet.WorkerOptions.MaxWait":             "fleet tests cap a worker's result long-poll so a held poll returns in milliseconds",
 	"fleet.LeaseOptions.RetryDelay":           "the lease test re-registers in milliseconds",
 	"serve.Options.MaxApplyQueue":             "the backpressure test fills a two-deep queue",
 	"placement.Options.Search":                "the exhaustive anchor search is the pruned search's reference",
+	"placement.Options.Clients":               "single-client optimality and pruned-search tests score placements at a client subset",
 	"strategy.Config.NoAggregate":             "the unaggregated LP is the aggregated LP's reference",
+	"strategy.Config.Solver":                  "dense is colgen's reference",
 }
 
 // TestConfigFieldsHaveCallers keeps configuration to what programs
 // configure. Every exported field of an exported *Config or *Options
-// struct under internal/ must be written by some non-test file of the
-// module or of bench/, as a composite-literal key or an assignment
-// target, matched by field name. Fields with a json tag are a file or
-// wire format and are exempt; so are configSeams.
+// struct under internal/ must be written by some non-test file, as a
+// composite-literal key or an assignment target. Fields with a json tag
+// are a file or wire format and are exempt; so are configSeams.
 func TestConfigFieldsHaveCallers(t *testing.T) {
-	// The walk from the module root takes in bench/, a module of its own.
-	fields, written, err := configFieldWrites(os.DirFS("."))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var bad []string
-	for key, field := range fields {
-		if !written[field] && configSeams[key] == "" {
-			bad = append(bad, key)
-		}
-	}
-	for key := range configSeams {
-		if _, ok := fields[key]; !ok {
-			bad = append(bad, key+" (allowlisted, but no such field)")
-		} else if written[fields[key]] {
-			bad = append(bad, key+" (allowlisted, but a program sets it)")
-		}
-	}
-	sort.Strings(bad)
+	bad := loadModuleScan(t).unwritten(configSeams)
 	if len(bad) > 0 {
 		t.Fatalf("%d Config/Options fields disagree with configSeams; make a field no program "+
 			"sets a constant or, if tests need it, a configSeams entry with the reason:\n\t%s",
@@ -373,77 +357,305 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 	}
 }
 
-// configFieldWrites scans the non-test .go files of fsys. It returns
-// every exported, non-json-tagged field of an exported *Config or
-// *Options struct under internal/, keyed "pkg.Type.Field" with the
-// field's name as value, and the set of names written as a
-// composite-literal key or an assignment target.
-func configFieldWrites(fsys fs.FS) (fields map[string]string, written map[string]bool, err error) {
-	fields = map[string]string{}
-	written = map[string]bool{}
-	fset := token.NewFileSet()
-	err = fs.WalkDir(fsys, ".", func(name string, d fs.DirEntry, err error) error {
+// exportSeams are the internal exports that only tests use. A key is
+// "pkg.Name", "pkg.Type.Method" or a whole package, pkg being the path
+// below internal/.
+var exportSeams = map[string]string{
+	"graph.Graph.ShortestFrom":          "the Dijkstra reference the closure tests check every all-pairs variant against",
+	"faults.ThresholdAvailabilityExact": "the exact enumeration the availability tests check the threshold formula against",
+	"placement.SearchAuto":              "the zero value of Search; programs select it by leaving Search unset",
+	"par/partest":                       "test support: pins GOMAXPROCS for par.For's width tests",
+}
+
+// TestInternalExportsHaveCallers keeps internal/ to what programs use:
+// every exported package-level identifier of a package under internal/,
+// and every exported method of one of its types, must be used by some
+// non-test file, or be an exportSeams entry. A method whose name is in
+// some interface's method set (String, Close, ServeHTTP, …) may be
+// called through that interface and is exempt.
+func TestInternalExportsHaveCallers(t *testing.T) {
+	bad := loadModuleScan(t).unusedExports(exportSeams)
+	if len(bad) > 0 {
+		t.Fatalf("%d internal exports disagree with exportSeams; delete an export no program "+
+			"uses, move test support into a _test.go file or, if tests need it, add an "+
+			"exportSeams entry with the reason:\n\t%s", len(bad), strings.Join(bad, "\n\t"))
+	}
+}
+
+// modScan is the type-checked non-test code of the Go modules under
+// the root of an fs.FS. It is the importer of its own packages, and
+// falls back to the gc export data for the standard library.
+type modScan struct {
+	fset   *token.FileSet
+	module string                    // import path of the root module
+	files  map[string][]*ast.File    // import path → non-test files
+	pkgs   map[string]*types.Package // import path → checked package
+	infos  map[string]*types.Info    // import path → uses and defs
+	std    types.Importer
+}
+
+func scanModule(fsys fs.FS) (*modScan, error) {
+	s := &modScan{
+		fset:  token.NewFileSet(),
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		infos: map[string]*types.Info{},
+	}
+	s.std = importer.ForCompiler(s.fset, "gc", nil)
+	importPath := map[string]string{} // directory → import path
+	err := fs.WalkDir(fsys, ".", func(name string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && name != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-			return fs.SkipDir
+		if d.IsDir() {
+			if name != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return fs.SkipDir
+			}
+			importPath[name] = importPath[path.Dir(name)] + "/" + d.Name()
+			if mod, err := fs.ReadFile(fsys, path.Join(name, "go.mod")); err == nil {
+				importPath[name] = moduleLine(mod)
+			}
+			if name == "." {
+				s.module = importPath[name]
+			}
+			return nil
 		}
-		if d.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
 		src, err := fs.ReadFile(fsys, name)
 		if err != nil {
 			return err
 		}
-		f, err := parser.ParseFile(fset, name, src, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(s.fset, name, src, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.KeyValueExpr:
-				if id, ok := n.Key.(*ast.Ident); ok {
-					written[id.Name] = true
-				}
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						written[sel.Sel.Name] = true
+		p := importPath[path.Dir(name)]
+		s.files[p] = append(s.files[p], f)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for p := range s.files {
+		if _, err := s.Import(p); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// moduleLine returns the module path a go.mod declares.
+func moduleLine(mod []byte) string {
+	for _, line := range strings.Split(string(mod), "\n") {
+		if p, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.TrimSpace(p)
+		}
+	}
+	return ""
+}
+
+func newInfo() *types.Info {
+	return &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+	}
+}
+
+// Import type-checks a package of the scan once, and defers any other
+// path to the standard library's export data.
+func (s *modScan) Import(p string) (*types.Package, error) {
+	if pkg := s.pkgs[p]; pkg != nil {
+		return pkg, nil
+	}
+	files, ok := s.files[p]
+	if !ok {
+		return s.std.Import(p)
+	}
+	info := newInfo()
+	pkg, err := (&types.Config{Importer: s}).Check(p, s.fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	s.pkgs[p], s.infos[p] = pkg, info
+	return pkg, nil
+}
+
+// internal returns the checked packages under the root module's
+// internal/, keyed by their path below it.
+func (s *modScan) internal() map[string]*types.Package {
+	out := map[string]*types.Package{}
+	for p, pkg := range s.pkgs {
+		if rel, ok := strings.CutPrefix(p, s.module+"/internal/"); ok {
+			out[rel] = pkg
+		}
+	}
+	return out
+}
+
+// origin maps an object of an instantiated generic to its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// unwritten lists the *Config/*Options fields that no non-test file
+// writes, as a composite-literal key or an assignment to a selector,
+// and that are not seams; and the seams that name no such field.
+func (s *modScan) unwritten(seams map[string]string) []string {
+	written := map[types.Object]bool{}
+	for p, files := range s.files {
+		info := s.infos[p]
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						written[origin(info.Uses[id])] = true
 					}
-				}
-			case *ast.TypeSpec:
-				st, ok := n.Type.(*ast.StructType)
-				typ := n.Name.Name
-				pkg, internal := strings.CutPrefix(path.Dir(name), "internal/")
-				if !ok || !internal || !ast.IsExported(typ) ||
-					!(strings.HasSuffix(typ, "Config") || strings.HasSuffix(typ, "Options")) {
-					return true
-				}
-				for _, fld := range st.Fields.List {
-					if fld.Tag != nil && strings.Contains(fld.Tag.Value, `json:"`) {
-						continue
-					}
-					for _, id := range fld.Names {
-						if id.IsExported() {
-							fields[pkg+"."+typ+"."+id.Name] = id.Name
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							written[origin(info.Uses[sel.Sel])] = true
 						}
 					}
 				}
+				return true
+			})
+		}
+	}
+	fields := map[string]bool{}
+	for rel, pkg := range s.internal() {
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+				continue
 			}
-			return true
-		})
-		return nil
-	})
-	return fields, written, err
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := range st.NumFields() {
+				fld := st.Field(i)
+				if fld.Exported() && reflect.StructTag(st.Tag(i)).Get("json") == "" {
+					fields[rel+"."+name+"."+fld.Name()] = written[fld]
+				}
+			}
+		}
+	}
+	return disagreements(fields, seams, nil)
 }
 
-// TestConfigFieldWritesScan pins what the guard counts: a field is
-// declared only by an exported *Config/*Options struct under internal/
-// and only when exported and untagged; a write counts from a non-test
-// file, as a literal key or an assignment to a selector.
+// unusedExports lists the exported package-level identifiers and
+// methods under internal/ that no non-test file uses and that are not
+// seams, and the seams that name nothing or something a program uses.
+func (s *modScan) unusedExports(seams map[string]string) []string {
+	used := map[types.Object]bool{}
+	// error's method is in the universe scope, which no package reaches.
+	ifaceMethods := map[string]bool{"Error": true}
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			for i := range it.NumMethods() {
+				ifaceMethods[it.Method(i).Name()] = true
+			}
+		}
+	}
+	seen := map[*types.Package]bool{}
+	var walk func(pkg *types.Package)
+	walk = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			walk(imp)
+		}
+	}
+	for p, info := range s.infos {
+		walk(s.pkgs[p])
+		for _, obj := range info.Uses {
+			used[origin(obj)] = true
+		}
+		for _, tv := range info.Types {
+			if tv.Type != nil {
+				addIface(tv.Type)
+			}
+		}
+	}
+
+	exports := map[string]bool{} // key → used
+	pkgOf := map[string]string{}
+	for rel, pkg := range s.internal() {
+		for _, name := range pkg.Scope().Names() {
+			obj := pkg.Scope().Lookup(name)
+			if !obj.Exported() {
+				continue
+			}
+			exports[rel+"."+name], pkgOf[rel+"."+name] = used[obj], rel
+			named, ok := obj.Type().(*types.Named)
+			if _, isType := obj.(*types.TypeName); !isType || !ok || types.IsInterface(named) {
+				continue
+			}
+			for i := range named.NumMethods() {
+				m := named.Method(i)
+				if m.Exported() && !ifaceMethods[m.Name()] {
+					key := rel + "." + name + "." + m.Name()
+					exports[key], pkgOf[key] = used[m], rel
+				}
+			}
+		}
+	}
+	return disagreements(exports, seams, pkgOf)
+}
+
+// disagreements lists each key no program uses that seams does not
+// name, and each seam that names nothing unused. A seam may name a
+// whole package by its key in pkgOf.
+func disagreements(used map[string]bool, seams map[string]string, pkgOf map[string]string) []string {
+	var bad []string
+	needed := map[string]bool{}
+	for key, u := range used {
+		seam := key
+		if _, ok := seams[key]; !ok {
+			seam = pkgOf[key]
+		}
+		if _, ok := seams[seam]; ok {
+			needed[seam] = needed[seam] || !u
+		} else if !u {
+			bad = append(bad, key)
+		}
+	}
+	for seam := range seams {
+		if !needed[seam] {
+			bad = append(bad, seam+" (a seam, but it names nothing unused)")
+		}
+	}
+	sort.Strings(bad)
+	return bad
+}
+
+// TestConfigFieldWritesScan pins what the guards count on a planted
+// module: a field is declared only by an exported *Config/*Options
+// struct under internal/ and only when exported and untagged; a write
+// or a use counts only from a non-test file, and only for the object it
+// resolves to, not for a field of the same name elsewhere; a method
+// named in some interface is exempt; testdata/ is skipped; a seam that
+// names nothing unused is reported.
 func TestConfigFieldWritesScan(t *testing.T) {
 	fsys := fstest.MapFS{
+		"go.mod": {Data: []byte("module example\n\ngo 1.24\n")},
 		"internal/knob/knob.go": {Data: []byte(`package knob
 
 type DialConfig struct {
@@ -454,19 +666,29 @@ type DialConfig struct {
 	hidden   int
 }
 
-type DialState struct{ Level int }
-
 type dialOptions struct{ Depth int }
+
+type Dial struct{ cfg DialConfig }
+
+func New(c DialConfig) Dial  { return Dial{cfg: c} }
+func (Dial) Turn()           {}
+func (Dial) Unturned()       {}
+func (Dial) String() string  { return "" }
+func Unused()                {}
 `)},
 		"cmd/knob/main.go": {Data: []byte(`package main
 
 import "example/internal/knob"
 
+type local struct{ TestOnly int }
+
+type stringer interface{ String() string }
+
 func main() {
 	c := knob.DialConfig{Literal: 1}
 	c.Assigned = 2
-	Local := 3
-	_, _ = c, Local
+	knob.New(c).Turn()
+	_ = local{TestOnly: 3}
 }
 `)},
 		"cmd/knob/main_test.go": {Data: []byte(`package main
@@ -474,37 +696,30 @@ func main() {
 import "example/internal/knob"
 
 var _ = knob.DialConfig{TestOnly: 1}
+
+func init() { knob.Unused(); knob.New(knob.DialConfig{}).Unturned() }
 `)},
 		"internal/knob/testdata/fixture.go": {Data: []byte(`package fixture
 
-var _ = struct{ Level int }{Level: 1}
+var _ = undefined
 `)},
 	}
-	fields, written, err := configFieldWrites(fsys)
+	s, err := scanModule(fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFields := map[string]string{
-		"knob.DialConfig.Literal":  "Literal",
-		"knob.DialConfig.Assigned": "Assigned",
-		"knob.DialConfig.TestOnly": "TestOnly",
-	}
-	if len(fields) != len(wantFields) {
-		t.Errorf("fields %v, want %v", fields, wantFields)
-	}
-	for k, v := range wantFields {
-		if fields[k] != v {
-			t.Errorf("fields[%q] = %q, want %q", k, fields[k], v)
-		}
-	}
-	for _, name := range []string{"Literal", "Assigned"} {
-		if !written[name] {
-			t.Errorf("%s not counted as written", name)
-		}
-	}
-	for _, name := range []string{"TestOnly", "Level", "Local"} {
-		if written[name] {
-			t.Errorf("%s counted as written", name)
+	for _, tc := range []struct {
+		name      string
+		got, want []string
+	}{
+		{"fields", s.unwritten(nil), []string{"knob.DialConfig.TestOnly"}},
+		{"field seams", s.unwritten(map[string]string{"knob.DialConfig.TestOnly": "r", "knob.DialConfig.Literal": "r"}),
+			[]string{"knob.DialConfig.Literal (a seam, but it names nothing unused)"}},
+		{"exports", s.unusedExports(nil), []string{"knob.Dial.Unturned", "knob.Unused"}},
+		{"export seams", s.unusedExports(map[string]string{"knob": "r"}), nil},
+	} {
+		if strings.Join(tc.got, "|") != strings.Join(tc.want, "|") {
+			t.Errorf("%s: got %q, want %q", tc.name, tc.got, tc.want)
 		}
 	}
 }

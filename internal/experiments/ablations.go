@@ -80,7 +80,7 @@ func AblBaselines(cfg scenario.RunConfig, quick bool) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		greedy, err := placement.GreedyMedian(topo, sys, placement.Options{})
+		greedy, err := placement.GreedyMedian(topo, sys)
 		if err != nil {
 			return nil, err
 		}
@@ -370,7 +370,7 @@ func AblSweep(cfg scenario.RunConfig, quick bool) (*Table, error) {
 		counts = []int{3, 5}
 	}
 	for _, count := range counts {
-		pts, err := strategy.UniformSweep(e, strategy.SweepValues(sys.OptimalLoad(), count), strategy.SweepConfig{Reproducible: cfg.Reproducible})
+		pts, err := strategy.UniformSweep(e, strategy.SweepValues(sys.OptimalLoad(), count), strategy.ConfigFor(cfg.Reproducible))
 		if err != nil {
 			return nil, err
 		}

@@ -94,6 +94,39 @@ func TestAblationTablesPinned(t *testing.T) {
 	}
 }
 
+// TestAblationTablesPinnedDefaultProfile byte-checks the five
+// quick-scale ablation tables on the default solver profile: each hash
+// is the sha256 of `quorumbench -fig <id> -quick -format csv`.
+func TestAblationTablesPinnedDefaultProfile(t *testing.T) {
+	pinned := map[string]string{
+		"abl-dedup":     "44edacf82e3353adf449eb23a99eee049302d22c877eceefbff290830d5cfc4f",
+		"abl-anchor":    "5768273990c3cffe2f479ac36abfb70f1d947100f1289b004547524b76fc416f",
+		"abl-failures":  "bf48f8bf19ea61bad948c7b52eba68edbac8432093a17022e9126ad1f691c26d",
+		"abl-sweep":     "367fb569d6c3357ed9f108825e7edeb8348bc1b592f3479b183f254d7aea7465",
+		"abl-baselines": "8a7bb56194960c9022461016400c97682dde1bc0584dc74b9463454ab59fb4aa",
+	}
+	abls := Ablations()
+	if len(abls) != len(pinned) {
+		t.Errorf("%d ablations, %d pinned tables", len(abls), len(pinned))
+	}
+	for _, e := range abls {
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			tb, err := e.Run(quickCfg(false), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := tb.WriteCSV(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())), pinned[e.ID]; got != want {
+				t.Errorf("table hash %s, want %s", got, want)
+			}
+		})
+	}
+}
+
 // TestAblDedupNeverWorse: the §8 dedup model must never increase response
 // time relative to the multiplicity model at the same capacity.
 func TestAblDedupNeverWorse(t *testing.T) {

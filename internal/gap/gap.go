@@ -141,7 +141,7 @@ func SolveLPWith(ins *Instance, opts lp.Options) (Fractional, error) {
 		}
 	}
 
-	sol, err := p.SolveWith(opts)
+	sol, err := p.Solve(opts, nil)
 	if err != nil {
 		return nil, fmt.Errorf("gap: LP relaxation: %w", err)
 	}
@@ -297,7 +297,7 @@ func RoundWith(ins *Instance, x Fractional, opts lp.Options) ([]int, error) {
 			return nil, err
 		}
 	}
-	sol, err := p.SolveWith(opts)
+	sol, err := p.Solve(opts, nil)
 	if err != nil {
 		return nil, fmt.Errorf("gap: matching LP: %w", err)
 	}

@@ -52,7 +52,7 @@ func BenchmarkSolveAssignment25x50(b *testing.B) {
 		b.StopTimer()
 		p := assignmentLP(b, 25, 50, int64(i))
 		b.StartTimer()
-		if _, err := p.SolveWith(Options{}); err != nil {
+		if _, err := p.Solve(Options{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,7 +63,7 @@ func BenchmarkSolveAssignment144x50(b *testing.B) {
 		b.StopTimer()
 		p := assignmentLP(b, 144, 50, int64(i))
 		b.StartTimer()
-		if _, err := p.SolveWith(Options{}); err != nil {
+		if _, err := p.Solve(Options{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -150,7 +150,7 @@ func BenchmarkSolveStrategyShaped(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.SolveWith(Options{}); err != nil {
+		if _, err := p.Solve(Options{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -163,7 +163,7 @@ func BenchmarkSolveStrategyShapedPartialPricing(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.SolveWith(Options{Pricing: PricingPartial}); err != nil {
+		if _, err := p.Solve(Options{Pricing: PricingPartial}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -175,7 +175,7 @@ func BenchmarkSolveStrategyShapedPartialPricing(b *testing.B) {
 func BenchmarkSolveWarmStrategyShaped(b *testing.B) {
 	p, capRows := strategyLP(b, 40, 25, 30, 1)
 	opts := Options{Pricing: PricingPartial}
-	sol, err := p.SolveWith(opts)
+	sol, err := p.Solve(opts, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func BenchmarkSolveWarmStrategyShaped(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		sol, err = p.SolveWarm(opts, sol.Basis)
+		sol, err = p.Solve(opts, sol.Basis)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func BenchmarkTightenResolve(b *testing.B) {
 	// optimum's basis (small steps can be absorbed by slack and take the
 	// warm-primal path, which BenchmarkSolveWarmStrategyShaped covers).
 	probe, capRows := strategyLP(b, 40, 25, 30, 1)
-	looseSol, err := probe.SolveWith(opts)
+	looseSol, err := probe.Solve(opts, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func BenchmarkTightenResolve(b *testing.B) {
 	for {
 		tight *= 0.92
 		setCaps(probe, capRows, tight)
-		check, err := probe.SolveWarm(opts, looseSol.Basis)
+		check, err := probe.Solve(opts, looseSol.Basis)
 		if err != nil {
 			b.Fatalf("hit %v at rhs %v before any tightening step needed dual repair", err, tight)
 		}
@@ -239,7 +239,7 @@ func BenchmarkTightenResolve(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := p.SolveWith(opts); err != nil {
+			if _, err := p.Solve(opts, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -247,7 +247,7 @@ func BenchmarkTightenResolve(b *testing.B) {
 
 	b.Run("warm-dual", func(b *testing.B) {
 		p, rows := strategyLP(b, 40, 25, 30, 1)
-		sol, err := p.SolveWith(opts)
+		sol, err := p.Solve(opts, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func BenchmarkTightenResolve(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := p.SolveWarm(opts, sol.Basis); err != nil {
+			if _, err := p.Solve(opts, sol.Basis); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -270,7 +270,7 @@ func BenchmarkSolveGAPShaped(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.SolveWith(Options{}); err != nil {
+		if _, err := p.Solve(Options{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

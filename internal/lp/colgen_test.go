@@ -45,8 +45,8 @@ func buildFromColumns(t *testing.T, cols []growColumn, ops []Op, rhs []float64) 
 }
 
 // TestAddColumnGrowWarmMatchesCold grows a restricted master column by
-// column the way column generation does — AddColumn then SolveWarm from
-// the previous basis — and checks at every step that the warm solve (a)
+// column the way column generation does — AddColumn then Solve from the
+// previous basis — and checks at every step that the warm solve (a)
 // stays on the primal warm path (the old vertex is still feasible when
 // only columns were added) and (b) reaches the same objective as a cold
 // solve of a problem built from scratch with the same columns.
@@ -87,7 +87,7 @@ func TestAddColumnGrowWarmMatchesCold(t *testing.T) {
 			cols = append(cols, newCol(g))
 		}
 		master := buildFromColumns(t, cols, ops, rhs)
-		sol, err := master.SolveWith(Options{})
+		sol, err := master.Solve(Options{}, nil)
 		if err != nil {
 			t.Fatalf("trial %d: seed solve: %v", trial, err)
 		}
@@ -105,7 +105,7 @@ func TestAddColumnGrowWarmMatchesCold(t *testing.T) {
 					t.Fatalf("trial %d step %d: AddColumn index %d, want %d", trial, step, j, len(cols)-1)
 				}
 			}
-			warm, err := master.SolveWarm(Options{}, sol.Basis)
+			warm, err := master.Solve(Options{}, sol.Basis)
 			if err != nil {
 				t.Fatalf("trial %d step %d: warm solve: %v", trial, step, err)
 			}
@@ -113,7 +113,7 @@ func TestAddColumnGrowWarmMatchesCold(t *testing.T) {
 				t.Errorf("trial %d step %d: method %q, want %q (columns only grew)",
 					trial, step, warm.Method, MethodWarmPrimal)
 			}
-			cold, err := buildFromColumns(t, cols, ops, rhs).SolveWith(Options{})
+			cold, err := buildFromColumns(t, cols, ops, rhs).Solve(Options{}, nil)
 			if err != nil {
 				t.Fatalf("trial %d step %d: cold reference: %v", trial, step, err)
 			}
@@ -151,7 +151,7 @@ func TestAddColumnThenSetRHS(t *testing.T) {
 		})
 	}
 	master := buildFromColumns(t, cols, ops, rhs)
-	sol, err := master.SolveWith(Options{})
+	sol, err := master.Solve(Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +166,11 @@ func TestAddColumnThenSetRHS(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	warm, err := master.SolveWarm(Options{}, sol.Basis)
+	warm, err := master.Solve(Options{}, sol.Basis)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := buildFromColumns(t, cols, ops, rhs).SolveWith(Options{})
+	cold, err := buildFromColumns(t, cols, ops, rhs).Solve(Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestInfeasibleRayCertificate(t *testing.T) {
 	if err := p.AddConstraint([]int{0}, []float64{1}, GE, 2); err != nil {
 		t.Fatal(err)
 	}
-	_, err := p.SolveWith(Options{})
+	_, err := p.Solve(Options{}, nil)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -269,9 +269,9 @@ func TestInfeasibleRayAbsent(t *testing.T) {
 	}
 }
 
-// TestInfeasibleRayThroughSolveWarm: the warm path funnels infeasibility
+// TestInfeasibleRayThroughWarmSolve: the warm path funnels infeasibility
 // verdicts through a cold phase 1, so the ray must be present there too.
-func TestInfeasibleRayThroughSolveWarm(t *testing.T) {
+func TestInfeasibleRayThroughWarmSolve(t *testing.T) {
 	p := NewProblem(2)
 	if err := setObjective(p, []float64{1, 2}); err != nil {
 		t.Fatal(err)
@@ -282,7 +282,7 @@ func TestInfeasibleRayThroughSolveWarm(t *testing.T) {
 	if err := p.AddConstraint([]int{0, 1}, []float64{1, 2}, LE, 4); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := p.SolveWith(Options{})
+	sol, err := p.Solve(Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +291,11 @@ func TestInfeasibleRayThroughSolveWarm(t *testing.T) {
 	if err := p.SetRHS(1, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	_, err = p.SolveWarm(Options{}, sol.Basis)
+	_, err = p.Solve(Options{}, sol.Basis)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 	if InfeasibleRay(err) == nil {
-		t.Fatal("no ray through the SolveWarm infeasibility path")
+		t.Fatal("no ray through the warm solve's infeasibility path")
 	}
 }

@@ -54,7 +54,7 @@ func TestStrongDuality(t *testing.T) {
 			rows = append(rows, row{a: a, op: LE, rhs: 10})
 		}
 
-		sol, err := p.SolveWith(Options{})
+		sol, err := p.Solve(Options{}, nil)
 		if err != nil {
 			return false
 		}
@@ -109,7 +109,7 @@ func TestComplementarySlackness(t *testing.T) {
 	mustConstraint(t, p, []int{0}, []float64{1}, GE, 1)
 	mustConstraint(t, p, []int{0}, []float64{1}, LE, 10)
 	mustConstraint(t, p, []int{1}, []float64{1}, LE, 10)
-	sol, err := p.SolveWith(Options{})
+	sol, err := p.Solve(Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestComplementarySlackness(t *testing.T) {
 }
 
 // TestWarmDualTightenRelax drives randomized tighten/relax chains through
-// SolveWarm and pins the dual-simplex contract: every feasible re-solve
+// warm solves and pins the dual-simplex contract: every feasible re-solve
 // from a valid prior basis stays on a warm path (never a silent cold
 // restart), tightening steps that break primal feasibility are repaired
 // by dual pivots (Method == MethodWarmDual), and the objective always
@@ -141,7 +141,7 @@ func TestWarmDualTightenRelax(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		ins := newWarmTestInstance(rng, 6+rng.Intn(6), 4+rng.Intn(4))
 		warm := ins.build(t)
-		sol, err := warm.SolveWith(Options{})
+		sol, err := warm.Solve(Options{}, nil)
 		if err != nil {
 			t.Fatalf("trial %d: initial solve: %v", trial, err)
 		}
@@ -158,8 +158,8 @@ func TestWarmDualTightenRelax(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			warmSol, warmErr := warm.SolveWarm(Options{}, basis)
-			coldSol, coldErr := ins.build(t).SolveWith(Options{})
+			warmSol, warmErr := warm.Solve(Options{}, basis)
+			coldSol, coldErr := ins.build(t).Solve(Options{}, nil)
 			if coldErr != nil {
 				if !errors.Is(coldErr, ErrInfeasible) {
 					t.Fatalf("trial %d step %d: cold: %v", trial, step, coldErr)
@@ -210,12 +210,12 @@ func TestDualPredictsSensitivity(t *testing.T) {
 		mustConstraint(t, p, []int{1}, []float64{1}, LE, 8)
 		return p
 	}
-	base, err := build(6).SolveWith(Options{})
+	base, err := build(6).Solve(Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const eps = 0.25
-	bumped, err := build(6 + eps).SolveWith(Options{})
+	bumped, err := build(6+eps).Solve(Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,8 +81,9 @@ func InfeasibleRay(err error) []float64 {
 
 // Problem is a minimization LP over non-negative variables. The zero value
 // is unusable; create with NewProblem. A Problem is not safe for
-// concurrent use: it caches a solver workspace across SolveWith calls so that
-// RHS-only re-solves (SetRHS + SolveWarm) reuse the assembled columns.
+// concurrent use: it caches a solver workspace across Solve calls so that
+// RHS-only re-solves (SetRHS, then Solve from the last basis) reuse the
+// assembled columns.
 type Problem struct {
 	nVars int
 	obj   []float64
@@ -160,9 +161,10 @@ func (p *Problem) AddConstraint(idx []int, coef []float64, op Op, rhs float64) e
 // This is the growth operation of column generation: solve a restricted
 // master, price out absent columns against Solution.Duals, append the
 // winners, and re-solve. The workspace is rebuilt on the next solve, but
-// a Basis taken before the AddColumn remains valid for SolveWarm on the
-// grown problem — basic slack/surplus columns are encoded relative to
-// their row, not by absolute column index, so they survive the renumber.
+// a Basis taken before the AddColumn remains a valid warm start for
+// Solve on the grown problem — basic slack/surplus columns are encoded
+// relative to their row, not by absolute column index, so they survive
+// the renumber.
 // Since the right-hand sides are unchanged, that basis is still primal
 // feasible and the re-solve continues with primal pivots only.
 func (p *Problem) AddColumn(cost float64, rows []int, coef []float64) (int, error) {
@@ -194,8 +196,8 @@ func (p *Problem) AddColumn(cost float64, rows []int, coef []float64) (int, erro
 
 // SetRHS replaces the right-hand side of row i (in the order the rows
 // were added), leaving its coefficients and operator untouched. This is
-// the mutation capacity sweeps perform between solves: combined with
-// SolveWarm it re-solves without reassembling any column storage.
+// the mutation capacity sweeps perform between solves: combined with a
+// warm Solve it re-solves without reassembling any column storage.
 func (p *Problem) SetRHS(i int, rhs float64) error {
 	if i < 0 || i >= len(p.rows) {
 		return fmt.Errorf("lp: row %d out of range [0,%d)", i, len(p.rows))
@@ -220,9 +222,9 @@ func (p *Problem) SetRHS(i int, rhs float64) error {
 // recorded by index; basic slack/surplus columns are encoded relative to
 // their row (as negative values), so a Basis survives AddColumn — the
 // mechanism column generation relies on to warm-start the grown master.
-// It is opaque to callers beyond being passed back to SolveWarm on the
-// same Problem after RHS-only edits or AddColumn; adding rows or other
-// structural change invalidates it (SolveWarm then simply solves cold).
+// It is opaque to callers beyond being passed back to Solve on the same
+// Problem after RHS-only edits or AddColumn; adding rows or other
+// structural change invalidates it (Solve then simply solves cold).
 type Basis []int
 
 // Method values reported in Solution.Method: how the solver reached the
@@ -255,9 +257,9 @@ type Solution struct {
 	// Iterations counts simplex pivots across both phases.
 	Iterations int
 	// Basis is the optimal basis, suitable for warm-starting a re-solve
-	// of the same Problem after RHS-only changes (see SolveWarm). It may
+	// of the same Problem after RHS-only changes (see Solve). It may
 	// reference leftover artificial columns when the constraint rows are
-	// linearly dependent; SolveWarm detects that and solves cold.
+	// linearly dependent; Solve detects that and solves cold.
 	Basis Basis
 	// Method reports how the optimum was reached: MethodCold,
 	// MethodWarmPrimal, or MethodWarmDual. Diagnostic only — capacity

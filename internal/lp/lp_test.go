@@ -27,7 +27,7 @@ func mustConstraint(t *testing.T, p *Problem, idx []int, coef []float64, op Op, 
 
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	sol, err := p.SolveWith(Options{})
+	sol, err := p.Solve(Options{}, nil)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -98,7 +98,7 @@ func TestInfeasible(t *testing.T) {
 	p := NewProblem(1)
 	mustConstraint(t, p, []int{0}, []float64{1}, LE, 1)
 	mustConstraint(t, p, []int{0}, []float64{1}, GE, 2)
-	if _, err := p.SolveWith(Options{}); !errors.Is(err, ErrInfeasible) {
+	if _, err := p.Solve(Options{}, nil); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -108,7 +108,7 @@ func TestInfeasibleEquality(t *testing.T) {
 	p := NewProblem(2)
 	mustConstraint(t, p, []int{0, 1}, []float64{1, 1}, EQ, 1)
 	mustConstraint(t, p, []int{0, 1}, []float64{1, 1}, EQ, 2)
-	if _, err := p.SolveWith(Options{}); !errors.Is(err, ErrInfeasible) {
+	if _, err := p.Solve(Options{}, nil); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -120,7 +120,7 @@ func TestUnbounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustConstraint(t, p, []int{0}, []float64{1}, GE, 1)
-	if _, err := p.SolveWith(Options{}); !errors.Is(err, ErrUnbounded) {
+	if _, err := p.Solve(Options{}, nil); !errors.Is(err, ErrUnbounded) {
 		t.Errorf("err = %v, want ErrUnbounded", err)
 	}
 }
@@ -130,7 +130,7 @@ func TestUnboundedNoConstraints(t *testing.T) {
 	if err := setObjective(p, []float64{0, -1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.SolveWith(Options{}); !errors.Is(err, ErrUnbounded) {
+	if _, err := p.Solve(Options{}, nil); !errors.Is(err, ErrUnbounded) {
 		t.Errorf("err = %v, want ErrUnbounded", err)
 	}
 }
@@ -288,7 +288,7 @@ func TestRandomLPsAgainstBruteForce(t *testing.T) {
 		_ = box
 		_ = idx
 
-		sol, err := p.SolveWith(Options{})
+		sol, err := p.Solve(Options{}, nil)
 		if errors.Is(err, ErrInfeasible) {
 			// Verify no feasible point exists on a coarse grid (sanity
 			// check, not a proof).
@@ -436,7 +436,7 @@ func TestNoFeasiblePointBeatsOptimum(t *testing.T) {
 			}
 			rows = append(rows, testRow{a: a, op: LE, rhs: rhs})
 		}
-		sol, err := p.SolveWith(Options{})
+		sol, err := p.Solve(Options{}, nil)
 		if err != nil {
 			return false
 		}

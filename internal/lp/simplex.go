@@ -62,8 +62,20 @@ const (
 	priceBlockMin = 128
 )
 
-// SolveWith minimizes the objective with the given options.
-func (p *Problem) SolveWith(opts Options) (*Solution, error) {
+// Solve minimizes the objective with the given options. A nil warm basis
+// runs the cold two-phase solve from the all-slack/artificial basis.
+//
+// Otherwise phase 2 starts from warm, typically Solution.Basis from an
+// earlier solve of the same Problem after only right-hand sides changed
+// (SetRHS) or columns were added (AddColumn). A basis left primal
+// infeasible by the edit (RHS tightening) but still dual feasible — the
+// optimal basis of the previous solve always is, since reduced costs do
+// not depend on the right-hand sides — is repaired in place by
+// dual-simplex pivots. If the basis no longer applies at all — wrong
+// shape, contains artificials, singular, or dual infeasible because the
+// objective changed too — it falls back to a cold two-phase solve, so any
+// basis is safe to pass. Solution.Method reports which path ran.
+func (p *Problem) Solve(opts Options, warm Basis) (*Solution, error) {
 	if len(p.rows) == 0 {
 		// Unconstrained non-negative minimization: each variable sits at 0
 		// unless its cost is negative, in which case the LP is unbounded.
@@ -76,46 +88,36 @@ func (p *Problem) SolveWith(opts Options) (*Solution, error) {
 	}
 	s := p.workspace()
 	s.applyOptions(p, opts)
-	return s.coldTagged(p)
+	if warm != nil {
+		if sol, err := s.solveWarm(p, warm); sol != nil || err != nil {
+			return sol, err
+		}
+	}
+	return s.solveCold(p)
 }
 
-// SolveWarm re-solves the problem starting phase 2 from a prior basis,
-// typically Solution.Basis from an earlier solve of the same Problem
-// after only right-hand sides changed (SetRHS). A basis left primal
-// infeasible by the edit (RHS tightening) but still dual feasible — the
-// optimal basis of the previous solve always is, since reduced costs do
-// not depend on the right-hand sides — is repaired in place by
-// dual-simplex pivots. If the basis no longer applies at all — wrong
-// shape, contains artificials, singular, or dual infeasible because the
-// objective changed too — it falls back to a cold two-phase solve, so
-// SolveWarm is always safe to call. Solution.Method reports which path
-// ran.
-func (p *Problem) SolveWarm(opts Options, basis Basis) (*Solution, error) {
-	if len(p.rows) == 0 || basis == nil {
-		return p.SolveWith(opts)
-	}
-	s := p.workspace()
-	s.applyOptions(p, opts)
-	if !s.tryWarmBasis(basis) {
-		return s.coldTagged(p)
+// solveWarm runs phase 2 from the warm basis, repairing primal
+// infeasibility by dual-simplex pivots first. It returns (nil, nil) when
+// the basis does not apply and the caller must solve cold.
+func (s *simplex) solveWarm(p *Problem, warm Basis) (*Solution, error) {
+	if !s.tryWarmBasis(warm) {
+		return nil, nil
 	}
 	method := MethodWarmPrimal
 	if !s.primalFeasible() {
 		if !s.dualFeasible(s.costPh2) {
-			return s.coldTagged(p)
+			return nil, nil
 		}
 		if err := s.runDual(s.costPh2); err != nil {
 			if err == errDualStuck {
 				// The dual ratio test found no pivot, which signals primal
 				// infeasibility — but leave that verdict to a cold phase 1
 				// so tolerance corner cases cannot misreport ErrInfeasible.
-				return s.coldTagged(p)
+				return nil, nil
 			}
 			if errors.Is(err, ErrIterationLimit) {
-				s.iters = 0
-				s.degenerate = 0
-				s.priceStart = 0
-				return s.coldTagged(p)
+				s.resetCounters()
+				return nil, nil
 			}
 			return nil, err
 		}
@@ -129,25 +131,12 @@ func (p *Problem) SolveWarm(opts Options, basis Basis) (*Solution, error) {
 			// Numeric trouble along the warm path (stall or a singular
 			// basis during refactorization): retry from scratch with a
 			// fresh pivot budget.
-			s.iters = 0
-			s.degenerate = 0
-			s.priceStart = 0
-			return s.coldTagged(p)
+			s.resetCounters()
+			return nil, nil
 		}
 		return nil, err
 	}
-	sol := s.extract(p)
-	sol.Method = method
-	return sol, nil
-}
-
-// coldTagged runs the cold two-phase solve and tags the solution's Method.
-func (s *simplex) coldTagged(p *Problem) (*Solution, error) {
-	sol, err := s.solveCold(p)
-	if sol != nil {
-		sol.Method = MethodCold
-	}
-	return sol, err
+	return s.extract(p, method), nil
 }
 
 // workspace returns the cached solver workspace, building it if the
@@ -167,10 +156,16 @@ func (s *simplex) applyOptions(p *Problem, opts Options) {
 	for j := s.nStr; j < s.n; j++ {
 		s.costPh2[j] = 0
 	}
+	s.resetCounters()
+	s.pricing = opts.Pricing
+}
+
+// resetCounters gives the next run a fresh pivot budget, leaves Bland's
+// rule and restarts the partial-pricing scan at column 0.
+func (s *simplex) resetCounters() {
 	s.iters = 0
 	s.degenerate = 0
 	s.priceStart = 0
-	s.pricing = opts.Pricing
 }
 
 // newSimplex builds the canonical-form column storage for the problem:
@@ -348,7 +343,7 @@ func (s *simplex) solveCold(p *Problem) (*Solution, error) {
 		}
 		return nil, err
 	}
-	return s.extract(p), nil
+	return s.extract(p, MethodCold), nil
 }
 
 // tryWarmBasis installs a prior basis and reports whether it is
@@ -412,26 +407,12 @@ func (s *simplex) primalFeasible() bool {
 // ran in between, since reduced costs do not depend on b; an objective
 // edit can fail it, in which case the caller must solve cold.
 func (s *simplex) dualFeasible(cost []float64) bool {
-	m := s.m
-	y := s.y
-	for k := range y {
-		y[k] = 0
-	}
-	for i := 0; i < m; i++ {
-		cb := cost[s.basis[i]]
-		if cb == 0 {
-			continue
-		}
-		row := s.binv[i*m : i*m+m]
-		for k, rv := range row {
-			y[k] += cb * rv
-		}
-	}
+	s.multipliers(cost, s.y)
 	for j := 0; j < s.firstArtificial; j++ {
 		if s.isBasic[j] {
 			continue
 		}
-		if cost[j]-s.reduceDot(j, y) < -1e-7 {
+		if cost[j]-s.reduceDot(j, s.y) < -1e-7 {
 			return false
 		}
 	}
@@ -447,9 +428,10 @@ var errDualStuck = errors.New("lp: dual simplex found no entering column")
 // from a dual-feasible basis: pick the most negative basic value as the
 // leaving row, then the entering column by the dual ratio test
 // min d_j / (−α_j) over columns with α_j < 0 in the leaving row (which
-// keeps reduced costs non-negative). Each pivot uses the same basis
-// update as run; on success xB ≥ 0 and the basis is still dual feasible,
-// so a follow-up primal phase 2 terminates immediately or cheaply.
+// keeps reduced costs non-negative). Each pivot uses the same direction
+// and basis update as run; on success xB ≥ 0 and the basis is still dual
+// feasible, so a follow-up primal phase 2 terminates immediately or
+// cheaply.
 func (s *simplex) runDual(cost []float64) error {
 	m := s.m
 	sinceRefactor := 0
@@ -483,21 +465,8 @@ func (s *simplex) runDual(cost []float64) error {
 			return nil // primal feasible again
 		}
 
-		// y = c_B^T · B^{-1} for the reduced costs of the ratio test.
-		y := s.y
-		for k := range y {
-			y[k] = 0
-		}
-		for i := 0; i < m; i++ {
-			cb := cost[s.basis[i]]
-			if cb == 0 {
-				continue
-			}
-			row := s.binv[i*m : i*m+m]
-			for k, rv := range row {
-				y[k] += cb * rv
-			}
-		}
+		// Reduced costs of the ratio test price against y = c_B·B⁻¹.
+		s.multipliers(cost, s.y)
 
 		// Dual ratio test over the leaving row of B⁻¹A: only columns with
 		// α_j < 0 can enter (they raise xB[leave] toward feasibility).
@@ -508,14 +477,11 @@ func (s *simplex) runDual(cost []float64) error {
 			if s.isBasic[j] {
 				continue
 			}
-			alpha := 0.0
-			for t := s.colPtr[j]; t < s.colPtr[j+1]; t++ {
-				alpha += rowL[s.rowInd[t]] * s.vals[t]
-			}
+			alpha := s.reduceDot(j, rowL)
 			if alpha >= -Tol {
 				continue
 			}
-			d := cost[j] - s.reduceDot(j, y)
+			d := cost[j] - s.reduceDot(j, s.y)
 			if d < 0 {
 				d = 0 // dual feasibility holds up to tolerance
 			}
@@ -529,55 +495,25 @@ func (s *simplex) runDual(cost []float64) error {
 			return errDualStuck
 		}
 
-		// Direction d = B^{-1} A_enter; the pivot element dir[leave] is the
-		// α computed above (negative), so θ = xB[leave]/dir[leave] > 0.
-		dir := s.dir
-		cs, ce := s.colPtr[enter], s.colPtr[enter+1]
-		for i := 0; i < m; i++ {
-			row := s.binv[i*m : i*m+m]
-			sum := 0.0
-			for t := cs; t < ce; t++ {
-				sum += row[s.rowInd[t]] * s.vals[t]
-			}
-			dir[i] = sum
-		}
-		piv := dir[leave]
-		theta := s.xB[leave] / piv
+		// The pivot element dir[leave] is the α computed above (negative),
+		// so θ = xB[leave]/dir[leave] > 0.
+		dir := s.direction(enter)
+		theta := s.xB[leave] / dir[leave]
 		for i := 0; i < m; i++ {
 			if i != leave {
 				s.xB[i] -= theta * dir[i]
 			}
 		}
 		s.xB[leave] = theta
-
-		inv := 1 / piv
-		for k := range rowL {
-			rowL[k] *= inv
-		}
-		for i := 0; i < m; i++ {
-			if i == leave {
-				continue
-			}
-			f := dir[i]
-			if f == 0 {
-				continue
-			}
-			row := s.binv[i*m : i*m+m]
-			for k, rv := range rowL {
-				row[k] -= f * rv
-			}
-		}
-
-		s.isBasic[s.basis[leave]] = false
-		s.isBasic[enter] = true
-		s.basis[leave] = enter
+		s.pivot(leave, enter)
 		s.iters++
 		sinceRefactor++
 	}
 }
 
-// extract assembles the Solution from the optimal workspace state.
-func (s *simplex) extract(p *Problem) *Solution {
+// extract assembles the Solution from the optimal workspace state,
+// tagged with the method that reached it.
+func (s *simplex) extract(p *Problem, method string) *Solution {
 	x := make([]float64, s.nStr)
 	for i, j := range s.basis {
 		if j < s.nStr {
@@ -595,16 +531,7 @@ func (s *simplex) extract(p *Problem) *Solution {
 	// Dual values: y = c_B B⁻¹ on the sign-normalized system, mapped back
 	// to the original row orientation.
 	duals := make([]float64, s.m)
-	for i := 0; i < s.m; i++ {
-		cb := s.costPh2[s.basis[i]]
-		if cb == 0 {
-			continue
-		}
-		row := s.binv[i*s.m : i*s.m+s.m]
-		for k, rv := range row {
-			duals[k] += cb * rv
-		}
-	}
+	s.multipliers(s.costPh2, duals)
 	for i := range duals {
 		duals[i] *= s.rowSign[i]
 	}
@@ -631,6 +558,7 @@ func (s *simplex) extract(p *Problem) *Solution {
 		Duals:      duals,
 		Iterations: s.iters,
 		Basis:      enc,
+		Method:     method,
 	}
 }
 
@@ -642,16 +570,7 @@ func (s *simplex) extract(p *Problem) *Solution {
 // have pivoted it in to reduce the objective further).
 func (s *simplex) dualRay() []float64 {
 	ray := make([]float64, s.m)
-	for i := 0; i < s.m; i++ {
-		cb := s.costPh1[s.basis[i]]
-		if cb == 0 {
-			continue
-		}
-		row := s.binv[i*s.m : i*s.m+s.m]
-		for k, rv := range row {
-			ray[k] += cb * rv
-		}
-	}
+	s.multipliers(s.costPh1, ray)
 	for i := range ray {
 		ray[i] *= s.rowSign[i]
 	}
@@ -680,38 +599,12 @@ func (s *simplex) run(cost []float64, banFrom int, phase1 bool) error {
 			sinceRefactor = 0
 		}
 
-		// y = c_B^T · B^{-1}
-		y := s.y
-		for k := range y {
-			y[k] = 0
-		}
-		for i := 0; i < m; i++ {
-			cb := cost[s.basis[i]]
-			if cb == 0 {
-				continue
-			}
-			row := s.binv[i*m : i*m+m]
-			for k, rv := range row {
-				y[k] += cb * rv
-			}
-		}
-
-		enter := s.price(cost, banFrom, y)
+		s.multipliers(cost, s.y)
+		enter := s.price(cost, banFrom, s.y)
 		if enter < 0 {
 			return nil // optimal for this cost vector
 		}
-
-		// Direction d = B^{-1} A_enter.
-		dir := s.dir
-		cs, ce := s.colPtr[enter], s.colPtr[enter+1]
-		for i := 0; i < m; i++ {
-			row := s.binv[i*m : i*m+m]
-			sum := 0.0
-			for t := cs; t < ce; t++ {
-				sum += row[s.rowInd[t]] * s.vals[t]
-			}
-			dir[i] = sum
-		}
+		dir := s.direction(enter)
 
 		// Ratio test. Basic artificials must never rise above zero: if the
 		// pivot would increase one (dir < 0 for a zero-valued artificial),
@@ -747,7 +640,6 @@ func (s *simplex) run(cost []float64, banFrom int, phase1 bool) error {
 		}
 
 		// Update basic values and basis inverse.
-		piv := dir[leave]
 		for i := 0; i < m; i++ {
 			if i != leave {
 				s.xB[i] -= theta * dir[i]
@@ -757,29 +649,7 @@ func (s *simplex) run(cost []float64, banFrom int, phase1 bool) error {
 			}
 		}
 		s.xB[leave] = theta
-
-		rowL := s.binv[leave*m : leave*m+m]
-		inv := 1 / piv
-		for k := range rowL {
-			rowL[k] *= inv
-		}
-		for i := 0; i < m; i++ {
-			if i == leave {
-				continue
-			}
-			f := dir[i]
-			if f == 0 {
-				continue
-			}
-			row := s.binv[i*m : i*m+m]
-			for k, rv := range rowL {
-				row[k] -= f * rv
-			}
-		}
-
-		s.isBasic[s.basis[leave]] = false
-		s.isBasic[enter] = true
-		s.basis[leave] = enter
+		s.pivot(leave, enter)
 		s.iters++
 		sinceRefactor++
 	}
@@ -886,6 +756,72 @@ func (s *simplex) reduceDot(j int, y []float64) float64 {
 	return sum
 }
 
+// multipliers sets y = c_B·B⁻¹ for the given cost vector: the prices
+// that reduced costs c_j − y·A_j are taken against and, at an optimum,
+// the row duals of the sign-normalized system.
+func (s *simplex) multipliers(cost, y []float64) {
+	m := s.m
+	for k := range y {
+		y[k] = 0
+	}
+	for i := 0; i < m; i++ {
+		cb := cost[s.basis[i]]
+		if cb == 0 {
+			continue
+		}
+		row := s.binv[i*m : i*m+m]
+		for k, rv := range row {
+			y[k] += cb * rv
+		}
+	}
+}
+
+// direction sets and returns s.dir = B⁻¹A_j, the change in the basic
+// values per unit of column j entering.
+func (s *simplex) direction(j int) []float64 {
+	m := s.m
+	dir := s.dir
+	cs, ce := s.colPtr[j], s.colPtr[j+1]
+	for i := 0; i < m; i++ {
+		row := s.binv[i*m : i*m+m]
+		sum := 0.0
+		for t := cs; t < ce; t++ {
+			sum += row[s.rowInd[t]] * s.vals[t]
+		}
+		dir[i] = sum
+	}
+	return dir
+}
+
+// pivot makes column enter basic in row leave: it updates B⁻¹ by the row
+// operations that turn s.dir (B⁻¹A_enter, from direction) into the unit
+// vector of row leave, and swaps the basis. The caller updates xB.
+func (s *simplex) pivot(leave, enter int) {
+	m := s.m
+	dir := s.dir
+	rowL := s.binv[leave*m : leave*m+m]
+	inv := 1 / dir[leave]
+	for k := range rowL {
+		rowL[k] *= inv
+	}
+	for i := 0; i < m; i++ {
+		if i == leave {
+			continue
+		}
+		f := dir[i]
+		if f == 0 {
+			continue
+		}
+		row := s.binv[i*m : i*m+m]
+		for k, rv := range rowL {
+			row[k] -= f * rv
+		}
+	}
+	s.isBasic[s.basis[leave]] = false
+	s.isBasic[enter] = true
+	s.basis[leave] = enter
+}
+
 // pivotOutArtificials removes zero-valued artificial variables from the
 // basis where possible by degenerate pivots on non-artificial columns.
 // Rows whose artificial cannot be pivoted out are linearly dependent; the
@@ -899,46 +835,12 @@ func (s *simplex) pivotOutArtificials() {
 		}
 		row := s.binv[i*m : i*m+m]
 		for j := 0; j < s.firstArtificial; j++ {
-			if s.isBasic[j] {
-				continue
-			}
-			piv := 0.0
-			for t := s.colPtr[j]; t < s.colPtr[j+1]; t++ {
-				piv += row[s.rowInd[t]] * s.vals[t]
-			}
-			if math.Abs(piv) <= 1e-7 {
+			if s.isBasic[j] || math.Abs(s.reduceDot(j, row)) <= 1e-7 {
 				continue
 			}
 			// Degenerate pivot: xB[i] is ~0, so values do not change.
-			dir := s.dir
-			for r2 := 0; r2 < m; r2++ {
-				rw := s.binv[r2*m : r2*m+m]
-				sum := 0.0
-				for t := s.colPtr[j]; t < s.colPtr[j+1]; t++ {
-					sum += rw[s.rowInd[t]] * s.vals[t]
-				}
-				dir[r2] = sum
-			}
-			inv := 1 / dir[i]
-			for k := range row {
-				row[k] *= inv
-			}
-			for r2 := 0; r2 < m; r2++ {
-				if r2 == i {
-					continue
-				}
-				f := dir[r2]
-				if f == 0 {
-					continue
-				}
-				rw := s.binv[r2*m : r2*m+m]
-				for k, rv := range row {
-					rw[k] -= f * rv
-				}
-			}
-			s.isBasic[s.basis[i]] = false
-			s.isBasic[j] = true
-			s.basis[i] = j
+			s.direction(j)
+			s.pivot(i, j)
 			s.xB[i] = 0
 			break
 		}

@@ -107,19 +107,19 @@ func (ins *warmTestInstance) objective(x []float64) float64 {
 	return sum
 }
 
-// TestSolveWarmMatchesColdAcrossRHSPerturbations is the core warm-start
+// TestSolveFromBasisMatchesColdAcrossRHSPerturbations is the core warm-start
 // property: across chains of randomized capacity perturbations, a
 // warm-started re-solve must agree with an independent cold solve on
 // feasibility and optimal objective (the vertices may differ on
 // degenerate instances — both are optimal).
-func TestSolveWarmMatchesColdAcrossRHSPerturbations(t *testing.T) {
+func TestSolveFromBasisMatchesColdAcrossRHSPerturbations(t *testing.T) {
 	for _, pricing := range []Pricing{PricingDantzig, PricingPartial} {
 		rng := rand.New(rand.NewSource(7))
 		for trial := 0; trial < 10; trial++ {
 			ins := newWarmTestInstance(rng, 6+rng.Intn(6), 4+rng.Intn(4))
 			warm := ins.build(t)
 			opts := Options{Pricing: pricing}
-			sol, err := warm.SolveWith(opts)
+			sol, err := warm.Solve(opts, nil)
 			if err != nil {
 				t.Fatalf("pricing %v trial %d: initial solve: %v", pricing, trial, err)
 			}
@@ -137,8 +137,8 @@ func TestSolveWarmMatchesColdAcrossRHSPerturbations(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				warmSol, warmErr := warm.SolveWarm(opts, basis)
-				coldSol, coldErr := ins.build(t).SolveWith(Options{})
+				warmSol, warmErr := warm.Solve(opts, basis)
+				coldSol, coldErr := ins.build(t).Solve(Options{}, nil)
 				if coldErr != nil {
 					if !errors.Is(coldErr, ErrInfeasible) {
 						t.Fatalf("pricing %v trial %d step %d: cold: %v", pricing, trial, step, coldErr)
@@ -167,36 +167,49 @@ func TestSolveWarmMatchesColdAcrossRHSPerturbations(t *testing.T) {
 	}
 }
 
-// TestSolveWarmNilBasisIsCold: a nil basis must behave exactly like
-// SolveWith.
-func TestSolveWarmNilBasisIsCold(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ins := newWarmTestInstance(rng, 5, 4)
-	a, err := ins.build(t).SolveWarm(Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ins.build(t).SolveWith(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a.Objective-b.Objective) > 1e-9 {
-		t.Fatalf("nil-basis warm objective %v != cold %v", a.Objective, b.Objective)
-	}
-	for i := range a.X {
-		if math.Abs(a.X[i]-b.X[i]) > 1e-9 {
-			t.Fatalf("x[%d]: %v != %v", i, a.X[i], b.X[i])
+// TestSolveNilBasisIsCold: a nil basis runs the cold two-phase solve
+// even on a Problem whose workspace holds an earlier solve's basis and
+// pivot counters: Method is MethodCold, and the solution, down to the
+// pivot count, is that of a fresh Problem.
+func TestSolveNilBasisIsCold(t *testing.T) {
+	for _, pricing := range []Pricing{PricingDantzig, PricingPartial} {
+		opts := Options{Pricing: pricing}
+		rng := rand.New(rand.NewSource(3))
+		ins := newWarmTestInstance(rng, 5, 4)
+		reused := ins.build(t)
+		if _, err := reused.Solve(opts, nil); err != nil {
+			t.Fatal(err)
+		}
+		a, err := reused.Solve(opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ins.build(t).Solve(opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Method != MethodCold || b.Method != MethodCold {
+			t.Fatalf("pricing %v: methods %q, %q, want %q", pricing, a.Method, b.Method, MethodCold)
+		}
+		if a.Objective != b.Objective || a.Iterations != b.Iterations {
+			t.Fatalf("pricing %v: nil-basis re-solve objective %v in %d pivots, fresh cold %v in %d",
+				pricing, a.Objective, a.Iterations, b.Objective, b.Iterations)
+		}
+		for i := range a.X {
+			if a.X[i] != b.X[i] {
+				t.Fatalf("pricing %v: x[%d]: %v != %v", pricing, i, a.X[i], b.X[i])
+			}
 		}
 	}
 }
 
-// TestSolveWarmBogusBasisFallsBack: malformed bases (wrong length,
+// TestSolveBogusBasisFallsBack: malformed bases (wrong length,
 // duplicates, out-of-range or artificial indices) must fall back to a
 // correct cold solve rather than fail.
-func TestSolveWarmBogusBasisFallsBack(t *testing.T) {
+func TestSolveBogusBasisFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ins := newWarmTestInstance(rng, 5, 4)
-	want, err := ins.build(t).SolveWith(Options{})
+	want, err := ins.build(t).Solve(Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +229,7 @@ func TestSolveWarmBogusBasisFallsBack(t *testing.T) {
 		}(),
 	}
 	for i, basis := range bogus {
-		sol, err := ins.build(t).SolveWarm(Options{}, basis)
+		sol, err := ins.build(t).Solve(Options{}, basis)
 		if err != nil {
 			t.Fatalf("bogus basis %d: %v", i, err)
 		}
@@ -227,14 +240,14 @@ func TestSolveWarmBogusBasisFallsBack(t *testing.T) {
 	}
 }
 
-// TestSolveWarmAfterStructuralChange: adding a row after capturing a
-// basis invalidates the workspace; SolveWarm must still return correct
+// TestSolveAfterStructuralChange: adding a row after capturing a
+// basis invalidates the workspace; Solve from that basis must still return correct
 // results via the cold fallback.
-func TestSolveWarmAfterStructuralChange(t *testing.T) {
+func TestSolveAfterStructuralChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ins := newWarmTestInstance(rng, 5, 4)
 	p := ins.build(t)
-	sol, err := p.SolveWith(Options{})
+	sol, err := p.Solve(Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +256,7 @@ func TestSolveWarmAfterStructuralChange(t *testing.T) {
 	if err := p.AddConstraint([]int{0}, []float64{1}, LE, 0); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := p.SolveWarm(Options{}, sol.Basis)
+	warm, err := p.Solve(Options{}, sol.Basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +286,7 @@ func TestSetRHSValidation(t *testing.T) {
 	if got := p.rows[0].rhs; got != 1 {
 		t.Errorf("RHS = %v, want 1", got)
 	}
-	if _, err := p.SolveWith(Options{}); err != nil {
+	if _, err := p.Solve(Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Sign flip forces a workspace rebuild; x ≥ 0 satisfies Σx ≥ -1
@@ -284,7 +297,7 @@ func TestSetRHSValidation(t *testing.T) {
 	if err := p.SetRHS(0, -1); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := p.SolveWith(Options{})
+	sol, err := p.Solve(Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +315,7 @@ func TestRHSOnlyResolveReusesWorkspace(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		ins := newWarmTestInstance(rng, 6, 5)
 		reused := ins.build(t)
-		if _, err := reused.SolveWith(Options{}); err != nil {
+		if _, err := reused.Solve(Options{}, nil); err != nil {
 			t.Fatal(err)
 		}
 		for m := range ins.capRHS {
@@ -311,11 +324,11 @@ func TestRHSOnlyResolveReusesWorkspace(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, err := reused.SolveWith(Options{})
+		got, err := reused.Solve(Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ins.build(t).SolveWith(Options{})
+		want, err := ins.build(t).Solve(Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,29 +31,23 @@ func Random(topo *topology.Topology, sys quorum.System, seed int64) (core.Placem
 // best data centers" heuristic. Unlike the ball construction it ignores
 // how close the chosen nodes are to each other, which is exactly what
 // quorum access latency punishes.
-func GreedyMedian(topo *topology.Topology, sys quorum.System, opts Options) (core.Placement, error) {
+func GreedyMedian(topo *topology.Topology, sys quorum.System) (core.Placement, error) {
 	n := sys.UniverseSize()
 	if n > topo.Size() {
 		return core.Placement{}, fmt.Errorf("placement: universe %d exceeds %d nodes", n, topo.Size())
-	}
-	clients := opts.Clients
-	if clients == nil {
-		clients = make([]int, topo.Size())
-		for i := range clients {
-			clients[i] = i
-		}
 	}
 	type scored struct {
 		node int
 		avg  float64
 	}
-	nodes := make([]scored, topo.Size())
-	for w := 0; w < topo.Size(); w++ {
+	size := topo.Size()
+	nodes := make([]scored, size)
+	for w := 0; w < size; w++ {
 		sum := 0.0
-		for _, v := range clients {
+		for v := 0; v < size; v++ {
 			sum += topo.RTT(v, w)
 		}
-		nodes[w] = scored{node: w, avg: sum / float64(len(clients))}
+		nodes[w] = scored{node: w, avg: sum / float64(size)}
 	}
 	// Selection sort of the n best keeps this dependency-free and
 	// deterministic on ties (lower node id wins).

@@ -26,9 +26,6 @@ type Options struct {
 	// Candidates restricts the anchor nodes v0 tried; nil tries every
 	// node.
 	Candidates []int
-	// Clients restricts the client set used for scoring; nil uses all
-	// nodes (the paper's model).
-	Clients []int
 	// Search selects the anchor-search algorithm for the ball-based
 	// one-to-one constructions. SearchAuto (the default) switches to the
 	// probe-and-prune search on large candidate sets; SearchExhaustive
@@ -69,11 +66,6 @@ func score(topo *topology.Topology, sys quorum.System, f core.Placement, opts Op
 	e, err := core.NewEval(topo, sys, f, 0)
 	if err != nil {
 		return 0, err
-	}
-	if opts.Clients != nil {
-		if err := e.SetClients(opts.Clients); err != nil {
-			return 0, err
-		}
 	}
 	return e.AvgNetworkDelay(opts.scoreBy()), nil
 }

@@ -86,7 +86,6 @@ func TestMajoritySingleClientOptimal(t *testing.T) {
 	const v0 = 3
 	f, err := OneToOne(topo, sys, Options{
 		Candidates: []int{v0},
-		Clients:    []int{v0},
 		ScoreBy:    core.ClosestStrategy{},
 	})
 	if err != nil {
@@ -117,7 +116,6 @@ func TestGridSingleClientOptimal(t *testing.T) {
 	const v0 = 7
 	f, err := OneToOne(topo, sys, Options{
 		Candidates: []int{v0},
-		Clients:    []int{v0},
 		ScoreBy:    core.ClosestStrategy{},
 	})
 	if err != nil {
@@ -147,7 +145,7 @@ func TestGridShellBeatsReversed(t *testing.T) {
 	topo := testTopo(t, 30, 5)
 	sys := mustGrid(t, 4)
 	const v0 = 0
-	f, err := OneToOne(topo, sys, Options{Candidates: []int{v0}, Clients: []int{v0}})
+	f, err := OneToOne(topo, sys, Options{Candidates: []int{v0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +379,7 @@ func avgDistanceTo(topo *topology.Topology, w int) float64 {
 func TestGreedyMedianPicksBestNodes(t *testing.T) {
 	topo := testTopo(t, 12, 21)
 	sys := mustThreshold(t, 2, 3)
-	f, err := GreedyMedian(topo, sys, Options{})
+	f, err := GreedyMedian(topo, sys)
 	if err != nil {
 		t.Fatal(err)
 	}

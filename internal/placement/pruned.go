@@ -269,11 +269,7 @@ func (s *Search) usePruned(topo *topology.Topology, candidates int) bool {
 	if _, balanced := s.opts.scoreBy().(core.BalancedStrategy); !balanced {
 		return true // tier 1 alone: one pass over the anchor's row
 	}
-	clients := len(s.opts.Clients)
-	if s.opts.Clients == nil {
-		clients = topo.Size()
-	}
-	return clients >= boundPayoff*(boundGridSteps+1)
+	return topo.Size() >= boundPayoff*(boundGridSteps+1)
 }
 
 // evalAnchor builds and scores one candidate anchor.
@@ -427,7 +423,6 @@ func probeOrder(topo *topology.Topology, candidates []int) []int {
 func ballBound(topo *topology.Topology, sys quorum.System, perm []int, opts Options) func(int, float64) (float64, error) {
 	nUniv := sys.UniverseSize()
 	minCap := sys.UniformElementLoad()
-	clients := opts.Clients
 	_, balanced := opts.scoreBy().(core.BalancedStrategy)
 	return func(v0 int, incumbent float64) (float64, error) {
 		shell, err := ballShell(topo, v0, nUniv, minCap)
@@ -436,40 +431,25 @@ func ballBound(topo *topology.Topology, sys quorum.System, perm []int, opts Opti
 		}
 		r := shell[len(shell)-1]
 		row := topo.RTTRow(v0)
-
-		nc := len(clients)
-		if clients == nil {
-			nc = len(row)
-		}
-		forClients := func(fn func(t float64)) {
-			if clients == nil {
-				for _, t := range row {
-					fn(t)
-				}
-				return
-			}
-			for _, v := range clients {
-				fn(row[v])
-			}
-		}
+		nc := float64(len(row))
 
 		sum := 0.0
-		forClients(func(t float64) {
+		for _, t := range row {
 			if t > r {
 				sum += t - r
 			}
-		})
-		lb := sum / float64(nc)
+		}
+		lb := sum / nc
 		if !balanced || lb > incumbent {
 			return lb, nil
 		}
 
 		maxT := 0.0
-		forClients(func(t float64) {
+		for _, t := range row {
 			if t > maxT {
 				maxT = t
 			}
-		})
+		}
 		if maxT <= 0 {
 			return lb, nil
 		}
@@ -492,7 +472,7 @@ func ballBound(topo *topology.Topology, sys quorum.System, perm []int, opts Opti
 			phi[g] = sys.ExpectedMaxUniform(floor)
 		}
 		sum = 0
-		forClients(func(t float64) {
+		for _, t := range row {
 			g := int(t / h)
 			if g >= boundGridSteps {
 				g = boundGridSteps - 1
@@ -504,8 +484,8 @@ func ballBound(topo *topology.Topology, sys quorum.System, perm []int, opts Opti
 			if lo > 0 {
 				sum += lo
 			}
-		})
-		if lb2 := sum / float64(nc); lb2 > lb {
+		}
+		if lb2 := sum / nc; lb2 > lb {
 			lb = lb2
 		}
 		return lb, nil

@@ -62,10 +62,6 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 			}
 		}
 
-		someClients := make([]int, 0, n/4)
-		for i := 0; i < n; i += 4 {
-			someClients = append(someClients, i)
-		}
 		someCandidates := make([]int, 0, n/2)
 		for i := n - 1; i >= 0; i -= 2 { // reversed: order must not matter
 			someCandidates = append(someCandidates, i)
@@ -79,7 +75,6 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 		}{
 			{"all", topo, Options{}, 1},
 			{"capacity-dip", constrained, Options{}, 1},
-			{"clients-subset", topo, Options{Clients: someClients}, 1},
 			{"candidates-subset", topo, Options{Candidates: someCandidates}, 1},
 			{"parallel", topo, Options{}, 4},
 		}

@@ -241,7 +241,7 @@ func (p *Partition) executeSweep(rows [][][]string, report func(int)) error {
 	// Each point is one warm-start chunk of one system's sweep; running
 	// it alone reproduces the exact solve chain of the unsharded sweep,
 	// whose chunk boundaries depend only on the point count.
-	swCfg := strategy.SweepConfig{Reproducible: cfg.Reproducible}
+	swCfg := strategy.ConfigFor(cfg.Reproducible)
 	n := len(p.Points)
 	errs := make([]error, n)
 	par.For(n, func(i int) {

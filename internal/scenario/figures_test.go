@@ -82,6 +82,51 @@ func TestFigureTablesPinned(t *testing.T) {
 	}
 }
 
+// csvHash is the sha256 of the table's CSV rendering, in hex.
+func csvHash(t *testing.T, tb *Table) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tb.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
+}
+
+// TestFigureTablesPinnedDefaultProfile byte-checks the ten quick-scale
+// figure tables on the default solver profile (partial pricing, warm
+// re-solves): each hash is the sha256 of `quorumbench -fig <id> -quick
+// -format csv`. The LP-free figures hash as in TestFigureTablesPinned.
+func TestFigureTablesPinnedDefaultProfile(t *testing.T) {
+	pinned := map[string]string{
+		"fig3.1":  "c997178f9f718eeb3ea7c3dd3b03d560fb2bc69b9e1df0e3abbf168b4bb77182",
+		"fig3.2a": "967591c9a15b0fc825d2401b12577e1c5a00f5e909a18327bfb8831cc5713dc8",
+		"fig3.2b": "7e041b71ddef3a2aa0b2b552d8a6cc691823c7268cc2d82bdc3de17119f3ecaa",
+		"fig6.3":  "83d8151dc1d18cc71ce17405d09ad6b17a1d32c74b689daa9594a1084e06af78",
+		"fig6.4":  "2067d8b6549f642faa8f725e089cf202edbbd2af46cc93a8b94ddd2e431a0074",
+		"fig6.5":  "ef1579d50e9c3cc9071d3b3ef7b9e8251eba04c3848939becd5a0cf25366d814",
+		"fig7.6":  "eabc9e6fdca14a7ac04da1b2387263f4b2ff2b1179291eb18920f19fc95bf590",
+		"fig7.7":  "2d69d883750745b9eb67069a45cbe057093c32dcb8ce114fc535736933ac82c4",
+		"fig7.8":  "2f511469de83d6ec9fea56c4798af520c48c9de8763d68499c0e94e80efffd52",
+		"fig8.9":  "dc97e9fab38628f195ca2d7e174fc0d7fb3eb7a21ca651811c6dbb21f5dd8f03",
+	}
+	figs := Figures(true)
+	if len(figs) != len(pinned) {
+		t.Errorf("%d figures, %d pinned tables", len(figs), len(pinned))
+	}
+	for _, spec := range figs {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			tb, err := Run(&spec, quickFigureCfg(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := csvHash(t, tb), pinned[spec.Name]; got != want {
+				t.Errorf("table hash %s, want %s", got, want)
+			}
+		})
+	}
+}
+
 // runFigure runs the named figure at the given scale on the default
 // fast profile, as `quorumbench -fig <name> -quick` does without
 // -reproducible; the pins cover the reproducible profile.

@@ -283,6 +283,41 @@ func TestTimelineLibraryTablesPinned(t *testing.T) {
 	}
 }
 
+// TestTimelineLibraryTablesPinnedDefaultProfile byte-checks the seven
+// library timeline tables on the default solver profile, which re-plans
+// through warm re-solves, Rebind and the dual-simplex repair: each hash
+// is the sha256 of `quorumbench -scenario <name> -format csv`.
+func TestTimelineLibraryTablesPinnedDefaultProfile(t *testing.T) {
+	pinned := map[string]string{
+		"regional-outage":      "7d3af8789debb93dd25af00e721b4a295ba627cc845f0ff0804e0ceebc21483e",
+		"diurnal-demand":       "d5e6d74ac8eebd388a29eb1d01845c330c9072f31f1c557271a5aebbee58d39d",
+		"rtt-drift":            "7312af341a36fd9a309052a6766f4ebd2ede823662abeb0bea6dea4eb47047f4",
+		"site-churn":           "d04f898841abcb4738cd9de363fff065269151dd7748da1d5a3338977b222465",
+		"flash-crowd":          "61209c9947ebb9b5db391730fe55e2fa7a94c5cfbeba7fe20d9bc406194ee2e8",
+		"heterogeneous-demand": "3b2ac683cd24b9f3a97971a555bcbe14b7d4943416471460861bf1003862795d",
+		"correlated-failure":   "24c0d558937b94f6d71c0b0d51f7fdb6d1bf1ef34ffe4cf161e18f7b1839f7a6",
+	}
+	for _, spec := range Library() {
+		if spec.Kind != KindTimeline {
+			continue
+		}
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			want, ok := pinned[spec.Name]
+			if !ok {
+				t.Fatalf("library timeline %q has no pinned table hash", spec.Name)
+			}
+			tb, err := Run(&spec, RunConfig{Seed: topology.DefaultSeed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := csvHash(t, tb); got != want {
+				t.Errorf("table hash %s, want %s", got, want)
+			}
+		})
+	}
+}
+
 // TestValidateRejectsNewFields covers the hardening added with the
 // weights/compare_unreplanned steps: empty steps, malformed weights,
 // and misplaced flags are caught before execution.

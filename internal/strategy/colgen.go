@@ -224,20 +224,13 @@ func (c *colgen) optimize(caps []float64) (*Result, error) {
 	c.stats.MasterSolves = 0
 	c.stats.FarkasRounds = 0
 
-	basis := c.basis
-	if !c.cfg.WarmStart {
-		basis = nil
-	}
+	basis := c.basis // nil unless WarmStart kept the last optimum
 	var sol *lp.Solution
 	method := ""
 	iters := 0
 	for {
 		var err error
-		if basis != nil {
-			sol, err = c.prob.SolveWarm(c.cfg.LP, basis)
-		} else {
-			sol, err = c.prob.SolveWith(c.cfg.LP)
-		}
+		sol, err = c.prob.Solve(c.cfg.LP, basis)
 		c.stats.MasterSolves++
 		if err != nil {
 			ray := lp.InfeasibleRay(err)

@@ -134,7 +134,7 @@ type Optimizer struct {
 	// capRows[r] is the node whose capacity row is row nc+r.
 	capRows []int
 
-	basis lp.Basis // last optimal basis (warm start), nil until first solve
+	basis lp.Basis // last optimal basis when WarmStart is set, else nil
 
 	// cg is the column-generation engine; non-nil iff the resolved solver
 	// is SolverColgen, in which case the dense fields above stay unused.
@@ -337,13 +337,7 @@ func (o *Optimizer) Optimize(caps []float64) (*Result, error) {
 			return nil, err
 		}
 	}
-	var sol *lp.Solution
-	var err error
-	if o.cfg.WarmStart && o.basis != nil {
-		sol, err = o.prob.SolveWarm(o.cfg.LP, o.basis)
-	} else {
-		sol, err = o.prob.SolveWith(o.cfg.LP)
-	}
+	sol, err := o.prob.Solve(o.cfg.LP, o.basis)
 	if err != nil {
 		return nil, fmt.Errorf("strategy: access LP (%d vars, %d rows): %w",
 			o.prob.NumVars(), o.prob.NumConstraints(), err)
@@ -439,20 +433,6 @@ type SweepPoint struct {
 	Infeasible bool
 }
 
-// SweepConfig tunes sweep execution. The zero value is the fast path:
-// warm-started partial-pricing solves. Sweep points are processed in
-// fixed-size chunks, in parallel, whose boundaries depend only on the
-// number of points, so results are identical at every pool width.
-type SweepConfig struct {
-	// Reproducible solves every point cold with Dantzig pricing,
-	// bit-for-bit reproducing the original serial sweep (useful when
-	// regenerating the paper's tables for comparison). The default warm
-	// path reaches the same optima, but on degenerate LPs it may return
-	// different optimal vertices, which can shift vertex-dependent
-	// measures (response time) within the optimal face.
-	Reproducible bool
-}
-
 // SweepChunkSize fixes the warm-start chain length. Chunk boundaries
 // must not depend on pool width, or results would change with
 // parallelism: each chunk always starts with a cold solve and
@@ -475,8 +455,13 @@ func ChunkBounds(ci, n int) (lo, hi int) {
 }
 
 // UniformSweep runs Optimize for each uniform capacity value and
-// evaluates response time, reproducing the technique of Figure 7.6.
-func UniformSweep(e *core.Eval, values []float64, cfg SweepConfig) ([]SweepPoint, error) {
+// evaluates response time, reproducing the technique of Figure 7.6. Each
+// chunk of points gets its own Optimizer built with cfg, as ConfigFor
+// resolves it: ConfigFor(false) chains warm, partially priced solves
+// through a chunk, ConfigFor(true) solves every point cold with Dantzig
+// pricing. Chunks run in parallel, and their boundaries depend only on
+// the number of points, so results are identical at every pool width.
+func UniformSweep(e *core.Eval, values []float64, cfg Config) ([]SweepPoint, error) {
 	return runSweep(e, values, cfg, func(c float64, caps []float64) ([]float64, error) {
 		if caps == nil {
 			caps = make([]float64, e.Topo.Size())
@@ -532,7 +517,7 @@ func NonUniformCaps(e *core.Eval, beta, gamma float64) ([]float64, error) {
 // NonUniformSweep mirrors UniformSweep but sets capacities with the
 // non-uniform heuristic over intervals [β, γ] = [lopt, c] for each c,
 // reproducing Figures 7.7/7.8.
-func NonUniformSweep(e *core.Eval, lopt float64, values []float64, cfg SweepConfig) ([]SweepPoint, error) {
+func NonUniformSweep(e *core.Eval, lopt float64, values []float64, cfg Config) ([]SweepPoint, error) {
 	return runSweep(e, values, cfg, func(c float64, _ []float64) ([]float64, error) {
 		return NonUniformCaps(e, lopt, c)
 	})
@@ -545,7 +530,7 @@ func NonUniformSweep(e *core.Eval, lopt float64, values []float64, cfg SweepConf
 // one Optimizer carries warm-start state from point to point, so the
 // outcome depends only on the chunk partition — never on scheduling —
 // and parallel output is identical to serial.
-func runSweep(e *core.Eval, values []float64, cfg SweepConfig,
+func runSweep(e *core.Eval, values []float64, cfg Config,
 	capsFor func(c float64, scratch []float64) ([]float64, error)) ([]SweepPoint, error) {
 	n := len(values)
 	out := make([]SweepPoint, n)
@@ -570,10 +555,10 @@ func runSweep(e *core.Eval, values []float64, cfg SweepConfig,
 }
 
 // sweepChunk solves one contiguous run of sweep points with a dedicated
-// Optimizer, chaining warm starts unless configured reproducible.
-func sweepChunk(e *core.Eval, values []float64, out []SweepPoint, cfg SweepConfig,
+// Optimizer, chaining warm starts when cfg.WarmStart is set.
+func sweepChunk(e *core.Eval, values []float64, out []SweepPoint, cfg Config,
 	capsFor func(c float64, scratch []float64) ([]float64, error)) error {
-	opt, err := NewOptimizer(e, ConfigFor(cfg.Reproducible))
+	opt, err := NewOptimizer(e, cfg)
 	if err != nil {
 		return err
 	}

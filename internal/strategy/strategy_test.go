@@ -163,7 +163,7 @@ func TestSweepValues(t *testing.T) {
 func TestUniformSweepShape(t *testing.T) {
 	e := gridEval(t, 12, 3, 6, core.AlphaForDemand(16000))
 	lopt := e.Sys.OptimalLoad()
-	pts, err := UniformSweep(e, SweepValues(lopt, 5), SweepConfig{})
+	pts, err := UniformSweep(e, SweepValues(lopt, 5), ConfigFor(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestNonUniformCapsValidation(t *testing.T) {
 func TestNonUniformSweepRuns(t *testing.T) {
 	e := gridEval(t, 12, 3, 9, core.AlphaForDemand(16000))
 	lopt := e.Sys.OptimalLoad()
-	pts, err := NonUniformSweep(e, lopt, SweepValues(lopt, 4), SweepConfig{})
+	pts, err := NonUniformSweep(e, lopt, SweepValues(lopt, 4), ConfigFor(false))
 	if err != nil {
 		t.Fatal(err)
 	}

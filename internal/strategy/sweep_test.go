@@ -17,7 +17,7 @@ func TestParallelSweepIdenticalToSerial(t *testing.T) {
 	values := SweepValues(e.Sys.OptimalLoad(), 10)
 	lopt := e.Sys.OptimalLoad()
 	for _, repro := range []bool{false, true} {
-		cfg := SweepConfig{Reproducible: repro}
+		cfg := ConfigFor(repro)
 		partest.SetGOMAXPROCS(t, 1)
 		serial, err := UniformSweep(e, values, cfg)
 		if err != nil {
@@ -55,11 +55,11 @@ func TestParallelSweepIdenticalToSerial(t *testing.T) {
 func TestWarmSweepMatchesReproducibleObjectives(t *testing.T) {
 	e := gridEval(t, 12, 3, 7, 5)
 	values := SweepValues(e.Sys.OptimalLoad(), 12)
-	fast, err := UniformSweep(e, values, SweepConfig{})
+	fast, err := UniformSweep(e, values, ConfigFor(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	repro, err := UniformSweep(e, values, SweepConfig{Reproducible: true})
+	repro, err := UniformSweep(e, values, ConfigFor(true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,13 +171,13 @@ func SweepValues(lopt float64, count int) []float64 { return strategy.SweepValue
 // value on a bounded worker pool, warm-starting within chunks of
 // consecutive points.
 func UniformCapacitySweep(e *Eval, values []float64) ([]SweepPoint, error) {
-	return strategy.UniformSweep(e, values, strategy.SweepConfig{})
+	return strategy.UniformSweep(e, values, strategy.ConfigFor(false))
 }
 
 // NonUniformCapacitySweep uses the §7 heuristic (capacity inversely
 // proportional to client distance) over intervals [lopt, c].
 func NonUniformCapacitySweep(e *Eval, lopt float64, values []float64) ([]SweepPoint, error) {
-	return strategy.NonUniformSweep(e, lopt, values, strategy.SweepConfig{})
+	return strategy.NonUniformSweep(e, lopt, values, strategy.ConfigFor(false))
 }
 
 // BestSweepPoint returns the feasible sweep point minimizing response time.

@@ -323,9 +323,8 @@ func anyUsed(objs []types.Object, used map[types.Object]bool) bool {
 }
 
 // configSeams are the Config/Options fields that only tests set: each
-// lets a test set a wait or a fake clock, narrow the clients a placement
-// is scored at, or select the reference implementation it compares
-// production output against.
+// lets a test set a wait or a fake clock, or select the reference
+// implementation it compares production output against.
 var configSeams = map[string]string{
 	"fleet.Config.Attempts":                   "retry tests exhaust a shard after one or two attempts",
 	"fleet.Config.RetryBackoff":               "the single-worker retry test backs off in milliseconds",
@@ -338,7 +337,6 @@ var configSeams = map[string]string{
 	"fleet.LeaseOptions.RetryDelay":           "the lease test re-registers in milliseconds",
 	"serve.Options.MaxApplyQueue":             "the backpressure test fills a two-deep queue",
 	"placement.Options.Search":                "the exhaustive anchor search is the pruned search's reference",
-	"placement.Options.Clients":               "single-client optimality and pruned-search tests score placements at a client subset",
 	"strategy.Config.NoAggregate":             "the unaggregated LP is the aggregated LP's reference",
 	"strategy.Config.Solver":                  "dense is colgen's reference",
 }

@@ -163,9 +163,14 @@ func (c *Coordinator) run(spec *scenario.Spec, cfg scenario.RunConfig, recovered
 	// the worst case so no goroutine ever blocks on a finished run.
 	results := make(chan attemptOutcome, shards*maxAttempts)
 
+	// abort cancels every in-flight attempt and waits for each to report,
+	// so no attempt outlives the run.
 	abort := func(err error) (*scenario.Table, error) {
 		for _, att := range inflight {
 			att.cancel()
+		}
+		for n := len(inflight); n > 0; n-- {
+			<-results
 		}
 		return nil, err
 	}
@@ -234,9 +239,9 @@ func (c *Coordinator) run(spec *scenario.Spec, cfg scenario.RunConfig, recovered
 		// Mid-job re-dispatch: an attempt whose worker went dead is
 		// superseded and its shard re-enqueued immediately — within the
 		// registry's missed-heartbeat window, not a ShardTimeout. The
-		// attempt itself keeps polling (the worker may be alive but
-		// partitioned from the registry); whichever attempt delivers
-		// first wins, the loser is discarded by attempt key.
+		// attempt itself keeps waiting on its request (the worker may be
+		// alive but partitioned from the registry); whichever attempt
+		// delivers first wins, the loser is discarded by attempt key.
 		for _, att := range inflight {
 			if att.superseded || done[att.shard] != nil || liveSet[att.worker.ID] {
 				continue
@@ -314,16 +319,17 @@ func (c *Coordinator) run(spec *scenario.Spec, cfg scenario.RunConfig, recovered
 				excluded: copyExcluded(t.excluded),
 				cancel:   cancel,
 			}
-			inflight[att.key] = att
-			perWorker[w.ID]++
 			c.event(Event{Kind: EventDispatch, Shard: t.shard, Attempt: attempt, AttemptID: att.key, Worker: w.ID})
 			if c.cfg.Journal != nil {
 				if jerr := c.cfg.Journal.Dispatch(t.shard, att.key, w.ID); jerr != nil {
+					cancel()
 					return abort(fmt.Errorf("fleet: %s: journaling dispatch %s: %w", spec.Name, att.key, jerr))
 				}
 			}
 			c.logf("fleet: %s: shard %d/%d attempt %s -> %s (%s)",
 				spec.Name, t.shard, shards, att.key, w.ID, w.Addr)
+			inflight[att.key] = att
+			perWorker[w.ID]++
 			go func(att *shardAttempt, addr string) {
 				partial, err := c.attemptShard(ctx, addr, spec, cfg, att.shard, shards)
 				results <- attemptOutcome{key: att.key, partial: partial, err: err}
@@ -363,30 +369,15 @@ func (c *Coordinator) run(spec *scenario.Spec, cfg scenario.RunConfig, recovered
 		}
 	}
 
-	// Drain: superseded attempts may still be polling. Give them
-	// DrainGrace to deliver naturally — their results are discarded by
-	// attempt key with an observable event — then cancel the rest.
-	if len(inflight) > 0 {
-		grace := time.NewTimer(c.cfg.DrainGrace)
-		draining := true
-		for len(inflight) > 0 && draining {
-			select {
-			case out := <-results:
-				if _, err := takeOutcome(out); err != nil {
-					return abort(err)
-				}
-			case <-grace.C:
-				draining = false
-			}
-		}
-		grace.Stop()
-		for _, att := range inflight {
-			att.cancel()
-		}
-		for len(inflight) > 0 {
-			if _, err := takeOutcome(<-results); err != nil {
-				return abort(err)
-			}
+	// Drain: superseded attempts may still be running. Cancel them and
+	// wait for each to report; a result that beat the cancel is
+	// discarded by attempt key with an observable event.
+	for _, att := range inflight {
+		att.cancel()
+	}
+	for len(inflight) > 0 {
+		if _, err := takeOutcome(<-results); err != nil {
+			return abort(err)
 		}
 	}
 

@@ -83,7 +83,7 @@ func newFleetHarness(t *testing.T) *fleetHarness {
 		reg: NewRegistry(RegistryOptions{
 			HeartbeatInterval: time.Second,
 			Now:               clock.Now,
-			Logf:              testLogf(t),
+			Logf:              t.Logf,
 		}),
 	}
 	base, err := scenario.Run(testSpec(), testCfg())
@@ -102,7 +102,7 @@ func newFleetHarness(t *testing.T) *fleetHarness {
 // startWorker starts a worker and returns its address.
 func (h *fleetHarness) startWorker() string {
 	h.t.Helper()
-	srv := httptest.NewServer(NewWorker(WorkerOptions{MaxWait: 100 * time.Millisecond, Logf: testLogf(h.t)}).Handler())
+	srv := httptest.NewServer(NewWorker(WorkerOptions{Logf: h.t.Logf}).Handler())
 	h.t.Cleanup(srv.Close)
 	return srv.URL
 }
@@ -237,22 +237,22 @@ func TestFleetRunByteIdentical(t *testing.T) {
 }
 
 // TestMidExecuteDeathRedispatch is the static-address-hang regression
-// test: a worker dies mid-execute (its result polls black-hole, its
+// test: a worker dies mid-execute (its result black-holes, its
 // heartbeats stop), and the coordinator re-dispatches the shard the
 // moment the registry declares it dead — two missed heartbeats on the
 // fake clock — instead of burning the 5-minute ShardTimeout the run is
 // configured with. The script fires at the exact protocol point: right
-// after the worker accepted the shard.
+// after the shard request reached the worker.
 func TestMidExecuteDeathRedispatch(t *testing.T) {
 	h := newFleetHarness(t)
 	victim, proxy := h.addProxiedWorker()
 	survivor := h.addWorker()
 
 	proxy.After(pointDispatch, func() {
-		// Mid-execute: the job is accepted and running. The worker's
-		// polls now hang like a TCP blackhole, and its heartbeats stop —
-		// kill advances the clock exactly two intervals.
-		proxy.Hold(pointPoll)
+		// Mid-execute: the shard is at the worker. Its result now hangs
+		// like a TCP blackhole, and its heartbeats stop — kill advances
+		// the clock exactly two intervals.
+		proxy.Hold(pointResult)
 		h.kill(victim.ID)
 	})
 
@@ -361,24 +361,34 @@ func TestPreResultSeverRedispatch(t *testing.T) {
 // later delivers its result anyway (it was only partitioned); by then
 // the re-dispatched attempt has completed the shard, and the stale
 // result is discarded by shard-attempt id — observable as exactly one
-// late-discard event — leaving the merge byte-identical.
+// late-discard event — leaving the merge byte-identical. The run's
+// other shard is held at its worker's proxy until the discard, so the
+// late result lands while the run is still open.
 func TestLateDuplicateResultDiscarded(t *testing.T) {
 	h := newFleetHarness(t)
 	victim, proxy := h.addProxiedWorker()
-	h.addWorker()
+	_, holder := h.addProxiedWorker()
+	survivor := h.addWorker()
 
-	// Park the victim's finished result at the proxy, kill the victim's
-	// heartbeats the moment it accepts the shard, and release the parked
-	// result only once the re-dispatched attempt has won the shard.
+	// Shard 0 goes to the victim and shard 1 to the holder (ties break
+	// by registration order). Park the victim's finished result at its
+	// proxy, kill the victim's heartbeats the moment the shard reaches
+	// it, and release the parked result only once the re-dispatched
+	// attempt has won the shard on the survivor. Shard 1's result waits
+	// for the discard.
 	releaseResult := proxy.Hold(pointResult)
+	releaseHolder := holder.Hold(pointResult)
 	proxy.After(pointDispatch, func() { h.kill(victim.ID) })
 	h.log.hook(func(ev Event) {
-		if ev.Kind == EventShardDone && ev.Shard == 0 && ev.Worker != victim.ID {
+		switch {
+		case ev.Kind == EventShardDone && ev.Shard == 0 && ev.Worker != victim.ID:
 			releaseResult()
+		case ev.Kind == EventLateDiscard:
+			releaseHolder()
 		}
 	})
 
-	coord := h.coordinator(Config{Shards: 1, DrainGrace: 10 * time.Second})
+	coord := h.coordinator(Config{Shards: 2})
 	got, err := coord.Run(testSpec(), testCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -391,8 +401,8 @@ func TestLateDuplicateResultDiscarded(t *testing.T) {
 	if disc.Worker != victim.ID || disc.Attempt != 1 {
 		t.Errorf("late discard %+v, want attempt 1 on %s", disc, victim.ID)
 	}
-	if ev, _ := h.log.first(EventShardDone); ev.Attempt != 2 {
-		t.Errorf("shard won by attempt %d, want the re-dispatched attempt 2", ev.Attempt)
+	if ev, _ := h.log.first(EventShardDone); ev.Shard != 0 || ev.Attempt != 2 || ev.Worker != survivor.ID {
+		t.Errorf("first shard done %+v, want shard 0 won by the re-dispatched attempt 2 on %s", ev, survivor.ID)
 	}
 }
 
@@ -420,7 +430,7 @@ func TestElasticRunFailsAfterMaxAttempts(t *testing.T) {
 func TestExhaustedShardFailsRunAtOnce(t *testing.T) {
 	h := newFleetHarness(t)
 	hung, proxy := h.startProxiedWorker()
-	t.Cleanup(proxy.Hold(pointPoll))
+	t.Cleanup(proxy.Hold(pointResult))
 	dead := httptest.NewServer(nil)
 	dead.Close() // now refuses connections
 

@@ -1,11 +1,10 @@
 // The fleet tests' in-process fault-injection harness: a faultProxy
 // fronts one worker's HTTP endpoint and drops, holds, or severs
-// traffic at scripted protocol points — pre-dispatch
-// (the shard submission), mid-execute (immediately after a submission
-// was accepted), and pre-result (the poll response that would deliver
-// the finished partial). Scripts hook exact protocol moments instead of
-// sleeping, so every coordinator re-dispatch path is exercised
-// deterministically.
+// traffic at scripted protocol points — pre-dispatch (the shard
+// request arriving), mid-execute (the request has reached the worker),
+// and pre-result (the response that would deliver the finished
+// partial). Scripts hook exact protocol moments instead of sleeping, so
+// every coordinator re-dispatch path is exercised deterministically.
 //
 // Faults are connection-shaped, not HTTP-shaped: a dropped or severed
 // request aborts the connection (the client sees EOF / connection
@@ -17,10 +16,10 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"net/url"
 	"strings"
 	"sync"
@@ -34,16 +33,14 @@ type faultPoint string
 
 // Scriptable protocol points.
 const (
-	// pointDispatch is a shard submission (POST /v1/shards) arriving at
+	// pointDispatch is a shard request (POST /v1/shards) arriving at
 	// the worker. Dropping here is a pre-dispatch fault: the worker
 	// never hears of the shard.
 	pointDispatch faultPoint = "dispatch"
-	// pointPoll is a result request (GET /v1/shards/<id>/result)
-	// arriving at the worker, whatever its eventual answer.
-	pointPoll faultPoint = "poll"
-	// pointResult is a poll response that carries the finished result
-	// (status done or error). Dropping here is a pre-result fault: the
-	// worker executed the shard, the coordinator never learns it.
+	// pointResult is a shard request's response that carries the
+	// shard's outcome: the partial (200) or the execution error (500).
+	// Dropping here is a pre-result fault: the worker executed the
+	// shard, the coordinator never learns it.
 	pointResult faultPoint = "result"
 )
 
@@ -128,11 +125,11 @@ func (p *faultProxy) Hold(pt faultPoint) (release func()) {
 }
 
 // After registers a one-shot hook that fires right after traffic passes
-// the point — After(pointDispatch, ...) fires the moment a shard
-// submission has been accepted and answered, i.e. the start of
-// mid-execute. Hooks run synchronously on the request's goroutine, so a
-// script can sever the proxy, stop heartbeats, and advance a fake clock
-// at an exact protocol moment.
+// the point — After(pointDispatch, ...) fires once a shard request has
+// been written to the worker, i.e. the start of mid-execute, and
+// After(pointResult, ...) once the result has been delivered. The proxy
+// goes on only when the hooks return, so a script can sever the proxy,
+// stop heartbeats, and advance a fake clock at an exact protocol moment.
 func (p *faultProxy) After(pt faultPoint, f func()) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -182,22 +179,14 @@ func classify(r *http.Request) faultPoint {
 	if r.Method == http.MethodPost && r.URL.Path == "/v1/shards" {
 		return pointDispatch
 	}
-	if r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/result") {
-		return pointPoll
-	}
 	return ""
 }
 
-// finished reports whether a poll response body carries a terminal
-// status — the payload a pre-result fault must intercept.
-func finished(body []byte) bool {
-	var res struct {
-		Status string `json:"status"`
-	}
-	if json.Unmarshal(body, &res) != nil {
-		return false
-	}
-	return res.Status == "done" || res.Status == "error"
+// carriesResult reports whether a shard request's response carries the
+// shard's outcome — the payload a pre-result fault must intercept —
+// rather than a rejection (400, 503) issued before it ran.
+func carriesResult(status int) bool {
+	return status == http.StatusOK || status == http.StatusInternalServerError
 }
 
 func (p *faultProxy) serve(rw http.ResponseWriter, r *http.Request) {
@@ -222,7 +211,27 @@ func (p *faultProxy) serve(rw http.ResponseWriter, r *http.Request) {
 	u := *p.backend
 	u.Path = r.URL.Path
 	u.RawQuery = r.URL.RawQuery
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, u.String(), bytes.NewReader(body))
+	ctx := r.Context()
+	// A shard request reaches the worker once it is written to the
+	// worker's connection (a write the transport retries on a fresh
+	// connection counts once it succeeds): the dispatch hooks fire
+	// there, while the worker executes, and the proxy waits for them
+	// before relaying the response.
+	hooked := make(chan struct{})
+	if pt == pointDispatch {
+		var once sync.Once
+		ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{
+			WroteRequest: func(info httptrace.WroteRequestInfo) {
+				if info.Err == nil {
+					once.Do(func() {
+						p.fireAfter(pointDispatch)
+						close(hooked)
+					})
+				}
+			},
+		})
+	}
+	req, err := http.NewRequestWithContext(ctx, r.Method, u.String(), bytes.NewReader(body))
 	if err != nil {
 		panic(http.ErrAbortHandler)
 	}
@@ -237,11 +246,16 @@ func (p *faultProxy) serve(rw http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
 	}
 
-	// Response-side points: a finished result about to be delivered.
-	delivered := pt
-	if pt == pointPoll && finished(respBody) {
-		delivered = pointResult
-		if p.act(r.Context(), pointResult) {
+	// Response-side point: a finished result about to be delivered.
+	result := false
+	if pt == pointDispatch {
+		select {
+		case <-hooked:
+		case <-r.Context().Done():
+			panic(http.ErrAbortHandler)
+		}
+		result = carriesResult(resp.StatusCode)
+		if result && p.act(r.Context(), pointResult) {
 			panic(http.ErrAbortHandler)
 		}
 	}
@@ -259,32 +273,27 @@ func (p *faultProxy) serve(rw http.ResponseWriter, r *http.Request) {
 	}
 	rw.WriteHeader(resp.StatusCode)
 	_, _ = rw.Write(respBody)
-	if delivered != "" {
-		p.fireAfter(delivered)
+	if result {
+		p.fireAfter(pointResult)
 	}
 }
 
-// fakeWorker answers the fleet worker shapes the proxy classifies:
-// submissions accept, result polls report running until the job is
-// marked finished.
+// fakeWorker answers the shard requests the proxy classifies: 503
+// until it is marked ready, then 200 with a stand-in partial.
 type fakeWorker struct {
-	finished atomic.Bool
-	polls    atomic.Int32
+	ready atomic.Bool
 }
 
 func (w *fakeWorker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	rw.Header().Set("Content-Type", "application/json")
 	switch {
 	case r.Method == http.MethodPost && r.URL.Path == "/v1/shards":
-		rw.WriteHeader(http.StatusAccepted)
-		io.WriteString(rw, `{"id": "job-1"}`)
-	case r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/result"):
-		w.polls.Add(1)
-		if w.finished.Load() {
-			io.WriteString(rw, `{"id": "job-1", "status": "done"}`)
-		} else {
-			io.WriteString(rw, `{"id": "job-1", "status": "running"}`)
+		if !w.ready.Load() {
+			rw.WriteHeader(http.StatusServiceUnavailable)
+			io.WriteString(rw, `{"error": "busy"}`)
+			return
 		}
+		io.WriteString(rw, `{"shard": 0, "shards": 1}`)
 	default:
 		rw.WriteHeader(http.StatusNotFound)
 	}
@@ -316,18 +325,18 @@ func TestProxyPassesAndClassifies(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("dispatch through proxy: HTTP %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("rejected dispatch through proxy: HTTP %d", resp.StatusCode)
 	}
-	w.finished.Store(true)
-	resp, err = http.Get(front.URL + "/v1/shards/job-1/result")
+	w.ready.Store(true)
+	resp, err = post(t, front.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(body), `"done"`) {
-		t.Fatalf("result through proxy: %s", body)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"shards"`) {
+		t.Fatalf("result through proxy: HTTP %d %s", resp.StatusCode, body)
 	}
 }
 
@@ -348,8 +357,8 @@ func TestProxyDropNextAndSever(t *testing.T) {
 	if _, err := post(t, front.URL); err == nil {
 		t.Fatal("severed proxy still answered")
 	}
-	if _, err := http.Get(front.URL + "/v1/shards/job-1/result"); err == nil {
-		t.Fatal("severed proxy still answered polls")
+	if _, err := http.Get(front.URL + "/v1/shards"); err == nil {
+		t.Fatal("severed proxy still answered the job list")
 	}
 	p.Restore()
 	resp, err = post(t, front.URL)
@@ -362,18 +371,18 @@ func TestProxyDropNextAndSever(t *testing.T) {
 func TestProxyDropsOnlyFinishedResults(t *testing.T) {
 	w, p, front := startProxy(t)
 	p.DropNext(pointResult, 1)
-	// Running polls pass while the fault waits for the real result.
-	resp, err := http.Get(front.URL + "/v1/shards/job-1/result")
+	// Rejections pass while the fault waits for the real result.
+	resp, err := post(t, front.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	w.finished.Store(true)
-	if _, err := http.Get(front.URL + "/v1/shards/job-1/result"); err == nil {
+	w.ready.Store(true)
+	if _, err := post(t, front.URL); err == nil {
 		t.Fatal("finished result was delivered through a pre-result drop")
 	}
 	// One-shot: the retry gets through.
-	resp, err = http.Get(front.URL + "/v1/shards/job-1/result")
+	resp, err = post(t, front.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +391,7 @@ func TestProxyDropsOnlyFinishedResults(t *testing.T) {
 
 func TestProxyHoldAndAfterHooks(t *testing.T) {
 	w, p, front := startProxy(t)
-	w.finished.Store(true)
+	w.ready.Store(true)
 
 	fired := make(chan struct{})
 	p.After(pointDispatch, func() { close(fired) })
@@ -400,7 +409,7 @@ func TestProxyHoldAndAfterHooks(t *testing.T) {
 	release := p.Hold(pointResult)
 	got := make(chan error, 1)
 	go func() {
-		resp, err := http.Get(front.URL + "/v1/shards/job-1/result")
+		resp, err := post(t, front.URL)
 		if err == nil {
 			resp.Body.Close()
 		}

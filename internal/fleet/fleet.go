@@ -43,15 +43,10 @@ type Config struct {
 	// the failed worker would otherwise starve the shard and not
 	// excluding it would hot-loop (0 = 250ms).
 	RetryBackoff time.Duration
-	// DrainGrace is how long the dispatcher waits, after the run
-	// completes, for superseded attempts to deliver naturally before
-	// canceling them (0 = cancel immediately). Late results are
-	// discarded by shard-attempt id either way.
-	DrainGrace time.Duration
-	// ShardTimeout bounds one shard attempt end to end, dispatch through
-	// result (0 = 10m). A worker that accepted a job but hangs — while
-	// still heartbeating — charges one attempt when it expires; a worker
-	// that stops heartbeating is handled far sooner by re-dispatch.
+	// ShardTimeout bounds one shard attempt's request (0 = 10m). A
+	// worker that accepted a shard but hangs — while still heartbeating
+	// — charges one attempt when it expires; a worker that stops
+	// heartbeating is handled far sooner by re-dispatch.
 	ShardTimeout time.Duration
 	// Journal, when set, records every dispatch/complete/merge transition
 	// of the run (see internal/fleet/journal): a crashed coordinator's
@@ -113,13 +108,9 @@ const (
 	EventAbandon = "abandon"
 )
 
-const (
-	// pollTimeout is the long-poll duration of each result request.
-	pollTimeout = 30 * time.Second
-	// leaseInterval is the cadence of journal lease renewals during
-	// quiet stretches.
-	leaseInterval = time.Second
-)
+// leaseInterval is the cadence of journal lease renewals during quiet
+// stretches.
+const leaseInterval = time.Second
 
 func (c Config) shardTimeout() time.Duration {
 	if c.ShardTimeout <= 0 {
@@ -260,57 +251,31 @@ func (c *Coordinator) startLeaseTicker() func() {
 	}
 }
 
-// attemptShard dispatches one shard to one worker and long-polls for
-// its result until ctx expires.
+// attemptShard runs one shard on one worker: one POST under the
+// attempt's context, answered with the partial.
 func (c *Coordinator) attemptShard(ctx context.Context, addr string, spec *scenario.Spec, cfg scenario.RunConfig, shard, shards int) (*scenario.Partial, error) {
 	body, err := json.Marshal(&ShardRequest{Spec: spec, Config: cfg.Settings(), Shard: shard, Shards: shards})
 	if err != nil {
 		return nil, err
 	}
-	var sub ShardResponse
-	if err := c.doJSON(ctx, http.MethodPost, addr+"/v1/shards", body, &sub); err != nil {
-		return nil, fmt.Errorf("submitting: %w", err)
+	var partial scenario.Partial
+	if err := doJSON(ctx, addr+"/v1/shards", body, &partial); err != nil {
+		return nil, err
 	}
-	if sub.ID == "" {
-		return nil, fmt.Errorf("worker returned no job id")
+	if partial.Table == nil {
+		return nil, fmt.Errorf("worker returned no partial table")
 	}
-
-	url := fmt.Sprintf("%s/v1/shards/%s/result?timeout=%s", addr, sub.ID, pollTimeout)
-	for {
-		var res ResultResponse
-		if err := c.doJSON(ctx, http.MethodGet, url, nil, &res); err != nil {
-			return nil, fmt.Errorf("polling %s: %w", sub.ID, err)
-		}
-		switch res.Status {
-		case StatusRunning:
-			continue
-		case StatusDone:
-			if res.Partial == nil || res.Partial.Table == nil {
-				return nil, fmt.Errorf("job %s done without a partial table", sub.ID)
-			}
-			return res.Partial, nil
-		case StatusError:
-			return nil, fmt.Errorf("job %s: %s", sub.ID, res.Error)
-		default:
-			return nil, fmt.Errorf("job %s: unknown status %q", sub.ID, res.Status)
-		}
-	}
+	return &partial, nil
 }
 
-// doJSON performs one request and decodes the JSON reply, surfacing
+// doJSON posts one JSON body and decodes the JSON reply, surfacing
 // {"error": ...} bodies as errors.
-func (c *Coordinator) doJSON(ctx context.Context, method, url string, body []byte, out interface{}) error {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+func doJSON(ctx context.Context, url string, body []byte, out interface{}) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
+	req.Header.Set("Content-Type", "application/json")
 	// No client-wide timeout: the per-request context bounds every call.
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {

@@ -1,11 +1,16 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -15,24 +20,34 @@ import (
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
 
-// testLogf returns a Logf for a Worker, Coordinator, Registry or Lease
-// that forwards to t.Logf until t's cleanup runs and drops lines after
-// that: a job's execute goroutine may still log once the test has
-// returned, and t.Logf must not be called then.
-func testLogf(t *testing.T) func(format string, args ...interface{}) {
-	var mu sync.Mutex
-	ended := false
-	t.Cleanup(func() {
-		mu.Lock()
-		ended = true
-		mu.Unlock()
-	})
-	return func(format string, args ...interface{}) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !ended {
-			t.Logf(format, args...)
+// TestMain fails the package if goroutines outlive its tests: every
+// worker request, coordinator attempt, lease and proxy must be stopped
+// and waited for by its owner.
+func TestMain(m *testing.M) {
+	base := runtime.NumGoroutine()
+	code := m.Run()
+	if code == 0 && !goroutinesSettle(base) {
+		fmt.Fprintf(os.Stderr, "goroutines outlived the tests: %d running, %d at start\n", runtime.NumGoroutine(), base)
+		_ = pprof.Lookup("goroutine").WriteTo(os.Stderr, 1)
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// goroutinesSettle closes the default transport's idle keep-alive
+// connections (their read and write loops are goroutines) and waits a
+// few seconds for the goroutine count to fall back to base.
+func goroutinesSettle(base int) bool {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+		if runtime.NumGoroutine() <= base {
+			return true
 		}
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -67,7 +82,7 @@ func testCfg() scenario.RunConfig {
 
 func startWorker(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(NewWorker(WorkerOptions{MaxWait: time.Second}).Handler())
+	srv := httptest.NewServer(NewWorker(WorkerOptions{}).Handler())
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -87,7 +102,7 @@ func TestFleetRetriesDeadWorker(t *testing.T) {
 		Workers:  []string{dead.URL, live.URL},
 		Shards:   2,
 		Attempts: 2,
-		Logf:     testLogf(t),
+		Logf:     t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +122,7 @@ func TestFleetSurfacesJobErrors(t *testing.T) {
 	spec := testSpec()
 	spec.Topology = scenario.TopologySpec{Source: "file", Path: "/nonexistent/topo.txt"}
 	live := startWorker(t)
-	coord, err := New(Config{Workers: []string{live.URL}, Logf: testLogf(t)})
+	coord, err := New(Config{Workers: []string{live.URL}, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,134 +136,109 @@ func TestFleetSurfacesJobErrors(t *testing.T) {
 }
 
 // TestWorkerHTTPValidation covers the protocol edges: malformed
-// submissions, unknown jobs, bad shard ranges, long-poll running
-// status, and the job list.
+// requests, bad shard ranges, the absent result route, a shard that
+// fails to execute, a shard answered with its partial, and the job list.
 func TestWorkerHTTPValidation(t *testing.T) {
 	srv := startWorker(t)
-	post := func(body string) (*http.Response, error) {
-		return http.Post(srv.URL+"/v1/shards", "application/json", strings.NewReader(body))
-	}
-
-	resp, err := post(`{"bogus": 1}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: HTTP %d, want 400", resp.StatusCode)
-	}
-
 	specJSON, err := json.Marshal(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err = post(`{"spec": ` + string(specJSON) + `, "shard": 5, "shards": 2}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("out-of-range shard: HTTP %d, want 400", resp.StatusCode)
+	for _, c := range []struct {
+		name, body string
+		want       int
+	}{
+		{"unknown field", `{"bogus": 1}`, http.StatusBadRequest},
+		{"out-of-range shard", `{"spec": ` + string(specJSON) + `, "shard": 5, "shards": 2}`, http.StatusBadRequest},
+	} {
+		if code, err := postShard(context.Background(), srv.URL, c.body); err != nil || code != c.want {
+			t.Errorf("%s: HTTP %d (%v), want %d", c.name, code, err, c.want)
+		}
 	}
 
-	resp, err = http.Get(srv.URL + "/v1/shards/job-99/result")
+	resp, err := http.Get(srv.URL + "/v1/shards/job-1/result")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown job: HTTP %d, want 404", resp.StatusCode)
+		t.Errorf("result route: HTTP %d, want 404 (a shard's POST carries its result)", resp.StatusCode)
 	}
 
-	// A valid submission long-polled with a tiny timeout may report
-	// "running"; polling until done must produce the partial.
-	resp, err = post(`{"spec": ` + string(specJSON) + `, "config": {"reproducible": true}, "shard": 0, "shards": 2}`)
+	// A shard that cannot execute (its topology file is missing) is a
+	// 500 carrying the cause.
+	broken := testSpec()
+	broken.Topology = scenario.TopologySpec{Source: "file", Path: "/nonexistent/topo.txt"}
+	brokenJSON, err := json.Marshal(broken)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sub ShardResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+	resp, err = http.Post(srv.URL+"/v1/shards", "application/json",
+		strings.NewReader(`{"spec": `+string(brokenJSON)+`, "shard": 0, "shards": 1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failure struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&failure); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || sub.ID == "" {
-		t.Fatalf("submit: HTTP %d, id %q", resp.StatusCode, sub.ID)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err = http.Get(srv.URL + "/v1/shards/" + sub.ID + "/result?timeout=50ms")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var res ResultResponse
-		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if res.Status == StatusDone {
-			if res.Partial == nil || len(res.Partial.Points) == 0 {
-				t.Fatalf("done result without partial: %+v", res)
-			}
-			break
-		}
-		if res.Status != StatusRunning {
-			t.Fatalf("unexpected status %q (%s)", res.Status, res.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never finished")
-		}
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(failure.Error, "no such file") {
+		t.Errorf("failed execution: HTTP %d %q, want 500 with the cause", resp.StatusCode, failure.Error)
 	}
 
-	// Delivered jobs are evicted: the list is empty again and a second
-	// result fetch is a 404 (a coordinator that lost the response
-	// re-dispatches the shard instead).
-	resp, err = http.Get(srv.URL + "/v1/shards")
+	// A valid request is answered with the shard's partial.
+	resp, err = http.Post(srv.URL+"/v1/shards", "application/json",
+		strings.NewReader(`{"spec": `+string(specJSON)+`, "config": {"reproducible": true}, "shard": 0, "shards": 2}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var list struct {
-		Jobs []JobInfo `json:"jobs"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+	var partial scenario.Partial
+	if err := json.NewDecoder(resp.Body).Decode(&partial); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(list.Jobs) != 0 {
-		t.Errorf("delivered job not evicted: %+v", list.Jobs)
+	if resp.StatusCode != http.StatusOK || len(partial.Points) == 0 || partial.Table == nil {
+		t.Fatalf("shard: HTTP %d, partial %+v", resp.StatusCode, partial)
 	}
-	resp, err = http.Get(srv.URL + "/v1/shards/" + sub.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("re-fetch of delivered job: HTTP %d, want 404", resp.StatusCode)
+
+	// Nothing outlives its request: the list is empty again.
+	if jobs := listJobs(t, srv.URL); len(jobs) != 0 {
+		t.Errorf("answered shard still listed: %+v", jobs)
 	}
 }
 
-// TestWorkerRunsSlotsShardsAtOnce: a 2-slot worker executes two shards
-// at once, so GET /v1/shards lists both as running. Each job blocks in
-// its "started" log line until both have started; a worker that runs
-// one shard at a time never starts the second.
-func TestWorkerRunsSlotsShardsAtOnce(t *testing.T) {
-	started := make(chan struct{}, 2)
-	release := make(chan struct{})
-	logf := func(format string, args ...interface{}) {
+// holdStarted returns a worker Logf that blocks each shard in its
+// "started" line — after it took a slot, before it executes — until
+// release closes, announcing it on started first.
+func holdStarted(started chan<- struct{}, release <-chan struct{}) func(string, ...interface{}) {
+	return func(format string, args ...interface{}) {
 		if strings.HasSuffix(format, "started") {
 			started <- struct{}{}
 			<-release
 		}
 	}
-	srv := httptest.NewServer(NewWorker(WorkerOptions{Slots: 2, Logf: logf}).Handler())
+}
+
+// TestWorkerRunsSlotsShardsAtOnce: a 2-slot worker executes two shards
+// at once, so GET /v1/shards lists both as running. Each shard blocks
+// in its "started" log line until both have started; a worker that
+// runs one shard at a time never starts the second.
+func TestWorkerRunsSlotsShardsAtOnce(t *testing.T) {
+	started := make(chan struct{}, 2)
+	release := make(chan struct{})
+	srv := httptest.NewServer(NewWorker(WorkerOptions{Slots: 2, Logf: holdStarted(started, release)}).Handler())
 	t.Cleanup(srv.Close)
 	defer close(release)
 
-	submitShards(t, srv.URL, 2)
+	postShards(t, srv.URL, 2)
 	for i := 0; i < 2; i++ {
 		select {
 		case <-started:
 		case <-time.After(10 * time.Second):
-			t.Fatalf("%d of 2 jobs started: the worker runs fewer shards at once than its slots", i)
+			t.Fatalf("%d of 2 shards started: the worker runs fewer shards at once than its slots", i)
 		}
 	}
 
@@ -269,51 +259,134 @@ func TestWorkerRunsSlotsShardsAtOnce(t *testing.T) {
 func TestWorkerQueuesJobsBeyondSlots(t *testing.T) {
 	started := make(chan struct{}, 2)
 	release := make(chan struct{})
-	logf := func(format string, args ...interface{}) {
-		if strings.HasSuffix(format, "started") {
-			started <- struct{}{}
-			<-release
-		}
-	}
-	srv := httptest.NewServer(NewWorker(WorkerOptions{Logf: logf}).Handler())
+	srv := httptest.NewServer(NewWorker(WorkerOptions{Logf: holdStarted(started, release)}).Handler())
 	t.Cleanup(srv.Close)
 	defer close(release)
 
-	submitShards(t, srv.URL, 2)
+	postShards(t, srv.URL, 2)
 	select {
 	case <-started:
 	case <-time.After(10 * time.Second):
-		t.Fatal("no job started")
+		t.Fatal("no shard started")
 	}
 
-	jobs := listJobs(t, srv.URL)
 	count := map[string]int{}
+	jobs := waitJobs(t, srv.URL, "both shards to arrive", func(jobs []JobInfo) bool { return len(jobs) == 2 })
 	for _, j := range jobs {
 		count[j.Status]++
 	}
-	if count[StatusRunning] != 1 || count[StatusQueued] != 1 || len(jobs) != 2 {
+	if count[StatusRunning] != 1 || count[StatusQueued] != 1 {
 		t.Fatalf("GET /v1/shards: %v, want 1 running and 1 queued: %+v", count, jobs)
 	}
 }
 
-// submitShards posts shards 0..n-1 of testSpec to a worker.
-func submitShards(t *testing.T, url string, n int) {
+// TestWorkerSkipsQueuedShardOfGoneCaller: a 1-slot worker never starts
+// a queued shard whose caller hung up — the caller has re-dispatched it
+// or given up, so running it would only delay live shards.
+func TestWorkerSkipsQueuedShardOfGoneCaller(t *testing.T) {
+	started := make(chan struct{}, 2)
+	release := make(chan struct{})
+	var mu sync.Mutex
+	starts := 0
+	hold := holdStarted(started, release)
+	logf := func(format string, args ...interface{}) {
+		if strings.HasSuffix(format, "started") {
+			mu.Lock()
+			starts++
+			mu.Unlock()
+		}
+		hold(format, args...)
+	}
+	srv := httptest.NewServer(NewWorker(WorkerOptions{Logf: logf}).Handler())
+	t.Cleanup(srv.Close)
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce()
+
+	specJSON, err := json.Marshal(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := func(shard int) string {
+		return fmt.Sprintf(`{"spec": %s, "config": {"reproducible": true}, "shard": %d, "shards": 2}`, specJSON, shard)
+	}
+	first := make(chan int, 1)
+	go func() {
+		code, _ := postShard(context.Background(), srv.URL, body(0))
+		first <- code
+	}()
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("first shard never started")
+	}
+
+	ctx, hangUp := context.WithCancel(context.Background())
+	second := make(chan struct{})
+	go func() {
+		defer close(second)
+		_, _ = postShard(ctx, srv.URL, body(1))
+	}()
+	waitJobs(t, srv.URL, "the second shard to queue", func(jobs []JobInfo) bool { return len(jobs) == 2 })
+	hangUp()
+	<-second
+	waitJobs(t, srv.URL, "the hung-up shard to leave the queue", func(jobs []JobInfo) bool { return len(jobs) == 1 })
+
+	releaseOnce()
+	if code := <-first; code != http.StatusOK {
+		t.Fatalf("first shard: HTTP %d", code)
+	}
+	waitJobs(t, srv.URL, "the worker to go idle", func(jobs []JobInfo) bool { return len(jobs) == 0 })
+	mu.Lock()
+	defer mu.Unlock()
+	if starts != 1 {
+		t.Fatalf("%d shards started, want 1: the queued shard ran after its caller hung up", starts)
+	}
+}
+
+// postShard posts one shard request and returns the response status.
+func postShard(ctx context.Context, url, body string) (int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/shards", strings.NewReader(body))
+	if err != nil {
+		return 0, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	_, err = io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, err
+}
+
+// postShards posts shards 0..n-1 of testSpec to a worker, each from its
+// own goroutine since a POST returns only once its shard has run. The
+// test's cleanup waits for every response and checks it is a 200.
+func postShards(t *testing.T, url string, n int) {
 	t.Helper()
 	specJSON, err := json.Marshal(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
+	var wg sync.WaitGroup
+	codes := make([]int, n)
+	errs := make([]error, n)
 	for shard := 0; shard < n; shard++ {
 		body := fmt.Sprintf(`{"spec": %s, "config": {"reproducible": true}, "shard": %d, "shards": %d}`, specJSON, shard, n)
-		resp, err := http.Post(url+"/v1/shards", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit shard %d: HTTP %d", shard, resp.StatusCode)
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			codes[shard], errs[shard] = postShard(context.Background(), url, body)
+		}()
 	}
+	t.Cleanup(func() {
+		wg.Wait()
+		for shard := range codes {
+			if errs[shard] != nil || codes[shard] != http.StatusOK {
+				t.Errorf("shard %d: HTTP %d (%v), want 200", shard, codes[shard], errs[shard])
+			}
+		}
+	})
 }
 
 // listJobs returns a worker's GET /v1/shards list.
@@ -331,4 +404,21 @@ func listJobs(t *testing.T, url string) []JobInfo {
 		t.Fatal(err)
 	}
 	return list.Jobs
+}
+
+// waitJobs polls a worker's list until ok accepts it, failing the test
+// after ten seconds of waiting for what ok describes.
+func waitJobs(t *testing.T, url, what string, ok func([]JobInfo) bool) []JobInfo {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		jobs := listJobs(t, url)
+		if ok(jobs) {
+			return jobs
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("waited 10s for %s; the worker lists %+v", what, jobs)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }

@@ -38,7 +38,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	reg := NewRegistry(RegistryOptions{
 		HeartbeatInterval: time.Second,
 		Now:               clock.Now,
-		Logf:              testLogf(t),
+		Logf:              t.Logf,
 	})
 
 	a := reg.Register("127.0.0.1:1001", 1, 0)
@@ -217,14 +217,14 @@ func TestRegistryHTTP(t *testing.T) {
 func TestLeaseRegistersAndReRegisters(t *testing.T) {
 	reg := NewRegistry(RegistryOptions{
 		HeartbeatInterval: 10 * time.Millisecond,
-		Logf:              testLogf(t),
+		Logf:              t.Logf,
 	})
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
 
 	lease, err := Join(srv.URL, "127.0.0.1:9190", LeaseOptions{
 		RetryDelay: 10 * time.Millisecond,
-		Logf:       testLogf(t),
+		Logf:       t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ func journaledRun(t *testing.T, shards int) (string, []byte) {
 		t.Fatal(err)
 	}
 	w1, w2 := startWorker(t), startWorker(t)
-	coord, err := New(Config{Workers: []string{w1.URL, w2.URL}, Shards: shards, Journal: jr, Logf: testLogf(t)})
+	coord, err := New(Config{Workers: []string{w1.URL, w2.URL}, Shards: shards, Journal: jr, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func resumeFrom(t *testing.T, path string) []byte {
 	}
 	defer jr.Close()
 	w1, w2 := startWorker(t), startWorker(t)
-	coord, err := New(Config{Workers: []string{w1.URL, w2.URL}, Shards: st.Shards, Journal: jr, Logf: testLogf(t)})
+	coord, err := New(Config{Workers: []string{w1.URL, w2.URL}, Shards: st.Shards, Journal: jr, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestJournaledRunRecordsFullProtocol(t *testing.T) {
 		Workers: []string{w1.URL, w2.URL},
 		Shards:  3,
 		Journal: jr,
-		Logf:    testLogf(t),
+		Logf:    t.Logf,
 		OnEvent: log.record,
 	})
 	if err != nil {
@@ -224,7 +224,7 @@ func TestResumeRejectsForeignSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := startWorker(t)
-	coord, err := New(Config{Workers: []string{w.URL}, Shards: st.Shards, Logf: testLogf(t)})
+	coord, err := New(Config{Workers: []string{w.URL}, Shards: st.Shards, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestResumeAlreadyMergedJournal(t *testing.T) {
 	if !st.Merged {
 		t.Fatal("reference journal not merged")
 	}
-	coord, err := New(Config{Workers: []string{"http://127.0.0.1:1"}, Shards: st.Shards, ShardTimeout: time.Second, Logf: testLogf(t)})
+	coord, err := New(Config{Workers: []string{"http://127.0.0.1:1"}, Shards: st.Shards, ShardTimeout: time.Second, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,8 +58,9 @@ func (o StandbyOptions) now() time.Time {
 // surviving workers through the registry, re-dispatches only the shards
 // without a journaled result, and merges — byte-identical to the run
 // the primary would have produced. The dead primary's in-flight
-// attempts are harmless: their job ids are never polled by the new
-// epoch, and the journal keeps the first complete record per shard.
+// attempts are harmless: their responses go to the dead process, never
+// to the new epoch, and the journal keeps the first complete record per
+// shard.
 type Standby struct {
 	opts StandbyOptions
 }

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -79,23 +81,43 @@ func TestStandbyTakeoverByteIdentical(t *testing.T) {
 	h.clock.Advance(10 * time.Second)
 
 	// A surviving worker re-adopted through the registry — registered
-	// after the advance so its heartbeat window is fresh.
-	survivor := h.addWorker()
+	// after the advance so its heartbeat window is fresh. Its shards
+	// hold in their "started" line until the takeover dispatches.
+	started := make(chan struct{}, 2)
+	release := make(chan struct{})
+	srv := httptest.NewServer(NewWorker(WorkerOptions{Logf: holdStarted(started, release)}).Handler())
+	t.Cleanup(srv.Close)
+	survivor := h.reg.Register(srv.URL, 1, 0)
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce()
+	h.log.hook(func(ev Event) {
+		if ev.Kind == EventDispatch {
+			releaseOnce()
+		}
+	})
 
 	// The dead primary's in-flight duplicate: its dispatch of shard 1
-	// reached this worker and is still executing. The new epoch never
-	// polls this job id, so its result can only be orphaned.
+	// reached this worker and is still executing. Its response goes to
+	// a caller outside the new epoch, so its result can only be
+	// orphaned.
 	body, err := json.Marshal(&ShardRequest{Spec: spec, Config: cfg.Settings(), Shard: 1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(survivor.Addr+"/v1/shards", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		t.Fatalf("orphan dispatch status %d", resp.StatusCode)
+	orphan := make(chan int, 1)
+	go func() {
+		code, _ := postShard(context.Background(), survivor.Addr, string(body))
+		orphan <- code
+	}()
+	t.Cleanup(func() {
+		if code := <-orphan; code != http.StatusOK {
+			t.Errorf("orphan dispatch status %d", code)
+		}
+	})
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("orphan dispatch never started")
 	}
 
 	sb, err := NewStandby(StandbyOptions{
@@ -104,7 +126,7 @@ func TestStandbyTakeoverByteIdentical(t *testing.T) {
 		Now:      h.clock.Now,
 		Coordinator: Config{
 			Registry: h.reg,
-			Logf:     testLogf(t),
+			Logf:     t.Logf,
 			OnEvent:  h.log.record,
 		},
 	})
@@ -216,7 +238,7 @@ func TestStandbyTakeoverFromEveryRecordBoundary(t *testing.T) {
 			Journal:     prefix,
 			LeaseTTL:    5 * time.Second,
 			Now:         farFuture,
-			Coordinator: Config{Workers: []string{w1.URL, w2.URL}, Logf: testLogf(t)},
+			Coordinator: Config{Workers: []string{w1.URL, w2.URL}, Logf: t.Logf},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -273,7 +295,7 @@ func TestStandbyStandsDownWhenMerged(t *testing.T) {
 	sb, err := NewStandby(StandbyOptions{
 		Journal:     path,
 		Now:         h.clock.Now,
-		Coordinator: Config{Registry: h.reg, Logf: testLogf(t)},
+		Coordinator: Config{Registry: h.reg, Logf: t.Logf},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,20 +9,18 @@
 // worker excluded), and late duplicate results are discarded by
 // shard-attempt id.
 //
-// The protocol reuses the serving layer's idioms (strict JSON, long
-// polls, {"error": ...} bodies). Worker side:
+// The protocol reuses the serving layer's idioms (strict JSON,
+// {"error": ...} bodies). A shard is one request and one response.
+// Worker side:
 //
-//	POST /v1/shards              — {"spec": ..., "config": ..., "shard":
-//	                               i, "shards": n} enqueues one shard
-//	                               job and returns {"id": ...}.
-//	GET  /v1/shards              — lists jobs (id, label, status);
-//	                               Slots of them run at once.
-//	GET  /v1/shards/<id>/result  — long-polls (?timeout, capped by the
-//	                               worker's MaxWait) until the job
-//	                               finishes; replies {"status":
-//	                               "running"} on timeout so the caller
-//	                               polls again, else the partial or the
-//	                               execution error.
+//	POST /v1/shards — {"spec": ..., "config": ..., "shard": i,
+//	                  "shards": n} runs one shard inside the request
+//	                  and replies 200 with its partial; 400 for a
+//	                  malformed request, 503 while the worker holds its
+//	                  bound of in-flight shards, 500 when execution
+//	                  fails. Slots shards run at once; the rest queue,
+//	                  and one whose caller hangs up never runs.
+//	GET  /v1/shards — lists in-flight shards (label, queued/running).
 //
 // Registry side (mounted next to the coordinator; workers drive it
 // through a Lease):
@@ -34,18 +32,18 @@
 //	                                  makes the lease re-register.
 //	GET  /v1/workers                — the live/dead roster.
 //
-// Workers are stateless beyond their in-flight jobs: every shard request
-// carries the full spec and run settings, and the worker re-enumerates
-// the point-space locally (the enumeration is deterministic), so any
-// worker can execute any shard — the property retries and mid-job
-// re-dispatch rely on.
+// Workers are stateless beyond their in-flight requests: every shard
+// request carries the full spec and run settings, and the worker
+// re-enumerates the point-space locally (the enumeration is
+// deterministic), so any worker can execute any shard — the property
+// retries and mid-job re-dispatch rely on.
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -61,100 +59,48 @@ type ShardRequest struct {
 	Shards int               `json:"shards"`
 }
 
-// ShardResponse is the POST /v1/shards reply.
-type ShardResponse struct {
-	ID string `json:"id"`
-}
-
-// Job statuses reported by the result and list endpoints. Only the
-// list tells a queued job (waiting for an executor slot) from a running
-// one; a result long-poll reports both as running.
+// Shard statuses in the GET /v1/shards list: a queued shard waits for
+// an executor slot, a running one holds it.
 const (
 	StatusQueued  = "queued"
 	StatusRunning = "running"
-	StatusDone    = "done"
-	StatusError   = "error"
 )
-
-// ResultResponse is the GET /v1/shards/<id>/result payload.
-type ResultResponse struct {
-	ID     string `json:"id"`
-	Status string `json:"status"`
-	// Partial is set when Status is "done".
-	Partial *scenario.Partial `json:"partial,omitempty"`
-	// Error is set when Status is "error".
-	Error string `json:"error,omitempty"`
-}
 
 // JobInfo is one GET /v1/shards list element.
 type JobInfo struct {
-	ID     string `json:"id"`
 	Label  string `json:"label"`
 	Status string `json:"status"`
 }
 
 // WorkerOptions tunes a Worker.
 type WorkerOptions struct {
-	// MaxWait caps a result long-poll's ?timeout (default 30s).
-	MaxWait time.Duration
-	// Slots bounds concurrently executing shard jobs (<= 0 means 1): the
+	// Slots bounds concurrently executing shards (<= 0 means 1): the
 	// capacity a worker advertises with LeaseOptions.Slots, so a
 	// coordinator that weights dispatch by it finds the slots it counted.
 	Slots int
-	// Logf, when set, receives job lifecycle and progress logs.
+	// Logf, when set, receives shard lifecycle and progress logs.
 	Logf func(format string, args ...interface{})
 }
 
-func (o WorkerOptions) maxWait() time.Duration {
-	if o.MaxWait <= 0 {
-		return 30 * time.Second
-	}
-	return o.MaxWait
-}
+// maxJobs bounds the shard requests in flight at once, queued and
+// running. Requests beyond it get 503 until one finishes, so abandoned
+// coordinators cannot grow the worker without bound.
+const maxJobs = 64
 
-const (
-	// maxJobs bounds the jobs retained at once — queued, running, and
-	// finished-but-unfetched. Submissions beyond it get 503 until slots
-	// free up, so abandoned coordinators cannot grow the worker without
-	// bound.
-	maxJobs = 64
-	// retention is how long a finished job waits to be fetched before
-	// eviction. Delivered jobs are evicted immediately; a coordinator
-	// that comes back later re-dispatches the shard.
-	retention = 15 * time.Minute
-)
-
-// Worker executes shard jobs for coordinators. Mount Handler on an HTTP
-// server; jobs queue on a bounded executor and results are collected
-// with long polls.
+// Worker executes shards for coordinators. Mount Handler on an HTTP
+// server: each shard runs inside its POST, so the server owns and waits
+// for every running shard.
 type Worker struct {
 	opts WorkerOptions
 	sem  chan struct{}
 
 	mu   sync.Mutex
-	seq  uint64
-	jobs map[string]*job
+	jobs map[*job]bool // in-flight requests
 }
 
 type job struct {
-	id      string
 	label   string
-	started bool          // an executor slot is running it
-	done    chan struct{} // closed when the job finishes
-	doneAt  time.Time     // zero while running; set before done closes
-	partial *scenario.Partial
-	errMsg  string
-}
-
-// sweepLocked evicts finished jobs nobody fetched within the retention
-// window. Callers hold w.mu.
-func (w *Worker) sweepLocked(now time.Time) {
-	for id, j := range w.jobs {
-		if !j.doneAt.IsZero() && now.Sub(j.doneAt) > retention {
-			delete(w.jobs, id)
-			w.logf("fleet worker: %s (%s) evicted unfetched after %s", j.id, j.label, retention)
-		}
-	}
+	started bool // an executor slot is running it
 }
 
 // NewWorker builds a worker.
@@ -162,7 +108,7 @@ func NewWorker(opts WorkerOptions) *Worker {
 	return &Worker{
 		opts: opts,
 		sem:  make(chan struct{}, max(opts.Slots, 1)),
-		jobs: map[string]*job{},
+		jobs: map[*job]bool{},
 	}
 }
 
@@ -170,7 +116,6 @@ func NewWorker(opts WorkerOptions) *Worker {
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/shards", w.handleShards)
-	mux.HandleFunc("/v1/shards/", w.handleResult)
 	return mux
 }
 
@@ -203,8 +148,8 @@ func (w *Worker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 		httpError(rw, http.StatusBadRequest, "shard request has no spec")
 		return
 	}
-	// Validate what is cheap to validate before accepting the job; the
-	// topology build and enumeration happen on the executor.
+	// Validate what is cheap to validate before queueing; the topology
+	// build and enumeration happen once a slot is free.
 	if err := req.Spec.Validate(); err != nil {
 		httpError(rw, http.StatusBadRequest, err.Error())
 		return
@@ -216,56 +161,62 @@ func (w *Worker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 	}
 
 	w.mu.Lock()
-	w.sweepLocked(time.Now())
 	if len(w.jobs) >= maxJobs {
 		w.mu.Unlock()
 		httpError(rw, http.StatusServiceUnavailable,
-			fmt.Sprintf("worker holds %d jobs; retry later", maxJobs))
+			fmt.Sprintf("worker holds %d shards; retry later", maxJobs))
 		return
 	}
-	w.seq++
-	j := &job{
-		id:    fmt.Sprintf("job-%d", w.seq),
-		label: fmt.Sprintf("%s shard %d/%d", req.Spec.Name, req.Shard, req.Shards),
-		done:  make(chan struct{}),
-	}
-	w.jobs[j.id] = j
+	j := &job{label: fmt.Sprintf("%s shard %d/%d", req.Spec.Name, req.Shard, req.Shards)}
+	w.jobs[j] = true
 	w.mu.Unlock()
+	defer func() {
+		w.mu.Lock()
+		delete(w.jobs, j)
+		w.mu.Unlock()
+	}()
 
-	go w.execute(j, &req)
-	writeJSON(rw, http.StatusAccepted, &ShardResponse{ID: j.id})
+	partial, err := w.execute(r.Context(), j, &req)
+	if err != nil {
+		httpError(rw, http.StatusInternalServerError, err.Error())
+		return
+	}
+	writeJSON(rw, http.StatusOK, partial)
 }
 
-func (w *Worker) execute(j *job, req *ShardRequest) {
-	w.sem <- struct{}{}
+// execute waits for an executor slot and runs the shard on it. A caller
+// that hangs up while the shard waits has re-dispatched it or given up,
+// so the shard never runs.
+func (w *Worker) execute(ctx context.Context, j *job, req *ShardRequest) (*scenario.Partial, error) {
+	select {
+	case w.sem <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 	defer func() { <-w.sem }()
+	// select picks at random when the slot and the hang-up are both
+	// ready.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	w.mu.Lock()
 	j.started = true
 	w.mu.Unlock()
-	w.logf("fleet worker: %s (%s) started", j.id, j.label)
+	w.logf("fleet worker: %s started", j.label)
 	start := time.Now()
 
 	cfg := req.Config.RunConfig()
 	cfg.Progress = func(ev scenario.Progress) {
 		w.logf("fleet worker: %s point %d/%d done (%s, %.1fs)",
-			j.id, ev.Done, ev.Total, ev.Point.Label, ev.Elapsed.Seconds())
+			j.label, ev.Done, ev.Total, ev.Point.Label, ev.Elapsed.Seconds())
 	}
 	partial, err := executeShard(req.Spec, cfg, req.Shard, req.Shards)
-
-	w.mu.Lock()
 	if err != nil {
-		j.errMsg = err.Error()
-	} else {
-		j.partial = partial
+		w.logf("fleet worker: %s failed after %.1fs: %v", j.label, time.Since(start).Seconds(), err)
+		return nil, err
 	}
-	j.doneAt = time.Now()
-	w.mu.Unlock()
-	close(j.done)
-	if err != nil {
-		w.logf("fleet worker: %s failed after %.1fs: %v", j.id, time.Since(start).Seconds(), err)
-	} else {
-		w.logf("fleet worker: %s done in %.1fs (%d rows)", j.id, time.Since(start).Seconds(), len(partial.Table.Rows))
-	}
+	w.logf("fleet worker: %s done in %.1fs (%d rows)", j.label, time.Since(start).Seconds(), len(partial.Table.Rows))
+	return partial, nil
 }
 
 // executeShard enumerates the spec's point-space and executes one shard
@@ -284,82 +235,16 @@ func executeShard(spec *scenario.Spec, cfg scenario.RunConfig, shard, shards int
 
 func (w *Worker) handleList(rw http.ResponseWriter) {
 	w.mu.Lock()
-	w.sweepLocked(time.Now())
 	out := make([]JobInfo, 0, len(w.jobs))
-	for _, j := range w.jobs {
-		info := JobInfo{ID: j.id, Label: j.label, Status: StatusQueued}
+	for j := range w.jobs {
+		info := JobInfo{Label: j.label, Status: StatusQueued}
 		if j.started {
 			info.Status = StatusRunning
-		}
-		select {
-		case <-j.done:
-			if j.errMsg != "" {
-				info.Status = StatusError
-			} else {
-				info.Status = StatusDone
-			}
-		default:
 		}
 		out = append(out, info)
 	}
 	w.mu.Unlock()
 	writeJSON(rw, http.StatusOK, map[string]interface{}{"jobs": out})
-}
-
-func (w *Worker) handleResult(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(rw, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/shards/")
-	id, ok := strings.CutSuffix(rest, "/result")
-	if !ok || id == "" || strings.Contains(id, "/") {
-		httpError(rw, http.StatusNotFound, "want /v1/shards/<id>/result")
-		return
-	}
-	w.mu.Lock()
-	w.sweepLocked(time.Now())
-	j := w.jobs[id]
-	w.mu.Unlock()
-	if j == nil {
-		httpError(rw, http.StatusNotFound, fmt.Sprintf("no job %q", id))
-		return
-	}
-
-	timeout := w.opts.maxWait()
-	if tstr := r.URL.Query().Get("timeout"); tstr != "" {
-		d, err := time.ParseDuration(tstr)
-		if err != nil || d <= 0 {
-			httpError(rw, http.StatusBadRequest, fmt.Sprintf("invalid timeout %q", tstr))
-			return
-		}
-		if d < timeout {
-			timeout = d
-		}
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-j.done:
-	case <-timer.C:
-		writeJSON(rw, http.StatusOK, &ResultResponse{ID: j.id, Status: StatusRunning})
-		return
-	case <-r.Context().Done():
-		return
-	}
-
-	w.mu.Lock()
-	resp := &ResultResponse{ID: j.id, Status: StatusDone, Partial: j.partial}
-	if j.errMsg != "" {
-		resp = &ResultResponse{ID: j.id, Status: StatusError, Error: j.errMsg}
-	}
-	// The job is delivered exactly once: evict it so a long-lived worker
-	// does not retain every completed partial. A coordinator that loses
-	// this response re-dispatches the shard (any worker can run any
-	// shard), so nothing is owed to later readers.
-	delete(w.jobs, id)
-	w.mu.Unlock()
-	writeJSON(rw, http.StatusOK, resp)
 }
 
 func writeJSON(rw http.ResponseWriter, status int, v interface{}) {

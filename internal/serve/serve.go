@@ -61,8 +61,8 @@ const ReadHeaderTimeout = 5 * time.Second
 // HTTPServer returns the http.Server behind every daemon listener
 // (quorumd's API and debug listeners, the fleet worker, the fleet
 // registry). Only the header read is bounded: long-polls legitimately
-// park up to Options.MaxWait and shard jobs run for minutes, so there
-// is no read, write or idle timeout.
+// park up to Options.MaxWait and a shard request stays open while its
+// shard runs, for minutes, so there is no read, write or idle timeout.
 func HTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: ReadHeaderTimeout}
 }

@@ -38,7 +38,7 @@ var closedCh = func() chan struct{} {
 
 // after returns a channel closed once at least d has elapsed. Polls
 // landing in the same gran-wide bucket share the channel (and its one
-// timer goroutine).
+// timer).
 func (w *wheel) after(d time.Duration) <-chan struct{} {
 	if d <= 0 {
 		return closedCh
@@ -54,12 +54,11 @@ func (w *wheel) after(d time.Duration) <-chan struct{} {
 	}
 	ch := make(chan struct{})
 	w.buckets[slot] = ch
-	go func() {
-		time.Sleep(time.Duration(slot*gran - time.Now().UnixNano()))
+	time.AfterFunc(time.Duration(slot*gran-time.Now().UnixNano()), func() {
 		close(ch)
 		w.mu.Lock()
 		delete(w.buckets, slot)
 		w.mu.Unlock()
-	}()
+	})
 	return ch
 }

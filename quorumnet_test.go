@@ -328,12 +328,10 @@ func anyUsed(objs []types.Object, used map[types.Object]bool) bool {
 var configSeams = map[string]string{
 	"fleet.Config.Attempts":                   "retry tests exhaust a shard after one or two attempts",
 	"fleet.Config.RetryBackoff":               "the single-worker retry test backs off in milliseconds",
-	"fleet.Config.DrainGrace":                 "the late-duplicate test waits for a superseded attempt's result",
 	"fleet.Config.ShardTimeout":               "tests bound a hung attempt to a second, or stretch it to show re-dispatch preempts it",
 	"fleet.RegistryOptions.HeartbeatInterval": "registry and lease tests beat every few milliseconds",
 	"fleet.RegistryOptions.Now":               "fault-injection tests expire workers by advancing a fake clock",
 	"fleet.StandbyOptions.Now":                "standby tests trigger a takeover by advancing a fake clock",
-	"fleet.WorkerOptions.MaxWait":             "fleet tests cap a worker's result long-poll so a held poll returns in milliseconds",
 	"fleet.LeaseOptions.RetryDelay":           "the lease test re-registers in milliseconds",
 	"serve.Options.MaxApplyQueue":             "the backpressure test fills a two-deep queue",
 	"placement.Options.Search":                "the exhaustive anchor search is the pruned search's reference",

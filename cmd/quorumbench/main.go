@@ -30,10 +30,11 @@
 //	quorumbench -fleet-worker -addr :9190           # serve shards for a fleet
 //	quorumbench -fig 6.3 -fleet host1:9190,host2:9190   # listed workers, pinned for the run
 //
-// Elastic fleet — the same dispatcher over a roster that changes
-// (workers self-register and heartbeat; a worker that dies mid-shard
-// has its shard re-dispatched immediately, and workers may join
-// mid-run):
+// A listed worker is sent one shard at a time. Elastic fleet — the
+// same dispatcher over a roster that changes (workers self-register and
+// heartbeat, advertising with -slots how many shards they are sent at
+// once; a worker that dies mid-shard has its shard re-dispatched
+// immediately, and workers may join mid-run):
 //
 //	quorumbench -fleet-worker -addr :9190 -join coordinator-host:9200
 //	quorumbench -fleet-worker -addr :9190 -join host:9200 -slots 4
@@ -69,12 +70,12 @@
 // -ablations, -scenario and -list, and none of them with -standby
 // (-resume takes one -fig or -scenario to cross-check the journal's
 // spec); -list takes no other flag; a -fleet-worker reads only -addr,
-// -join, -advertise and -slots, which no other mode reads;
-// -min-workers needs -fleet-registry and -lease-ttl needs -standby; a
-// -shard prints JSON whatever -format says; sharded, fleet and resumed
-// runs take one spec, never -all or an ablation. Contradictory
-// combinations (-fleet with -fleet-registry, -resume with -journal, a
-// -shard outside -shards, ...) are refused the same way.
+// -join, -advertise and -slots, which no other mode reads; -slots
+// needs -join, -min-workers needs -fleet-registry and -lease-ttl needs
+// -standby; a -shard prints JSON whatever -format says; sharded, fleet
+// and resumed runs take one spec, never -all or an ablation.
+// Contradictory combinations (-fleet with -fleet-registry, -resume with
+// -journal, a -shard outside -shards, ...) are refused the same way.
 package main
 
 import (
@@ -85,7 +86,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -143,7 +143,7 @@ func parse(args []string) (*options, int) {
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:9190", "listen address for -fleet-worker")
 	fs.StringVar(&o.join, "join", "", "registry address a -fleet-worker self-registers with (elastic fleet)")
 	fs.StringVar(&o.advertise, "advertise", "", "address a -fleet-worker advertises to the registry (default: -addr with 127.0.0.1 for an empty host)")
-	fs.IntVar(&o.slots, "slots", 1, "shards a -fleet-worker runs at once and advertises; coordinators weight dispatch by free slots")
+	fs.IntVar(&o.slots, "slots", 1, "shards a -join worker advertises to the registry; coordinators send it at most this many at once")
 	fs.StringVar(&o.journal, "journal", "", "record this fleet run's dispatch/completion protocol to an append-only journal file")
 	fs.StringVar(&o.resume, "resume", "", "resume a crashed fleet run from its journal, dispatching only the unrecorded shards")
 	fs.BoolVar(&o.standby, "standby", false, "tail -journal as a standby coordinator and take over when the primary's lease goes stale")
@@ -164,8 +164,8 @@ func parse(args []string) (*options, int) {
 	// run is given.
 	selectors := map[string]bool{"fig": true, "all": true, "ablations": true, "scenario": true, "list": true}
 	needs := map[string]string{"addr": "fleet-worker", "join": "fleet-worker", "advertise": "fleet-worker",
-		"slots": "fleet-worker", "min-workers": "fleet-registry", "lease-ttl": "standby"}
-	running := map[string]bool{"fleet-worker": o.worker, "fleet-registry": o.registry != "", "standby": o.standby}
+		"slots": "join", "min-workers": "fleet-registry", "lease-ttl": "standby"}
+	running := map[string]bool{"fleet-worker": o.worker, "join": o.join != "", "fleet-registry": o.registry != "", "standby": o.standby}
 	var picked []string
 	var msg string
 	fs.Visit(func(f *flag.Flag) {
@@ -635,7 +635,7 @@ func runFleetWorker(o *options) int {
 	logf := func(f string, args ...interface{}) {
 		fmt.Fprintf(os.Stderr, f+"\n", args...)
 	}
-	w := fleet.NewWorker(fleet.WorkerOptions{Slots: o.slots, Logf: logf})
+	w := fleet.NewWorker(fleet.WorkerOptions{Logf: logf})
 	if o.join != "" {
 		if advertise == "" {
 			advertise = o.addr
@@ -643,7 +643,7 @@ func runFleetWorker(o *options) int {
 				advertise = "127.0.0.1" + advertise
 			}
 		}
-		lease, err := fleet.Join(o.join, advertise, fleet.LeaseOptions{Logf: logf, Slots: o.slots, Cores: runtime.NumCPU()})
+		lease, err := fleet.Join(o.join, advertise, fleet.LeaseOptions{Logf: logf, Slots: o.slots})
 		if err != nil {
 			return fail(err)
 		}

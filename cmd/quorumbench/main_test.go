@@ -31,6 +31,7 @@ func TestRefusals(t *testing.T) {
 		"-fig 6.3 -join 127.0.0.1:1",
 		"-fig 6.3 -advertise 127.0.0.1:1",
 		"-fig 6.3 -slots 2",
+		"-fleet-worker -slots 2",
 		"-fig 6.3 -shards 2 -fleet 127.0.0.1:1 -min-workers 2",
 		"-fig 6.3 -lease-ttl 1s",
 		// -list reads no other flag.
@@ -96,6 +97,7 @@ func TestAcceptances(t *testing.T) {
 		"-fleet-worker -addr 127.0.0.1:19191",
 		"-fig 6.3 -quick -reproducible -format csv -progress -fleet 127.0.0.1:19191,127.0.0.1:19192",
 		"-fig 3.1 -reproducible -runs 2 -duration 4000 -format csv",
+		"-fleet-worker -addr 127.0.0.1:19301 -join 127.0.0.1:19300 -slots 2",
 		"-fleet-worker -addr 127.0.0.1:19301 -join 127.0.0.1:19300",
 		"-fig 3.1 -reproducible -runs 2 -duration 4000 -format csv -progress -fleet-registry 127.0.0.1:19300 -min-workers 3 -shards 6",
 		"-fig 3.1 -reproducible -runs 2 -duration 4000 -format csv -fleet 127.0.0.1:19401,127.0.0.1:19402 -shards 6 -journal /tmp/crash.journal",

@@ -58,37 +58,46 @@ func copyExcluded(m map[string]bool) map[string]bool {
 	return out
 }
 
-// pickWorker chooses the live worker outside the exclusion set with the
-// lowest load-to-slots ratio, so advertised capacity weights dispatch —
-// a 4-slot worker draws four shards for every one a 1-slot worker gets
-// — and a recovery onto a heterogeneous surviving fleet doesn't pile
-// shards onto its smallest member. Ties break by registration order.
-// The ratios compare by cross-multiplication to stay in integers.
-func pickWorker(live []WorkerRef, excluded map[string]bool, load map[string]int) (WorkerRef, bool) {
-	best := -1
+// pickWorker chooses, among the live workers outside the exclusion set
+// that have a free slot, the one with the lowest load-to-slots ratio, so
+// advertised capacity weights dispatch — a 4-slot worker draws four
+// shards for every one a 1-slot worker gets — and a recovery onto a
+// heterogeneous surviving fleet doesn't pile shards onto its smallest
+// member. Ties break by registration order. The ratios compare by
+// cross-multiplication to stay in integers. busy reports that no worker
+// was picked only because every live worker outside the exclusion set
+// is full: the task waits for an outcome to free a slot.
+func pickWorker(live []WorkerRef, excluded map[string]bool, load map[string]int) (WorkerRef, bool, bool) {
+	best, busy := -1, false
 	for i, w := range live {
 		if excluded[w.ID] {
 			continue
 		}
-		if best < 0 || load[w.ID]*live[best].slots() < load[live[best].ID]*w.slots() {
+		if load[w.ID] >= w.Slots {
+			busy = true
+			continue
+		}
+		if best < 0 || load[w.ID]*live[best].Slots < load[live[best].ID]*w.Slots {
 			best = i
 		}
 	}
 	if best < 0 {
-		return WorkerRef{}, false
+		return WorkerRef{}, false, busy
 	}
-	return live[best], true
+	return live[best], true, false
 }
 
 // run dispatches the spec's shards over the roster's live workers from
-// one event loop: joins are observed mid-run, a worker that misses
-// heartbeats while holding a shard triggers an immediate re-dispatch
-// (no ShardTimeout burned), exclusions keep a re-dispatch from bouncing
-// straight back, a shard every live worker already failed backs off
-// before retrying, a shard that exhausts its attempts fails the run at
-// once, and late duplicate results are discarded by shard-attempt id.
-// A pinned roster (Config.Workers) is the case where no worker ever
-// joins or dies.
+// one event loop. A shard is sent only to a worker with a free slot, so
+// the pending list is the run's only queue and a worker that finishes
+// early takes the next shard. Joins are observed mid-run, a worker that
+// misses heartbeats while holding a shard triggers an immediate
+// re-dispatch (no ShardTimeout burned), exclusions keep a re-dispatch
+// from bouncing straight back, a shard every live worker already failed
+// backs off before retrying, a shard that exhausts its attempts fails
+// the run at once, and late duplicate results are discarded by
+// shard-attempt id. A pinned roster (Config.Workers) is the case where
+// no worker ever joins or dies.
 func (c *Coordinator) run(spec *scenario.Spec, cfg scenario.RunConfig, recovered map[int]*scenario.Partial) (*scenario.Table, error) {
 	stopLease := c.startLeaseTicker()
 	defer stopLease()
@@ -262,7 +271,8 @@ func (c *Coordinator) run(spec *scenario.Spec, cfg scenario.RunConfig, recovered
 				spec.Name, att.worker.ID, att.shard, shards, att.key)
 		}
 
-		// Dispatch every ready task that has an eligible worker.
+		// Dispatch every ready task that has an eligible worker with a free
+		// slot.
 		now := time.Now()
 		var nextWake time.Time
 		var still []*shardTask
@@ -289,8 +299,15 @@ func (c *Coordinator) run(spec *scenario.Spec, cfg scenario.RunConfig, recovered
 				t.excluded = map[string]bool{}
 				t.backedOff = false
 			}
-			w, ok := pickWorker(live, t.excluded, perWorker)
+			w, ok, busy := pickWorker(live, t.excluded, perWorker)
 			if !ok {
+				if busy {
+					// The coordinator's pending list is the only queue:
+					// the task waits here for the next outcome to free a
+					// slot, charged nothing.
+					still = append(still, t)
+					continue
+				}
 				if len(live) == 0 {
 					c.logf("fleet: %s: shard %d/%d waiting: no live workers", spec.Name, t.shard, shards)
 					still = append(still, t)

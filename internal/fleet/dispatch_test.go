@@ -107,6 +107,19 @@ func (h *fleetHarness) startWorker() string {
 	return srv.URL
 }
 
+// startSlowWorker starts a worker whose every shard sleeps hold in its
+// "started" line before it executes, and returns its address.
+func (h *fleetHarness) startSlowWorker(hold time.Duration) string {
+	h.t.Helper()
+	srv := httptest.NewServer(NewWorker(WorkerOptions{Logf: func(format string, args ...interface{}) {
+		if strings.HasSuffix(format, "started") {
+			time.Sleep(hold)
+		}
+	}}).Handler())
+	h.t.Cleanup(srv.Close)
+	return srv.URL
+}
+
 // startProxiedWorker starts a worker behind a fault-injection proxy and
 // returns the proxy's address.
 func (h *fleetHarness) startProxiedWorker() (string, *faultProxy) {
@@ -124,7 +137,7 @@ func (h *fleetHarness) startProxiedWorker() (string, *faultProxy) {
 // heartbeats by hand for determinism).
 func (h *fleetHarness) addWorker() WorkerRef {
 	h.t.Helper()
-	return h.reg.Register(h.startWorker(), 1, 0)
+	return h.reg.Register(h.startWorker(), 1)
 }
 
 // addProxiedWorker starts a proxied worker and registers the proxy's
@@ -132,7 +145,7 @@ func (h *fleetHarness) addWorker() WorkerRef {
 func (h *fleetHarness) addProxiedWorker() (WorkerRef, *faultProxy) {
 	h.t.Helper()
 	url, proxy := h.startProxiedWorker()
-	return h.reg.Register(url, 1, 0), proxy
+	return h.reg.Register(url, 1), proxy
 }
 
 // rosters names the two ways a coordinator learns its workers; tests of
@@ -147,7 +160,7 @@ func (h *fleetHarness) rosterConfig(roster string, urls ...string) Config {
 		return Config{Workers: urls}
 	}
 	for _, u := range urls {
-		h.reg.Register(u, 1, 0)
+		h.reg.Register(u, 1)
 	}
 	return Config{Registry: h.reg}
 }
@@ -450,5 +463,79 @@ func TestExhaustedShardFailsRunAtOnce(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Minute {
 		t.Fatalf("run took %s to fail: it waited for the hung sibling shard", elapsed)
+	}
+}
+
+// slotCheck returns an OnEvent hook that fails the test whenever a
+// worker holds more attempts than its slots. An attempt is in flight
+// from its dispatch event to the one outcome event that retires it.
+func slotCheck(t *testing.T, slots map[string]int) func(Event) {
+	inflight := map[string]int{}
+	return func(ev Event) {
+		switch ev.Kind {
+		case EventDispatch:
+			inflight[ev.Worker]++
+			if inflight[ev.Worker] > slots[ev.Worker] {
+				t.Errorf("%s holds %d shards at once, over its %d slots", ev.Worker, inflight[ev.Worker], slots[ev.Worker])
+			}
+		case EventShardDone, EventRedispatch, EventAbandon, EventLateDiscard:
+			inflight[ev.Worker]--
+		}
+	}
+}
+
+// TestDispatchKeepsWorkersWithinSlots: the coordinator's pending list
+// is the only queue, so no worker ever holds more shards than its
+// slots. Over two pinned one-slot workers, one three times slower than
+// the other, the fast worker takes the shards the slow one has no slot
+// for and completes at least 4 of the 6; over a 2-slot and a 1-slot
+// registered worker, neither is sent a shard beyond its slots.
+func TestDispatchKeepsWorkersWithinSlots(t *testing.T) {
+	t.Run("pinned", func(t *testing.T) {
+		h := newFleetHarness(t)
+		fast, slow := h.startSlowWorker(150*time.Millisecond), h.startSlowWorker(450*time.Millisecond)
+		h.log.hook(slotCheck(t, map[string]int{fast: 1, slow: 1}))
+		got, err := h.coordinator(Config{Workers: []string{fast, slow}, Shards: 6}).Run(testSpec(), testCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.assertByteIdentical(got)
+		onFast := 0
+		for _, ev := range h.log.all() {
+			if ev.Kind == EventShardDone && ev.Worker == fast {
+				onFast++
+			}
+		}
+		if onFast < 4 {
+			t.Errorf("the fast worker completed %d of 6 shards, want at least 4: shards waited on the slow worker", onFast)
+		}
+	})
+	t.Run("self-registered", func(t *testing.T) {
+		h := newFleetHarness(t)
+		big := h.reg.Register(h.startSlowWorker(100*time.Millisecond), 2)
+		small := h.reg.Register(h.startSlowWorker(100*time.Millisecond), 1)
+		h.log.hook(slotCheck(t, map[string]int{big.ID: 2, small.ID: 1}))
+		got, err := h.coordinator(Config{Shards: 6}).Run(testSpec(), testCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.assertByteIdentical(got)
+	})
+}
+
+// TestShardTimeoutStartsAtFreeSlot: a shard's ShardTimeout runs only
+// while a worker runs it, not while it waits for a slot. Four shards of
+// 0.4 s each on one pinned worker take 1.6 s in all, yet under a 1 s
+// ShardTimeout none is re-dispatched.
+func TestShardTimeoutStartsAtFreeSlot(t *testing.T) {
+	h := newFleetHarness(t)
+	w := h.startSlowWorker(400 * time.Millisecond)
+	got, err := h.coordinator(Config{Workers: []string{w}, Shards: 4, ShardTimeout: time.Second}).Run(testSpec(), testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.assertByteIdentical(got)
+	if n := h.log.count(EventRedispatch); n != 0 {
+		t.Errorf("%d re-dispatches, want 0: a shard's timeout ran while it waited for the worker", n)
 	}
 }

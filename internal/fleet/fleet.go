@@ -31,8 +31,8 @@ type Config struct {
 	// live (default 1).
 	MinWorkers int
 	// Shards is the partition count (0 = one shard per worker). More
-	// shards than workers is fine — workers pick up the next shard as
-	// they finish — and often better for load balance.
+	// shards than slots is fine — a worker is sent the next shard as it
+	// finishes one — and often better for load balance.
 	Shards int
 	// Attempts bounds how many workers one shard is tried on before the
 	// run fails (default 5). Retries move to another worker, excluding
@@ -43,10 +43,11 @@ type Config struct {
 	// the failed worker would otherwise starve the shard and not
 	// excluding it would hot-loop (0 = 250ms).
 	RetryBackoff time.Duration
-	// ShardTimeout bounds one shard attempt's request (0 = 10m). A
-	// worker that accepted a shard but hangs — while still heartbeating
-	// — charges one attempt when it expires; a worker that stops
-	// heartbeating is handled far sooner by re-dispatch.
+	// ShardTimeout bounds one shard attempt's request (0 = 10m), sent
+	// only once a worker has a free slot for it. A worker that accepted
+	// a shard but hangs — while still heartbeating — charges one attempt
+	// when it expires; a worker that stops heartbeating is handled far
+	// sooner by re-dispatch.
 	ShardTimeout time.Duration
 	// Journal, when set, records every dispatch/complete/merge transition
 	// of the run (see internal/fleet/journal): a crashed coordinator's

@@ -211,8 +211,8 @@ func TestWorkerHTTPValidation(t *testing.T) {
 }
 
 // holdStarted returns a worker Logf that blocks each shard in its
-// "started" line — after it took a slot, before it executes — until
-// release closes, announcing it on started first.
+// "started" line — before it executes — until release closes,
+// announcing it on started first.
 func holdStarted(started chan<- struct{}, release <-chan struct{}) func(string, ...interface{}) {
 	return func(format string, args ...interface{}) {
 		if strings.HasSuffix(format, "started") {
@@ -222,125 +222,51 @@ func holdStarted(started chan<- struct{}, release <-chan struct{}) func(string, 
 	}
 }
 
-// TestWorkerRunsSlotsShardsAtOnce: a 2-slot worker executes two shards
-// at once, so GET /v1/shards lists both as running. Each shard blocks
-// in its "started" log line until both have started; a worker that
-// runs one shard at a time never starts the second.
+// TestWorkerRunsSlotsShardsAtOnce: a worker registered with two slots
+// is sent two of the run's four shards at once and runs both, and the
+// coordinator keeps the other two until a slot frees. Each shard blocks
+// in its "started" log line until the test releases them, so no
+// outcome can free a slot while the test looks.
 func TestWorkerRunsSlotsShardsAtOnce(t *testing.T) {
-	started := make(chan struct{}, 2)
+	h := newFleetHarness(t)
+	started := make(chan struct{}, 4)
 	release := make(chan struct{})
-	srv := httptest.NewServer(NewWorker(WorkerOptions{Slots: 2, Logf: holdStarted(started, release)}).Handler())
+	srv := httptest.NewServer(NewWorker(WorkerOptions{Logf: holdStarted(started, release)}).Handler())
 	t.Cleanup(srv.Close)
-	defer close(release)
+	h.reg.Register(srv.URL, 2)
 
-	postShards(t, srv.URL, 2)
+	var got *scenario.Table
+	var err error
+	var wg sync.WaitGroup
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer func() { releaseOnce(); wg.Wait() }()
+	coord := h.coordinator(Config{Shards: 4})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		got, err = coord.Run(testSpec(), testCfg())
+	}()
+
 	for i := 0; i < 2; i++ {
 		select {
 		case <-started:
 		case <-time.After(10 * time.Second):
-			t.Fatalf("%d of 2 shards started: the worker runs fewer shards at once than its slots", i)
+			t.Fatalf("%d of 2 shards started: the worker was sent fewer shards than its slots", i)
 		}
 	}
-
-	jobs := listJobs(t, srv.URL)
-	running := 0
-	for _, j := range jobs {
-		if j.Status == StatusRunning {
-			running++
-		}
+	if jobs := listJobs(t, srv.URL); len(jobs) != 2 {
+		t.Errorf("GET /v1/shards lists %q, want the two running shards", jobs)
 	}
-	if running != 2 {
-		t.Fatalf("GET /v1/shards: %d running, want 2: %+v", running, jobs)
-	}
-}
-
-// TestWorkerQueuesJobsBeyondSlots: a 1-slot worker given two shards
-// runs one and lists the other as queued until the slot frees.
-func TestWorkerQueuesJobsBeyondSlots(t *testing.T) {
-	started := make(chan struct{}, 2)
-	release := make(chan struct{})
-	srv := httptest.NewServer(NewWorker(WorkerOptions{Logf: holdStarted(started, release)}).Handler())
-	t.Cleanup(srv.Close)
-	defer close(release)
-
-	postShards(t, srv.URL, 2)
-	select {
-	case <-started:
-	case <-time.After(10 * time.Second):
-		t.Fatal("no shard started")
+	if n := h.log.count(EventDispatch); n != 2 {
+		t.Errorf("%d dispatches while both slots are held, want 2: the other shards wait for a free slot", n)
 	}
 
-	count := map[string]int{}
-	jobs := waitJobs(t, srv.URL, "both shards to arrive", func(jobs []JobInfo) bool { return len(jobs) == 2 })
-	for _, j := range jobs {
-		count[j.Status]++
-	}
-	if count[StatusRunning] != 1 || count[StatusQueued] != 1 {
-		t.Fatalf("GET /v1/shards: %v, want 1 running and 1 queued: %+v", count, jobs)
-	}
-}
-
-// TestWorkerSkipsQueuedShardOfGoneCaller: a 1-slot worker never starts
-// a queued shard whose caller hung up — the caller has re-dispatched it
-// or given up, so running it would only delay live shards.
-func TestWorkerSkipsQueuedShardOfGoneCaller(t *testing.T) {
-	started := make(chan struct{}, 2)
-	release := make(chan struct{})
-	var mu sync.Mutex
-	starts := 0
-	hold := holdStarted(started, release)
-	logf := func(format string, args ...interface{}) {
-		if strings.HasSuffix(format, "started") {
-			mu.Lock()
-			starts++
-			mu.Unlock()
-		}
-		hold(format, args...)
-	}
-	srv := httptest.NewServer(NewWorker(WorkerOptions{Logf: logf}).Handler())
-	t.Cleanup(srv.Close)
-	releaseOnce := sync.OnceFunc(func() { close(release) })
-	defer releaseOnce()
-
-	specJSON, err := json.Marshal(testSpec())
+	releaseOnce()
+	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := func(shard int) string {
-		return fmt.Sprintf(`{"spec": %s, "config": {"reproducible": true}, "shard": %d, "shards": 2}`, specJSON, shard)
-	}
-	first := make(chan int, 1)
-	go func() {
-		code, _ := postShard(context.Background(), srv.URL, body(0))
-		first <- code
-	}()
-	select {
-	case <-started:
-	case <-time.After(10 * time.Second):
-		t.Fatal("first shard never started")
-	}
-
-	ctx, hangUp := context.WithCancel(context.Background())
-	second := make(chan struct{})
-	go func() {
-		defer close(second)
-		_, _ = postShard(ctx, srv.URL, body(1))
-	}()
-	waitJobs(t, srv.URL, "the second shard to queue", func(jobs []JobInfo) bool { return len(jobs) == 2 })
-	hangUp()
-	<-second
-	waitJobs(t, srv.URL, "the hung-up shard to leave the queue", func(jobs []JobInfo) bool { return len(jobs) == 1 })
-
-	releaseOnce()
-	if code := <-first; code != http.StatusOK {
-		t.Fatalf("first shard: HTTP %d", code)
-	}
-	waitJobs(t, srv.URL, "the worker to go idle", func(jobs []JobInfo) bool { return len(jobs) == 0 })
-	mu.Lock()
-	defer mu.Unlock()
-	if starts != 1 {
-		t.Fatalf("%d shards started, want 1: the queued shard ran after its caller hung up", starts)
-	}
+	h.assertByteIdentical(got)
 }
 
 // postShard posts one shard request and returns the response status.
@@ -359,38 +285,8 @@ func postShard(ctx context.Context, url, body string) (int, error) {
 	return resp.StatusCode, err
 }
 
-// postShards posts shards 0..n-1 of testSpec to a worker, each from its
-// own goroutine since a POST returns only once its shard has run. The
-// test's cleanup waits for every response and checks it is a 200.
-func postShards(t *testing.T, url string, n int) {
-	t.Helper()
-	specJSON, err := json.Marshal(testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	codes := make([]int, n)
-	errs := make([]error, n)
-	for shard := 0; shard < n; shard++ {
-		body := fmt.Sprintf(`{"spec": %s, "config": {"reproducible": true}, "shard": %d, "shards": %d}`, specJSON, shard, n)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			codes[shard], errs[shard] = postShard(context.Background(), url, body)
-		}()
-	}
-	t.Cleanup(func() {
-		wg.Wait()
-		for shard := range codes {
-			if errs[shard] != nil || codes[shard] != http.StatusOK {
-				t.Errorf("shard %d: HTTP %d (%v), want 200", shard, codes[shard], errs[shard])
-			}
-		}
-	})
-}
-
-// listJobs returns a worker's GET /v1/shards list.
-func listJobs(t *testing.T, url string) []JobInfo {
+// listJobs returns the labels a worker's GET /v1/shards lists.
+func listJobs(t *testing.T, url string) []string {
 	t.Helper()
 	resp, err := http.Get(url + "/v1/shards")
 	if err != nil {
@@ -398,27 +294,10 @@ func listJobs(t *testing.T, url string) []JobInfo {
 	}
 	defer resp.Body.Close()
 	var list struct {
-		Jobs []JobInfo `json:"jobs"`
+		Shards []string `json:"shards"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
 	}
-	return list.Jobs
-}
-
-// waitJobs polls a worker's list until ok accepts it, failing the test
-// after ten seconds of waiting for what ok describes.
-func waitJobs(t *testing.T, url, what string, ok func([]JobInfo) bool) []JobInfo {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		jobs := listJobs(t, url)
-		if ok(jobs) {
-			return jobs
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("waited 10s for %s; the worker lists %+v", what, jobs)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	return list.Shards
 }

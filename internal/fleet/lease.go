@@ -18,10 +18,9 @@ type LeaseOptions struct {
 	// worker can start before its coordinator.
 	RetryDelay time.Duration
 	// Slots advertises the worker's concurrent-shard capacity with every
-	// (re-)registration (<= 0 means 1). Dispatch weights load by it.
+	// (re-)registration (<= 0 means 1): coordinators send the worker at
+	// most this many shards at once.
 	Slots int
-	// Cores advertises the worker's CPU count (informational).
-	Cores int
 	// Logf, when set, receives lease lifecycle logs.
 	Logf func(format string, args ...interface{})
 }
@@ -112,7 +111,7 @@ func (l *Lease) run() {
 // register retries until a registration lands or the lease stops.
 func (l *Lease) register() (*RegisterResponse, bool) {
 	for {
-		body, _ := json.Marshal(&RegisterRequest{Addr: l.advertise, Slots: l.opts.Slots, Cores: l.opts.Cores})
+		body, _ := json.Marshal(&RegisterRequest{Addr: l.advertise, Slots: l.opts.Slots})
 		resp, err := l.client.Post(l.registry+"/v1/workers", "application/json", bytes.NewReader(body))
 		if err == nil {
 			data, rerr := io.ReadAll(io.LimitReader(resp.Body, 1<<20))

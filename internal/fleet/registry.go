@@ -47,21 +47,10 @@ func (o RegistryOptions) interval() time.Duration {
 type WorkerRef struct {
 	ID   string `json:"id"`
 	Addr string `json:"addr"`
-	// Slots is the worker's advertised concurrent-shard capacity;
-	// dispatch weights load by it so a 4-slot worker draws four times
-	// the shards of a 1-slot one.
+	// Slots is the worker's concurrent-shard capacity (at least 1): the
+	// coordinator keeps at most this many of its shards in flight on the
+	// worker, and weights dispatch by it.
 	Slots int `json:"slots,omitempty"`
-	// Cores is the worker's advertised CPU count (informational).
-	Cores int `json:"cores,omitempty"`
-}
-
-// slots treats unadvertised capacity as 1 — the pre-capacity protocol's
-// behavior, and the right weight for a WorkerRef built by hand.
-func (w WorkerRef) slots() int {
-	if w.Slots <= 0 {
-		return 1
-	}
-	return w.Slots
 }
 
 type regWorker struct {
@@ -132,17 +121,13 @@ func (r *Registry) Changed() <-chan struct{} {
 
 // Register adds a worker and returns its reference (the address is
 // normalized to a dispatchable http:// URL). Slots is the worker's
-// advertised concurrent-shard capacity (<= 0 means 1); cores its CPU
-// count (0 = unadvertised). A dead entry at the same address is
-// dropped — the worker restarted (or its lease lapsed and
-// re-registered); either way the old id never comes back.
-func (r *Registry) Register(addr string, slots, cores int) WorkerRef {
+// advertised concurrent-shard capacity (<= 0 means 1). A dead entry at
+// the same address is dropped — the worker restarted (or its lease
+// lapsed and re-registered); either way the old id never comes back.
+func (r *Registry) Register(addr string, slots int) WorkerRef {
 	addr = normalizeAddr(addr)
 	if slots <= 0 {
 		slots = 1
-	}
-	if cores < 0 {
-		cores = 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -153,7 +138,7 @@ func (r *Registry) Register(addr string, slots, cores int) WorkerRef {
 	}
 	r.seq++
 	w := &regWorker{
-		ref:      WorkerRef{ID: fmt.Sprintf("w-%d", r.seq), Addr: addr, Slots: slots, Cores: cores},
+		ref:      WorkerRef{ID: fmt.Sprintf("w-%d", r.seq), Addr: addr, Slots: slots},
 		seq:      r.seq,
 		lastBeat: r.now(),
 	}
@@ -268,11 +253,9 @@ type RegisterRequest struct {
 	// Addr is the address the coordinator should dispatch to
 	// ("host:port" or a full http:// URL).
 	Addr string `json:"addr"`
-	// Slots advertises how many shards the worker runs concurrently
-	// (omitted or <= 0 means 1). Dispatch weights load by it.
+	// Slots advertises how many shards the worker runs at once (omitted
+	// or <= 0 means 1): the coordinator sends it no more.
 	Slots int `json:"slots,omitempty"`
-	// Cores advertises the worker's CPU count (informational).
-	Cores int `json:"cores,omitempty"`
 }
 
 // RegisterResponse is the POST /v1/workers reply: the assigned id and
@@ -290,7 +273,6 @@ type WorkerInfo struct {
 	Addr  string `json:"addr"`
 	Alive bool   `json:"alive"`
 	Slots int    `json:"slots,omitempty"`
-	Cores int    `json:"cores,omitempty"`
 }
 
 // Handler returns the registry's HTTP routes:
@@ -321,7 +303,7 @@ func (r *Registry) handleWorkers(rw http.ResponseWriter, req *http.Request) {
 			httpError(rw, http.StatusBadRequest, "registration has no addr")
 			return
 		}
-		ref := r.Register(strings.TrimSpace(reg.Addr), reg.Slots, reg.Cores)
+		ref := r.Register(strings.TrimSpace(reg.Addr), reg.Slots)
 		writeJSON(rw, http.StatusCreated, &RegisterResponse{
 			ID:          ref.ID,
 			HeartbeatMS: r.opts.interval().Milliseconds(),
@@ -342,7 +324,6 @@ func (r *Registry) handleWorkers(rw http.ResponseWriter, req *http.Request) {
 				Addr:  w.ref.Addr,
 				Alive: !w.dead,
 				Slots: w.ref.Slots,
-				Cores: w.ref.Cores,
 			})
 		}
 		r.mu.Unlock()

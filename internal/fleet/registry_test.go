@@ -41,8 +41,8 @@ func TestRegistryLifecycle(t *testing.T) {
 		Logf:              t.Logf,
 	})
 
-	a := reg.Register("127.0.0.1:1001", 1, 0)
-	b := reg.Register("127.0.0.1:1002", 1, 0)
+	a := reg.Register("127.0.0.1:1001", 1)
+	b := reg.Register("127.0.0.1:1002", 1)
 	if a.ID == b.ID {
 		t.Fatalf("duplicate worker ids: %s", a.ID)
 	}
@@ -80,7 +80,7 @@ func TestRegistryLifecycle(t *testing.T) {
 
 	// Re-registration at the same address drops the dead entry and
 	// issues a fresh id.
-	a2 := reg.Register("127.0.0.1:1001", 1, 0)
+	a2 := reg.Register("127.0.0.1:1001", 1)
 	if a2.ID == a.ID {
 		t.Fatalf("re-registration reused dead id %s", a.ID)
 	}
@@ -99,7 +99,7 @@ func TestPinnedWorkerNeverExpires(t *testing.T) {
 		Now:               clock.Now,
 	})
 	reg.pin("http://127.0.0.1:1001")
-	leased := reg.Register("127.0.0.1:1002", 1, 0)
+	leased := reg.Register("127.0.0.1:1002", 1)
 
 	clock.Advance(2 * time.Second)
 	if dead := reg.ExpireNow(); len(dead) != 1 || dead[0].ID != leased.ID {
@@ -118,7 +118,7 @@ func TestRegistryChangedWakesOnEveryTransition(t *testing.T) {
 	reg := NewRegistry(RegistryOptions{Now: clock.Now})
 
 	ch := reg.Changed()
-	w := reg.Register("127.0.0.1:1001", 1, 0)
+	w := reg.Register("127.0.0.1:1001", 1)
 	select {
 	case <-ch:
 	default:

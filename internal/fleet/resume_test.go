@@ -237,7 +237,10 @@ func TestResumeRejectsForeignSpec(t *testing.T) {
 
 // TestWeightedDispatchHonorsSlots: with a 3-slot and a 1-slot worker,
 // sequential picks of pickWorker spread load by capacity — the big
-// worker absorbs three dispatches for the small one's single.
+// worker absorbs three dispatches for the small one's single — and
+// stop at the fleet's four slots: a fifth task finds every worker busy
+// until an outcome frees a slot. A worker registered without
+// advertising slots has one.
 func TestWeightedDispatchHonorsSlots(t *testing.T) {
 	live := []WorkerRef{
 		{ID: "big", Addr: "http://big", Slots: 3},
@@ -246,9 +249,9 @@ func TestWeightedDispatchHonorsSlots(t *testing.T) {
 	load := map[string]int{}
 	var picks []string
 	for i := 0; i < 4; i++ {
-		w, ok := pickWorker(live, nil, load)
+		w, ok, _ := pickWorker(live, nil, load)
 		if !ok {
-			t.Fatal("no worker picked")
+			t.Fatalf("no worker picked with %v in flight", load)
 		}
 		picks = append(picks, w.ID)
 		load[w.ID]++
@@ -261,10 +264,20 @@ func TestWeightedDispatchHonorsSlots(t *testing.T) {
 		t.Fatalf("first pick %q, want registration-order tie-break to big", picks[0])
 	}
 
-	// An unadvertised worker weighs as one slot.
-	legacy := []WorkerRef{{ID: "w", Addr: "http://w"}}
-	if w, ok := pickWorker(legacy, nil, map[string]int{}); !ok || w.slots() != 1 {
-		t.Fatalf("legacy worker slots %d, want 1", w.Slots)
+	if w, ok, busy := pickWorker(live, nil, load); ok || !busy {
+		t.Fatalf("full fleet: picked %q (ok=%v busy=%v), want none, busy", w.ID, ok, busy)
+	}
+	if _, ok, busy := pickWorker(live, map[string]bool{"big": true, "small": true}, load); ok || busy {
+		t.Fatalf("every worker excluded: ok=%v busy=%v, want neither (the task backs off)", ok, busy)
+	}
+	load["small"]--
+	if w, ok, _ := pickWorker(live, nil, load); !ok || w.ID != "small" {
+		t.Fatalf("freed slot on small: picked %q (ok=%v)", w.ID, ok)
+	}
+
+	reg := NewRegistry(RegistryOptions{})
+	if w := reg.Register("127.0.0.1:1", 0); w.Slots != 1 {
+		t.Fatalf("worker registered without slots has %d, want 1", w.Slots)
 	}
 }
 

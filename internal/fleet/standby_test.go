@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -81,20 +82,23 @@ func TestStandbyTakeoverByteIdentical(t *testing.T) {
 	h.clock.Advance(10 * time.Second)
 
 	// A surviving worker re-adopted through the registry — registered
-	// after the advance so its heartbeat window is fresh. Its shards
-	// hold in their "started" line until the takeover dispatches.
-	started := make(chan struct{}, 2)
+	// after the advance so its heartbeat window is fresh. Its first
+	// shard, the orphan below, holds in its "started" line until the
+	// takeover has finished: the worker runs the takeover's shard beside
+	// it at once.
+	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	srv := httptest.NewServer(NewWorker(WorkerOptions{Logf: holdStarted(started, release)}).Handler())
+	hold := holdStarted(started, release)
+	var held atomic.Bool
+	srv := httptest.NewServer(NewWorker(WorkerOptions{Logf: func(format string, args ...interface{}) {
+		if strings.HasSuffix(format, "started") && held.CompareAndSwap(false, true) {
+			hold(format, args...)
+		}
+	}}).Handler())
 	t.Cleanup(srv.Close)
-	survivor := h.reg.Register(srv.URL, 1, 0)
+	survivor := h.reg.Register(srv.URL, 1)
 	releaseOnce := sync.OnceFunc(func() { close(release) })
 	defer releaseOnce()
-	h.log.hook(func(ev Event) {
-		if ev.Kind == EventDispatch {
-			releaseOnce()
-		}
-	})
 
 	// The dead primary's in-flight duplicate: its dispatch of shard 1
 	// reached this worker and is still executing. Its response goes to
@@ -148,6 +152,7 @@ func TestStandbyTakeoverByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	releaseOnce()
 	h.assertByteIdentical(table)
 
 	// The takeover's dispatches are epoch-2 fenced, on the survivor.

@@ -10,17 +10,19 @@
 // shard-attempt id.
 //
 // The protocol reuses the serving layer's idioms (strict JSON,
-// {"error": ...} bodies). A shard is one request and one response.
-// Worker side:
+// {"error": ...} bodies). A shard is one request and one response, and
+// the coordinator sends a worker only as many shards at once as it has
+// slots (one for a pinned worker; a registered worker advertises its
+// own), so the coordinator's pending list is the only queue and the
+// worker runs every shard it accepts at once. Worker side:
 //
 //	POST /v1/shards — {"spec": ..., "config": ..., "shard": i,
 //	                  "shards": n} runs one shard inside the request
 //	                  and replies 200 with its partial; 400 for a
 //	                  malformed request, 503 while the worker holds its
 //	                  bound of in-flight shards, 500 when execution
-//	                  fails. Slots shards run at once; the rest queue,
-//	                  and one whose caller hangs up never runs.
-//	GET  /v1/shards — lists in-flight shards (label, queued/running).
+//	                  fails.
+//	GET  /v1/shards — lists the labels of the in-flight shards.
 //
 // Registry side (mounted next to the coordinator; workers drive it
 // through a Lease):
@@ -40,10 +42,10 @@
 package fleet
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -59,57 +61,30 @@ type ShardRequest struct {
 	Shards int               `json:"shards"`
 }
 
-// Shard statuses in the GET /v1/shards list: a queued shard waits for
-// an executor slot, a running one holds it.
-const (
-	StatusQueued  = "queued"
-	StatusRunning = "running"
-)
-
-// JobInfo is one GET /v1/shards list element.
-type JobInfo struct {
-	Label  string `json:"label"`
-	Status string `json:"status"`
-}
-
 // WorkerOptions tunes a Worker.
 type WorkerOptions struct {
-	// Slots bounds concurrently executing shards (<= 0 means 1): the
-	// capacity a worker advertises with LeaseOptions.Slots, so a
-	// coordinator that weights dispatch by it finds the slots it counted.
-	Slots int
 	// Logf, when set, receives shard lifecycle and progress logs.
 	Logf func(format string, args ...interface{})
 }
 
-// maxJobs bounds the shard requests in flight at once, queued and
-// running. Requests beyond it get 503 until one finishes, so abandoned
-// coordinators cannot grow the worker without bound.
+// maxJobs bounds the shard requests in flight at once. Requests beyond
+// it get 503 until one finishes, so abandoned coordinators cannot grow
+// the worker without bound.
 const maxJobs = 64
 
 // Worker executes shards for coordinators. Mount Handler on an HTTP
-// server: each shard runs inside its POST, so the server owns and waits
-// for every running shard.
+// server: each shard runs inside its POST, at once, so the server owns
+// and waits for every running shard.
 type Worker struct {
 	opts WorkerOptions
-	sem  chan struct{}
 
-	mu   sync.Mutex
-	jobs map[*job]bool // in-flight requests
-}
-
-type job struct {
-	label   string
-	started bool // an executor slot is running it
+	mu       sync.Mutex
+	inflight []string // labels of the shards being run, one per request
 }
 
 // NewWorker builds a worker.
 func NewWorker(opts WorkerOptions) *Worker {
-	return &Worker{
-		opts: opts,
-		sem:  make(chan struct{}, max(opts.Slots, 1)),
-		jobs: map[*job]bool{},
-	}
+	return &Worker{opts: opts}
 }
 
 // Handler returns the worker's HTTP routes.
@@ -148,8 +123,8 @@ func (w *Worker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 		httpError(rw, http.StatusBadRequest, "shard request has no spec")
 		return
 	}
-	// Validate what is cheap to validate before queueing; the topology
-	// build and enumeration happen once a slot is free.
+	// Validate what is cheap to validate before running; the topology
+	// build and enumeration happen in execute.
 	if err := req.Spec.Validate(); err != nil {
 		httpError(rw, http.StatusBadRequest, err.Error())
 		return
@@ -160,23 +135,24 @@ func (w *Worker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	label := fmt.Sprintf("%s shard %d/%d", req.Spec.Name, req.Shard, req.Shards)
 	w.mu.Lock()
-	if len(w.jobs) >= maxJobs {
+	if len(w.inflight) >= maxJobs {
 		w.mu.Unlock()
 		httpError(rw, http.StatusServiceUnavailable,
 			fmt.Sprintf("worker holds %d shards; retry later", maxJobs))
 		return
 	}
-	j := &job{label: fmt.Sprintf("%s shard %d/%d", req.Spec.Name, req.Shard, req.Shards)}
-	w.jobs[j] = true
+	w.inflight = append(w.inflight, label)
 	w.mu.Unlock()
 	defer func() {
 		w.mu.Lock()
-		delete(w.jobs, j)
+		i := slices.Index(w.inflight, label)
+		w.inflight = slices.Delete(w.inflight, i, i+1)
 		w.mu.Unlock()
 	}()
 
-	partial, err := w.execute(r.Context(), j, &req)
+	partial, err := w.execute(label, &req)
 	if err != nil {
 		httpError(rw, http.StatusInternalServerError, err.Error())
 		return
@@ -184,38 +160,22 @@ func (w *Worker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, http.StatusOK, partial)
 }
 
-// execute waits for an executor slot and runs the shard on it. A caller
-// that hangs up while the shard waits has re-dispatched it or given up,
-// so the shard never runs.
-func (w *Worker) execute(ctx context.Context, j *job, req *ShardRequest) (*scenario.Partial, error) {
-	select {
-	case w.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer func() { <-w.sem }()
-	// select picks at random when the slot and the hang-up are both
-	// ready.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	j.started = true
-	w.mu.Unlock()
-	w.logf("fleet worker: %s started", j.label)
+// execute runs one shard, logging its start, progress and outcome.
+func (w *Worker) execute(label string, req *ShardRequest) (*scenario.Partial, error) {
+	w.logf("fleet worker: %s started", label)
 	start := time.Now()
 
 	cfg := req.Config.RunConfig()
 	cfg.Progress = func(ev scenario.Progress) {
 		w.logf("fleet worker: %s point %d/%d done (%s, %.1fs)",
-			j.label, ev.Done, ev.Total, ev.Point.Label, ev.Elapsed.Seconds())
+			label, ev.Done, ev.Total, ev.Point.Label, ev.Elapsed.Seconds())
 	}
 	partial, err := executeShard(req.Spec, cfg, req.Shard, req.Shards)
 	if err != nil {
-		w.logf("fleet worker: %s failed after %.1fs: %v", j.label, time.Since(start).Seconds(), err)
+		w.logf("fleet worker: %s failed after %.1fs: %v", label, time.Since(start).Seconds(), err)
 		return nil, err
 	}
-	w.logf("fleet worker: %s done in %.1fs (%d rows)", j.label, time.Since(start).Seconds(), len(partial.Table.Rows))
+	w.logf("fleet worker: %s done in %.1fs (%d rows)", label, time.Since(start).Seconds(), len(partial.Table.Rows))
 	return partial, nil
 }
 
@@ -235,16 +195,9 @@ func executeShard(spec *scenario.Spec, cfg scenario.RunConfig, shard, shards int
 
 func (w *Worker) handleList(rw http.ResponseWriter) {
 	w.mu.Lock()
-	out := make([]JobInfo, 0, len(w.jobs))
-	for j := range w.jobs {
-		info := JobInfo{Label: j.label, Status: StatusQueued}
-		if j.started {
-			info.Status = StatusRunning
-		}
-		out = append(out, info)
-	}
+	labels := append([]string{}, w.inflight...)
 	w.mu.Unlock()
-	writeJSON(rw, http.StatusOK, map[string]interface{}{"jobs": out})
+	writeJSON(rw, http.StatusOK, map[string][]string{"shards": labels})
 }
 
 func writeJSON(rw http.ResponseWriter, status int, v interface{}) {

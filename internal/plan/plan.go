@@ -160,15 +160,15 @@ func (s SystemSpec) Build() (quorum.System, error) {
 // choices.
 type Config struct {
 	// System names the quorum-system family and parameter.
-	System SystemSpec `json:"system"`
+	System SystemSpec
 	// Algorithm selects the placement construction (default one-to-one).
-	Algorithm Algorithm `json:"algorithm,omitempty"`
+	Algorithm Algorithm
 	// Strategy selects the access-strategy stage (default closest; "lp"
 	// requires an enumerable system).
-	Strategy StrategyKind `json:"strategy,omitempty"`
+	Strategy StrategyKind
 	// Demand is the per-client demand in requests; the evaluation's alpha
 	// is OpServiceTimeMS × Demand (§7). Zero evaluates pure network delay.
-	Demand float64 `json:"demand,omitempty"`
+	Demand float64
 	// Reproducible forces cold, Dantzig-priced LP solves and a full
 	// Floyd–Warshall closure of the raw matrix on every RTT delta, so
 	// repeated plans are bit-identical to a cold pipeline; the default
@@ -181,9 +181,7 @@ type Config struct {
 	// replay does not need it: either profile is a deterministic function
 	// of the construction inputs and the delta sequence (strategy.ConfigFor
 	// is where the setting becomes solver options).
-	Reproducible bool `json:"reproducible,omitempty"`
-	// Candidates restricts placement anchor nodes (nil tries every site).
-	Candidates []int `json:"candidates,omitempty"`
+	Reproducible bool
 }
 
 func (c Config) algorithm() Algorithm {

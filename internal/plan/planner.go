@@ -340,9 +340,6 @@ func (p *Planner) SetClientWeights(weights []float64) error {
 // AddSite appends a site with raw RTTs to every existing site (in index
 // order) and the given capacity. Client weights reset to uniform.
 func (p *Planner) AddSite(site topology.Site, rtts []float64, capacity float64) error {
-	if p.cfg.Candidates != nil {
-		return fmt.Errorf("plan: cannot change site membership with a fixed candidate list")
-	}
 	if site.Name == "" {
 		return fmt.Errorf("plan: site needs a name")
 	}
@@ -383,9 +380,6 @@ func (p *Planner) AddSite(site topology.Site, rtts []float64, capacity float64) 
 // lost to an outage the planner must re-plan around. At least two sites
 // must remain.
 func (p *Planner) RemoveSite(name string) error {
-	if p.cfg.Candidates != nil {
-		return fmt.Errorf("plan: cannot change site membership with a fixed candidate list")
-	}
 	v := p.SiteIndex(name)
 	if v < 0 {
 		return fmt.Errorf("plan: no site named %q", name)
@@ -685,7 +679,6 @@ func (p *Planner) computePlacement() (core.Placement, error) {
 		}
 		return core.NewPlacement(p.pin, p.topo)
 	}
-	opts := placement.Options{Candidates: p.cfg.Candidates}
 	switch p.cfg.algorithm() {
 	case AlgoSingleton:
 		return placement.Singleton(p.topo, p.sys.UniverseSize())
@@ -693,7 +686,7 @@ func (p *Planner) computePlacement() (core.Placement, error) {
 		// The search outlives the plan: the next one re-scores only the
 		// anchors that the sites moved since can affect.
 		if p.search == nil {
-			search, err := placement.NewSearch(p.sys, opts)
+			search, err := placement.NewSearch(p.sys, placement.Options{})
 			if err != nil {
 				return core.Placement{}, err
 			}
@@ -705,8 +698,7 @@ func (p *Planner) computePlacement() (core.Placement, error) {
 		return f, err
 	case AlgoManyToOne:
 		return placement.ManyToOne(p.topo, p.sys, placement.ManyToOneConfig{
-			Candidates: p.cfg.Candidates,
-			LP:         lp.OptionsFor(p.cfg.Reproducible),
+			LP: lp.OptionsFor(p.cfg.Reproducible),
 		})
 	default:
 		return core.Placement{}, fmt.Errorf("unknown algorithm %q", p.cfg.Algorithm)

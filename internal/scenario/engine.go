@@ -227,7 +227,7 @@ func evalRow(spec *Spec, cfg RunConfig, topo *topology.Topology, pt systemPoint)
 	}
 
 	var row []string
-	for _, rc := range spec.rowColumnsOrDefault() {
+	for _, rc := range spec.rowColumns() {
 		switch rc {
 		case "system":
 			row = append(row, pt.axis.DisplayName())
@@ -239,8 +239,6 @@ func evalRow(spec *Spec, cfg RunConfig, topo *topology.Topology, pt systemPoint)
 			}
 		case "universe":
 			row = append(row, itoa(sys.UniverseSize()))
-		default:
-			return nil, fmt.Errorf("unknown row column %q for eval scenario", rc)
 		}
 	}
 
@@ -282,13 +280,6 @@ func evalRow(spec *Spec, cfg RunConfig, topo *topology.Topology, pt systemPoint)
 		}
 	}
 	return row, nil
-}
-
-func (s *Spec) rowColumnsOrDefault() []string {
-	if s.RowColumns == nil {
-		return []string{"system", "param", "universe"}
-	}
-	return s.RowColumns
 }
 
 // applyFaults injects the spec's slowdowns and failures into an

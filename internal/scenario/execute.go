@@ -230,10 +230,7 @@ func (p *Partition) executeSweep(rows [][][]string, report func(int)) error {
 	s := p.space
 	spec, cfg := s.spec, s.cfg
 	variants := spec.Sweep.variants()
-	rowCols := spec.RowColumns
-	if rowCols == nil {
-		rowCols = []string{"universe", "capacity"}
-	}
+	rowCols := spec.rowColumns()
 	setups, err := p.sweepSetups()
 	if err != nil {
 		return err
@@ -274,9 +271,6 @@ func (p *Partition) executeSweep(rows [][][]string, report func(int)) error {
 					row = append(row, itoa(su.sys.UniverseSize()))
 				case "capacity":
 					row = append(row, f3(chunk[j]))
-				default:
-					errs[i] = fmt.Errorf("unknown row column %q for sweep scenario", rc)
-					return
 				}
 			}
 			for vi := range variants {
@@ -394,10 +388,7 @@ func (p *Partition) executeProtocol(rows [][][]string, report func(int)) error {
 	s := p.space
 	spec, cfg := s.spec, s.cfg
 	ps := spec.Protocol
-	rowCols := spec.RowColumns
-	if rowCols == nil {
-		rowCols = []string{"t", "universe", "clients"}
-	}
+	rowCols := spec.rowColumns()
 
 	// Build the (placement, representative clients) setup for every
 	// (seed, threshold) the partition touches, serially in (seed, t)
@@ -475,9 +466,6 @@ func (p *Partition) executeProtocol(rows [][][]string, report func(int)) error {
 				row = append(row, itoa(su.sys.UniverseSize()))
 			case "clients":
 				row = append(row, itoa(perSite*ps.clientSites()))
-			default:
-				errs[i] = fmt.Errorf("unknown row column %q for protocol scenario", rc)
-				return
 			}
 		}
 		row = append(row, f2(m.AvgNetDelayMS), f2(m.AvgResponseMS))

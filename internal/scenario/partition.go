@@ -221,7 +221,7 @@ func deriveColumns(spec *Spec) []string {
 func deriveKindColumns(spec *Spec) []string {
 	switch spec.Kind {
 	case KindEval:
-		cols := append([]string(nil), spec.rowColumnsOrDefault()...)
+		cols := append([]string(nil), spec.rowColumns()...)
 		for _, d := range spec.Demands {
 			for _, st := range spec.Strategies {
 				for _, m := range spec.Measures {
@@ -238,11 +238,7 @@ func deriveKindColumns(spec *Spec) []string {
 		}
 		return cols
 	case KindSweep:
-		rowCols := spec.RowColumns
-		if rowCols == nil {
-			rowCols = []string{"universe", "capacity"}
-		}
-		cols := append([]string(nil), rowCols...)
+		cols := append([]string(nil), spec.rowColumns()...)
 		variants := spec.Sweep.variants()
 		for _, v := range variants {
 			if len(variants) > 1 {
@@ -255,11 +251,7 @@ func deriveKindColumns(spec *Spec) []string {
 	case KindIterate:
 		return []string{"capacity", "iter1_net_delay", "iter2_net_delay", "one_to_one"}
 	case KindProtocol:
-		rowCols := spec.RowColumns
-		if rowCols == nil {
-			rowCols = []string{"t", "universe", "clients"}
-		}
-		return append(append([]string(nil), rowCols...), "net_delay_ms", "response_ms")
+		return append(append([]string(nil), spec.rowColumns()...), "net_delay_ms", "response_ms")
 	case KindTimeline:
 		cols := []string{"step", "sites", "response_ms", "net_delay_ms", "max_load", "replanned"}
 		if spec.CompareUnreplanned {

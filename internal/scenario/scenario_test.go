@@ -90,6 +90,63 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestValidateRowColumns: each kind takes only the row columns its rows
+// can carry — eval system/param/universe, sweep universe/capacity,
+// protocol t/universe/clients — and iterate and timeline, whose rows
+// have fixed columns, take none. A misspelt column is refused before
+// any point runs.
+func TestValidateRowColumns(t *testing.T) {
+	spec := func(kind Kind, cols ...string) Spec {
+		s := Spec{
+			Name:       "t",
+			Kind:       kind,
+			Topology:   TopologySpec{Source: "planetlab50"},
+			Systems:    []SystemAxis{{Family: "grid", Params: []int{3}}},
+			RowColumns: cols,
+		}
+		switch kind {
+		case KindEval:
+			s.Demands, s.Strategies, s.Measures = []float64{0}, []string{"closest"}, []string{"response"}
+		case KindSweep:
+			s.Sweep = &SweepSpec{Points: 2}
+		case KindProtocol:
+			s.Protocol = &ProtocolSpec{Ts: []int{1}, PerSite: []int{1}}
+		case KindIterate:
+			s.Iterate = &IterateSpec{Points: 2}
+		case KindTimeline:
+			s.Timeline = []Step{{Label: "x", ScaleRTT: &ScaleRTTStep{Factor: 2}}}
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		ok   bool
+	}{
+		{"eval default", spec(KindEval), true},
+		{"eval all", spec(KindEval, "system", "param", "universe"), true},
+		{"eval reordered", spec(KindEval, "universe", "system"), true},
+		{"eval misspelt", spec(KindEval, "universe", "sytem"), false},
+		{"eval capacity", spec(KindEval, "capacity"), false},
+		{"sweep all", spec(KindSweep, "universe", "capacity"), true},
+		{"sweep system", spec(KindSweep, "system"), false},
+		{"protocol all", spec(KindProtocol, "t", "universe", "clients"), true},
+		{"protocol capacity", spec(KindProtocol, "capacity"), false},
+		{"iterate default", spec(KindIterate), true},
+		{"iterate any", spec(KindIterate, "capacity"), false},
+		{"timeline default", spec(KindTimeline), true},
+		{"timeline any", spec(KindTimeline, "universe"), false},
+	} {
+		err := tc.spec.Validate()
+		if tc.ok && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: row_columns %q accepted", tc.name, tc.spec.RowColumns)
+		}
+	}
+}
+
 // TestLibraryJSONRoundTrip checks every built-in scenario survives the
 // JSON encode → Load cycle unchanged — the same path quorumbench uses
 // for user spec files.

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"strings"
 
 	"github.com/quorumnet/quorumnet/internal/plan"
 	"github.com/quorumnet/quorumnet/internal/topology"
@@ -63,8 +65,10 @@ type Spec struct {
 	Placement PlacementSpec `json:"placement,omitempty"`
 
 	// RowColumns picks the identifying prefix cells of each row, from
-	// "system", "param", "universe" (eval kind), plus "capacity" (sweep),
-	// "t", "clients" (protocol).
+	// "system", "param", "universe" (eval kind), "universe", "capacity"
+	// (sweep), or "t", "universe", "clients" (protocol); unset, all of
+	// them in that order. Iterate and timeline rows have fixed columns
+	// and take none.
 	RowColumns []string `json:"row_columns,omitempty"`
 	// Demands lists client demand values (requests); alpha is
 	// OpServiceTimeMS × demand, 0 evaluating pure network delay.
@@ -636,5 +640,30 @@ func (s *Spec) Validate() error {
 	if s.CompareUnreplanned && s.Kind != KindTimeline {
 		return fail("compare_unreplanned only applies to timeline scenarios")
 	}
+	allowed := rowColumns[s.Kind]
+	for _, rc := range s.RowColumns {
+		if allowed == nil {
+			return fail("%s scenario rows have fixed columns; drop row_columns", s.Kind)
+		}
+		if !slices.Contains(allowed, rc) {
+			return fail("unknown row column %q for %s scenario (want %s)", rc, s.Kind, strings.Join(allowed, ", "))
+		}
+	}
 	return nil
+}
+
+// rowColumns lists the row columns each kind takes, in their default
+// order.
+var rowColumns = map[Kind][]string{
+	KindEval:     {"system", "param", "universe"},
+	KindSweep:    {"universe", "capacity"},
+	KindProtocol: {"t", "universe", "clients"},
+}
+
+// rowColumns returns the spec's row columns, or its kind's default.
+func (s *Spec) rowColumns() []string {
+	if s.RowColumns == nil {
+		return rowColumns[s.Kind]
+	}
+	return s.RowColumns
 }

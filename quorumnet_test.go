@@ -343,7 +343,8 @@ var configSeams = map[string]string{
 // configure. Every exported field of an exported *Config or *Options
 // struct under internal/ must be written by some non-test file, as a
 // composite-literal key or an assignment target. Fields with a json tag
-// are a file or wire format and are exempt; so are configSeams.
+// other than "-" are a file or wire format and are exempt; so are
+// configSeams.
 func TestConfigFieldsHaveCallers(t *testing.T) {
 	bad := loadModuleScan(t).unwritten(configSeams)
 	if len(bad) > 0 {
@@ -540,7 +541,8 @@ func (s *modScan) unwritten(seams map[string]string) []string {
 			}
 			for i := range st.NumFields() {
 				fld := st.Field(i)
-				if fld.Exported() && reflect.StructTag(st.Tag(i)).Get("json") == "" {
+				// json:"-" says the field is not wire format.
+				if tag := reflect.StructTag(st.Tag(i)).Get("json"); fld.Exported() && (tag == "" || tag == "-") {
 					fields[rel+"."+name+"."+fld.Name()] = written[fld]
 				}
 			}
@@ -644,7 +646,8 @@ func disagreements(used map[string]bool, seams map[string]string, pkgOf map[stri
 
 // TestConfigFieldWritesScan pins what the guards count on a planted
 // module: a field is declared only by an exported *Config/*Options
-// struct under internal/ and only when exported and untagged; a write
+// struct under internal/ and only when exported and untagged or tagged
+// json:"-"; a write
 // or a use counts only from a non-test file, and only for the object it
 // resolves to, not for a field of the same name elsewhere; a method
 // named in some interface is exempt; testdata/ is skipped; a seam that
@@ -659,6 +662,7 @@ type DialConfig struct {
 	Assigned int
 	TestOnly int
 	Wire     int ` + "`json:\"wire\"`" + `
+	Unwired  int ` + "`json:\"-\"`" + `
 	hidden   int
 }
 
@@ -708,8 +712,8 @@ var _ = undefined
 		name      string
 		got, want []string
 	}{
-		{"fields", s.unwritten(nil), []string{"knob.DialConfig.TestOnly"}},
-		{"field seams", s.unwritten(map[string]string{"knob.DialConfig.TestOnly": "r", "knob.DialConfig.Literal": "r"}),
+		{"fields", s.unwritten(nil), []string{"knob.DialConfig.TestOnly", "knob.DialConfig.Unwired"}},
+		{"field seams", s.unwritten(map[string]string{"knob.DialConfig.TestOnly": "r", "knob.DialConfig.Unwired": "r", "knob.DialConfig.Literal": "r"}),
 			[]string{"knob.DialConfig.Literal (a seam, but it names nothing unused)"}},
 		{"exports", s.unusedExports(nil), []string{"knob.Dial.Unturned", "knob.Unused"}},
 		{"export seams", s.unusedExports(map[string]string{"knob": "r"}), nil},

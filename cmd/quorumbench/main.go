@@ -3,10 +3,13 @@
 // locally, sharded across processes, or coordinated over a worker
 // fleet. A figure is a scenario spec (scenario.Figures): -fig and -all
 // resolve to specs and run exactly as -scenario does, under the one
-// scenario.RunConfig the flags build. -quick picks the quick-scale
-// figures and caps the Q/U simulation at 2 runs of 3000 ms. The
-// ablations (-ablations, -fig abl-…) are bespoke runners over the same
-// config and run only in this process.
+// scenario.RunConfig the flags build (-seed, -reproducible, -runs,
+// -duration) — the run's identity in every process that touches it.
+// Every spec run in this process, sharded or not, is NewSpace, each
+// shard's execution, then Merge. -quick picks the quick-scale figures
+// and caps the Q/U simulation at 2 runs of 3000 ms. The ablations
+// (-ablations, -fig abl-…) are bespoke runners that read the seed and
+// the solver profile of the same config and run only in this process.
 //
 // Usage:
 //
@@ -41,11 +44,13 @@
 //	quorumbench -scenario seed-scale-study -fleet-registry :9200 -min-workers 3 -shards 12
 //
 // Durable runs (crash recovery): -journal records every dispatch and
-// completed shard to an append-only file; -resume reloads it, verifies
-// the spec hash, and dispatches only the shards without a recorded
-// result — the merged output is byte-identical to an uninterrupted run.
-// -standby tails a journal and takes over automatically when the
-// primary coordinator's lease goes stale:
+// completed shard to an append-only file; -standby tails a journal and
+// takes the run over when the primary coordinator's lease goes stale,
+// and -resume is the same takeover at once: it reloads the journal,
+// verifies the spec hash, and dispatches only the shards without a
+// recorded result under the journal's config — the merged output is
+// byte-identical to an uninterrupted run. A killed coordinator's
+// in-flight shards stop on their workers at their next point boundary:
 //
 //	quorumbench -fig 6.3 -fleet host1:9190,host2:9190 -shards 8 -journal run.journal
 //	quorumbench -resume run.journal -fleet host1:9190,host2:9190
@@ -69,11 +74,14 @@
 // one line on stderr) before anything runs: at most one of -fig, -all,
 // -ablations, -scenario and -list, and none of them with -standby
 // (-resume takes one -fig or -scenario to cross-check the journal's
-// spec); -list takes no other flag; a -fleet-worker reads only -addr,
-// -join, -advertise and -slots, which no other mode reads; -slots
-// needs -join, -min-workers needs -fleet-registry and -lease-ttl needs
-// -standby; a -shard prints JSON whatever -format says; sharded, fleet
-// and resumed runs take one spec, never -all or an ablation.
+// spec); -list and -scenario list take no other flag; a -fleet-worker
+// reads only -addr, -join, -advertise and -slots, which no other mode
+// reads; -slots needs -join, -min-workers needs -fleet-registry and
+// -lease-ttl needs -standby; -resume and -standby take none of -seed,
+// -reproducible, -runs and -duration (the journal records the run), and
+// the ablations none of -runs, -duration and -progress; a -shard prints
+// JSON whatever -format says; sharded, fleet and resumed runs take one
+// spec, never -all or an ablation.
 // Contradictory combinations (-fleet with -fleet-registry, -resume with
 // -journal, a -shard outside -shards, ...) are refused the same way.
 package main
@@ -163,6 +171,12 @@ func parse(args []string) (*options, int) {
 	// a worker takes nothing else, and at most one selector of what to
 	// run is given.
 	selectors := map[string]bool{"fig": true, "all": true, "ablations": true, "scenario": true, "list": true}
+	// The flags that build the scenario.RunConfig: a journaled run
+	// already has one, and the ablations read only the seed and the
+	// solver profile of it.
+	runFlags := map[string]bool{"seed": true, "reproducible": true, "runs": true, "duration": true}
+	_, ablation := ablationByID(o.fig)
+	ablation = ablation || o.ablations
 	needs := map[string]string{"addr": "fleet-worker", "join": "fleet-worker", "advertise": "fleet-worker",
 		"slots": "join", "min-workers": "fleet-registry", "lease-ttl": "standby"}
 	running := map[string]bool{"fleet-worker": o.worker, "join": o.join != "", "fleet-registry": o.registry != "", "standby": o.standby}
@@ -176,6 +190,12 @@ func parse(args []string) (*options, int) {
 			msg = fmt.Sprintf("a -fleet-worker only serves shards and reads -addr, -join, -advertise and -slots; drop -%s or drop -fleet-worker", f.Name)
 		case o.list && f.Name != "list":
 			msg = fmt.Sprintf("-list prints the figures and ablations and reads no other flag; drop -%s", f.Name)
+		case o.scen == "list" && f.Name != "scenario":
+			msg = fmt.Sprintf("-scenario list prints the scenario library and reads no other flag; drop -%s", f.Name)
+		case (o.resume != "" || o.standby) && runFlags[f.Name]:
+			msg = fmt.Sprintf("a journaled run keeps the seed, profile and protocol scale its journal records; drop -%s", f.Name)
+		case ablation && (f.Name == "runs" || f.Name == "duration" || f.Name == "progress"):
+			msg = fmt.Sprintf("the ablations read only -seed and -reproducible (and -quick) and log no progress; drop -%s", f.Name)
 		case f.Name == "format" && o.shard >= 0:
 			msg = "a -shard always prints its partial as JSON; drop -format"
 		case modeOnly && !running[mode]:
@@ -204,11 +224,10 @@ func parse(args []string) (*options, int) {
 	if o.quick && o.fig == "" && !o.all && !o.ablations {
 		return refuse("-quick scales the figures and ablations only; add -fig <id>, -all or -ablations, or drop -quick")
 	}
-	_, ablation := ablationByID(o.fig)
 	oneSpec := o.sharded() || o.resume != ""
 	switch {
 	case o.worker || o.list || o.standby:
-	case o.ablations || ablation:
+	case ablation:
 		if oneSpec {
 			return refuse("the ablations are not specs and run only in this process; drop -shards, -shard, -merge, -fleet, -fleet-registry and -resume")
 		}
@@ -291,9 +310,9 @@ func run(args []string) int {
 		return runResume(o)
 	}
 
-	// The one engine configuration every run below executes under.
-	// -quick caps the Q/U simulation here, as it picks the quick-scale
-	// figures in resolve.
+	// The one run identity every run below executes under. -quick caps
+	// the Q/U simulation here, as it picks the quick-scale figures in
+	// resolve.
 	cfg := scenario.RunConfig{
 		Seed:         o.seed,
 		Reproducible: o.repro,
@@ -302,9 +321,6 @@ func run(args []string) int {
 	}
 	if o.quick {
 		cfg = cfg.QuickScale()
-	}
-	if o.progress {
-		cfg.Progress = logProgress
 	}
 
 	// What to run: the selected ablations, or the selected specs, which
@@ -325,12 +341,12 @@ func run(args []string) int {
 		if code != 0 {
 			return code
 		}
-		if o.sharded() {
+		if o.shard >= 0 || o.mergeArg != "" || o.fleetArg != "" || o.registry != "" {
 			return runSharded(specs[0], cfg, o) // parse admits one spec here
 		}
 		for _, spec := range specs {
 			ids = append(ids, spec.Name)
-			runs = append(runs, func() (*scenario.Table, error) { return scenario.Run(spec, cfg) })
+			runs = append(runs, func() (*scenario.Table, error) { return runLocal(spec, cfg, o.shards, o.progressSink()) })
 		}
 	}
 	for i, run := range runs {
@@ -342,7 +358,7 @@ func run(args []string) int {
 		if err != nil {
 			return fail(fmt.Errorf("%s: %w", ids[i], err))
 		}
-		if code := emit(tb, o.format, ids[i], start); code != 0 {
+		if code := emit(tb, o.format, start); code != 0 {
 			return code
 		}
 	}
@@ -424,11 +440,12 @@ func fleetConfig(o *options) (fleet.Config, func(), int) {
 	}, func() {}, 0
 }
 
-// runResume continues a crashed fleet run from its journal: load the
-// recorded state, cross-check the spec hash when -fig/-scenario is also
-// given, reopen the journal at the next epoch, and dispatch only the
-// shards without a recorded result. The merged output is byte-identical
-// to the run the dead coordinator would have produced.
+// runResume takes a crashed fleet run over from its journal at once —
+// the standby takeover without waiting for the lease to go stale: load
+// the recorded state, cross-check the spec hash when -fig/-scenario is
+// also given, continue the journal at the next epoch, and dispatch only
+// the shards without a recorded result. The merged output is
+// byte-identical to the run the dead coordinator would have produced.
 func runResume(o *options) int {
 	start := time.Now()
 	path := o.resume
@@ -455,32 +472,20 @@ func runResume(o *options) int {
 	}
 	fmt.Fprintf(os.Stderr, "quorumbench: resuming %q from %s: %d/%d shards recorded under %s, continuing at epoch %d\n",
 		st.Spec.Name, path, len(st.Completed), st.Shards, st.LeaseOwner, st.Epoch+1)
-	jr, err := runjournal.Continue(path, st, runjournal.Options{Owner: "resume"})
-	if err != nil {
-		return fail(err)
-	}
-	defer jr.Close()
-
 	fcfg, cleanup, code := fleetConfig(o)
 	if code != 0 {
 		return code
 	}
 	defer cleanup()
-	fcfg.Shards = st.Shards
-	fcfg.Journal = jr
-	coord, err := fleet.New(fcfg)
+	sb, err := fleet.NewStandby(fleet.StandbyOptions{Journal: path, Coordinator: fcfg})
 	if err != nil {
 		return fail(err)
 	}
-	cfg := st.Config.RunConfig()
-	if o.progress {
-		cfg.Progress = logProgress
-	}
-	tb, err := coord.Resume(st.Spec, cfg, st.Completed)
+	tb, err := sb.TakeOver(st)
 	if err != nil {
 		return fail(err)
 	}
-	return emit(tb, o.format, st.Spec.Name, start)
+	return emit(tb, o.format, start)
 }
 
 // runStandby tails a run journal until the primary coordinator's lease
@@ -512,11 +517,7 @@ func runStandby(o *options) int {
 	if tb == nil {
 		return 0 // the primary finished on its own
 	}
-	name := "run"
-	if st, err := runjournal.Load(o.journal); err == nil && st.Spec != nil {
-		name = st.Spec.Name
-	}
-	return emit(tb, o.format, name, start)
+	return emit(tb, o.format, start)
 }
 
 // fleetLogf returns the coordinator/registry log sink: stderr under
@@ -530,7 +531,31 @@ func fleetLogf(progress bool) func(string, ...interface{}) {
 	}
 }
 
-// runSharded executes the sharded/fleet/merge modes over one spec.
+// runLocal runs one spec in this process, as shards merged (a shard
+// count of 0 or 1 is one shard): NewSpace, then each shard's
+// ExecuteContext, then Merge. Every local spec run takes this path, so
+// a -shards run is the smoke-testable proof that sharding preserves
+// bytes.
+func runLocal(spec *scenario.Spec, cfg scenario.RunConfig, shards int, progress func(scenario.Progress)) (*scenario.Table, error) {
+	space, err := scenario.NewSpace(spec, cfg)
+	if err != nil {
+		return nil, err
+	}
+	partials := make([]*scenario.Partial, max(shards, 1))
+	for si := range partials {
+		part, err := space.Shard(si, len(partials))
+		if err != nil {
+			return nil, err
+		}
+		if partials[si], err = part.ExecuteContext(context.Background(), progress); err != nil {
+			return nil, err
+		}
+	}
+	return space.Merge(partials)
+}
+
+// runSharded executes the merge, fleet and single-shard modes over one
+// spec.
 func runSharded(spec *scenario.Spec, cfg scenario.RunConfig, o *options) int {
 	start := time.Now()
 	switch {
@@ -551,7 +576,7 @@ func runSharded(spec *scenario.Spec, cfg scenario.RunConfig, o *options) int {
 		if err != nil {
 			return fail(err)
 		}
-		return emit(tb, o.format, spec.Name, start)
+		return emit(tb, o.format, start)
 
 	case o.registry != "" || o.fleetArg != "":
 		// Fleet run: over the listed workers, or a registry waiting for
@@ -563,7 +588,7 @@ func runSharded(spec *scenario.Spec, cfg scenario.RunConfig, o *options) int {
 		}
 		defer cleanup()
 		if o.journal != "" {
-			jr, err := runjournal.Create(o.journal, spec, cfg.Settings(), o.shards, runjournal.Options{})
+			jr, err := runjournal.Create(o.journal, spec, cfg, o.shards, runjournal.Options{})
 			if err != nil {
 				return fail(err)
 			}
@@ -579,9 +604,9 @@ func runSharded(spec *scenario.Spec, cfg scenario.RunConfig, o *options) int {
 		if err != nil {
 			return fail(err)
 		}
-		return emit(tb, o.format, spec.Name, start)
+		return emit(tb, o.format, start)
 
-	case o.shard >= 0:
+	default: // one shard's partial
 		space, err := scenario.NewSpace(spec, cfg)
 		if err != nil {
 			return fail(err)
@@ -590,7 +615,7 @@ func runSharded(spec *scenario.Spec, cfg scenario.RunConfig, o *options) int {
 		if err != nil {
 			return fail(err)
 		}
-		partial, err := part.Execute()
+		partial, err := part.ExecuteContext(context.Background(), o.progressSink())
 		if err != nil {
 			return fail(err)
 		}
@@ -600,29 +625,6 @@ func runSharded(spec *scenario.Spec, cfg scenario.RunConfig, o *options) int {
 			return fail(err)
 		}
 		return 0
-
-	default:
-		// All shards in this process, merged — the smoke-testable proof
-		// that sharding preserves bytes.
-		space, err := scenario.NewSpace(spec, cfg)
-		if err != nil {
-			return fail(err)
-		}
-		partials := make([]*scenario.Partial, o.shards)
-		for si := range partials {
-			part, err := space.Shard(si, o.shards)
-			if err != nil {
-				return fail(err)
-			}
-			if partials[si], err = part.Execute(); err != nil {
-				return fail(err)
-			}
-		}
-		tb, err := space.Merge(partials)
-		if err != nil {
-			return fail(err)
-		}
-		return emit(tb, o.format, spec.Name, start)
 	}
 }
 
@@ -654,16 +656,22 @@ func runFleetWorker(o *options) int {
 	return fail(serve.HTTPServer(o.addr, w.Handler()).ListenAndServe())
 }
 
-// logProgress is the -progress handler: per-point completion counts
-// with elapsed time.
-func logProgress(ev scenario.Progress) {
-	fmt.Fprintf(os.Stderr, "progress: %s shard %d/%d: point %d/%d done (%s, %.1fs)\n",
-		ev.Scenario, ev.Shard, ev.Shards, ev.Done, ev.Total, ev.Point.Label, ev.Elapsed.Seconds())
+// progressSink is the progress sink of a spec executed in this
+// process: under -progress, per-point completion counts with elapsed
+// time on stderr; nil otherwise.
+func (o *options) progressSink() func(scenario.Progress) {
+	if !o.progress {
+		return nil
+	}
+	return func(ev scenario.Progress) {
+		fmt.Fprintf(os.Stderr, "progress: %s shard %d/%d: point %d/%d done (%s, %.1fs)\n",
+			ev.Scenario, ev.Shard, ev.Shards, ev.Done, ev.Total, ev.Point.Label, ev.Elapsed.Seconds())
+	}
 }
 
 // emit writes one table in the selected format; text appends a timing
-// line.
-func emit(tb *scenario.Table, format, id string, start time.Time) int {
+// line naming the table.
+func emit(tb *scenario.Table, format string, start time.Time) int {
 	switch format {
 	case "markdown":
 		if err := tb.FormatMarkdown(os.Stdout); err != nil {
@@ -683,7 +691,7 @@ func emit(tb *scenario.Table, format, id string, start time.Time) int {
 		if err := tb.Format(os.Stdout); err != nil {
 			return fail(err)
 		}
-		fmt.Printf("(%s in %.1fs)\n", id, time.Since(start).Seconds())
+		fmt.Printf("(%s in %.1fs)\n", tb.ID, time.Since(start).Seconds())
 	}
 	return 0
 }

@@ -49,6 +49,26 @@ func TestRefusals(t *testing.T) {
 		"-shards 2",
 		// Nothing selected to run.
 		"-seed 3",
+		// A journaled run is already identified: its journal records
+		// the seed, the solver profile and the protocol scale.
+		"-resume run.journal -fleet 127.0.0.1:1 -seed 9",
+		"-resume run.journal -fleet 127.0.0.1:1 -reproducible",
+		"-resume run.journal -fleet 127.0.0.1:1 -runs 2",
+		"-resume run.journal -fleet 127.0.0.1:1 -duration 100",
+		"-standby -journal run.journal -fleet 127.0.0.1:1 -seed 9",
+		"-standby -journal run.journal -fleet 127.0.0.1:1 -reproducible",
+		"-standby -journal run.journal -fleet 127.0.0.1:1 -runs 2",
+		"-standby -journal run.journal -fleet 127.0.0.1:1 -duration 100",
+		// -scenario list reads no other flag.
+		"-scenario list -seed 9",
+		// The ablations read only the seed and the solver profile of the
+		// run flags, and report no progress.
+		"-ablations -runs 2",
+		"-ablations -duration 100",
+		"-ablations -progress",
+		"-fig abl-dedup -runs 2",
+		"-fig abl-dedup -duration 100",
+		"-fig abl-dedup -progress",
 	} {
 		t.Run(args, func(t *testing.T) {
 			dir := t.TempDir()
@@ -106,8 +126,16 @@ func TestAcceptances(t *testing.T) {
 		// bench/study.go
 		"-fleet-worker -addr 127.0.0.1:19501",
 		"-scenario bench/specs/study-fleet.json -seed 1 -shards 16 -fleet 127.0.0.1:19501,127.0.0.1:19502 -progress",
-		// -resume cross-checks one -fig or -scenario against its journal.
+		// -resume cross-checks one -fig or -scenario against its journal;
+		// -quick picks which figure.
 		"-resume run.journal -fleet 127.0.0.1:19401 -fig 3.1",
+		"-resume run.journal -fleet 127.0.0.1:19401 -fig 3.1 -quick",
+		// The ablations read the seed and the solver profile.
+		"-ablations -quick -seed 3 -reproducible",
+		"-fig abl-dedup -seed 3 -reproducible -format csv",
+		// The protocol scale is part of a run's identity even for a spec
+		// with no Q/U axis.
+		"-scenario site-churn -runs 2 -duration 100",
 	} {
 		t.Run(args, func(t *testing.T) {
 			if o, code := parse(strings.Fields(args)); o == nil {

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -9,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/quorumnet/quorumnet/internal/par/partest"
 	"github.com/quorumnet/quorumnet/internal/scenario"
 )
 
@@ -108,16 +111,36 @@ func (h *fleetHarness) startWorker() string {
 }
 
 // startSlowWorker starts a worker whose every shard sleeps hold in its
-// "started" line before it executes, and returns its address.
-func (h *fleetHarness) startSlowWorker(hold time.Duration) string {
+// "started" line before it executes. It returns the worker's address
+// and a function reporting the most shards the worker's own GET
+// /v1/shards listed at any shard's start — the worker side of its load,
+// which only a start can raise.
+func (h *fleetHarness) startSlowWorker(hold time.Duration) (string, func() int) {
 	h.t.Helper()
-	srv := httptest.NewServer(NewWorker(WorkerOptions{Logf: func(format string, args ...interface{}) {
+	var mu sync.Mutex
+	peak := 0
+	var w *Worker
+	w = NewWorker(WorkerOptions{Logf: func(format string, args ...interface{}) {
 		if strings.HasSuffix(format, "started") {
+			rec := httptest.NewRecorder()
+			w.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/shards", nil))
+			var list struct {
+				Shards []string `json:"shards"`
+			}
+			_ = json.Unmarshal(rec.Body.Bytes(), &list)
+			mu.Lock()
+			peak = max(peak, len(list.Shards))
+			mu.Unlock()
 			time.Sleep(hold)
 		}
-	}}).Handler())
+	}})
+	srv := httptest.NewServer(w.Handler())
 	h.t.Cleanup(srv.Close)
-	return srv.URL
+	return srv.URL, func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return peak
+	}
 }
 
 // startProxiedWorker starts a worker behind a fault-injection proxy and
@@ -486,20 +509,31 @@ func slotCheck(t *testing.T, slots map[string]int) func(Event) {
 
 // TestDispatchKeepsWorkersWithinSlots: the coordinator's pending list
 // is the only queue, so no worker ever holds more shards than its
-// slots. Over two pinned one-slot workers, one three times slower than
-// the other, the fast worker takes the shards the slow one has no slot
-// for and completes at least 4 of the 6; over a 2-slot and a 1-slot
-// registered worker, neither is sent a shard beyond its slots.
+// slots — as the coordinator's events count them, and as each worker's
+// own GET /v1/shards lists them. Over two pinned one-slot workers, one
+// three times slower than the other, the fast worker takes the shards
+// the slow one has no slot for and completes at least 4 of the 6; over
+// a 2-slot and a 1-slot registered worker, neither is sent a shard
+// beyond its slots.
 func TestDispatchKeepsWorkersWithinSlots(t *testing.T) {
+	workerSide := func(t *testing.T, name string, peak func() int, slots int) {
+		t.Helper()
+		if n := peak(); n > slots {
+			t.Errorf("the %s worker listed %d shards at once, over its %d slots", name, n, slots)
+		}
+	}
 	t.Run("pinned", func(t *testing.T) {
 		h := newFleetHarness(t)
-		fast, slow := h.startSlowWorker(150*time.Millisecond), h.startSlowWorker(450*time.Millisecond)
+		fast, fastPeak := h.startSlowWorker(150 * time.Millisecond)
+		slow, slowPeak := h.startSlowWorker(450 * time.Millisecond)
 		h.log.hook(slotCheck(t, map[string]int{fast: 1, slow: 1}))
 		got, err := h.coordinator(Config{Workers: []string{fast, slow}, Shards: 6}).Run(testSpec(), testCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
 		h.assertByteIdentical(got)
+		workerSide(t, "fast", fastPeak, 1)
+		workerSide(t, "slow", slowPeak, 1)
 		onFast := 0
 		for _, ev := range h.log.all() {
 			if ev.Kind == EventShardDone && ev.Worker == fast {
@@ -512,14 +546,17 @@ func TestDispatchKeepsWorkersWithinSlots(t *testing.T) {
 	})
 	t.Run("self-registered", func(t *testing.T) {
 		h := newFleetHarness(t)
-		big := h.reg.Register(h.startSlowWorker(100*time.Millisecond), 2)
-		small := h.reg.Register(h.startSlowWorker(100*time.Millisecond), 1)
+		bigURL, bigPeak := h.startSlowWorker(100 * time.Millisecond)
+		smallURL, smallPeak := h.startSlowWorker(100 * time.Millisecond)
+		big, small := h.reg.Register(bigURL, 2), h.reg.Register(smallURL, 1)
 		h.log.hook(slotCheck(t, map[string]int{big.ID: 2, small.ID: 1}))
 		got, err := h.coordinator(Config{Shards: 6}).Run(testSpec(), testCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
 		h.assertByteIdentical(got)
+		workerSide(t, "2-slot", bigPeak, 2)
+		workerSide(t, "1-slot", smallPeak, 1)
 	})
 }
 
@@ -529,7 +566,7 @@ func TestDispatchKeepsWorkersWithinSlots(t *testing.T) {
 // ShardTimeout none is re-dispatched.
 func TestShardTimeoutStartsAtFreeSlot(t *testing.T) {
 	h := newFleetHarness(t)
-	w := h.startSlowWorker(400 * time.Millisecond)
+	w, _ := h.startSlowWorker(400 * time.Millisecond)
 	got, err := h.coordinator(Config{Workers: []string{w}, Shards: 4, ShardTimeout: time.Second}).Run(testSpec(), testCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -537,5 +574,60 @@ func TestShardTimeoutStartsAtFreeSlot(t *testing.T) {
 	h.assertByteIdentical(got)
 	if n := h.log.count(EventRedispatch); n != 0 {
 		t.Errorf("%d re-dispatches, want 0: a shard's timeout ran while it waited for the worker", n)
+	}
+}
+
+// TestAbandonedAttemptStopsAtPointBoundary: a worker runs a shard under
+// its request's context, so an attempt the coordinator gave up on stops
+// at its next point boundary instead of running to its end beside the
+// retry. One pinned 1-slot worker runs a 10-point shard, one point at a
+// time, each point held pointHold in its "point … done" line, under a
+// ShardTimeout far shorter than the shard and 3 attempts. Each retry
+// backs off longer than an abandoned attempt needs to finish its
+// current point, so the worker's own GET /v1/shards never lists more
+// than one shard. An abandoned attempt left to run (1.5 s) would still
+// be listed beside both retries, 3 at once.
+func TestAbandonedAttemptStopsAtPointBoundary(t *testing.T) {
+	partest.SetGOMAXPROCS(t, 1) // one point at a time
+	const pointHold = 150 * time.Millisecond
+	h := newFleetHarness(t)
+	srv := httptest.NewServer(NewWorker(WorkerOptions{Logf: func(format string, args ...interface{}) {
+		if strings.Contains(format, " point ") {
+			time.Sleep(pointHold)
+		}
+	}}).Handler())
+	t.Cleanup(srv.Close)
+	spec := testSpec()
+	spec.Systems = []scenario.SystemAxis{{Family: "majority", Params: []int{1, 2, 3, 4, 5}}, {Family: "bmajority", Params: []int{1, 2, 3}}, {Family: "grid", Params: []int{2, 3}}}
+
+	coord := h.coordinator(Config{
+		Workers:      []string{srv.URL},
+		Shards:       1,
+		Attempts:     3,
+		ShardTimeout: 100 * time.Millisecond,
+		RetryBackoff: pointHold + 250*time.Millisecond,
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := coord.Run(spec, testCfg())
+		done <- err
+	}()
+	peak := 0
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "failed after 3 attempts") {
+				t.Fatalf("run error %v, want the shard to fail after 3 timed-out attempts", err)
+			}
+			running = false
+		case <-time.After(5 * time.Millisecond):
+			peak = max(peak, len(listJobs(t, srv.URL)))
+		}
+	}
+	if n := h.log.count(EventDispatch); n != 3 {
+		t.Errorf("%d dispatches, want 3", n)
+	}
+	if peak > 1 {
+		t.Errorf("the 1-slot worker listed %d shards at once: abandoned attempts ran on beside their retries", peak)
 	}
 }

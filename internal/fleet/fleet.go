@@ -255,7 +255,7 @@ func (c *Coordinator) startLeaseTicker() func() {
 // attemptShard runs one shard on one worker: one POST under the
 // attempt's context, answered with the partial.
 func (c *Coordinator) attemptShard(ctx context.Context, addr string, spec *scenario.Spec, cfg scenario.RunConfig, shard, shards int) (*scenario.Partial, error) {
-	body, err := json.Marshal(&ShardRequest{Spec: spec, Config: cfg.Settings(), Shard: shard, Shards: shards})
+	body, err := json.Marshal(&ShardRequest{Spec: spec, Config: cfg, Shard: shard, Shards: shards})
 	if err != nil {
 		return nil, err
 	}

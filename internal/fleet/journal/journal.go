@@ -5,12 +5,16 @@
 //
 // Record types, in protocol order:
 //
-//	header    — spec hash, the spec itself, run settings, shard count.
-//	            Written once at Create; everything a resume needs to
-//	            rebuild the run is inlined, so -resume takes only the
-//	            journal path.
-//	lease     — "a coordinator with this owner id and epoch is alive at
-//	            t". The primary stamps one at takeover and renews it
+//	header    — spec hash, the spec itself, the run's
+//	            scenario.RunConfig, shard count. Written once at
+//	            Create; everything a resume needs to rebuild the run is
+//	            inlined, so -resume takes only the journal path.
+//	lease     — "a coordinator with this owner label and epoch is
+//	            alive at t". A writer opened by Create stamps every
+//	            record "coordinator"; one opened by Continue — a
+//	            standby's takeover, or quorumbench -resume, which is
+//	            the same takeover at once — stamps "standby". Each
+//	            writer stamps one lease when it opens and renews it
 //	            during quiet stretches; a standby declares the primary
 //	            dead when the newest stamped record is older than its
 //	            lease TTL.
@@ -45,10 +49,10 @@ type Record struct {
 	Type string `json:"type"`
 
 	// header fields
-	SpecHash string             `json:"spec_hash,omitempty"`
-	Spec     *scenario.Spec     `json:"spec,omitempty"`
-	Config   *scenario.Settings `json:"config,omitempty"`
-	Shards   int                `json:"shards,omitempty"`
+	SpecHash string              `json:"spec_hash,omitempty"`
+	Spec     *scenario.Spec      `json:"spec,omitempty"`
+	Config   *scenario.RunConfig `json:"config,omitempty"`
+	Shards   int                 `json:"shards,omitempty"`
 
 	// lease fields (Owner/Epoch also stamp dispatch/complete/merged)
 	Owner  string `json:"owner,omitempty"`
@@ -76,20 +80,19 @@ const (
 
 // Options configures a run journal writer.
 type Options struct {
-	// Owner identifies the coordinator in lease records (default
-	// "coordinator").
-	Owner string
 	// Now supplies lease timestamps; tests inject fake clocks. Defaults
 	// to time.Now.
 	Now func() time.Time
 }
 
-func (o Options) owner() string {
-	if o.Owner == "" {
-		return "coordinator"
-	}
-	return o.Owner
-}
+// The owner labels stamped on every record: the coordinator that
+// created the run, and every generation that continues it — a standby
+// taking over a stale lease, or quorumbench -resume, which is the same
+// takeover without the wait.
+const (
+	createOwner   = "coordinator"
+	continueOwner = "standby"
+)
 
 func (o Options) now() time.Time {
 	if o.Now == nil {
@@ -104,6 +107,7 @@ func (o Options) now() time.Time {
 type Run struct {
 	w     *journal.Writer
 	opts  Options
+	owner string
 	epoch int
 
 	mu   sync.Mutex
@@ -111,9 +115,10 @@ type Run struct {
 }
 
 // Create starts a new run journal at path: header (spec inlined + spec
-// hash + settings + shard count) and the epoch-1 lease, fsynced before
-// returning so the run is resumable from its very first dispatch.
-func Create(path string, spec *scenario.Spec, cfg scenario.Settings, shards int, opts Options) (*Run, error) {
+// hash + run config + shard count) and the epoch-1 lease stamped
+// createOwner, fsynced before returning so the run is resumable from
+// its very first dispatch.
+func Create(path string, spec *scenario.Spec, cfg scenario.RunConfig, shards int, opts Options) (*Run, error) {
 	hash, err := spec.Hash()
 	if err != nil {
 		return nil, err
@@ -122,7 +127,7 @@ func Create(path string, spec *scenario.Spec, cfg scenario.Settings, shards int,
 	if err != nil {
 		return nil, err
 	}
-	r := &Run{w: w, opts: opts, epoch: 1}
+	r := &Run{w: w, opts: opts, owner: createOwner, epoch: 1}
 	if err := w.Append(Record{
 		Type:     TypeHeader,
 		SpecHash: hash,
@@ -142,15 +147,15 @@ func Create(path string, spec *scenario.Spec, cfg scenario.Settings, shards int,
 
 // Continue reopens an existing run journal for a new coordinator
 // generation: any torn tail is truncated, the epoch advances past every
-// epoch the journal has seen, and the new generation's lease is fsynced
-// before returning — from that record on, the journal's authority is
-// the new owner.
+// epoch the journal has seen, and the new generation's lease, stamped
+// continueOwner, is fsynced before returning — from that record on, the
+// journal's authority is the new generation.
 func Continue(path string, st *State, opts Options) (*Run, error) {
 	w, err := journal.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	r := &Run{w: w, opts: opts, epoch: st.Epoch + 1}
+	r := &Run{w: w, opts: opts, owner: continueOwner, epoch: st.Epoch + 1}
 	if err := r.Lease(); err != nil {
 		w.Close()
 		return nil, err
@@ -162,7 +167,7 @@ func Continue(path string, st *State, opts Options) (*Run, error) {
 func (r *Run) Epoch() int { return r.epoch }
 
 func (r *Run) stamp(rec Record) Record {
-	rec.Owner = r.opts.owner()
+	rec.Owner = r.owner
 	rec.Epoch = r.epoch
 	now := r.opts.now()
 	rec.TimeNS = now.UnixNano()
@@ -232,7 +237,7 @@ func (r *Run) Close() error { return r.w.Close() }
 type State struct {
 	SpecHash string
 	Spec     *scenario.Spec
-	Config   scenario.Settings
+	Config   scenario.RunConfig
 	Shards   int
 	// Completed holds the first complete record per shard —
 	// first-complete-wins is the fencing rule that makes a dead

@@ -22,14 +22,14 @@ func jSpec() *scenario.Spec {
 	}
 }
 
-func jSettings() scenario.Settings {
-	return scenario.Settings{Reproducible: true}
+func jConfig() scenario.RunConfig {
+	return scenario.RunConfig{Reproducible: true}
 }
 
 func jPartial(shard, shards int) *scenario.Partial {
 	return &scenario.Partial{
 		Scenario: "journal-test",
-		Config:   jSettings(),
+		Config:   jConfig(),
 		Shard:    shard,
 		Shards:   shards,
 		Points:   []int{shard},
@@ -47,7 +47,7 @@ func (c *tick) Advance(d time.Duration) { c.t = c.t.Add(d) }
 func TestRunJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.journal")
 	clk := newTick()
-	r, err := Create(path, jSpec(), jSettings(), 3, Options{Owner: "primary", Now: clk.Now})
+	r, err := Create(path, jSpec(), jConfig(), 3, Options{Now: clk.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +80,13 @@ func TestRunJournalRoundTrip(t *testing.T) {
 	if st.Shards != 3 || st.Epoch != 1 || st.Merged || st.Torn {
 		t.Fatalf("state %+v", st)
 	}
-	if st.Config != jSettings() {
+	if st.Config != jConfig() {
 		t.Fatalf("config %+v", st.Config)
 	}
 	if len(st.Completed) != 1 || !reflect.DeepEqual(st.Completed[1], jPartial(1, 3)) {
 		t.Fatalf("completed %+v", st.Completed)
 	}
-	if st.LeaseOwner != "primary" {
+	if st.LeaseOwner != "coordinator" {
 		t.Fatalf("lease owner %q", st.LeaseOwner)
 	}
 	if want := time.Unix(1002, 0); !st.LastActivity.Equal(want) {
@@ -97,7 +97,7 @@ func TestRunJournalRoundTrip(t *testing.T) {
 func TestContinueAdvancesEpoch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.journal")
 	clk := newTick()
-	r, err := Create(path, jSpec(), jSettings(), 2, Options{Owner: "primary", Now: clk.Now})
+	r, err := Create(path, jSpec(), jConfig(), 2, Options{Now: clk.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestContinueAdvancesEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(10 * time.Second)
-	r2, err := Continue(path, st, Options{Owner: "standby", Now: clk.Now})
+	r2, err := Continue(path, st, Options{Now: clk.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestContinueAdvancesEpoch(t *testing.T) {
 // after the new epoch's must not displace the recorded result.
 func TestFirstCompleteWins(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.journal")
-	r, err := Create(path, jSpec(), jSettings(), 2, Options{})
+	r, err := Create(path, jSpec(), jConfig(), 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestFirstCompleteWins(t *testing.T) {
 
 func TestLoadRejectsTamperedSpec(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.journal")
-	r, err := Create(path, jSpec(), jSettings(), 2, Options{})
+	r, err := Create(path, jSpec(), jConfig(), 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestTornFinalRecordEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.journal")
 	clk := newTick()
-	r, err := Create(path, jSpec(), jSettings(), 3, Options{Owner: "primary", Now: clk.Now})
+	r, err := Create(path, jSpec(), jConfig(), 3, Options{Now: clk.Now})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func journaledRun(t *testing.T, shards int) (string, []byte) {
 	t.Helper()
 	spec, cfg := testSpec(), testCfg()
 	path := filepath.Join(t.TempDir(), "run.journal")
-	jr, err := runjournal.Create(path, spec, cfg.Settings(), shards, runjournal.Options{Owner: "primary"})
+	jr, err := runjournal.Create(path, spec, cfg, shards, runjournal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,26 +47,21 @@ func journaledRun(t *testing.T, shards int) (string, []byte) {
 	return path, formatTable(t, table)
 }
 
-// resumeFrom loads a journal, continues it at the next epoch, and
-// resumes the run on a fresh two-worker fleet, returning the merged
-// bytes.
+// resumeFrom loads a journal and takes the run over at the next epoch
+// on a fresh two-worker fleet without waiting for its lease to go stale,
+// as quorumbench -resume does, returning the merged bytes.
 func resumeFrom(t *testing.T, path string) []byte {
 	t.Helper()
 	st, err := runjournal.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr, err := runjournal.Continue(path, st, runjournal.Options{Owner: "resumer"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jr.Close()
 	w1, w2 := startWorker(t), startWorker(t)
-	coord, err := New(Config{Workers: []string{w1.URL, w2.URL}, Shards: st.Shards, Journal: jr, Logf: t.Logf})
+	sb, err := NewStandby(StandbyOptions{Journal: path, Coordinator: Config{Workers: []string{w1.URL, w2.URL}, Logf: t.Logf}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := coord.Resume(st.Spec, st.Config.RunConfig(), st.Completed)
+	table, err := sb.TakeOver(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +80,7 @@ func TestJournaledRunRecordsFullProtocol(t *testing.T) {
 	baseTx := formatTable(t, base)
 
 	path := filepath.Join(t.TempDir(), "run.journal")
-	jr, err := runjournal.Create(path, spec, cfg.Settings(), 3, runjournal.Options{Owner: "primary"})
+	jr, err := runjournal.Create(path, spec, cfg, 3, runjournal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +223,7 @@ func TestResumeRejectsForeignSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := st.Config.RunConfig()
+	cfg := st.Config
 	cfg.Seed = 12345 // a different run identity than the journal recorded
 	if _, err := coord.Resume(st.Spec, cfg, st.Completed); err == nil {
 		t.Fatal("resume under a different config merged recorded partials")
@@ -297,7 +292,7 @@ func TestResumeAlreadyMergedJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := coord.Resume(st.Spec, st.Config.RunConfig(), st.Completed)
+	table, err := coord.Resume(st.Spec, st.Config, st.Completed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,10 +30,6 @@ type StandbyOptions struct {
 	Coordinator Config
 }
 
-// standbyOwner identifies a standby in the lease records it writes
-// after taking over.
-const standbyOwner = "standby"
-
 func (o StandbyOptions) leaseTTL() time.Duration {
 	if o.LeaseTTL <= 0 {
 		return 5 * time.Second
@@ -58,9 +54,10 @@ func (o StandbyOptions) now() time.Time {
 // surviving workers through the registry, re-dispatches only the shards
 // without a journaled result, and merges — byte-identical to the run
 // the primary would have produced. The dead primary's in-flight
-// attempts are harmless: their responses go to the dead process, never
-// to the new epoch, and the journal keeps the first complete record per
-// shard.
+// attempts are harmless: its closed sockets cancel them at their next
+// point boundary, a response that still comes goes to the dead process,
+// never to the new epoch, and the journal keeps the first complete
+// record per shard.
 type Standby struct {
 	opts StandbyOptions
 }
@@ -97,12 +94,11 @@ func (s *Standby) Check() (st *runjournal.State, stale bool, err error) {
 }
 
 // TakeOver assumes the run: continue the journal at the next epoch and
-// resume dispatch of the unfinished shards on the template coordinator.
+// resume dispatch of the unfinished shards on the template coordinator,
+// under the journal's shard count and RunConfig. Run calls it once the
+// lease is stale; quorumbench -resume calls it at once.
 func (s *Standby) TakeOver(st *runjournal.State) (*scenario.Table, error) {
-	run, err := runjournal.Continue(s.opts.Journal, st, runjournal.Options{
-		Owner: standbyOwner,
-		Now:   s.opts.Now,
-	})
+	run, err := runjournal.Continue(s.opts.Journal, st, runjournal.Options{Now: s.opts.Now})
 	if err != nil {
 		return nil, err
 	}
@@ -114,10 +110,10 @@ func (s *Standby) TakeOver(st *runjournal.State) (*scenario.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.logf("fleet standby: %s taking over %s at epoch %d (%d/%d shards recorded, last activity %s by %s)",
-		standbyOwner, s.opts.Journal, run.Epoch(), len(st.Completed), st.Shards,
+	s.logf("fleet standby: taking over %s at epoch %d (%d/%d shards recorded, last activity %s by %s)",
+		s.opts.Journal, run.Epoch(), len(st.Completed), st.Shards,
 		st.LastActivity.Format(time.RFC3339), st.LeaseOwner)
-	return coord.Resume(st.Spec, st.Config.RunConfig(), st.Completed)
+	return coord.Resume(st.Spec, st.Config, st.Completed)
 }
 
 // Run is the production loop: poll the journal until the primary's

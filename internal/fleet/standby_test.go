@@ -46,7 +46,7 @@ func deadPrimaryJournal(t *testing.T, h *fleetHarness) string {
 	t.Helper()
 	spec, cfg := testSpec(), testCfg()
 	path := filepath.Join(t.TempDir(), "run.journal")
-	jr, err := runjournal.Create(path, spec, cfg.Settings(), 2, runjournal.Options{Owner: "primary", Now: h.clock.Now})
+	jr, err := runjournal.Create(path, spec, cfg, 2, runjournal.Options{Now: h.clock.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestStandbyTakeoverByteIdentical(t *testing.T) {
 	// reached this worker and is still executing. Its response goes to
 	// a caller outside the new epoch, so its result can only be
 	// orphaned.
-	body, err := json.Marshal(&ShardRequest{Spec: spec, Config: cfg.Settings(), Shard: 1, Shards: 2})
+	body, err := json.Marshal(&ShardRequest{Spec: spec, Config: cfg, Shard: 1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestStandbyTakeoverByteIdentical(t *testing.T) {
 	if !stale {
 		t.Fatalf("lease %s old not declared stale", h.clock.Now().Sub(st.LastActivity))
 	}
-	if st.LeaseOwner != "primary" || st.Epoch != 1 || len(st.Completed) != 1 {
+	if st.LeaseOwner != "coordinator" || st.Epoch != 1 || len(st.Completed) != 1 {
 		t.Fatalf("pre-takeover state %+v", st)
 	}
 
@@ -206,7 +206,7 @@ func TestStandbyTakeoverByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st2.Merged || st2.Epoch != 2 || st2.LeaseOwner != standbyOwner {
+	if !st2.Merged || st2.Epoch != 2 || st2.LeaseOwner != "standby" {
 		t.Fatalf("post-takeover state %+v", st2)
 	}
 }

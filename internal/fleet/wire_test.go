@@ -23,7 +23,7 @@ func TestShardRequestWireStable(t *testing.T) {
 		}
 	}
 	cfg := scenario.RunConfig{Seed: topology.DefaultSeed, Reproducible: true, QURuns: 5, QUDurationMS: 20000}.QuickScale()
-	body, err := json.Marshal(&ShardRequest{Spec: spec, Config: cfg.Settings(), Shard: 0, Shards: 2})
+	body, err := json.Marshal(&ShardRequest{Spec: spec, Config: cfg, Shard: 0, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,14 @@
 // the coordinator sends a worker only as many shards at once as it has
 // slots (one for a pinned worker; a registered worker advertises its
 // own), so the coordinator's pending list is the only queue and the
-// worker runs every shard it accepts at once. Worker side:
+// worker runs every shard it accepts at once. A shard runs under its
+// request's context: a coordinator that gives up on an attempt, or
+// dies, closes the connection, and the shard stops at its next point
+// boundary. Worker side:
 //
 //	POST /v1/shards — {"spec": ..., "config": ..., "shard": i,
-//	                  "shards": n} runs one shard inside the request
+//	                  "shards": n}, config being the run's
+//	                  scenario.RunConfig, runs one shard inside the request
 //	                  and replies 200 with its partial; 400 for a
 //	                  malformed request, 503 while the worker holds its
 //	                  bound of in-flight shards, 500 when execution
@@ -35,13 +39,14 @@
 //	GET  /v1/workers                — the live/dead roster.
 //
 // Workers are stateless beyond their in-flight requests: every shard
-// request carries the full spec and run settings, and the worker
+// request carries the full spec and run config, and the worker
 // re-enumerates the point-space locally (the enumeration is
 // deterministic), so any worker can execute any shard — the property
 // retries and mid-job re-dispatch rely on.
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -52,13 +57,13 @@ import (
 	"github.com/quorumnet/quorumnet/internal/scenario"
 )
 
-// ShardRequest is the POST /v1/shards payload. Config carries the run's
-// settings, the fingerprint stamped into every Partial.
+// ShardRequest is the POST /v1/shards payload. Config is the run's
+// identity, stamped into every Partial.
 type ShardRequest struct {
-	Spec   *scenario.Spec    `json:"spec"`
-	Config scenario.Settings `json:"config"`
-	Shard  int               `json:"shard"`
-	Shards int               `json:"shards"`
+	Spec   *scenario.Spec     `json:"spec"`
+	Config scenario.RunConfig `json:"config"`
+	Shard  int                `json:"shard"`
+	Shards int                `json:"shards"`
 }
 
 // WorkerOptions tunes a Worker.
@@ -152,7 +157,7 @@ func (w *Worker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 		w.mu.Unlock()
 	}()
 
-	partial, err := w.execute(label, &req)
+	partial, err := w.execute(r.Context(), label, &req)
 	if err != nil {
 		httpError(rw, http.StatusInternalServerError, err.Error())
 		return
@@ -160,17 +165,15 @@ func (w *Worker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, http.StatusOK, partial)
 }
 
-// execute runs one shard, logging its start, progress and outcome.
-func (w *Worker) execute(label string, req *ShardRequest) (*scenario.Partial, error) {
+// execute runs one shard under its request's context, logging its
+// start, progress and outcome.
+func (w *Worker) execute(ctx context.Context, label string, req *ShardRequest) (*scenario.Partial, error) {
 	w.logf("fleet worker: %s started", label)
 	start := time.Now()
-
-	cfg := req.Config.RunConfig()
-	cfg.Progress = func(ev scenario.Progress) {
+	partial, err := executeShard(ctx, req, func(ev scenario.Progress) {
 		w.logf("fleet worker: %s point %d/%d done (%s, %.1fs)",
 			label, ev.Done, ev.Total, ev.Point.Label, ev.Elapsed.Seconds())
-	}
-	partial, err := executeShard(req.Spec, cfg, req.Shard, req.Shards)
+	})
 	if err != nil {
 		w.logf("fleet worker: %s failed after %.1fs: %v", label, time.Since(start).Seconds(), err)
 		return nil, err
@@ -181,16 +184,16 @@ func (w *Worker) execute(label string, req *ShardRequest) (*scenario.Partial, er
 
 // executeShard enumerates the spec's point-space and executes one shard
 // of it — the whole worker-side execution path.
-func executeShard(spec *scenario.Spec, cfg scenario.RunConfig, shard, shards int) (*scenario.Partial, error) {
-	space, err := scenario.NewSpace(spec, cfg)
+func executeShard(ctx context.Context, req *ShardRequest, progress func(scenario.Progress)) (*scenario.Partial, error) {
+	space, err := scenario.NewSpace(req.Spec, req.Config)
 	if err != nil {
 		return nil, err
 	}
-	part, err := space.Shard(shard, shards)
+	part, err := space.Shard(req.Shard, req.Shards)
 	if err != nil {
 		return nil, err
 	}
-	return part.Execute()
+	return part.ExecuteContext(ctx, progress)
 }
 
 func (w *Worker) handleList(rw http.ResponseWriter) {

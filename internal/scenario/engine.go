@@ -18,61 +18,31 @@ import (
 	"github.com/quorumnet/quorumnet/internal/topology"
 )
 
-// RunConfig carries execution-level settings a spec does not fix: the
-// seed, reproducibility, and protocol-simulation scale.
+// RunConfig is a run's identity beyond its spec: the seed,
+// reproducibility, and protocol-simulation scale — everything that,
+// with the spec, determines the output. It is one value in every
+// process: the coordinator sends it in each shard request, workers
+// execute under it, every Partial is stamped with it, the run journal
+// records it, and Merge rejects partials whose config differs from its
+// own — mixing seeds or solver modes across shards would silently
+// corrupt the merged table. Cancellation and progress are not part of
+// a run's identity: they belong to the call that executes a partition
+// (Partition.ExecuteContext).
 type RunConfig struct {
 	// Seed drives topology synthesis and protocol randomness, passed
 	// through verbatim (seed 0 is a real seed, as it was for the
 	// pre-engine figure runners; TopologySpec.Seed overrides it per
 	// scenario, where 0 means "inherit this seed").
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// Reproducible forces cold, Dantzig-priced, serial-equivalent LP
 	// solves, bit-for-bit reproducing the original harness's tables.
-	Reproducible bool
+	Reproducible bool `json:"reproducible,omitempty"`
 	// QURuns averages this many simulation runs per protocol point
 	// (0 = 5).
-	QURuns int
+	QURuns int `json:"qu_runs,omitempty"`
 	// QUDurationMS is the simulated length of each protocol run
 	// (0 = 20000).
-	QUDurationMS float64
-	// Progress, when set, receives a point-completion event after each
-	// work unit finishes. It is called concurrently from pool workers
-	// and must be safe for concurrent use. Progress never travels over
-	// the fleet wire; workers report their own.
-	Progress func(Progress) `json:"-"`
-}
-
-// Settings is the serializable identity of a RunConfig: the fields
-// that determine a run's output. Every Partial is stamped with the
-// settings it executed under, and Merge rejects partials whose
-// settings differ from its own — mixing seeds or solver modes across
-// shards would silently corrupt the merged table.
-type Settings struct {
-	Seed         int64   `json:"seed,omitempty"`
-	Reproducible bool    `json:"reproducible,omitempty"`
-	QURuns       int     `json:"qu_runs,omitempty"`
 	QUDurationMS float64 `json:"qu_duration_ms,omitempty"`
-}
-
-// Settings extracts the output-determining identity of the config
-// (Progress handlers stay local to each process).
-func (c RunConfig) Settings() Settings {
-	return Settings{
-		Seed:         c.Seed,
-		Reproducible: c.Reproducible,
-		QURuns:       c.QURuns,
-		QUDurationMS: c.QUDurationMS,
-	}
-}
-
-// RunConfig expands wire settings back into a run configuration.
-func (s Settings) RunConfig() RunConfig {
-	return RunConfig{
-		Seed:         s.Seed,
-		Reproducible: s.Reproducible,
-		QURuns:       s.QURuns,
-		QUDurationMS: s.QUDurationMS,
-	}
 }
 
 func (c RunConfig) quRuns() int {
@@ -105,8 +75,9 @@ func (c RunConfig) QuickScale() RunConfig {
 // Run validates the spec, expands its point-space, executes every point,
 // and assembles the result table. It is the single-shard composition of
 // the engine's three layers — partition (NewSpace/Shard), execute
-// (Partition.Execute), merge (Space.Merge) — and produces output
-// byte-identical to any sharded execution of the same spec and config.
+// (Partition.Execute: no cancellation, no progress sink), merge
+// (Space.Merge) — and produces output byte-identical to any sharded
+// execution of the same spec and config.
 func Run(spec *Spec, cfg RunConfig) (*Table, error) {
 	space, err := NewSpace(spec, cfg)
 	if err != nil {

@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"cmp"
+	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -17,7 +19,7 @@ import (
 )
 
 // Progress is one execution progress event: a point of a partition
-// finished. Handlers receive events concurrently from pool workers.
+// finished. Sinks receive events concurrently from pool workers.
 type Progress struct {
 	Scenario string
 	// Shard and Shards identify the partition being executed.
@@ -45,11 +47,11 @@ type RowTag struct {
 type Partial struct {
 	// Scenario names the spec; Merge rejects partials of another spec.
 	Scenario string `json:"scenario"`
-	// Config records the settings the partition executed under; Merge
+	// Config records the run the partition executed under; Merge
 	// rejects partials from a different configuration.
-	Config Settings `json:"config"`
-	Shard  int      `json:"shard"`
-	Shards int      `json:"shards"`
+	Config RunConfig `json:"config"`
+	Shard  int       `json:"shard"`
+	Shards int       `json:"shards"`
 	// Points lists the executed ordinals; Merge asserts every ordinal of
 	// the space appears exactly once across the merged partials.
 	Points []int `json:"points"`
@@ -58,19 +60,31 @@ type Partial struct {
 	Table *Table   `json:"table"`
 }
 
-// Execute runs the partition's points in parallel and returns the
-// tagged partial table. Output depends only on the spec, the
-// RunConfig, and the partition's point set — never on pool width
-// or scheduling — so merged shards reproduce an unsharded run exactly.
+// Execute is ExecuteContext with no cancellation and no progress sink.
 func (p *Partition) Execute() (*Partial, error) {
+	return p.ExecuteContext(context.Background(), nil)
+}
+
+// ExecuteContext runs the partition's points in parallel and returns
+// the tagged partial table. Output depends only on the spec, the
+// RunConfig, and the partition's point set — never on pool width or
+// scheduling — so merged shards reproduce an unsharded run exactly.
+//
+// A point is the unit of cancellation: ctx is checked before each
+// point and before each shared per-setup build, never inside one, so
+// every point that runs is computed exactly as it would be uncancelled.
+// A cancelled partition returns ctx.Err() and no partial. progress,
+// when non-nil, receives an event after each point completes; it is
+// called concurrently from pool workers.
+func (p *Partition) ExecuteContext(ctx context.Context, progress func(Progress)) (*Partial, error) {
 	s := p.space
 	spec, cfg := s.spec, s.cfg
 	start := time.Now()
 	var done atomic.Int64
 	report := func(i int) {
 		n := int(done.Add(1))
-		if cfg.Progress != nil {
-			cfg.Progress(Progress{
+		if progress != nil {
+			progress(Progress{
 				Scenario: spec.Name,
 				Shard:    p.Shard,
 				Shards:   p.Shards,
@@ -86,17 +100,20 @@ func (p *Partition) Execute() (*Partial, error) {
 	var err error
 	switch spec.Kind {
 	case KindEval:
-		err = p.executeEval(rows, report)
+		err = p.executeEval(ctx, rows, report)
 	case KindSweep:
-		err = p.executeSweep(rows, report)
+		err = p.executeSweep(ctx, rows, report)
 	case KindIterate:
-		err = p.executeIterate(rows, report)
+		err = p.executeIterate(ctx, rows, report)
 	case KindProtocol:
-		err = p.executeProtocol(rows, report)
+		err = p.executeProtocol(ctx, rows, report)
 	case KindTimeline:
-		err = p.executeTimeline(rows, report)
+		err = p.executeTimeline(ctx, rows, report)
 	default:
 		err = fmt.Errorf("unknown kind %q", spec.Kind)
+	}
+	if ctx.Err() != nil {
+		return nil, ctx.Err() // points were skipped: there is no partial
 	}
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", spec.Name, err)
@@ -115,7 +132,7 @@ func (p *Partition) Execute() (*Partial, error) {
 
 	out := &Partial{
 		Scenario: spec.Name,
-		Config:   cfg.Settings(),
+		Config:   cfg,
 		Shard:    p.Shard,
 		Shards:   p.Shards,
 		Points:   []int{},
@@ -136,8 +153,20 @@ func (p *Partition) Execute() (*Partial, error) {
 	return out, nil
 }
 
-// firstErr returns the first non-nil error in point order.
-func firstErr(errs []error) error {
+// forPoints computes each point's rows over the pool and reports each
+// point that completes. ctx is checked before each point: once it is
+// cancelled, no further point starts. Returns the first error in point
+// order.
+func forPoints(ctx context.Context, rows [][][]string, report func(int), point func(i int) ([][]string, error)) error {
+	errs := make([]error, len(rows))
+	par.For(len(rows), func(i int) {
+		if ctx.Err() != nil {
+			return
+		}
+		if rows[i], errs[i] = point(i); errs[i] == nil {
+			report(i)
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -148,23 +177,18 @@ func firstErr(errs []error) error {
 
 // ----------------------------------------------------------------- eval
 
-func (p *Partition) executeEval(rows [][][]string, report func(int)) error {
+func (p *Partition) executeEval(ctx context.Context, rows [][][]string, report func(int)) error {
 	s := p.space
 	spec, cfg := s.spec, s.cfg
-	n := len(p.Points)
-	errs := make([]error, n)
-	par.For(n, func(i int) {
+	return forPoints(ctx, rows, report, func(i int) ([][]string, error) {
 		sub := s.subs[p.Points[i].SeedIdx]
 		pt := sub.systems[p.Points[i].Index]
 		row, err := evalRow(spec, cfg, sub.topo, pt)
 		if err != nil {
-			errs[i] = fmt.Errorf("system %s/%d: %w", pt.spec.Family, pt.spec.Param, err)
-			return
+			return nil, fmt.Errorf("system %s/%d: %w", pt.spec.Family, pt.spec.Param, err)
 		}
-		rows[i] = [][]string{row}
-		report(i)
+		return [][]string{row}, nil
 	})
-	return firstErr(errs)
 }
 
 // ---------------------------------------------------------------- sweep
@@ -179,59 +203,70 @@ type sweepSetup struct {
 }
 
 // setupKey addresses per-(seed sub-space, group) shared state: the
-// system index for sweeps, the threshold index for protocol grids.
+// system index for sweeps, the threshold index for protocol grids, 0
+// for the per-seed iterate setup.
 type setupKey struct{ seed, group int }
 
-// sweepSetups builds setups for every (seed, system) the partition
-// touches, in (seed, system) order (deterministic and serial: chunks of
-// one system share the evaluation read-only afterwards).
-func (p *Partition) sweepSetups() (map[setupKey]*sweepSetup, error) {
-	s := p.space
-	spec, cfg := s.spec, s.cfg
-	setups := map[setupKey]*sweepSetup{}
+// buildSetups builds the shared setup of every key the partition's
+// points touch, serially in (seed, group) order — deterministic, and
+// done before the points fan out, which then share each setup
+// read-only. ctx is checked before each build.
+func buildSetups[S any](ctx context.Context, points []Point, key func(Point) setupKey, build func(setupKey) (S, error)) (map[setupKey]S, error) {
+	seen := map[setupKey]bool{}
 	var order []setupKey
-	for _, pt := range p.Points {
-		k := setupKey{pt.SeedIdx, pt.Index}
-		if _, ok := setups[k]; !ok {
-			setups[k] = nil
+	for _, pt := range points {
+		if k := key(pt); !seen[k] {
+			seen[k] = true
 			order = append(order, k)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].seed != order[b].seed {
-			return order[a].seed < order[b].seed
-		}
-		return order[a].group < order[b].group
+	slices.SortFunc(order, func(a, b setupKey) int {
+		return cmp.Or(cmp.Compare(a.seed, b.seed), cmp.Compare(a.group, b.group))
 	})
+	setups := make(map[setupKey]S, len(order))
 	for _, k := range order {
-		sub := s.subs[k.seed]
-		pt := sub.systems[k.group]
-		sys, err := pt.spec.Build()
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		su, err := build(k)
 		if err != nil {
 			return nil, err
 		}
-		f, err := buildPlacement(spec, cfg, sub.topo, sys)
-		if err != nil {
-			return nil, err
-		}
-		e, err := core.NewEval(sub.topo, sys, f, core.AlphaForDemand(spec.Sweep.Demand))
-		if err != nil {
-			return nil, err
-		}
-		// Populate the evaluator's lazy caches before chunks share it.
-		e.Prewarm()
-		lopt := sys.OptimalLoad()
-		setups[k] = &sweepSetup{sys: sys, e: e, lopt: lopt, values: strategy.SweepValues(lopt, spec.Sweep.Points)}
+		setups[k] = su
 	}
 	return setups, nil
 }
 
-func (p *Partition) executeSweep(rows [][][]string, report func(int)) error {
+// buildSweepSetup places and prewarms one (seed, system) evaluation.
+func (p *Partition) buildSweepSetup(k setupKey) (*sweepSetup, error) {
+	s := p.space
+	spec, cfg := s.spec, s.cfg
+	sub := s.subs[k.seed]
+	sys, err := sub.systems[k.group].spec.Build()
+	if err != nil {
+		return nil, err
+	}
+	f, err := buildPlacement(spec, cfg, sub.topo, sys)
+	if err != nil {
+		return nil, err
+	}
+	e, err := core.NewEval(sub.topo, sys, f, core.AlphaForDemand(spec.Sweep.Demand))
+	if err != nil {
+		return nil, err
+	}
+	// Populate the evaluator's lazy caches before chunks share it.
+	e.Prewarm()
+	lopt := sys.OptimalLoad()
+	return &sweepSetup{sys: sys, e: e, lopt: lopt, values: strategy.SweepValues(lopt, spec.Sweep.Points)}, nil
+}
+
+func (p *Partition) executeSweep(ctx context.Context, rows [][][]string, report func(int)) error {
 	s := p.space
 	spec, cfg := s.spec, s.cfg
 	variants := spec.Sweep.variants()
 	rowCols := spec.rowColumns()
-	setups, err := p.sweepSetups()
+	key := func(pt Point) setupKey { return setupKey{pt.SeedIdx, pt.Index} }
+	setups, err := buildSetups(ctx, p.Points, key, p.buildSweepSetup)
 	if err != nil {
 		return err
 	}
@@ -239,11 +274,9 @@ func (p *Partition) executeSweep(rows [][][]string, report func(int)) error {
 	// it alone reproduces the exact solve chain of the unsharded sweep,
 	// whose chunk boundaries depend only on the point count.
 	swCfg := strategy.ConfigFor(cfg.Reproducible)
-	n := len(p.Points)
-	errs := make([]error, n)
-	par.For(n, func(i int) {
+	return forPoints(ctx, rows, report, func(i int) ([][]string, error) {
 		pt := p.Points[i]
-		su := setups[setupKey{pt.SeedIdx, pt.Index}]
+		su := setups[key(pt)]
 		lo, hi := strategy.ChunkBounds(pt.Sub, len(su.values))
 		chunk := su.values[lo:hi]
 		results := make([][]strategy.SweepPoint, len(variants))
@@ -258,8 +291,7 @@ func (p *Partition) executeSweep(rows [][][]string, report func(int)) error {
 				err = fmt.Errorf("unknown sweep variant %q", v)
 			}
 			if err != nil {
-				errs[i] = err
-				return
+				return nil, err
 			}
 		}
 		out := make([][]string, 0, len(chunk))
@@ -278,10 +310,8 @@ func (p *Partition) executeSweep(rows [][][]string, report func(int)) error {
 			}
 			out = append(out, row)
 		}
-		rows[i] = out
-		report(i)
+		return out, nil
 	})
-	return firstErr(errs)
 }
 
 // -------------------------------------------------------------- iterate
@@ -294,65 +324,58 @@ type iterSetup struct {
 	values   []float64
 }
 
-func (p *Partition) executeIterate(rows [][][]string, report func(int)) error {
-	if len(p.Points) == 0 {
-		return nil
+// buildIterSetup builds one seed sub-space's system, one-to-one
+// baseline delay and capacity grid.
+func (p *Partition) buildIterSetup(k setupKey) (*iterSetup, error) {
+	s := p.space
+	sub := s.subs[k.seed]
+	sys, err := sub.systems[0].spec.Build()
+	if err != nil {
+		return nil, err
 	}
+	oto, err := buildPlacement(s.spec, s.cfg, sub.topo, sys)
+	if err != nil {
+		return nil, err
+	}
+	eOto, err := core.NewEval(sub.topo, sys, oto, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &iterSetup{
+		sys:      sys,
+		otoDelay: eOto.AvgNetworkDelay(core.BalancedStrategy{}),
+		values:   strategy.SweepValues(sys.OptimalLoad(), s.spec.Iterate.Points),
+	}, nil
+}
+
+func (p *Partition) executeIterate(ctx context.Context, rows [][][]string, report func(int)) error {
 	s := p.space
 	spec, cfg := s.spec, s.cfg
 
-	// One setup per seed sub-space the partition touches, built serially
-	// in seed order. The one-to-one baseline runs under the balanced
-	// strategy (the iterative algorithm's uniform starting strategy);
-	// every shard recomputes it — it is deterministic and cheap next to
-	// one iterate point.
-	setups := map[int]*iterSetup{}
-	var order []int
-	for _, pt := range p.Points {
-		if _, ok := setups[pt.SeedIdx]; !ok {
-			setups[pt.SeedIdx] = nil
-			order = append(order, pt.SeedIdx)
-		}
-	}
-	sort.Ints(order)
+	// One setup per seed sub-space the partition touches. The one-to-one
+	// baseline runs under the balanced strategy (the iterative
+	// algorithm's uniform starting strategy); every shard recomputes it —
+	// it is deterministic and cheap next to one iterate point.
 	maxIter := spec.Iterate.MaxIterations
 	if maxIter <= 0 {
 		maxIter = 2
 	}
 	alpha := core.AlphaForDemand(spec.Iterate.Demand)
-	for _, si := range order {
-		sub := s.subs[si]
-		sys, err := sub.systems[0].spec.Build()
-		if err != nil {
-			return err
-		}
-		oto, err := buildPlacement(spec, cfg, sub.topo, sys)
-		if err != nil {
-			return err
-		}
-		eOto, err := core.NewEval(sub.topo, sys, oto, 0)
-		if err != nil {
-			return err
-		}
-		setups[si] = &iterSetup{
-			sys:      sys,
-			otoDelay: eOto.AvgNetworkDelay(core.BalancedStrategy{}),
-			values:   strategy.SweepValues(sys.OptimalLoad(), spec.Iterate.Points),
-		}
+	key := func(pt Point) setupKey { return setupKey{seed: pt.SeedIdx} }
+	setups, err := buildSetups(ctx, p.Points, key, p.buildIterSetup)
+	if err != nil {
+		return err
 	}
 
 	// Each capacity value runs the full iterative algorithm independently
 	// on its own topology clone.
-	n := len(p.Points)
-	errs := make([]error, n)
-	par.For(n, func(i int) {
-		su := setups[p.Points[i].SeedIdx]
+	return forPoints(ctx, rows, report, func(i int) ([][]string, error) {
+		su := setups[key(p.Points[i])]
 		sys, values, otoDelay := su.sys, su.values, su.otoDelay
 		vi := p.Points[i].Index
 		tp := s.subs[p.Points[i].SeedIdx].topo.Clone()
 		if err := tp.SetUniformCapacity(values[vi]); err != nil {
-			errs[i] = err
-			return
+			return nil, err
 		}
 		res, err := placement.Iterate(tp, sys, placement.IterateConfig{
 			Alpha:         alpha,
@@ -361,18 +384,15 @@ func (p *Partition) executeIterate(rows [][][]string, report func(int)) error {
 			LP:            lp.OptionsFor(cfg.Reproducible),
 		})
 		if err != nil {
-			errs[i] = err
-			return
+			return nil, err
 		}
 		iter1 := res.History[0].Phase2NetDelay
 		iter2 := iter1
 		if len(res.History) > 1 {
 			iter2 = res.History[1].Phase2NetDelay
 		}
-		rows[i] = [][]string{{f3(values[vi]), f2(iter1), f2(iter2), f2(otoDelay)}}
-		report(i)
+		return [][]string{{f3(values[vi]), f2(iter1), f2(iter2), f2(otoDelay)}}, nil
 	})
-	return firstErr(errs)
 }
 
 // ------------------------------------------------------------- protocol
@@ -384,58 +404,49 @@ type protocolSetup struct {
 	clientSites []int
 }
 
-func (p *Partition) executeProtocol(rows [][][]string, report func(int)) error {
+// buildProtocolSetup places one (seed, threshold) system one-to-one
+// and picks its representative client sites.
+func (p *Partition) buildProtocolSetup(k setupKey) (*protocolSetup, error) {
+	ps := p.space.spec.Protocol
+	sub := p.space.subs[k.seed]
+	sys, err := quorum.QUMajority(ps.Ts[k.group])
+	if err != nil {
+		return nil, err
+	}
+	f, err := placement.OneToOne(sub.topo, sys, placement.Options{})
+	if err != nil {
+		return nil, err
+	}
+	e, err := core.NewEval(sub.topo, sys, f, 0)
+	if err != nil {
+		return nil, err
+	}
+	clients, err := RepresentativeClients(e, ps.clientSites())
+	if err != nil {
+		return nil, err
+	}
+	return &protocolSetup{sys: sys, serverSites: f.Targets(), clientSites: clients}, nil
+}
+
+func (p *Partition) executeProtocol(ctx context.Context, rows [][][]string, report func(int)) error {
 	s := p.space
 	spec, cfg := s.spec, s.cfg
 	ps := spec.Protocol
 	rowCols := spec.rowColumns()
 
-	// Build the (placement, representative clients) setup for every
-	// (seed, threshold) the partition touches, serially in (seed, t)
-	// order.
-	setups := map[setupKey]*protocolSetup{}
-	var order []setupKey
-	for _, pt := range p.Points {
-		k := setupKey{pt.SeedIdx, pt.Index / len(ps.PerSite)}
-		if _, ok := setups[k]; !ok {
-			setups[k] = nil
-			order = append(order, k)
-		}
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].seed != order[b].seed {
-			return order[a].seed < order[b].seed
-		}
-		return order[a].group < order[b].group
-	})
-	for _, k := range order {
-		sub := s.subs[k.seed]
-		sys, err := quorum.QUMajority(ps.Ts[k.group])
-		if err != nil {
-			return err
-		}
-		f, err := placement.OneToOne(sub.topo, sys, placement.Options{})
-		if err != nil {
-			return err
-		}
-		e, err := core.NewEval(sub.topo, sys, f, 0)
-		if err != nil {
-			return err
-		}
-		clients, err := RepresentativeClients(e, ps.clientSites())
-		if err != nil {
-			return err
-		}
-		setups[k] = &protocolSetup{sys: sys, serverSites: f.Targets(), clientSites: clients}
+	// The (placement, representative clients) setup of every (seed,
+	// threshold) the partition touches.
+	key := func(pt Point) setupKey { return setupKey{pt.SeedIdx, pt.Index / len(ps.PerSite)} }
+	setups, err := buildSetups(ctx, p.Points, key, p.buildProtocolSetup)
+	if err != nil {
+		return err
 	}
 
 	// The partition's cells fan out over the pool: each is an
 	// independent, seeded simulation.
-	n := len(p.Points)
-	errs := make([]error, n)
-	par.For(n, func(i int) {
+	return forPoints(ctx, rows, report, func(i int) ([][]string, error) {
 		cell := p.Points[i].Index
-		su := setups[setupKey{p.Points[i].SeedIdx, cell / len(ps.PerSite)}]
+		su := setups[key(p.Points[i])]
 		perSite := ps.PerSite[cell%len(ps.PerSite)]
 		var clients []int
 		for _, site := range su.clientSites {
@@ -454,8 +465,7 @@ func (p *Partition) executeProtocol(rows [][][]string, report func(int)) error {
 			Seed:          cfg.Seed,
 		}, cfg.quRuns())
 		if err != nil {
-			errs[i] = err
-			return
+			return nil, err
 		}
 		var row []string
 		for _, rc := range rowCols {
@@ -469,20 +479,21 @@ func (p *Partition) executeProtocol(rows [][][]string, report func(int)) error {
 			}
 		}
 		row = append(row, f2(m.AvgNetDelayMS), f2(m.AvgResponseMS))
-		rows[i] = [][]string{row}
-		report(i)
+		return [][]string{row}, nil
 	})
-	return firstErr(errs)
 }
 
 // ------------------------------------------------------------- timeline
 
-func (p *Partition) executeTimeline(rows [][][]string, report func(int)) error {
+func (p *Partition) executeTimeline(ctx context.Context, rows [][][]string, report func(int)) error {
 	s := p.space
 	// One indivisible timeline per seed sub-space; each drives its own
 	// planner over its own topology, serially (the engine pool belongs to
 	// the planner stages inside each run).
 	for li, pt := range p.Points {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		sub := s.subs[pt.SeedIdx]
 		trows, err := runTimelineRows(s.spec, s.cfg, sub.topo, sub.systems)
 		if err != nil {

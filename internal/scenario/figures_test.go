@@ -31,8 +31,8 @@ func TestQuickScale(t *testing.T) {
 	} {
 		got := RunConfig{Seed: 7, Reproducible: true, QURuns: c.runs, QUDurationMS: c.ms}.QuickScale()
 		want := RunConfig{Seed: 7, Reproducible: true, QURuns: c.wantRuns, QUDurationMS: c.wantMS}
-		if got.Settings() != want.Settings() {
-			t.Errorf("runs %d, %v ms: quick scale %+v, want %+v", c.runs, c.ms, got.Settings(), want.Settings())
+		if got != want {
+			t.Errorf("runs %d, %v ms: quick scale %+v, want %+v", c.runs, c.ms, got, want)
 		}
 	}
 }

@@ -30,9 +30,9 @@ func (s *Space) Merge(partials []*Partial) (*Table, error) {
 		if p.Scenario != s.spec.Name {
 			return nil, fail("partial %d is from scenario %q", pi, p.Scenario)
 		}
-		if p.Config != s.cfg.Settings() {
+		if p.Config != s.cfg {
 			return nil, fail("partial %d was executed under different settings (%+v, merging under %+v)",
-				pi, p.Config, s.cfg.Settings())
+				pi, p.Config, s.cfg)
 		}
 		if p.Table == nil {
 			return nil, fail("partial %d has no table", pi)

@@ -2,13 +2,17 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/quorumnet/quorumnet/internal/par/partest"
 )
 
 // shardSpecs returns specs covering every kind, small enough to execute
@@ -347,11 +351,6 @@ func TestProgressEvents(t *testing.T) {
 	cfg := shardCfg()
 	var mu sync.Mutex
 	var events []Progress
-	cfg.Progress = func(ev Progress) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-	}
 	space, err := NewSpace(&spec, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +359,11 @@ func TestProgressEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := part.Execute(); err != nil {
+	if _, err := part.ExecuteContext(context.Background(), func(ev Progress) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != space.NumPoints() {
@@ -476,4 +479,39 @@ func colOf(tb *Table, name string) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("table %s has no column %q", tb.ID, name)
+}
+
+// TestExecuteStopsAtPointBoundary: a partition checks its context
+// before each point and each shared setup build, for every kind. Under
+// a context cancelled up front no point runs; cancelled from the first
+// point's progress event (one point at a time), no second point starts.
+// Either way the partition returns ctx.Err() and no partial.
+func TestExecuteStopsAtPointBoundary(t *testing.T) {
+	partest.SetGOMAXPROCS(t, 1)
+	for _, spec := range shardSpecs() {
+		t.Run(spec.Name, func(t *testing.T) {
+			space, err := NewSpace(&spec, shardCfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			part, err := space.Shard(0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			events := 0
+			p, err := part.ExecuteContext(ctx, func(Progress) { events++ })
+			if !errors.Is(err, context.Canceled) || p != nil || events != 0 {
+				t.Fatalf("cancelled up front: partial %v, %d points run, err %v; want no partial, 0 points, context.Canceled", p, events, err)
+			}
+
+			ctx, cancel = context.WithCancel(context.Background())
+			defer cancel()
+			p, err = part.ExecuteContext(ctx, func(Progress) { events++; cancel() })
+			if !errors.Is(err, context.Canceled) || p != nil || events != 1 {
+				t.Fatalf("cancelled after the first point: partial %v, %d points run, err %v; want no partial, 1 point, context.Canceled", p, events, err)
+			}
+		})
+	}
 }

@@ -671,3 +671,22 @@ func TestSetClientsResetsWeights(t *testing.T) {
 		t.Errorf("weight after SetClients = %v, want uniform 0.5", got)
 	}
 }
+
+// TestAvgNetworkDelayAllocationsFlatInClients: scoring an anchor costs
+// one element-cost buffer per call, however many clients it averages
+// over.
+func TestAvgNetworkDelayAllocationsFlatInClients(t *testing.T) {
+	for _, sys := range []quorum.System{mustThreshold(t, 8, 15), mustGrid(t, 5)} {
+		for _, n := range []int{25, 100, 200} {
+			topo := testTopo(t, n, 24)
+			e, err := NewEval(topo, sys, identityPlacement(t, sys.UniverseSize(), topo), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := testing.AllocsPerRun(20, func() { e.AvgNetworkDelay(BalancedStrategy{}) })
+			if a > 1 {
+				t.Errorf("%s over %d clients: %v allocations per AvgNetworkDelay, want at most 1", sys.Name(), n, a)
+			}
+		}
+	}
+}

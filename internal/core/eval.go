@@ -161,12 +161,7 @@ func (e *Eval) quorumElems(i int) []int {
 
 // elementNetCosts returns d(v, f(u)) for every element u.
 func (e *Eval) elementNetCosts(v int) []float64 {
-	row := e.Topo.RTTRow(v)
-	out := make([]float64, e.F.UniverseSize())
-	for u := range out {
-		out[u] = row[e.F.Node(u)]
-	}
-	return out
+	return e.elementCosts(make([]float64, e.F.UniverseSize()), v, nil, 0)
 }
 
 // NodeLoads returns load_f(w): the (weighted) average over clients of
@@ -208,25 +203,35 @@ func (e *Eval) AvgNetworkDelay(s Strategy) float64 {
 // ClientResponseTime returns Δ_f(v) for one client.
 func (e *Eval) ClientResponseTime(s Strategy, v int) float64 {
 	loads := e.NodeLoads(s)
-	return s.ExpectedMax(e, v, e.elementCosts(v, loads, e.Alpha))
+	return s.ExpectedMax(e, v, e.elementCosts(make([]float64, e.F.UniverseSize()), v, loads, e.Alpha))
 }
 
+// avgExpectedMax refills one element-cost buffer for each client, which
+// Strategy.ExpectedMax reads and does not keep.
 func (e *Eval) avgExpectedMax(s Strategy, alpha float64) float64 {
 	var loads []float64
 	if alpha != 0 {
 		loads = e.NodeLoads(s)
 	}
+	cost := make([]float64, e.F.UniverseSize())
+	uniform := 1 / float64(len(e.Clients))
 	sum := 0.0
 	for _, v := range e.Clients {
-		sum += e.ClientWeight(v) * s.ExpectedMax(e, v, e.elementCosts(v, loads, alpha))
+		// With weights, ClientWeight's lookup is the one that resolves a
+		// client listed twice, so it stays.
+		w := uniform
+		if e.weights != nil {
+			w = e.ClientWeight(v)
+		}
+		sum += w * s.ExpectedMax(e, v, e.elementCosts(cost, v, loads, alpha))
 	}
 	return sum
 }
 
-// elementCosts returns d(v, f(u)) + alpha·load(f(u)) per element.
-func (e *Eval) elementCosts(v int, loads []float64, alpha float64) []float64 {
+// elementCosts fills out with d(v, f(u)) + alpha·load(f(u)) per element
+// and returns it.
+func (e *Eval) elementCosts(out []float64, v int, loads []float64, alpha float64) []float64 {
 	row := e.Topo.RTTRow(v)
-	out := make([]float64, e.F.UniverseSize())
 	for u := range out {
 		w := e.F.Node(u)
 		c := row[w]

@@ -42,7 +42,8 @@ type Strategy interface {
 	ClientNodeLoads(e *Eval, v int, mode LoadMode) []float64
 	// ExpectedMax returns Σ_Q p_v(Q)·max_{u ∈ Q} elemCost[u] for client
 	// v, the inner expectation of (4.2) with an arbitrary per-element
-	// cost vector.
+	// cost vector. elemCost is the caller's scratch: read it, do not keep
+	// it.
 	ExpectedMax(e *Eval, v int, elemCost []float64) float64
 }
 

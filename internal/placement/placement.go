@@ -8,7 +8,9 @@
 package placement
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"github.com/quorumnet/quorumnet/internal/core"
 	"github.com/quorumnet/quorumnet/internal/gap"
@@ -111,21 +113,58 @@ func OneToOne(topo *topology.Topology, sys quorum.System, opts Options) (core.Pl
 	return s.Place(topo, nil)
 }
 
-// capacityBall returns the n nodes closest to v0 (ordered by increasing
-// distance) whose capacity is at least minCap, per the paper's
-// requirement cap(v) ≥ load_f(u).
+// capacityBall returns the n nodes closest to v0 whose capacity is at
+// least minCap, per the paper's requirement cap(v) ≥ load_f(u), in
+// topology.Ball's order: increasing distance, ties by node id. A size-n
+// max-heap under that order selects them in O(sites·log n) instead of
+// sorting every site.
 func capacityBall(topo *topology.Topology, v0, n int, minCap float64) ([]int, error) {
-	ball := topo.Ball(v0, topo.Size())
-	out := make([]int, 0, n)
-	for _, w := range ball {
-		if topo.Capacity(w) >= minCap-1e-12 {
-			out = append(out, w)
-			if len(out) == n {
-				return out, nil
+	row := topo.RTTRow(v0)
+	order := func(a, b int) int {
+		if c := cmp.Compare(row[a], row[b]); c != 0 {
+			return c
+		}
+		return a - b
+	}
+	after := func(a, b int) bool { return order(a, b) > 0 }
+	h := make([]int, 0, n)
+	for w := range row {
+		if topo.Capacity(w) < minCap-1e-12 {
+			continue
+		}
+		if len(h) < n {
+			h = append(h, w)
+			for i := len(h) - 1; i > 0; {
+				p := (i - 1) / 2
+				if !after(h[i], h[p]) {
+					break
+				}
+				h[p], h[i] = h[i], h[p]
+				i = p
+			}
+		} else if n > 0 && after(h[0], w) {
+			h[0] = w
+			for i := 0; ; {
+				m := i
+				if l := 2*i + 1; l < n && after(h[l], h[m]) {
+					m = l
+				}
+				if r := 2*i + 2; r < n && after(h[r], h[m]) {
+					m = r
+				}
+				if m == i {
+					break
+				}
+				h[i], h[m] = h[m], h[i]
+				i = m
 			}
 		}
 	}
-	return nil, fmt.Errorf("placement: only %d of %d nodes have capacity ≥ %v", len(out), n, minCap)
+	if len(h) < n {
+		return nil, fmt.Errorf("placement: only %d of %d nodes have capacity ≥ %v", len(h), n, minCap)
+	}
+	slices.SortFunc(h, order)
+	return h, nil
 }
 
 // ManyToOneConfig parameterizes the §4.1.2 almost-capacity-respecting

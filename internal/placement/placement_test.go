@@ -1,8 +1,10 @@
 package placement
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -217,6 +219,67 @@ func TestCapacityFilterInfeasible(t *testing.T) {
 	}
 	if _, err := OneToOne(topo, sys, Options{}); err == nil {
 		t.Error("placement succeeded with insufficient capacities")
+	}
+}
+
+// sortedCapacityBall is the reference for capacityBall's selection: every
+// site in topology.Ball order, filtered by capacity.
+func sortedCapacityBall(topo *topology.Topology, v0, n int, minCap float64) ([]int, error) {
+	out := make([]int, 0, n)
+	for _, w := range topo.Ball(v0, topo.Size()) {
+		if topo.Capacity(w) >= minCap-1e-12 {
+			out = append(out, w)
+			if len(out) == n {
+				return out, nil
+			}
+		}
+	}
+	return nil, fmt.Errorf("placement: only %d of %d nodes have capacity ≥ %v", len(out), n, minCap)
+}
+
+// TestCapacityBallMatchesSortedBall checks the bounded-heap selection
+// against the full sort on metrics full of tied distances, with
+// ineligible sites (one just inside the capacity tolerance) and ball
+// sizes up to one more than the eligible count.
+func TestCapacityBallMatchesSortedBall(t *testing.T) {
+	const minCap = 0.5
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 40; trial++ {
+		size := 2 + rng.Intn(40)
+		m := graph.NewMatrix(size)
+		for i := 0; i < size; i++ {
+			for j := i + 1; j < size; j++ {
+				m.Set(i, j, float64(1+rng.Intn(3)))
+			}
+		}
+		m.MetricClosure()
+		topo, err := topology.New("ties", make([]topology.Site, size), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eligible := 0
+		for w := 0; w < size; w++ {
+			c := []float64{1, 0.01, minCap - 5e-13}[rng.Intn(3)]
+			if err := topo.SetCapacity(w, c); err != nil {
+				t.Fatal(err)
+			}
+			if c > 0.1 {
+				eligible++
+			}
+		}
+		for v0 := 0; v0 < size; v0++ {
+			for _, n := range []int{1, 3, 8, eligible, eligible + 1} {
+				if n < 1 {
+					continue
+				}
+				got, errGot := capacityBall(topo, v0, n, minCap)
+				want, errWant := sortedCapacityBall(topo, v0, n, minCap)
+				if fmt.Sprint(errGot) != fmt.Sprint(errWant) || !slices.Equal(got, want) {
+					t.Fatalf("trial %d v0=%d n=%d: capacityBall = %v (err %v), sorted ball %v (err %v)",
+						trial, v0, n, got, errGot, want, errWant)
+				}
+			}
+		}
 	}
 }
 

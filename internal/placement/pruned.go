@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"github.com/quorumnet/quorumnet/internal/core"
 	"github.com/quorumnet/quorumnet/internal/par"
@@ -45,10 +44,11 @@ const boundGridSteps = 256
 // must be before SearchAuto prunes. Scoring costs one ExpectedMaxUniform
 // per client and the tier-2 bound one per grid point, whether or not it
 // prunes the anchor, so the bound pays only when it rules out more than
-// 1/boundPayoff of the anchors. Measured on AS graphs with one worker:
-// at 300 sites the pruned search is slower for grid:5 (77 vs 65 ms) and
-// majority(8,15) (98 vs 84 ms), the two break even between 500 and 1000
-// sites, and pruning wins from there up.
+// 1/boundPayoff of the anchors. Measured on AS graphs with one worker
+// (pruned vs exhaustive): at 300 sites the pruned search is slower for
+// grid:5 (68 vs 47 ms) and majority(8,15) (67 vs 54 ms), and at 500 still
+// slower (131 vs 108, 144 vs 130 ms); at 1000 it wins (463 vs 520,
+// 337 vs 725 ms), and from there up.
 const boundPayoff = 2
 
 // anchorResult records one candidate anchor's outcome.
@@ -493,51 +493,16 @@ func ballBound(topo *topology.Topology, sys quorum.System, perm []int, opts Opti
 }
 
 // ballShell returns the distances from v0 to the members of
-// capacityBall(topo, v0, n, minCap) in increasing order, in O(sites·log n)
-// and without materializing the sorted ball: a size-n max-heap keeps the n
-// smallest eligible distances.
+// capacityBall(topo, v0, n, minCap), in increasing order.
 func ballShell(topo *topology.Topology, v0, n int, minCap float64) ([]float64, error) {
-	if n <= 0 {
-		return nil, nil
+	ball, err := capacityBall(topo, v0, n, minCap)
+	if err != nil {
+		return nil, err
 	}
 	row := topo.RTTRow(v0)
-	h := make([]float64, 0, n)
-	for w, d := range row {
-		if topo.Capacity(w) < minCap-1e-12 {
-			continue
-		}
-		if len(h) < n {
-			h = append(h, d)
-			for i := len(h) - 1; i > 0; {
-				p := (i - 1) / 2
-				if h[p] >= h[i] {
-					break
-				}
-				h[p], h[i] = h[i], h[p]
-				i = p
-			}
-		} else if d < h[0] {
-			h[0] = d
-			i := 0
-			for {
-				m := i
-				if l := 2*i + 1; l < n && h[l] > h[m] {
-					m = l
-				}
-				if r := 2*i + 2; r < n && h[r] > h[m] {
-					m = r
-				}
-				if m == i {
-					break
-				}
-				h[i], h[m] = h[m], h[i]
-				i = m
-			}
-		}
+	shell := make([]float64, len(ball))
+	for i, w := range ball {
+		shell[i] = row[w]
 	}
-	if len(h) < n {
-		return nil, fmt.Errorf("placement: only %d of %d nodes have capacity ≥ %v", len(h), n, minCap)
-	}
-	sort.Float64s(h)
-	return h, nil
+	return shell, nil
 }

@@ -40,6 +40,21 @@ func BenchmarkThresholdExpectedMax161(b *testing.B) {
 	}
 }
 
+// BenchmarkThresholdExpectedMax15 is the anchor-scoring kernel at the
+// planner's threshold-8-of-15 size.
+func BenchmarkThresholdExpectedMax15(b *testing.B) {
+	s, err := NewThreshold(8, 15)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cost := benchCosts(15)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ExpectedMaxUniform(cost)
+	}
+}
+
 func BenchmarkGridClosestQuorum12(b *testing.B) {
 	s, err := NewGrid(12)
 	if err != nil {
@@ -59,6 +74,21 @@ func BenchmarkGridExpectedMax12(b *testing.B) {
 		b.Fatal(err)
 	}
 	cost := benchCosts(144)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ExpectedMaxUniform(cost)
+	}
+}
+
+// BenchmarkGridExpectedMax5 is the anchor-scoring kernel at grid:5, the
+// socket benchmark's daemon system.
+func BenchmarkGridExpectedMax5(b *testing.B) {
+	s, err := NewGrid(5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cost := benchCosts(25)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

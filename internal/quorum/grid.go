@@ -69,7 +69,8 @@ func (s Grid) Quorum(i int) []int {
 // using precomputed per-row and per-column maxima.
 func (s Grid) ClosestQuorum(cost []float64) ([]int, float64) {
 	s.checkCost(cost)
-	rowMax, colMax := s.lineMaxima(cost)
+	var buf [2 * maxStackDim]float64
+	rowMax, colMax := s.lineMaxima(cost, buf[:])
 	k := s.k
 	bestIdx, bestCost := 0, math.Inf(1)
 	for r := 0; r < k; r++ {
@@ -93,18 +94,24 @@ func (s Grid) UniformElementLoad() float64 {
 }
 
 // ExpectedMaxUniform implements System: averages max(rowMax[r], colMax[c])
-// over all k² quorums.
+// over all k² quorums. The max is a plain comparison: costs are never NaN
+// (checkCost), and where it picks −0 over +0 the sum, which starts at +0,
+// comes out the same.
 func (s Grid) ExpectedMaxUniform(cost []float64) float64 {
 	s.checkCost(cost)
-	rowMax, colMax := s.lineMaxima(cost)
-	k := s.k
+	var buf [2 * maxStackDim]float64
+	rowMax, colMax := s.lineMaxima(cost, buf[:])
 	sum := 0.0
-	for r := 0; r < k; r++ {
-		for c := 0; c < k; c++ {
-			sum += math.Max(rowMax[r], colMax[c])
+	for _, rm := range rowMax {
+		for _, cm := range colMax {
+			if cm > rm {
+				sum += cm
+			} else {
+				sum += rm
+			}
 		}
 	}
-	return sum / float64(k*k)
+	return sum / float64(s.k*s.k)
 }
 
 // OptimalLoad implements System: the uniform strategy achieves
@@ -131,22 +138,32 @@ func (s Grid) UniformTouchProbability(elems []int) float64 {
 	return (nr*fk + nc*fk - nr*nc) / (fk * fk)
 }
 
-func (s Grid) lineMaxima(cost []float64) (rowMax, colMax []float64) {
+// maxStackDim is the largest grid dimension whose row and column maxima
+// fit the callers' stack buffers; larger grids put them on the heap.
+const maxStackDim = 16
+
+// lineMaxima returns the largest cost in each row and each column, walking
+// cost row by row. It keeps them in buf when buf holds 2k values.
+func (s Grid) lineMaxima(cost, buf []float64) (rowMax, colMax []float64) {
 	k := s.k
-	rowMax = make([]float64, k)
-	colMax = make([]float64, k)
-	for i := range rowMax {
-		rowMax[i] = math.Inf(-1)
-		colMax[i] = math.Inf(-1)
+	if len(buf) < 2*k {
+		buf = make([]float64, 2*k)
 	}
-	for u, cu := range cost {
-		r, c := u/k, u%k
-		if cu > rowMax[r] {
-			rowMax[r] = cu
+	rowMax, colMax = buf[:k], buf[k:2*k]
+	for c := range colMax {
+		colMax[c] = math.Inf(-1)
+	}
+	for r := range rowMax {
+		m := math.Inf(-1)
+		for c, cu := range cost[r*k : r*k+k] {
+			if cu > m {
+				m = cu
+			}
+			if cu > colMax[c] {
+				colMax[c] = cu
+			}
 		}
-		if cu > colMax[c] {
-			colMax[c] = cu
-		}
+		rowMax[r] = m
 	}
 	return rowMax, colMax
 }

@@ -3,7 +3,7 @@ package quorum
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Threshold is the threshold (a.k.a. Majority or voting) quorum system:
@@ -113,22 +113,32 @@ func (s Threshold) UniformElementLoad() float64 { return float64(s.q) / float64(
 //	P(1)   = q/n
 //	P(i+1) = P(i) · (n−i−q+1)/(n−i)
 //
-// which avoids forming the (astronomical) binomials.
+// which avoids forming the (astronomical) binomials. The costs are sorted
+// ascending in a copy, on the stack up to maxStackUniverse elements, and
+// read from the top.
 func (s Threshold) ExpectedMaxUniform(cost []float64) float64 {
 	s.checkCost(cost)
-	desc := make([]float64, len(cost))
-	copy(desc, cost)
-	sort.Sort(sort.Reverse(sort.Float64Slice(desc)))
+	var buf [maxStackUniverse]float64
+	asc := buf[:0]
+	if len(cost) > len(buf) {
+		asc = make([]float64, 0, len(cost))
+	}
+	asc = append(asc, cost...)
+	slices.Sort(asc)
 
 	n, q := s.n, s.q
 	p := float64(q) / float64(n)
 	expect := 0.0
 	for i := 1; i <= n-q+1; i++ {
-		expect += p * desc[i-1]
+		expect += p * asc[n-i]
 		p *= float64(n-i-q+1) / float64(n-i)
 	}
 	return expect
 }
+
+// maxStackUniverse is the largest universe whose sorted cost copy
+// ExpectedMaxUniform keeps on the stack; larger ones copy to the heap.
+const maxStackUniverse = 64
 
 // OptimalLoad implements System: Lopt = q/n, achieved by the uniform
 // strategy (threshold systems are load-symmetric).

@@ -178,8 +178,8 @@ func TestClosestMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range e.Clients {
-			got := ClosestStrategy{}.ExpectedMax(e, v, e.elementNetCosts(v))
+		for k, v := range e.Clients {
+			got := ClosestStrategy{}.ExpectedMax(e, k, e.elementNetCosts(v))
 			want := math.Inf(1)
 			for i := 0; i < sys.NumQuorums(); i++ {
 				maxC := 0.0
@@ -494,8 +494,8 @@ func TestClientResponseTimeMatchesAverage(t *testing.T) {
 	}
 	s := BalancedStrategy{}
 	sum := 0.0
-	for _, v := range e.Clients {
-		sum += e.ClientResponseTime(s, v)
+	for k := range e.Clients {
+		sum += e.ClientResponseTime(s, k)
 	}
 	if got, want := sum/float64(len(e.Clients)), e.AvgResponseTime(s); math.Abs(got-want) > 1e-9 {
 		t.Errorf("per-client mean %v != AvgResponseTime %v", got, want)
@@ -674,7 +674,8 @@ func TestSetClientsResetsWeights(t *testing.T) {
 
 // TestAvgNetworkDelayAllocationsFlatInClients: scoring an anchor costs
 // one element-cost buffer per call, however many clients it averages
-// over.
+// over; with an explicit strategy, the load measures cost the loads and
+// one per-client buffer that every client refills.
 func TestAvgNetworkDelayAllocationsFlatInClients(t *testing.T) {
 	for _, sys := range []quorum.System{mustThreshold(t, 8, 15), mustGrid(t, 5)} {
 		for _, n := range []int{25, 100, 200} {
@@ -687,6 +688,97 @@ func TestAvgNetworkDelayAllocationsFlatInClients(t *testing.T) {
 			if a > 1 {
 				t.Errorf("%s over %d clients: %v allocations per AvgNetworkDelay, want at most 1", sys.Name(), n, a)
 			}
+
+			e.Alpha = 30
+			exp := &ExplicitStrategy{Probs: uniformProbs(n, sys.NumQuorums())}
+			for _, m := range []struct {
+				name string
+				max  float64
+				f    func()
+			}{
+				{"NodeLoads", 2, func() { e.NodeLoads(exp) }},
+				{"AvgResponseTime", 3, func() { e.AvgResponseTime(exp) }},
+				{"MaxNodeLoad", 2, func() { e.MaxNodeLoad(exp) }},
+			} {
+				if a := testing.AllocsPerRun(2, m.f); a > m.max {
+					t.Errorf("%s over %d clients: %v allocations per explicit %s, want at most %v", sys.Name(), n, a, m.name, m.max)
+				}
+			}
 		}
+	}
+}
+
+// TestDuplicateClientWeights: a client is its position, so a node listed
+// twice with weights 1 and 3 is two clients whose shares sum to the one
+// client the node is alone.
+func TestDuplicateClientWeights(t *testing.T) {
+	topo := testTopo(t, 9, 25)
+	sys := mustGrid(t, 3)
+	f := identityPlacement(t, 9, topo)
+	alone, err := NewEval(topo, sys, f, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := alone.SetClients([]int{3}); err != nil {
+		t.Fatal(err)
+	}
+	twice, err := NewEval(topo, sys, f, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twice.SetClients([]int{3, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := twice.SetClientWeights([]float64{1, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if got := twice.ClientWeight(0) + twice.ClientWeight(1); got != 1 {
+		t.Errorf("duplicated client's weights sum to %v, want 1", got)
+	}
+	m := sys.NumQuorums()
+	for _, s := range []struct{ alone, twice Strategy }{
+		{BalancedStrategy{}, BalancedStrategy{}},
+		{ClosestStrategy{}, ClosestStrategy{}},
+		{&ExplicitStrategy{Probs: uniformProbs(1, m)}, &ExplicitStrategy{Probs: uniformProbs(2, m)}},
+	} {
+		if got, want := twice.AvgResponseTime(s.twice), alone.AvgResponseTime(s.alone); math.Abs(got-want) > 1e-9 {
+			t.Errorf("%s: node 3 listed twice averages %v, alone %v", s.alone.Name(), got, want)
+		}
+		lt, la := twice.NodeLoads(s.twice), alone.NodeLoads(s.alone)
+		for w := range la {
+			if math.Abs(lt[w]-la[w]) > 1e-9 {
+				t.Errorf("%s node %d: load %v listed twice, %v alone", s.alone.Name(), w, lt[w], la[w])
+			}
+		}
+	}
+}
+
+// TestSetClientWeightsNilIsUniform: nil restores the uniform shares that
+// NewEval and SetClients set, bit for bit.
+func TestSetClientWeightsNilIsUniform(t *testing.T) {
+	topo := testTopo(t, 9, 26)
+	sys := mustGrid(t, 3)
+	e, err := NewEval(topo, sys, identityPlacement(t, 9, topo), 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := e.AvgResponseTime(BalancedStrategy{})
+	ws := make([]float64, 9)
+	for i := range ws {
+		ws[i] = float64(i + 1)
+	}
+	if err := e.SetClientWeights(ws); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetClientWeights(nil); err != nil {
+		t.Fatal(err)
+	}
+	for k := range e.Clients {
+		if got := e.ClientWeight(k); got != 1.0/9 {
+			t.Errorf("client %d weight %v after SetClientWeights(nil), want 1/9", k, got)
+		}
+	}
+	if got := e.AvgResponseTime(BalancedStrategy{}); got != base {
+		t.Errorf("response %v after SetClientWeights(nil), want %v", got, base)
 	}
 }

@@ -19,16 +19,17 @@ type Eval struct {
 	// alpha = op_srv_time × client_demand (§7). Zero evaluates pure
 	// network delay (§6).
 	Alpha float64
-	// Clients lists the client nodes. The paper takes V itself as the
-	// client set; NewEval defaults to all nodes.
+	// Clients lists the client nodes. A client is its position k in this
+	// list and Clients[k] is its node, so a node listed twice is two
+	// clients. The paper takes V itself as the client set; NewEval
+	// defaults to all nodes. Set it with SetClients.
 	Clients []int
 	// Mode selects the load model; NewEval defaults to LoadMultiplicity
 	// (the paper's definition).
 	Mode LoadMode
 
-	clientPos map[int]int // node id → index into Clients
-	weights   []float64   // per-client demand weights; nil = uniform
-	quorums   [][]int     // memoized enumerated quorums (enumerable systems)
+	weights []float64 // weights[k]: client k's normalized demand share
+	quorums [][]int   // memoized enumerated quorums (enumerable systems)
 }
 
 // OpServiceTimeMS is the per-request server processing time the paper
@@ -57,16 +58,26 @@ func NewEval(topo *topology.Topology, sys quorum.System, f Placement, alpha floa
 	for i := range clients {
 		clients[i] = i
 	}
-	e := &Eval{
+	return &Eval{
 		Topo:    topo,
 		Sys:     sys,
 		F:       f,
 		Alpha:   alpha,
 		Clients: clients,
 		Mode:    LoadMultiplicity,
-	}
-	e.reindex()
-	return e, nil
+		weights: uniformWeights(len(clients)),
+	}, nil
+}
+
+// WithPlacement returns a copy of e that evaluates placement f, which
+// must cover e's universe. The copy shares e's clients and weights
+// read-only (SetClients and SetClientWeights replace those slices rather
+// than write into them), so an anchor search pays for one client list
+// and one weight vector, not one per anchor.
+func (e *Eval) WithPlacement(f Placement) *Eval {
+	out := *e
+	out.F, out.quorums = f, nil
+	return &out
 }
 
 // SetClients restricts the client set (e.g. the ten client sites of the
@@ -81,25 +92,22 @@ func (e *Eval) SetClients(clients []int) error {
 		}
 	}
 	e.Clients = append([]int(nil), clients...)
-	e.reindex()
+	e.weights = uniformWeights(len(e.Clients)) // weights are positional
 	return nil
 }
 
-func (e *Eval) reindex() {
-	e.clientPos = make(map[int]int, len(e.Clients))
-	for k, v := range e.Clients {
-		e.clientPos[v] = k
-	}
-	e.weights = nil // weights are positional; invalidate on client change
-}
-
 // SetClientWeights assigns relative demand weights to the clients
-// (positionally aligned with Clients). The paper weighs every client
-// equally; weights generalize the model to heterogeneous demand: load and
-// response-time averages become weighted means, and the strategy LP
-// scales each client's contribution accordingly. Weights must be positive
-// and are normalized internally; call after SetClients.
+// (positionally aligned with Clients); nil restores uniform demand. The
+// paper weighs every client equally; weights generalize the model to
+// heterogeneous demand: load and response-time averages become weighted
+// means, and the strategy LP scales each client's contribution
+// accordingly. Weights must be positive and are normalized internally;
+// call after SetClients.
 func (e *Eval) SetClientWeights(weights []float64) error {
+	if weights == nil {
+		e.weights = uniformWeights(len(e.Clients))
+		return nil
+	}
 	if len(weights) != len(e.Clients) {
 		return fmt.Errorf("core: %d weights for %d clients", len(weights), len(e.Clients))
 	}
@@ -118,22 +126,17 @@ func (e *Eval) SetClientWeights(weights []float64) error {
 	return nil
 }
 
-// ClientWeight returns client v's normalized demand share.
-func (e *Eval) ClientWeight(v int) float64 {
-	k := e.clientIndex(v)
-	if e.weights == nil {
-		return 1 / float64(len(e.Clients))
+// uniformWeights returns n equal shares of 1/n.
+func uniformWeights(n int) []float64 {
+	w := make([]float64, n)
+	for k := range w {
+		w[k] = 1 / float64(n)
 	}
-	return e.weights[k]
+	return w
 }
 
-func (e *Eval) clientIndex(v int) int {
-	k, ok := e.clientPos[v]
-	if !ok {
-		panic(fmt.Sprintf("core: node %d is not a client", v))
-	}
-	return k
-}
+// ClientWeight returns client k's normalized demand share.
+func (e *Eval) ClientWeight(k int) float64 { return e.weights[k] }
 
 // Prewarm eagerly populates the evaluator's lazy caches (the memoized
 // quorum enumeration). Measures on an Eval are read-only afterwards, so
@@ -165,13 +168,17 @@ func (e *Eval) elementNetCosts(v int) []float64 {
 }
 
 // NodeLoads returns load_f(w): the (weighted) average over clients of
-// load_{v,f}(w), the quantity multiplied by alpha in (4.1).
+// load_{v,f}(w), the quantity multiplied by alpha in (4.1). Each client's
+// loads go into one buffer, cleared for the next client.
 func (e *Eval) NodeLoads(s Strategy) []float64 {
 	loads := make([]float64, e.Topo.Size())
-	for _, v := range e.Clients {
-		wv := e.ClientWeight(v)
-		for w, l := range s.ClientNodeLoads(e, v, e.Mode) {
-			loads[w] += wv * l
+	client := make([]float64, e.Topo.Size())
+	for k := range e.Clients {
+		clear(client)
+		s.ClientNodeLoads(e, k, client)
+		wk := e.weights[k]
+		for w, l := range client {
+			loads[w] += wk * l
 		}
 	}
 	return loads
@@ -200,10 +207,11 @@ func (e *Eval) AvgNetworkDelay(s Strategy) float64 {
 	return e.avgExpectedMax(s, 0)
 }
 
-// ClientResponseTime returns Δ_f(v) for one client.
-func (e *Eval) ClientResponseTime(s Strategy, v int) float64 {
+// ClientResponseTime returns Δ_f(v) for client k, whose node is
+// v = Clients[k].
+func (e *Eval) ClientResponseTime(s Strategy, k int) float64 {
 	loads := e.NodeLoads(s)
-	return s.ExpectedMax(e, v, e.elementCosts(make([]float64, e.F.UniverseSize()), v, loads, e.Alpha))
+	return s.ExpectedMax(e, k, e.elementCosts(make([]float64, e.F.UniverseSize()), e.Clients[k], loads, e.Alpha))
 }
 
 // avgExpectedMax refills one element-cost buffer for each client, which
@@ -214,16 +222,9 @@ func (e *Eval) avgExpectedMax(s Strategy, alpha float64) float64 {
 		loads = e.NodeLoads(s)
 	}
 	cost := make([]float64, e.F.UniverseSize())
-	uniform := 1 / float64(len(e.Clients))
 	sum := 0.0
-	for _, v := range e.Clients {
-		// With weights, ClientWeight's lookup is the one that resolves a
-		// client listed twice, so it stays.
-		w := uniform
-		if e.weights != nil {
-			w = e.ClientWeight(v)
-		}
-		sum += w * s.ExpectedMax(e, v, e.elementCosts(cost, v, loads, alpha))
+	for k, v := range e.Clients {
+		sum += e.weights[k] * s.ExpectedMax(e, k, e.elementCosts(cost, v, loads, alpha))
 	}
 	return sum
 }

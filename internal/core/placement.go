@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/quorumnet/quorumnet/internal/topology"
@@ -55,6 +56,9 @@ func (f Placement) Node(u int) int { return f.target[u] }
 
 // Targets returns a copy of the element→node table.
 func (f Placement) Targets() []int { return append([]int(nil), f.target...) }
+
+// Equal reports whether f and g place every element on the same node.
+func (f Placement) Equal(g Placement) bool { return slices.Equal(f.target, g.target) }
 
 // Support returns the distinct nodes hosting at least one element, sorted
 // ascending ("the support set of the placement").

@@ -36,15 +36,16 @@ func (m LoadMode) String() string {
 type Strategy interface {
 	// Name identifies the strategy in reports.
 	Name() string
-	// ClientNodeLoads returns load_{v,f}(w) for every node w: the
-	// expected per-request demand client v places on node w under the
-	// given load mode.
-	ClientNodeLoads(e *Eval, v int, mode LoadMode) []float64
+	// ClientNodeLoads writes load_{v,f}(w) into loads[w] for every node
+	// w: the expected per-request demand client k (node v = e.Clients[k])
+	// places on node w under e.Mode. loads is the caller's buffer, zeroed
+	// and Topo.Size() long: fill it, do not keep it.
+	ClientNodeLoads(e *Eval, k int, loads []float64)
 	// ExpectedMax returns Σ_Q p_v(Q)·max_{u ∈ Q} elemCost[u] for client
-	// v, the inner expectation of (4.2) with an arbitrary per-element
+	// k, the inner expectation of (4.2) with an arbitrary per-element
 	// cost vector. elemCost is the caller's scratch: read it, do not keep
 	// it.
-	ExpectedMax(e *Eval, v int, elemCost []float64) float64
+	ExpectedMax(e *Eval, k int, elemCost []float64) float64
 }
 
 // ClosestStrategy is §6's "closest quorum access strategy": every client
@@ -59,10 +60,9 @@ var _ Strategy = ClosestStrategy{}
 func (ClosestStrategy) Name() string { return "closest" }
 
 // ClientNodeLoads implements Strategy.
-func (ClosestStrategy) ClientNodeLoads(e *Eval, v int, mode LoadMode) []float64 {
-	loads := make([]float64, e.Topo.Size())
-	elems, _ := e.Sys.ClosestQuorum(e.elementNetCosts(v))
-	switch mode {
+func (ClosestStrategy) ClientNodeLoads(e *Eval, k int, loads []float64) {
+	elems, _ := e.Sys.ClosestQuorum(e.elementNetCosts(e.Clients[k]))
+	switch e.Mode {
 	case LoadDedup:
 		for _, w := range e.F.QuorumNodes(elems) {
 			loads[w] = 1
@@ -72,12 +72,11 @@ func (ClosestStrategy) ClientNodeLoads(e *Eval, v int, mode LoadMode) []float64 
 			loads[e.F.Node(u)]++
 		}
 	}
-	return loads
 }
 
 // ExpectedMax implements Strategy.
-func (ClosestStrategy) ExpectedMax(e *Eval, v int, elemCost []float64) float64 {
-	elems, _ := e.Sys.ClosestQuorum(e.elementNetCosts(v))
+func (ClosestStrategy) ExpectedMax(e *Eval, k int, elemCost []float64) float64 {
+	elems, _ := e.Sys.ClosestQuorum(e.elementNetCosts(e.Clients[k]))
 	maxC := math.Inf(-1)
 	for _, u := range elems {
 		if elemCost[u] > maxC {
@@ -98,9 +97,8 @@ var _ Strategy = BalancedStrategy{}
 func (BalancedStrategy) Name() string { return "balanced" }
 
 // ClientNodeLoads implements Strategy.
-func (BalancedStrategy) ClientNodeLoads(e *Eval, v int, mode LoadMode) []float64 {
-	loads := make([]float64, e.Topo.Size())
-	switch mode {
+func (BalancedStrategy) ClientNodeLoads(e *Eval, _ int, loads []float64) {
+	switch e.Mode {
 	case LoadDedup:
 		for _, w := range e.F.Support() {
 			loads[w] = e.Sys.UniformTouchProbability(e.F.ElementsOn(w))
@@ -111,21 +109,19 @@ func (BalancedStrategy) ClientNodeLoads(e *Eval, v int, mode LoadMode) []float64
 			loads[e.F.Node(u)] += per
 		}
 	}
-	return loads
 }
 
 // ExpectedMax implements Strategy.
-func (BalancedStrategy) ExpectedMax(e *Eval, v int, elemCost []float64) float64 {
+func (BalancedStrategy) ExpectedMax(e *Eval, _ int, elemCost []float64) float64 {
 	return e.Sys.ExpectedMaxUniform(elemCost)
 }
 
 // ExplicitStrategy holds an explicit per-client distribution over the
 // enumerated quorums of the system — the output of the access-strategy LP
-// (4.3)–(4.6). Probs[v][i] is p_v(Q_i) for client index v (aligned with
-// Eval.Clients ordering: Probs[k] corresponds to the k-th client).
+// (4.3)–(4.6).
 type ExplicitStrategy struct {
-	// Probs[k][i] is the probability that the k-th client accesses
-	// quorum i.
+	// Probs[k][i] is the probability that client k (node
+	// Eval.Clients[k]) accesses quorum i.
 	Probs [][]float64
 	// Label names the strategy in reports (defaults to "explicit").
 	Label string
@@ -170,15 +166,13 @@ func (s *ExplicitStrategy) Validate(e *Eval) error {
 }
 
 // ClientNodeLoads implements Strategy.
-func (s *ExplicitStrategy) ClientNodeLoads(e *Eval, v int, mode LoadMode) []float64 {
-	k := e.clientIndex(v)
-	loads := make([]float64, e.Topo.Size())
+func (s *ExplicitStrategy) ClientNodeLoads(e *Eval, k int, loads []float64) {
 	for i, p := range s.Probs[k] {
 		if p <= 0 {
 			continue
 		}
 		elems := e.quorumElems(i)
-		switch mode {
+		switch e.Mode {
 		case LoadDedup:
 			for _, w := range e.F.QuorumNodes(elems) {
 				loads[w] += p
@@ -189,12 +183,10 @@ func (s *ExplicitStrategy) ClientNodeLoads(e *Eval, v int, mode LoadMode) []floa
 			}
 		}
 	}
-	return loads
 }
 
 // ExpectedMax implements Strategy.
-func (s *ExplicitStrategy) ExpectedMax(e *Eval, v int, elemCost []float64) float64 {
-	k := e.clientIndex(v)
+func (s *ExplicitStrategy) ExpectedMax(e *Eval, k int, elemCost []float64) float64 {
 	sum := 0.0
 	for i, p := range s.Probs[k] {
 		if p <= 0 {

@@ -21,11 +21,11 @@ package deploy
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"github.com/quorumnet/quorumnet/internal/core"
 	"github.com/quorumnet/quorumnet/internal/journal"
 	"github.com/quorumnet/quorumnet/internal/plan"
 	"github.com/quorumnet/quorumnet/internal/topology"
@@ -475,17 +475,17 @@ func (m *Manager) replan() (*Entry, error) {
 	if m.cfg.MoveCost <= 0 {
 		return &Entry{Snapshot: cand, Decision: "move (no hysteresis)"}, nil
 	}
-	prevTargets, ok := mapTargets(prev, m.p)
+	prevF, ok := mapPlacement(prev, m.p, cand.Topology)
 	if !ok {
 		return &Entry{Snapshot: cand, Decision: "move (forced: previous placement lost a site)"}, nil
 	}
-	if slices.Equal(cand.Placement.Targets(), prevTargets) {
+	if cand.Placement.Equal(prevF) {
 		return &Entry{Snapshot: cand, Decision: "adopt (placement unchanged)"}, nil
 	}
 
 	// Holdover: previous placement pinned on the new conditions, with
 	// the strategy re-optimized for it.
-	if err := m.p.PinPlacement(prevTargets); err != nil {
+	if err := m.p.PinPlacement(prevF.Targets()); err != nil {
 		return &Entry{Snapshot: cand, Decision: "move (forced: " + err.Error() + ")"}, nil
 	}
 	hold, err := m.p.Plan()
@@ -519,20 +519,20 @@ func (m *Manager) replan() (*Entry, error) {
 	}, nil
 }
 
-// mapTargets translates a snapshot's placement into the planner's
-// current site indices by site name; ok is false when a hosting site no
-// longer exists.
-func mapTargets(snap *plan.Snapshot, p *plan.Planner) ([]int, bool) {
-	targets := snap.Placement.Targets()
-	out := make([]int, len(targets))
-	for u, w := range targets {
-		idx := p.SiteIndex(snap.Topology.Site(w).Name)
+// mapPlacement translates a snapshot's placement onto topo, the
+// planner's current sites, by site name; ok is false when a hosting site
+// no longer exists.
+func mapPlacement(snap *plan.Snapshot, p *plan.Planner, topo *topology.Topology) (core.Placement, bool) {
+	out := make([]int, snap.Placement.UniverseSize())
+	for u := range out {
+		idx := p.SiteIndex(snap.Topology.Site(snap.Placement.Node(u)).Name)
 		if idx < 0 {
-			return nil, false
+			return core.Placement{}, false
 		}
 		out[u] = idx
 	}
-	return out, true
+	f, err := core.NewPlacement(out, topo)
+	return f, err == nil
 }
 
 // sites lists the site names a non-membership delta references (for

@@ -335,12 +335,12 @@ func TestSlowdownRoutesAround(t *testing.T) {
 	// Paths between healthy nodes never got worse (closure can only
 	// reroute), and clients at the slowed node got slower — so the
 	// average may rise slightly but per healthy client delays must not.
-	for _, v := range se.Clients {
+	for k, v := range se.Clients {
 		if v == nonSupport {
 			continue
 		}
-		hb := e.ClientResponseTime(core.ClosestStrategy{}, v)
-		hs := se.ClientResponseTime(core.ClosestStrategy{}, v)
+		hb := e.ClientResponseTime(core.ClosestStrategy{}, k)
+		hs := se.ClientResponseTime(core.ClosestStrategy{}, k)
 		if hs > hb+1e-9 {
 			t.Fatalf("healthy client %d got slower: %v vs %v", v, hs, hb)
 		}

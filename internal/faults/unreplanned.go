@@ -29,11 +29,20 @@ func Unreplanned(e *core.Eval, s core.Strategy, failedNodes []int) (*core.Eval, 
 		return nil, nil, err
 	}
 
-	// Carry the surviving clients' demand weights over (Apply resets the
-	// client set, which drops positional weights).
-	w := make([]float64, len(fe.Clients))
-	for k, v := range fe.Clients {
-		w[k] = e.ClientWeight(v)
+	// Apply keeps the surviving clients in order, so survivor client j is
+	// pre-failure client orig[j]. Carry their demand weights over (Apply
+	// resets the client set, which drops positional weights).
+	failed := make([]bool, e.Topo.Size())
+	for _, n := range failedNodes {
+		failed[n] = true
+	}
+	orig := make([]int, 0, len(fe.Clients))
+	w := make([]float64, 0, len(fe.Clients))
+	for k, v := range e.Clients {
+		if !failed[v] {
+			orig = append(orig, k)
+			w = append(w, e.ClientWeight(k))
+		}
 	}
 	if err := fe.SetClientWeights(w); err != nil {
 		return nil, nil, err
@@ -43,7 +52,7 @@ func Unreplanned(e *core.Eval, s core.Strategy, failedNodes []int) (*core.Eval, 
 	if !ok {
 		return fe, s, nil
 	}
-	rs, err := restrictExplicit(e, es, fe, failedNodes)
+	rs, err := restrictExplicit(e, es, fe, failed, orig)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -51,16 +60,12 @@ func Unreplanned(e *core.Eval, s core.Strategy, failedNodes []int) (*core.Eval, 
 }
 
 // restrictExplicit projects an explicit strategy from e onto the
-// survivor evaluation fe. Quorums are matched by element identity (the
-// survivor system re-indexes its universe), so the projection is
-// independent of enumeration order.
-func restrictExplicit(e *core.Eval, s *core.ExplicitStrategy, fe *core.Eval, failedNodes []int) (*core.ExplicitStrategy, error) {
+// survivor evaluation fe, whose client j is e's client orig[j]. Quorums
+// are matched by element identity (the survivor system re-indexes its
+// universe), so the projection is independent of enumeration order.
+func restrictExplicit(e *core.Eval, s *core.ExplicitStrategy, fe *core.Eval, failed []bool, orig []int) (*core.ExplicitStrategy, error) {
 	if !e.Sys.Enumerable() || !fe.Sys.Enumerable() {
 		return nil, fmt.Errorf("faults: cannot project an explicit strategy over non-enumerable system %s", e.Sys.Name())
-	}
-	failed := make([]bool, e.Topo.Size())
-	for _, n := range failedNodes {
-		failed[n] = true
 	}
 	deadElem := make([]bool, e.F.UniverseSize())
 	var alive []int // survivor element id → original element id
@@ -111,17 +116,9 @@ func restrictExplicit(e *core.Eval, s *core.ExplicitStrategy, fe *core.Eval, fai
 	}
 
 	// Project each surviving client's row and renormalize.
-	clientPos := make(map[int]int, len(e.Clients))
-	for k, v := range e.Clients {
-		clientPos[v] = k
-	}
 	uniform := 1 / float64(m)
-	rows := make([][]float64, len(fe.Clients))
-	for k, v := range fe.Clients {
-		ki, found := clientPos[v]
-		if !found {
-			return nil, fmt.Errorf("faults: surviving client %d was not a client before the failure", v)
-		}
+	rows := make([][]float64, len(orig))
+	for k, ki := range orig {
 		old := s.Probs[ki]
 		row := make([]float64, m)
 		sum := 0.0

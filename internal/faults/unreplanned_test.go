@@ -141,8 +141,9 @@ func TestUnreplannedPreservesWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Client 1 survived; its share must stay 10× any unit client's.
-	ratio := fe.ClientWeight(1) / fe.ClientWeight(2)
+	// Client 1 survived as the survivors' client 0 (node 0 failed); its
+	// share must stay 10× any unit client's, such as node 2's.
+	ratio := fe.ClientWeight(0) / fe.ClientWeight(1)
 	if math.Abs(ratio-10) > 1e-9 {
 		t.Fatalf("weight ratio %v, want 10", ratio)
 	}

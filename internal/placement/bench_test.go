@@ -15,6 +15,7 @@ func BenchmarkGridOneToOnePlanetLab(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := OneToOne(topo, sys, Options{}); err != nil {
@@ -29,6 +30,7 @@ func BenchmarkMajorityOneToOneDaxlist(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := OneToOne(topo, sys, Options{}); err != nil {
@@ -46,6 +48,7 @@ func BenchmarkManyToOnePlanetLab(b *testing.B) {
 	// A handful of anchors keeps a single iteration meaningful while the
 	// full search is exercised by BenchmarkFig89 at the repository root.
 	cfg := ManyToOneConfig{Candidates: []int{0, 10, 20, 30, 40}}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ManyToOne(topo, sys, cfg); err != nil {
@@ -68,6 +71,7 @@ func BenchmarkEvalResponseTime(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if v := e.AvgResponseTime(core.BalancedStrategy{}); v <= 0 {
@@ -121,6 +125,7 @@ func BenchmarkAnchorSearch(b *testing.B) {
 			{"pruned", SearchPruned},
 		} {
 			b.Run(tb.name+"/"+bc.name, func(b *testing.B) {
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := OneToOne(tb.topo, sys, Options{Search: bc.mode}); err != nil {
 						b.Fatal(err)
@@ -157,6 +162,7 @@ func BenchmarkAnchorSearch300(b *testing.B) {
 		{"pruned", SearchPruned},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := OneToOne(topo, sys, Options{Search: bc.mode}); err != nil {
 					b.Fatal(err)

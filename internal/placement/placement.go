@@ -62,14 +62,23 @@ func Singleton(topo *topology.Topology, n int) (core.Placement, error) {
 	return core.SingletonPlacement(n, node, topo)
 }
 
-// score evaluates the average network delay of placement f under the
-// scoring strategy.
-func score(topo *topology.Topology, sys quorum.System, f core.Placement, opts Options) (float64, error) {
-	e, err := core.NewEval(topo, sys, f, 0)
+// newScorer returns the score of one search's candidate placements:
+// their average network delay under the scoring strategy. Every anchor's
+// evaluator shares one base's client list and weight vector
+// (core.Eval.WithPlacement), so scoring an anchor allocates nothing
+// sites-sized.
+func newScorer(topo *topology.Topology, sys quorum.System, opts Options) (func(core.Placement) float64, error) {
+	// The base's own placement is never scored: each anchor replaces it.
+	f, err := core.SingletonPlacement(sys.UniverseSize(), 0, topo)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return e.AvgNetworkDelay(opts.scoreBy()), nil
+	base, err := core.NewEval(topo, sys, f, 0)
+	if err != nil {
+		return nil, err
+	}
+	by := opts.scoreBy()
+	return func(f core.Placement) float64 { return base.WithPlacement(f).AvgNetworkDelay(by) }, nil
 }
 
 // gridShellRanks returns the shell construction's element→ball-rank map:

@@ -56,7 +56,6 @@ type anchorResult struct {
 	f        core.Placement
 	d        float64
 	lb       float64 // admissible lower bound on the score, when pruned
-	err      error   // scoring error: fatal
 	buildErr error   // build or bound error: anchor skipped
 	done     bool    // built and scored
 	pruned   bool    // skipped: lb strictly exceeded a scored anchor
@@ -165,8 +164,8 @@ func (s *Search) Place(topo *topology.Topology, changed []int) (core.Placement, 
 	for i := range results {
 		r := &results[i]
 		stale := moved[candidates[i]]
-		if r.done && !stale {
-			stale = slices.ContainsFunc(r.f.Targets(), func(w int) bool { return moved[w] })
+		for u := 0; r.done && !stale && u < r.f.UniverseSize(); u++ {
+			stale = moved[r.f.Node(u)]
 		}
 		switch {
 		case (r.done || r.pruned) && !stale:
@@ -180,11 +179,15 @@ func (s *Search) Place(topo *topology.Topology, changed []int) (core.Placement, 
 	}
 
 	s.scored = 0
+	scoreOf, err := newScorer(topo, s.sys, opts)
+	if err != nil {
+		return core.Placement{}, err
+	}
 	build := func(v0 int) (core.Placement, error) { return s.build(topo, v0) }
 	score := func(idx []int) {
 		s.scored += len(idx)
 		par.For(len(idx), func(k int) {
-			results[idx[k]] = evalAnchor(topo, s.sys, opts, build, candidates[idx[k]])
+			results[idx[k]] = evalAnchor(scoreOf, build, candidates[idx[k]])
 		})
 	}
 	incumbent := func() float64 {
@@ -273,17 +276,12 @@ func (s *Search) usePruned(topo *topology.Topology, candidates int) bool {
 }
 
 // evalAnchor builds and scores one candidate anchor.
-func evalAnchor(topo *topology.Topology, sys quorum.System, opts Options,
-	build func(v0 int) (core.Placement, error), v0 int) anchorResult {
+func evalAnchor(score func(core.Placement) float64, build func(v0 int) (core.Placement, error), v0 int) anchorResult {
 	f, err := build(v0)
 	if err != nil {
 		return anchorResult{buildErr: err} // e.g. not enough capacity around this anchor
 	}
-	d, err := score(topo, sys, f, opts)
-	if err != nil {
-		return anchorResult{err: err}
-	}
-	return anchorResult{f: f, d: d, done: true}
+	return anchorResult{f: f, d: score(f), done: true}
 }
 
 // searchAnchors builds and scores one candidate placement per anchor and
@@ -295,10 +293,14 @@ func evalAnchor(topo *topology.Topology, sys quorum.System, opts Options,
 // scheduling.
 func searchAnchors(topo *topology.Topology, sys quorum.System, opts Options,
 	build func(v0 int) (core.Placement, error)) (core.Placement, error) {
+	scoreOf, err := newScorer(topo, sys, opts)
+	if err != nil {
+		return core.Placement{}, err
+	}
 	candidates := opts.candidates(topo)
 	results := make([]anchorResult, len(candidates))
 	par.For(len(candidates), func(i int) {
-		results[i] = evalAnchor(topo, sys, opts, build, candidates[i])
+		results[i] = evalAnchor(scoreOf, build, candidates[i])
 	})
 	return mergeAnchors(results)
 }
@@ -313,9 +315,6 @@ func mergeAnchors(results []anchorResult) (core.Placement, error) {
 	var lastErr error
 	for i := range results {
 		r := &results[i]
-		if r.err != nil {
-			return core.Placement{}, r.err
-		}
 		if r.buildErr != nil {
 			lastErr = r.buildErr
 			continue

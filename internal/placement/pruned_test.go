@@ -211,3 +211,29 @@ func TestProbeOrderCoversAndDedups(t *testing.T) {
 		_ = i
 	}
 }
+
+// TestAnchorScoreAllocationsFlatInSites: every anchor of a search shares
+// the search's client list and weight vector, so scoring one allocates
+// its evaluator and one element-cost buffer at any site count — nothing
+// sites-sized.
+func TestAnchorScoreAllocationsFlatInSites(t *testing.T) {
+	sys := mustGrid(t, 3)
+	for _, n := range []int{25, 100, 200} {
+		topo := testTopo(t, n, 27)
+		s, err := NewSearch(sys, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := s.build(topo, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		score, err := newScorer(topo, sys, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a := testing.AllocsPerRun(20, func() { score(f) }); a > 2 {
+			t.Errorf("%d sites: %v allocations per anchor score, want at most 2", n, a)
+		}
+	}
+}

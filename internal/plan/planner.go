@@ -543,7 +543,7 @@ func (p *Planner) Plan() (*Snapshot, error) {
 		}
 		// The LP skeleton depends on where the elements sit, not on the
 		// RTTs to them: it outlives an evaluation that kept the targets.
-		if p.eval == nil || !slices.Equal(f.Targets(), p.f.Targets()) {
+		if p.eval == nil || !f.Equal(p.f) {
 			p.opt = nil
 		}
 		p.f, p.eval, p.optOK = f, eval, false
@@ -551,16 +551,9 @@ func (p *Planner) Plan() (*Snapshot, error) {
 		recomputed = append(recomputed, StagePlacement)
 	}
 	// Client weights live on the evaluator; sync them every Plan (they
-	// may have changed without the placement stage re-running). Explicit
-	// uniform weights normalize to exactly the nil-weight default.
-	weights := p.weights
-	if weights == nil {
-		weights = make([]float64, len(p.sites))
-		for i := range weights {
-			weights[i] = 1
-		}
-	}
-	if err := p.eval.SetClientWeights(weights); err != nil {
+	// may have changed without the placement stage re-running). Nil is
+	// uniform demand.
+	if err := p.eval.SetClientWeights(p.weights); err != nil {
 		return nil, fmt.Errorf("plan: %w", err)
 	}
 
@@ -593,7 +586,7 @@ func (p *Planner) Plan() (*Snapshot, error) {
 		LP:        p.lpRes,
 		Alpha:     p.alpha,
 		Demand:    p.alpha / core.OpServiceTimeMS,
-		Weights:   append([]float64(nil), p.weights...),
+		Weights:   slices.Clone(p.weights),
 		Response:  p.eval.AvgResponseTime(p.strat),
 		NetDelay:  p.eval.AvgNetworkDelay(p.strat),
 		MaxLoad:   p.eval.MaxNodeLoad(p.strat),
@@ -602,9 +595,6 @@ func (p *Planner) Plan() (*Snapshot, error) {
 			Deltas:     deltas,
 			Pinned:     p.pin != nil,
 		},
-	}
-	if len(snap.Weights) == 0 {
-		snap.Weights = nil
 	}
 	p.pending, p.pendingDropped = nil, 0
 	p.dirty = [numStages]bool{}

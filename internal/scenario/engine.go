@@ -370,7 +370,8 @@ func resolveStrategy(name string, e *core.Eval, spec *Spec, cfg RunConfig) (core
 
 // RepresentativeClients picks the k nodes whose expected network delay to
 // the placement (under uniform access) is closest to the all-nodes
-// average — the paper's §3 recipe for its ten client locations.
+// average — the paper's §3 recipe for its ten client locations. e keeps
+// NewEval's clients, every node, so client v is node v.
 func RepresentativeClients(e *core.Eval, k int) ([]int, error) {
 	n := e.Topo.Size()
 	if k > n {
@@ -487,20 +488,16 @@ func unreplannedCell(prev *plan.Snapshot, step Step, cur *plan.Snapshot) (string
 		// Same membership: the un-replanned deployment runs under the
 		// step's conditions (alpha and weights) with its old placement
 		// and strategy.
-		if cur.Weights != nil {
-			if err := ev.SetClientWeights(cur.Weights); err != nil {
-				return "", err
-			}
+		if err := ev.SetClientWeights(cur.Weights); err != nil {
+			return "", err
 		}
 		return f2(ev.AvgResponseTime(prev.Strategy)), nil
 	}
 
 	// Failure: surviving clients keep their previous weights; the
 	// strategy renormalizes over the surviving quorums.
-	if prev.Weights != nil {
-		if err := ev.SetClientWeights(prev.Weights); err != nil {
-			return "", err
-		}
+	if err := ev.SetClientWeights(prev.Weights); err != nil {
+		return "", err
 	}
 	fe, strat, err := faults.Unreplanned(ev, prev.Strategy, dedupe(failed))
 	if errors.Is(err, quorum.ErrNoQuorumSurvives) {

@@ -41,7 +41,7 @@ func groupClients(e *core.Eval, support []int, aggregate bool) *clientGroups {
 	add := func(k, v int) {
 		g.members = append(g.members, []int{k})
 		g.site = append(g.site, v)
-		g.weight = append(g.weight, e.ClientWeight(v)*float64(nc))
+		g.weight = append(g.weight, e.ClientWeight(k)*float64(nc))
 	}
 	if !aggregate {
 		for k, v := range e.Clients {
@@ -60,7 +60,7 @@ func groupClients(e *core.Eval, support []int, aggregate bool) *clientGroups {
 		}
 		if gi, ok := seen[string(key)]; ok {
 			g.members[gi] = append(g.members[gi], k)
-			g.weight[gi] += e.ClientWeight(v) * float64(nc)
+			g.weight[gi] += e.ClientWeight(k) * float64(nc)
 			continue
 		}
 		seen[string(key)] = len(g.members)

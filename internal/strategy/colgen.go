@@ -84,12 +84,13 @@ type colgen struct {
 	stats ColgenStats
 }
 
-// newColgen aggregates clients and builds the seeded restricted master.
-func newColgen(e *core.Eval, cfg Config) (*colgen, error) {
+// newColgen aggregates clients and builds the seeded restricted master
+// over the system's enumerated quorums.
+func newColgen(e *core.Eval, cfg Config, quorums [][]int) (*colgen, error) {
 	c := &colgen{
 		e:   e,
 		cfg: cfg,
-		m:   e.Sys.NumQuorums(),
+		m:   len(quorums),
 		nc:  len(e.Clients),
 	}
 	support := e.F.Support()
@@ -99,7 +100,7 @@ func newColgen(e *core.Eval, cfg Config) (*colgen, error) {
 	// Per-quorum loads in CSR form, and capacity rows for exactly the
 	// nodes some quorum loads — the same rows, in the same support order,
 	// as the dense LP builds.
-	loads := quorumNodeLoads(e)
+	loads := quorumNodeLoads(e, quorums)
 	nnz := 0
 	for _, ls := range loads {
 		nnz += len(ls)

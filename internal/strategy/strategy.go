@@ -123,8 +123,9 @@ type Optimizer struct {
 	e   *core.Eval
 	cfg Config
 
-	m  int // quorums
-	nc int // clients
+	m       int     // quorums
+	nc      int     // clients
+	quorums [][]int // each quorum's elements, enumerated once
 
 	prob *lp.Problem
 	// weight is each client's objective and load scale: its normalized
@@ -150,24 +151,28 @@ type nodeLoad struct {
 
 // quorumNodeLoads precomputes, per quorum, its distinct support nodes and
 // each node's load contribution per access (multiplicity — the paper's
-// definition — or 0/1 dedup, per the evaluation's LoadMode). Both LP
-// solvers derive their capacity coefficients and delay maxima from it.
-func quorumNodeLoads(e *core.Eval) [][]nodeLoad {
-	m := e.Sys.NumQuorums()
-	loads := make([][]nodeLoad, m)
-	for i := 0; i < m; i++ {
-		counts := map[int]float64{}
-		for _, u := range e.Sys.Quorum(i) {
+// definition — or 0/1 dedup, per the evaluation's LoadMode), in the
+// order of each node's first element in the quorum, so colgen's sums
+// over the list run in one order on every build. Both LP solvers derive
+// their capacity coefficients and delay maxima from it.
+func quorumNodeLoads(e *core.Eval, quorums [][]int) [][]nodeLoad {
+	loads := make([][]nodeLoad, len(quorums))
+	for i, elems := range quorums {
+		ls := make([]nodeLoad, 0, len(elems))
+	elems:
+		for _, u := range elems {
 			w := e.F.Node(u)
-			if e.Mode == core.LoadDedup {
-				counts[w] = 1
-			} else {
-				counts[w]++
+			for t := range ls {
+				if ls[t].node == w {
+					if e.Mode != core.LoadDedup {
+						ls[t].load++
+					}
+					continue elems
+				}
 			}
+			ls = append(ls, nodeLoad{node: w, load: 1})
 		}
-		for w, l := range counts {
-			loads[i] = append(loads[i], nodeLoad{node: w, load: l})
-		}
+		loads[i] = ls
 	}
 	return loads
 }
@@ -179,23 +184,24 @@ func NewOptimizer(e *core.Eval, cfg Config) (*Optimizer, error) {
 		return nil, fmt.Errorf("strategy: %s is not enumerable; the LP needs explicit quorums", e.Sys.Name())
 	}
 	m := e.Sys.NumQuorums()
-	clients := e.Clients
-	nc := len(clients)
+	nc := len(e.Clients)
 	nVars := nc * m
+	quorums := make([][]int, m)
+	for i := range quorums {
+		quorums[i] = e.Sys.Quorum(i)
+	}
+	o := &Optimizer{e: e, cfg: cfg, m: m, nc: nc, quorums: quorums}
 
 	if resolveSolver(cfg.Solver, nVars) == SolverColgen {
-		cg, err := newColgen(e, cfg)
+		cg, err := newColgen(e, cfg, quorums)
 		if err != nil {
 			return nil, err
 		}
-		return &Optimizer{e: e, cfg: cfg, m: m, nc: nc, cg: cg}, nil
+		o.cg = cg
+		return o, nil
 	}
 
-	o := &Optimizer{e: e, cfg: cfg, m: m, nc: nc}
-
-	// Precompute, per quorum: its support nodes and per-node load
-	// contribution (multiplicity or 0/1 dedup).
-	quorumLoads := quorumNodeLoads(e)
+	quorumLoads := quorumNodeLoads(e, quorums)
 
 	prob := lp.NewProblem(nVars)
 	o.prob = prob
@@ -205,8 +211,8 @@ func NewOptimizer(e *core.Eval, cfg Config) (*Optimizer, error) {
 	// paper's 1/|V| averages (scaled through by |V|, which changes
 	// neither the optimum nor the constraint set).
 	weight := make([]float64, nc)
-	for k, v := range clients {
-		weight[k] = e.ClientWeight(v) * float64(nc)
+	for k := range weight {
+		weight[k] = e.ClientWeight(k) * float64(nc)
 	}
 	o.weight = weight
 	if err := o.setObjective(); err != nil {
@@ -266,13 +272,9 @@ func NewOptimizer(e *core.Eval, cfg Config) (*Optimizer, error) {
 // the quorum, per client and quorum.
 func (o *Optimizer) setObjective() error {
 	e := o.e
-	quorumElems := make([][]int, o.m)
-	for i := range quorumElems {
-		quorumElems[i] = e.Sys.Quorum(i)
-	}
 	for k, v := range e.Clients {
 		row := e.Topo.RTTRow(v)
-		for i, elems := range quorumElems {
+		for i, elems := range o.quorums {
 			maxD := 0.0
 			for _, u := range elems {
 				if d := row[e.F.Node(u)]; d > maxD {
@@ -303,16 +305,16 @@ func (o *Optimizer) Rebind(e *core.Eval) error {
 		return fmt.Errorf("strategy: a column-generation optimizer cannot be re-bound")
 	case e.Sys.Name() != old.Sys.Name() || e.Sys.NumQuorums() != o.m:
 		return fmt.Errorf("strategy: re-bind changes the system from %s to %s", old.Sys.Name(), e.Sys.Name())
-	case e.Topo.Size() != old.Topo.Size() || !slices.Equal(e.F.Targets(), old.F.Targets()):
+	case e.Topo.Size() != old.Topo.Size() || !e.F.Equal(old.F):
 		return fmt.Errorf("strategy: re-bind changes the placement")
 	case !slices.Equal(e.Clients, old.Clients):
 		return fmt.Errorf("strategy: re-bind changes the client set")
 	case e.Mode != old.Mode:
 		return fmt.Errorf("strategy: re-bind changes the load mode")
 	}
-	for k, v := range e.Clients {
-		if e.ClientWeight(v)*float64(o.nc) != o.weight[k] {
-			return fmt.Errorf("strategy: re-bind changes the weight of client %d", v)
+	for k, w := range o.weight {
+		if e.ClientWeight(k)*float64(o.nc) != w {
+			return fmt.Errorf("strategy: re-bind changes the weight of client %d", k)
 		}
 	}
 	o.e = e

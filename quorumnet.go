@@ -148,8 +148,9 @@ func NewEval(topo *Topology, sys System, f Placement, alpha float64) (*Eval, err
 func AlphaForDemand(clientDemand float64) float64 { return core.AlphaForDemand(clientDemand) }
 
 // Heterogeneous client demand (an extension; the paper weighs clients
-// equally) is configured per evaluation with (*Eval).SetClientWeights;
-// loads, response-time averages, and the strategy LP all honor the
+// equally) is configured per evaluation with (*Eval).SetClientWeights,
+// one weight per position in Eval.Clients; nil restores uniform demand.
+// Loads, response-time averages, and the strategy LP all honor the
 // weights.
 
 // OptimizeResult carries LP-optimized strategies.

@@ -62,6 +62,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -167,12 +168,18 @@ func main() {
 		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		// Bind before serving, so a taken address stops quorumd as a
+		// taken -addr does instead of leaving it up without the listener.
+		ln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			fatal(fmt.Errorf("debug listener: %w", err))
+		}
 		go func() {
-			if err := serve.HTTPServer(*debugAddr, dmux).ListenAndServe(); err != nil {
+			if err := serve.HTTPServer(*debugAddr, dmux).Serve(ln); err != nil {
 				log.Printf("quorumd: debug listener: %v", err)
 			}
 		}()
-		log.Printf("quorumd: debug listener on %s (pprof + expvar)", *debugAddr)
+		log.Printf("quorumd: debug listener on %s (pprof + expvar)", ln.Addr())
 	}
 
 	mode := ""

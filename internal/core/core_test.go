@@ -95,9 +95,6 @@ func TestPlacementAccessors(t *testing.T) {
 	if len(f.Support()) == f.UniverseSize() {
 		t.Error("many-to-one placement has one node per element")
 	}
-	if got, want := f.QuorumNodes([]int{0, 1, 3}), []int{0, 2}; !equalInts(got, want) {
-		t.Errorf("QuorumNodes = %v, want %v", got, want)
-	}
 	one := identityPlacement(t, 5, topo)
 	if len(one.Support()) != one.UniverseSize() {
 		t.Error("identity placement shares a node")
@@ -214,15 +211,7 @@ func TestExplicitUniformMatchesBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := sys.NumQuorums()
-	probs := make([][]float64, len(e.Clients))
-	for k := range probs {
-		probs[k] = make([]float64, m)
-		for i := range probs[k] {
-			probs[k][i] = 1 / float64(m)
-		}
-	}
-	exp := &ExplicitStrategy{Probs: probs}
+	exp := &ExplicitStrategy{Rows: uniformRows(len(e.Clients), sys.NumQuorums())}
 	if err := exp.Validate(e); err != nil {
 		t.Fatal(err)
 	}
@@ -401,27 +390,51 @@ func TestExplicitValidate(t *testing.T) {
 	}
 	m := sys.NumQuorums()
 
-	good := uniformProbs(len(e.Clients), m)
-	if err := (&ExplicitStrategy{Probs: good}).Validate(e); err != nil {
+	good := uniformRows(len(e.Clients), m)
+	if err := (&ExplicitStrategy{Rows: good}).Validate(e); err != nil {
 		t.Errorf("valid strategy rejected: %v", err)
 	}
-
-	short := uniformProbs(3, m)
-	if err := (&ExplicitStrategy{Probs: short}).Validate(e); err == nil {
-		t.Error("row count mismatch accepted")
+	sparse := uniformRows(len(e.Clients), m)
+	sparse[0] = []Access{{Q: 2, P: 0.25}, {Q: 5, P: 0.75}}
+	if err := (&ExplicitStrategy{Rows: sparse}).Validate(e); err != nil {
+		t.Errorf("valid sparse row rejected: %v", err)
 	}
 
-	badSum := uniformProbs(len(e.Clients), m)
-	badSum[0][0] += 0.5
-	if err := (&ExplicitStrategy{Probs: badSum}).Validate(e); err == nil {
-		t.Error("non-normalized distribution accepted")
-	}
-
-	negative := uniformProbs(len(e.Clients), m)
-	negative[0][0] = -0.2
-	negative[0][1] += 0.2 + 1/float64(m)
-	if err := (&ExplicitStrategy{Probs: negative}).Validate(e); err == nil {
-		t.Error("negative probability accepted")
+	for _, c := range []struct {
+		name string
+		edit func(rows [][]Access) [][]Access
+	}{
+		{"short row count", func(rows [][]Access) [][]Access { return rows[:3] }},
+		{"long row count", func(rows [][]Access) [][]Access { return append(rows, rows[0]) }},
+		{"non-normalized", func(rows [][]Access) [][]Access { rows[0][0].P += 0.5; return rows }},
+		{"empty row", func(rows [][]Access) [][]Access { rows[1] = nil; return rows }},
+		{"unsorted", func(rows [][]Access) [][]Access {
+			rows[0] = []Access{{Q: 5, P: 0.5}, {Q: 2, P: 0.5}}
+			return rows
+		}},
+		{"duplicate", func(rows [][]Access) [][]Access {
+			rows[0] = []Access{{Q: 2, P: 0.5}, {Q: 2, P: 0.5}}
+			return rows
+		}},
+		{"negative index", func(rows [][]Access) [][]Access { rows[0] = []Access{{Q: -1, P: 1}}; return rows }},
+		{"index past m", func(rows [][]Access) [][]Access { rows[0] = []Access{{Q: m, P: 1}}; return rows }},
+		{"zero probability", func(rows [][]Access) [][]Access {
+			rows[0] = []Access{{Q: 0, P: 0}, {Q: 1, P: 1}}
+			return rows
+		}},
+		{"negative probability", func(rows [][]Access) [][]Access {
+			rows[0] = []Access{{Q: 0, P: -0.2}, {Q: 1, P: 1.2}}
+			return rows
+		}},
+		{"NaN probability", func(rows [][]Access) [][]Access {
+			rows[0] = []Access{{Q: 0, P: math.NaN()}, {Q: 1, P: 1}}
+			return rows
+		}},
+	} {
+		rows := c.edit(uniformRows(len(e.Clients), m))
+		if err := (&ExplicitStrategy{Rows: rows}).Validate(e); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
 
 	big := mustThreshold(t, 25, 49)
@@ -430,7 +443,7 @@ func TestExplicitValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := (&ExplicitStrategy{Probs: nil}).Validate(eBig); err == nil {
+	if err := (&ExplicitStrategy{Rows: nil}).Validate(eBig); err == nil {
 		t.Error("explicit strategy on non-enumerable system accepted")
 	}
 }
@@ -461,12 +474,14 @@ func TestAlphaForDemand(t *testing.T) {
 	}
 }
 
-func uniformProbs(rows, m int) [][]float64 {
-	out := make([][]float64, rows)
+// uniformRows gives each of n clients its own row of 1/m over all m
+// quorums.
+func uniformRows(n, m int) [][]Access {
+	out := make([][]Access, n)
 	for k := range out {
-		out[k] = make([]float64, m)
+		out[k] = make([]Access, m)
 		for i := range out[k] {
-			out[k][i] = 1 / float64(m)
+			out[k][i] = Access{Q: i, P: 1 / float64(m)}
 		}
 	}
 	return out
@@ -551,7 +566,7 @@ func TestClientResponseTimePanicsForNonClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := sys.NumQuorums()
-	exp := &ExplicitStrategy{Probs: uniformProbs(2, m)}
+	exp := &ExplicitStrategy{Rows: uniformRows(2, m)}
 	defer func() {
 		if recover() == nil {
 			t.Error("ExpectedMax for non-client did not panic")
@@ -675,9 +690,13 @@ func TestSetClientsResetsWeights(t *testing.T) {
 // TestAvgNetworkDelayAllocationsFlatInClients: scoring an anchor costs
 // one element-cost buffer per call, however many clients it averages
 // over; with an explicit strategy, the load measures cost the loads and
-// one per-client buffer that every client refills.
+// one per-client buffer that every client refills. Under dedup loads the
+// explicit rows read the evaluation's memoized quorum hosts, and the
+// balanced strategy builds its client-independent loads once per
+// NodeLoads, so neither count grows with the clients.
 func TestAvgNetworkDelayAllocationsFlatInClients(t *testing.T) {
 	for _, sys := range []quorum.System{mustThreshold(t, 8, 15), mustGrid(t, 5)} {
+		balanced := -1.0 // dedup balanced NodeLoads allocations at the first size
 		for _, n := range []int{25, 100, 200} {
 			topo := testTopo(t, n, 24)
 			e, err := NewEval(topo, sys, identityPlacement(t, sys.UniverseSize(), topo), 0)
@@ -690,7 +709,7 @@ func TestAvgNetworkDelayAllocationsFlatInClients(t *testing.T) {
 			}
 
 			e.Alpha = 30
-			exp := &ExplicitStrategy{Probs: uniformProbs(n, sys.NumQuorums())}
+			exp := &ExplicitStrategy{Rows: uniformRows(n, sys.NumQuorums())}
 			for _, m := range []struct {
 				name string
 				max  float64
@@ -703,6 +722,17 @@ func TestAvgNetworkDelayAllocationsFlatInClients(t *testing.T) {
 				if a := testing.AllocsPerRun(2, m.f); a > m.max {
 					t.Errorf("%s over %d clients: %v allocations per explicit %s, want at most %v", sys.Name(), n, a, m.name, m.max)
 				}
+			}
+
+			e.Mode = LoadDedup
+			if a := testing.AllocsPerRun(2, func() { e.NodeLoads(exp) }); a > 2 {
+				t.Errorf("%s over %d clients: %v allocations per explicit dedup NodeLoads, want at most 2", sys.Name(), n, a)
+			}
+			a = testing.AllocsPerRun(2, func() { e.NodeLoads(BalancedStrategy{}) })
+			if balanced < 0 {
+				balanced = a
+			} else if a != balanced {
+				t.Errorf("%s over %d clients: %v allocations per balanced dedup NodeLoads, %v over 25", sys.Name(), n, a, balanced)
 			}
 		}
 	}
@@ -739,7 +769,7 @@ func TestDuplicateClientWeights(t *testing.T) {
 	for _, s := range []struct{ alone, twice Strategy }{
 		{BalancedStrategy{}, BalancedStrategy{}},
 		{ClosestStrategy{}, ClosestStrategy{}},
-		{&ExplicitStrategy{Probs: uniformProbs(1, m)}, &ExplicitStrategy{Probs: uniformProbs(2, m)}},
+		{&ExplicitStrategy{Rows: uniformRows(1, m)}, &ExplicitStrategy{Rows: uniformRows(2, m)}},
 	} {
 		if got, want := twice.AvgResponseTime(s.twice), alone.AvgResponseTime(s.alone); math.Abs(got-want) > 1e-9 {
 			t.Errorf("%s: node 3 listed twice averages %v, alone %v", s.alone.Name(), got, want)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/quorumnet/quorumnet/internal/quorum"
 	"github.com/quorumnet/quorumnet/internal/topology"
@@ -28,8 +29,9 @@ type Eval struct {
 	// (the paper's definition).
 	Mode LoadMode
 
-	weights []float64 // weights[k]: client k's normalized demand share
-	quorums [][]int   // memoized enumerated quorums (enumerable systems)
+	weights []float64      // weights[k]: client k's normalized demand share
+	quorums [][]int        // memoized enumerated quorums (enumerable systems)
+	hosts   [][]QuorumHost // memoized f(Q_i) per enumerated quorum
 }
 
 // OpServiceTimeMS is the per-request server processing time the paper
@@ -76,7 +78,7 @@ func NewEval(topo *topology.Topology, sys quorum.System, f Placement, alpha floa
 // and one weight vector, not one per anchor.
 func (e *Eval) WithPlacement(f Placement) *Eval {
 	out := *e
-	out.F, out.quorums = f, nil
+	out.F, out.quorums, out.hosts = f, nil, nil
 	return &out
 }
 
@@ -127,28 +129,71 @@ func (e *Eval) SetClientWeights(weights []float64) error {
 }
 
 // uniformWeights returns n equal shares of 1/n.
-func uniformWeights(n int) []float64 {
-	w := make([]float64, n)
-	for k := range w {
-		w[k] = 1 / float64(n)
-	}
-	return w
-}
+func uniformWeights(n int) []float64 { return slices.Repeat([]float64{1 / float64(n)}, n) }
 
 // ClientWeight returns client k's normalized demand share.
 func (e *Eval) ClientWeight(k int) float64 { return e.weights[k] }
 
 // Prewarm eagerly populates the evaluator's lazy caches (the memoized
-// quorum enumeration). Measures on an Eval are read-only afterwards, so
-// a prewarmed evaluator may be shared by concurrent readers — parallel
-// capacity sweeps call this before fanning out.
+// quorum enumeration and each quorum's hosts). Measures and optimizers
+// only read an Eval afterwards, so a prewarmed evaluator may be shared by
+// concurrent readers — parallel capacity sweeps call this before fanning
+// out.
 func (e *Eval) Prewarm() {
-	if !e.Sys.Enumerable() {
-		return
+	if e.Sys.Enumerable() {
+		e.QuorumHosts()
 	}
-	for i := 0; i < e.Sys.NumQuorums(); i++ {
-		e.quorumElems(i)
+}
+
+// QuorumHost is one distinct node of a placed quorum f(Q): Node hosts
+// Elems of the quorum's elements.
+type QuorumHost struct {
+	Node, Elems int
+}
+
+// Load returns the load one access of the quorum puts on the host under
+// mode: one unit per hosted element (multiplicity) or one (dedup).
+func (h QuorumHost) Load(mode LoadMode) float64 {
+	if mode == LoadDedup {
+		return 1
 	}
+	return float64(h.Elems)
+}
+
+// QuorumHosts returns, for every enumerated quorum i, its distinct nodes
+// f(Q_i), each listed at its first element in the quorum with the number
+// of the quorum's elements it hosts. The lists are built once per
+// evaluation and serve both load modes, so sums over them run in one
+// order on every build; the evaluator's dedup loads and both access-LP
+// builders read them. Read them, do not modify them.
+func (e *Eval) QuorumHosts() [][]QuorumHost {
+	if e.hosts != nil {
+		return e.hosts
+	}
+	m := e.Sys.NumQuorums()
+	total := 0
+	for i := 0; i < m; i++ {
+		total += len(e.quorumElems(i))
+	}
+	hosts := make([][]QuorumHost, m)
+	flat := make([]QuorumHost, 0, total) // never grows, so hosts[i] stay valid
+	for i := range hosts {
+		start := len(flat)
+	elems:
+		for _, u := range e.quorumElems(i) {
+			w := e.F.Node(u)
+			for t := start; t < len(flat); t++ {
+				if flat[t].Node == w {
+					flat[t].Elems++
+					continue elems
+				}
+			}
+			flat = append(flat, QuorumHost{Node: w, Elems: 1})
+		}
+		hosts[i] = flat[start:len(flat):len(flat)]
+	}
+	e.hosts = hosts
+	return hosts
 }
 
 // quorumElems memoizes enumerated quorums.
@@ -169,13 +214,17 @@ func (e *Eval) elementNetCosts(v int) []float64 {
 
 // NodeLoads returns load_f(w): the (weighted) average over clients of
 // load_{v,f}(w), the quantity multiplied by alpha in (4.1). Each client's
-// loads go into one buffer, cleared for the next client.
+// loads go into one buffer, cleared for the next client; the balanced
+// strategy loads every client alike, so it fills the buffer once.
 func (e *Eval) NodeLoads(s Strategy) []float64 {
 	loads := make([]float64, e.Topo.Size())
 	client := make([]float64, e.Topo.Size())
+	_, same := s.(BalancedStrategy)
 	for k := range e.Clients {
-		clear(client)
-		s.ClientNodeLoads(e, k, client)
+		if k == 0 || !same {
+			clear(client)
+			s.ClientNodeLoads(e, k, client)
+		}
 		wk := e.weights[k]
 		for w, l := range client {
 			loads[w] += wk * l

@@ -85,19 +85,3 @@ func (f Placement) ElementsOn(w int) []int {
 	}
 	return out
 }
-
-// QuorumNodes returns the distinct nodes f(Q) hosting the given quorum's
-// elements.
-func (f Placement) QuorumNodes(elems []int) []int {
-	seen := map[int]bool{}
-	out := make([]int, 0, len(elems))
-	for _, u := range elems {
-		w := f.target[u]
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	sort.Ints(out)
-	return out
-}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // LoadMode selects how a node hosting several universe elements is
@@ -64,8 +66,8 @@ func (ClosestStrategy) ClientNodeLoads(e *Eval, k int, loads []float64) {
 	elems, _ := e.Sys.ClosestQuorum(e.elementNetCosts(e.Clients[k]))
 	switch e.Mode {
 	case LoadDedup:
-		for _, w := range e.F.QuorumNodes(elems) {
-			loads[w] = 1
+		for _, u := range elems {
+			loads[e.F.Node(u)] = 1
 		}
 	default:
 		for _, u := range elems {
@@ -116,18 +118,49 @@ func (BalancedStrategy) ExpectedMax(e *Eval, _ int, elemCost []float64) float64 
 	return e.Sys.ExpectedMaxUniform(elemCost)
 }
 
+// Access is one entry of an access row: the client uses quorum Q, an
+// index into the system's enumeration, with probability P.
+type Access struct {
+	Q int
+	P float64
+}
+
 // ExplicitStrategy holds an explicit per-client distribution over the
 // enumerated quorums of the system — the output of the access-strategy LP
-// (4.3)–(4.6).
+// (4.3)–(4.6) — as its support. A basic optimum of that LP has at most
+// one nonzero per convexity and capacity row, so a row holds about one
+// quorum, not all of them.
 type ExplicitStrategy struct {
-	// Probs[k][i] is the probability that client k (node
-	// Eval.Clients[k]) accesses quorum i.
-	Probs [][]float64
+	// Rows[k] is the access row of client k (node Eval.Clients[k]): the
+	// quorums it uses, each with P > 0, in ascending Q. Clients may share
+	// one row; treat rows as immutable.
+	Rows [][]Access
 	// Label names the strategy in reports (defaults to "explicit").
 	Label string
 }
 
 var _ Strategy = (*ExplicitStrategy)(nil)
+
+// NormalizeRow makes an access row of (quorum, weight) entries in place:
+// it sorts them by quorum, drops those with P ≤ 0, and divides the rest
+// by their sum, added in ascending quorum order (a zero sum divides
+// nothing). It returns the row and the sum. A dense loop over every
+// quorum that skips zeros adds the same operands in the same order, so
+// the row has the bits such a loop gave.
+func NormalizeRow(row []Access) ([]Access, float64) {
+	slices.SortFunc(row, func(a, b Access) int { return cmp.Compare(a.Q, b.Q) })
+	row = slices.DeleteFunc(row, func(a Access) bool { return !(a.P > 0) })
+	sum := 0.0
+	for _, a := range row {
+		sum += a.P
+	}
+	if sum > 0 {
+		for t := range row {
+			row[t].P /= sum
+		}
+	}
+	return row, sum
+}
 
 // Name implements Strategy.
 func (s *ExplicitStrategy) Name() string {
@@ -137,26 +170,29 @@ func (s *ExplicitStrategy) Name() string {
 	return "explicit"
 }
 
-// Validate checks dimensions against the evaluation and that each row is
-// a distribution.
+// Validate checks that there is one row per client of the evaluation and
+// that each is a distribution over valid quorum indices, listed once each
+// in ascending order with positive probabilities.
 func (s *ExplicitStrategy) Validate(e *Eval) error {
 	if !e.Sys.Enumerable() {
 		return fmt.Errorf("core: explicit strategy requires an enumerable system, got %s", e.Sys.Name())
 	}
-	if len(s.Probs) != len(e.Clients) {
-		return fmt.Errorf("core: %d strategy rows for %d clients", len(s.Probs), len(e.Clients))
+	if len(s.Rows) != len(e.Clients) {
+		return fmt.Errorf("core: %d strategy rows for %d clients", len(s.Rows), len(e.Clients))
 	}
 	m := e.Sys.NumQuorums()
-	for k, row := range s.Probs {
-		if len(row) != m {
-			return fmt.Errorf("core: client %d has %d quorum probabilities, want %d", k, len(row), m)
-		}
+	for k, row := range s.Rows {
 		sum := 0.0
-		for i, p := range row {
-			if p < -1e-9 || math.IsNaN(p) {
-				return fmt.Errorf("core: client %d has invalid probability %v for quorum %d", k, p, i)
+		for t, a := range row {
+			switch {
+			case a.Q < 0 || a.Q >= m:
+				return fmt.Errorf("core: client %d accesses quorum %d of %d", k, a.Q, m)
+			case t > 0 && a.Q <= row[t-1].Q:
+				return fmt.Errorf("core: client %d lists quorum %d after quorum %d", k, a.Q, row[t-1].Q)
+			case !(a.P > 0):
+				return fmt.Errorf("core: client %d has invalid probability %v for quorum %d", k, a.P, a.Q)
 			}
-			sum += p
+			sum += a.P
 		}
 		if math.Abs(sum-1) > 1e-6 {
 			return fmt.Errorf("core: client %d probabilities sum to %v, want 1", k, sum)
@@ -165,22 +201,19 @@ func (s *ExplicitStrategy) Validate(e *Eval) error {
 	return nil
 }
 
-// ClientNodeLoads implements Strategy.
+// ClientNodeLoads implements Strategy. Under multiplicity it adds p once
+// per element, not p times the host's count: x+p+p and x+2p round
+// differently.
 func (s *ExplicitStrategy) ClientNodeLoads(e *Eval, k int, loads []float64) {
-	for i, p := range s.Probs[k] {
-		if p <= 0 {
+	for _, a := range s.Rows[k] {
+		if e.Mode == LoadDedup {
+			for _, h := range e.QuorumHosts()[a.Q] {
+				loads[h.Node] += a.P
+			}
 			continue
 		}
-		elems := e.quorumElems(i)
-		switch e.Mode {
-		case LoadDedup:
-			for _, w := range e.F.QuorumNodes(elems) {
-				loads[w] += p
-			}
-		default:
-			for _, u := range elems {
-				loads[e.F.Node(u)] += p
-			}
+		for _, u := range e.quorumElems(a.Q) {
+			loads[e.F.Node(u)] += a.P
 		}
 	}
 }
@@ -188,17 +221,14 @@ func (s *ExplicitStrategy) ClientNodeLoads(e *Eval, k int, loads []float64) {
 // ExpectedMax implements Strategy.
 func (s *ExplicitStrategy) ExpectedMax(e *Eval, k int, elemCost []float64) float64 {
 	sum := 0.0
-	for i, p := range s.Probs[k] {
-		if p <= 0 {
-			continue
-		}
+	for _, a := range s.Rows[k] {
 		maxC := math.Inf(-1)
-		for _, u := range e.quorumElems(i) {
+		for _, u := range e.quorumElems(a.Q) {
 			if elemCost[u] > maxC {
 				maxC = elemCost[u]
 			}
 		}
-		sum += p * maxC
+		sum += a.P * maxC
 	}
 	return sum
 }

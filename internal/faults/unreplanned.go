@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/quorumnet/quorumnet/internal/core"
@@ -99,9 +100,9 @@ func restrictExplicit(e *core.Eval, s *core.ExplicitStrategy, fe *core.Eval, fai
 		}
 	}
 
-	// Map each survivor quorum back to its original index.
+	// Map each surviving original quorum to its survivor index.
 	m := fe.Sys.NumQuorums()
-	back := make([]int, m)
+	survivor := slices.Repeat([]int{-1}, e.Sys.NumQuorums())
 	for j := 0; j < m; j++ {
 		q := fe.Sys.Quorum(j)
 		orig := make([]int, len(q))
@@ -112,30 +113,27 @@ func restrictExplicit(e *core.Eval, s *core.ExplicitStrategy, fe *core.Eval, fai
 		if !ok {
 			return nil, fmt.Errorf("faults: survivor quorum %v has no pre-failure counterpart", orig)
 		}
-		back[j] = i
+		survivor[i] = j
 	}
 
 	// Project each surviving client's row and renormalize.
-	uniform := 1 / float64(m)
-	rows := make([][]float64, len(orig))
+	uniform := make([]core.Access, m)
+	for j := range uniform {
+		uniform[j] = core.Access{Q: j, P: 1 / float64(m)}
+	}
+	rows := make([][]core.Access, len(orig))
 	for k, ki := range orig {
-		old := s.Probs[ki]
-		row := make([]float64, m)
-		sum := 0.0
-		for j := 0; j < m; j++ {
-			row[j] = old[back[j]]
-			sum += row[j]
+		var row []core.Access
+		for _, a := range s.Rows[ki] {
+			if j := survivor[a.Q]; j >= 0 {
+				row = append(row, core.Access{Q: j, P: a.P})
+			}
 		}
+		row, sum := core.NormalizeRow(row)
 		if sum <= 1e-12 {
 			// The client's entire mass died with the failure: balanced
 			// fallback over the survivors.
-			for j := range row {
-				row[j] = uniform
-			}
-		} else {
-			for j := range row {
-				row[j] /= sum
-			}
+			row = uniform
 		}
 		rows[k] = row
 	}
@@ -143,5 +141,5 @@ func restrictExplicit(e *core.Eval, s *core.ExplicitStrategy, fe *core.Eval, fai
 	if label == "" {
 		label = "explicit"
 	}
-	return &core.ExplicitStrategy{Probs: rows, Label: label + "-unreplanned"}, nil
+	return &core.ExplicitStrategy{Rows: rows, Label: label + "-unreplanned"}, nil
 }

@@ -66,9 +66,9 @@ func Iterate(topo *topology.Topology, sys quorum.System, cfg IterateConfig) (*It
 	m := sys.NumQuorums()
 
 	// p0: the uniform distribution for every client.
-	shared := make([]float64, m)
+	shared := make([]core.Access, m)
 	for i := range shared {
-		shared[i] = 1 / float64(m)
+		shared[i] = core.Access{Q: i, P: 1 / float64(m)}
 	}
 
 	var result *IterResult
@@ -129,50 +129,42 @@ func Iterate(topo *topology.Topology, sys quorum.System, cfg IterateConfig) (*It
 		}
 		result = &IterResult{Placement: f, Strategy: res.Strategy, Response: resp, History: hist}
 
-		// Next shared strategy: the average of the per-client strategies.
-		shared = averageRows(res.Strategy.Probs)
+		// Next shared strategy: the average of the per-client rows,
+		// summed entry by entry in client order.
+		mean := make([]float64, m)
+		for _, row := range res.Strategy.Rows {
+			for _, a := range row {
+				mean[a.Q] += a.P
+			}
+		}
+		inv := 1 / float64(len(res.Strategy.Rows))
+		shared = nil
+		for i, p := range mean {
+			if p > 0 {
+				shared = append(shared, core.Access{Q: i, P: p * inv})
+			}
+		}
 	}
 	return result, nil
 }
 
 // elementLoadsOf computes load_p(u) = Σ_{Q_i ∋ u} p(i) for a shared
 // strategy.
-func elementLoadsOf(sys quorum.System, shared []float64) []float64 {
+func elementLoadsOf(sys quorum.System, shared []core.Access) []float64 {
 	loads := make([]float64, sys.UniverseSize())
-	for i, p := range shared {
-		if p <= 0 {
-			continue
-		}
-		for _, u := range sys.Quorum(i) {
-			loads[u] += p
+	for _, a := range shared {
+		for _, u := range sys.Quorum(a.Q) {
+			loads[u] += a.P
 		}
 	}
 	return loads
 }
 
-// sharedStrategy wraps a single distribution as an ExplicitStrategy whose
-// rows (one per client) are identical.
-func sharedStrategy(topo *topology.Topology, shared []float64) *core.ExplicitStrategy {
-	rows := make([][]float64, topo.Size())
+// sharedStrategy gives every client the one shared row.
+func sharedStrategy(topo *topology.Topology, shared []core.Access) *core.ExplicitStrategy {
+	rows := make([][]core.Access, topo.Size())
 	for k := range rows {
-		rows[k] = append([]float64(nil), shared...)
+		rows[k] = shared
 	}
-	return &core.ExplicitStrategy{Probs: rows, Label: "shared"}
-}
-
-func averageRows(rows [][]float64) []float64 {
-	if len(rows) == 0 {
-		return nil
-	}
-	out := make([]float64, len(rows[0]))
-	for _, r := range rows {
-		for i, p := range r {
-			out[i] += p
-		}
-	}
-	inv := 1 / float64(len(rows))
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
+	return &core.ExplicitStrategy{Rows: rows, Label: "shared"}
 }

@@ -302,7 +302,7 @@ func TestReplanEquivalence(t *testing.T) {
 				if (incRes.LP == nil) != (coldRes.LP == nil) {
 					t.Fatalf("%s: LP presence mismatch", ctx)
 				}
-				if incRes.LP != nil && !reflect.DeepEqual(incRes.LP.Strategy.Probs, coldRes.LP.Strategy.Probs) {
+				if incRes.LP != nil && !reflect.DeepEqual(incRes.LP.Strategy.Rows, coldRes.LP.Strategy.Rows) {
 					t.Fatalf("%s: LP strategies differ", ctx)
 				}
 			}

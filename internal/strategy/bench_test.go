@@ -30,6 +30,7 @@ func BenchmarkOptimizePlanetLabGrid7(b *testing.B) {
 	for w := range caps {
 		caps[w] = 0.6
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := strategy.Optimize(e, caps); err != nil {
@@ -59,6 +60,7 @@ func BenchmarkOptimizeDaxlistGrid12(b *testing.B) {
 	for w := range caps {
 		caps[w] = 0.5
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := strategy.Optimize(e, caps); err != nil {

@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/quorumnet/quorumnet/internal/core"
 	"github.com/quorumnet/quorumnet/internal/lp"
@@ -44,8 +45,9 @@ type ColgenStats struct {
 // so the master's objective equals the dense LP's on the fanned-out
 // strategy and AvgNetDelay = objective/nc exactly as on the dense path.
 type colgen struct {
-	e   *core.Eval
-	cfg Config
+	e    *core.Eval
+	cfg  Config
+	mode core.LoadMode // e.Mode when built: the load coefficients' mode
 
 	m  int // quorums
 	nc int // original clients (capacity rhs scale)
@@ -57,11 +59,7 @@ type colgen struct {
 	capRows []int // capRows[r]: node of capacity row ng+r
 	rowOf   []int // node -> capacity row ordinal r, -1 if no row
 
-	// Per-quorum support loads in CSR form: quorum i's entries are
-	// (qnode[t], qload[t]) for t in [qptr[i], qptr[i+1]).
-	qptr  []int32
-	qnode []int32
-	qload []float64
+	hosts [][]core.QuorumHost // e.QuorumHosts(): each quorum's nodes
 
 	// Column directory: structural column j of the master is quorum
 	// colQuorum[j] for group colGroup[j].
@@ -86,41 +84,28 @@ type colgen struct {
 
 // newColgen aggregates clients and builds the seeded restricted master
 // over the system's enumerated quorums.
-func newColgen(e *core.Eval, cfg Config, quorums [][]int) (*colgen, error) {
+func newColgen(e *core.Eval, cfg Config) (*colgen, error) {
 	c := &colgen{
-		e:   e,
-		cfg: cfg,
-		m:   len(quorums),
-		nc:  len(e.Clients),
+		e:     e,
+		cfg:   cfg,
+		mode:  e.Mode,
+		hosts: e.QuorumHosts(),
+		nc:    len(e.Clients),
 	}
+	c.m = len(c.hosts)
 	support := e.F.Support()
 	c.groups = groupClients(e, support, !cfg.NoAggregate)
 	c.ng = len(c.groups.members)
 
-	// Per-quorum loads in CSR form, and capacity rows for exactly the
-	// nodes some quorum loads — the same rows, in the same support order,
-	// as the dense LP builds.
-	loads := quorumNodeLoads(e, quorums)
-	nnz := 0
-	for _, ls := range loads {
-		nnz += len(ls)
-	}
-	c.qptr = make([]int32, c.m+1)
-	c.qnode = make([]int32, 0, nnz)
-	c.qload = make([]float64, 0, nnz)
+	// Capacity rows for exactly the nodes some quorum loads — the same
+	// rows, in the same support order, as the dense LP builds.
 	used := make([]bool, e.Topo.Size())
-	for i, ls := range loads {
-		for _, nl := range ls {
-			c.qnode = append(c.qnode, int32(nl.node))
-			c.qload = append(c.qload, nl.load)
-			used[nl.node] = true
+	for _, hs := range c.hosts {
+		for _, h := range hs {
+			used[h.Node] = true
 		}
-		c.qptr[i+1] = int32(len(c.qnode))
 	}
-	c.rowOf = make([]int, e.Topo.Size())
-	for i := range c.rowOf {
-		c.rowOf[i] = -1
-	}
+	c.rowOf = slices.Repeat([]int{-1}, e.Topo.Size())
 	for _, w := range support {
 		if !used[w] {
 			continue
@@ -136,10 +121,10 @@ func newColgen(e *core.Eval, cfg Config, quorums [][]int) (*colgen, error) {
 	for g := 0; g < c.ng; g++ {
 		row := e.Topo.RTTRow(c.groups.site[g])
 		best, bestD := -1, 0.0
-		for i := 0; i < c.m; i++ {
+		for i, hs := range c.hosts {
 			d := 0.0
-			for t := c.qptr[i]; t < c.qptr[i+1]; t++ {
-				if v := row[c.qnode[t]]; v > d {
+			for _, h := range hs {
+				if v := row[h.Node]; v > d {
 					d = v
 				}
 			}
@@ -168,12 +153,11 @@ func newColgen(e *core.Eval, cfg Config, quorums [][]int) (*colgen, error) {
 	rowIdx := make([][]int, len(c.capRows))
 	rowCoef := make([][]float64, len(c.capRows))
 	for g := 0; g < c.ng; g++ {
-		q := seeds[g]
 		w := c.groups.weight[g]
-		for t := c.qptr[q]; t < c.qptr[q+1]; t++ {
-			r := c.rowOf[c.qnode[t]]
+		for _, h := range c.hosts[seeds[g]] {
+			r := c.rowOf[h.Node]
 			rowIdx[r] = append(rowIdx[r], g)
-			rowCoef[r] = append(rowCoef[r], w*c.qload[t])
+			rowCoef[r] = append(rowCoef[r], w*h.Load(c.mode))
 		}
 	}
 	for r := range c.capRows {
@@ -268,37 +252,24 @@ func (c *colgen) optimize(caps []float64) (*Result, error) {
 	}
 	c.stats.Columns = c.prob.NumVars()
 
-	// Per-group distributions from the master, renormalized against
-	// solver tolerance drift, fanned out to every member. Members share
-	// their group's probability row; all consumers treat strategies as
-	// immutable.
-	gprobs := make([][]float64, c.ng)
-	for g := range gprobs {
-		gprobs[g] = make([]float64, c.m)
-	}
+	// Per-group rows from the master's positive columns (one per group
+	// and quorum), renormalized against solver tolerance drift. A group's
+	// members share its row.
+	grows := make([][]core.Access, c.ng)
 	for j, x := range sol.X {
 		if x > 0 {
-			gprobs[c.colGroup[j]][c.colQuorum[j]] += x
+			g := c.colGroup[j]
+			grows[g] = append(grows[g], core.Access{Q: int(c.colQuorum[j]), P: x})
 		}
 	}
-	for _, row := range gprobs {
-		sum := 0.0
-		for _, p := range row {
-			sum += p
-		}
-		if sum > 0 {
-			for i := range row {
-				row[i] /= sum
-			}
-		}
-	}
-	probs := make([][]float64, c.nc)
+	rows := make([][]core.Access, c.nc)
 	for g, members := range c.groups.members {
+		row, _ := core.NormalizeRow(grows[g])
 		for _, k := range members {
-			probs[k] = gprobs[g]
+			rows[k] = row
 		}
 	}
-	st := &core.ExplicitStrategy{Probs: probs, Label: "lp-optimized"}
+	st := &core.ExplicitStrategy{Rows: rows, Label: "lp-optimized"}
 	if err := st.Validate(c.e); err != nil {
 		return nil, fmt.Errorf("strategy: colgen produced invalid strategy: %w", err)
 	}
@@ -315,7 +286,7 @@ func (c *colgen) optimize(caps []float64) (*Result, error) {
 // priceRound scans, for every group, all m quorums for the best absent
 // column and appends one column per group that qualifies, returning how
 // many were added. The scan fans groups out with par.For; each
-// group's inner loop reads only shared precomputed state (the CSR loads,
+// group's inner loop reads only shared precomputed state (the quorum hosts,
 // the per-quorum dual load term, the topology's RTT row) and writes only
 // its own bestQ/bestD slot, so the pass is allocation-free and
 // deterministic regardless of pool width.
@@ -333,10 +304,10 @@ func (c *colgen) priceRound(y []float64, farkas bool) int {
 	for r, w := range c.capRows {
 		c.lamNode[w] = y[c.ng+r]
 	}
-	for i := 0; i < c.m; i++ {
+	for i, hs := range c.hosts {
 		s := 0.0
-		for t := c.qptr[i]; t < c.qptr[i+1]; t++ {
-			s += c.qload[t] * c.lamNode[c.qnode[t]]
+		for _, h := range hs {
+			s += h.Load(c.mode) * c.lamNode[h.Node]
 		}
 		c.qcap[i] = s
 	}
@@ -350,13 +321,13 @@ func (c *colgen) priceRound(y []float64, farkas bool) int {
 			bestScore = -lp.Tol // reduced cost: need < -tol
 		}
 		bestD := 0.0
-		for i := 0; i < c.m; i++ {
+		for i, hs := range c.hosts {
 			if c.has(g, i) {
 				continue
 			}
 			d := 0.0
-			for t := c.qptr[i]; t < c.qptr[i+1]; t++ {
-				if v := row[c.qnode[t]]; v > d {
+			for _, h := range hs {
+				if v := row[h.Node]; v > d {
 					d = v
 				}
 			}
@@ -397,10 +368,10 @@ func (c *colgen) addColumn(g, q int, d float64) error {
 	w := c.groups.weight[g]
 	idx := append(c.idxBuf[:0], g)
 	coef := append(c.coefBuf[:0], 1)
-	for t := c.qptr[q]; t < c.qptr[q+1]; t++ {
-		if r := c.rowOf[c.qnode[t]]; r >= 0 {
+	for _, h := range c.hosts[q] {
+		if r := c.rowOf[h.Node]; r >= 0 {
 			idx = append(idx, c.ng+r)
-			coef = append(coef, w*c.qload[t])
+			coef = append(coef, w*h.Load(c.mode))
 		}
 	}
 	if _, err := c.prob.AddColumn(w*d, idx, coef); err != nil {

@@ -123,9 +123,9 @@ type Optimizer struct {
 	e   *core.Eval
 	cfg Config
 
-	m       int     // quorums
-	nc      int     // clients
-	quorums [][]int // each quorum's elements, enumerated once
+	m     int                 // quorums
+	nc    int                 // clients
+	hosts [][]core.QuorumHost // e.QuorumHosts(), the same across Rebind
 
 	prob *lp.Problem
 	// weight is each client's objective and load scale: its normalized
@@ -142,41 +142,6 @@ type Optimizer struct {
 	cg *colgen
 }
 
-// nodeLoad is one support node's load contribution per access of one
-// quorum.
-type nodeLoad struct {
-	node int
-	load float64
-}
-
-// quorumNodeLoads precomputes, per quorum, its distinct support nodes and
-// each node's load contribution per access (multiplicity — the paper's
-// definition — or 0/1 dedup, per the evaluation's LoadMode), in the
-// order of each node's first element in the quorum, so colgen's sums
-// over the list run in one order on every build. Both LP solvers derive
-// their capacity coefficients and delay maxima from it.
-func quorumNodeLoads(e *core.Eval, quorums [][]int) [][]nodeLoad {
-	loads := make([][]nodeLoad, len(quorums))
-	for i, elems := range quorums {
-		ls := make([]nodeLoad, 0, len(elems))
-	elems:
-		for _, u := range elems {
-			w := e.F.Node(u)
-			for t := range ls {
-				if ls[t].node == w {
-					if e.Mode != core.LoadDedup {
-						ls[t].load++
-					}
-					continue elems
-				}
-			}
-			ls = append(ls, nodeLoad{node: w, load: 1})
-		}
-		loads[i] = ls
-	}
-	return loads
-}
-
 // NewOptimizer validates the evaluation and builds the LP skeleton (or,
 // when the resolved solver is colgen, the restricted master's seed).
 func NewOptimizer(e *core.Eval, cfg Config) (*Optimizer, error) {
@@ -186,22 +151,16 @@ func NewOptimizer(e *core.Eval, cfg Config) (*Optimizer, error) {
 	m := e.Sys.NumQuorums()
 	nc := len(e.Clients)
 	nVars := nc * m
-	quorums := make([][]int, m)
-	for i := range quorums {
-		quorums[i] = e.Sys.Quorum(i)
-	}
-	o := &Optimizer{e: e, cfg: cfg, m: m, nc: nc, quorums: quorums}
+	o := &Optimizer{e: e, cfg: cfg, m: m, nc: nc, hosts: e.QuorumHosts()}
 
 	if resolveSolver(cfg.Solver, nVars) == SolverColgen {
-		cg, err := newColgen(e, cfg, quorums)
+		cg, err := newColgen(e, cfg)
 		if err != nil {
 			return nil, err
 		}
 		o.cg = cg
 		return o, nil
 	}
-
-	quorumLoads := quorumNodeLoads(e, quorums)
 
 	prob := lp.NewProblem(nVars)
 	o.prob = prob
@@ -240,11 +199,11 @@ func NewOptimizer(e *core.Eval, cfg Config) (*Optimizer, error) {
 	for _, w := range support {
 		var idx []int
 		var coef []float64
-		for i := 0; i < m; i++ {
+		for i, hs := range o.hosts {
 			var l float64
-			for _, nl := range quorumLoads[i] {
-				if nl.node == w {
-					l = nl.load
+			for _, h := range hs {
+				if h.Node == w {
+					l = h.Load(e.Mode)
 					break
 				}
 			}
@@ -268,16 +227,16 @@ func NewOptimizer(e *core.Eval, cfg Config) (*Optimizer, error) {
 }
 
 // setObjective writes the objective from the bound evaluation's RTT rows:
-// weight_v · δ_f(v, Q_i), the client's delay to the farthest element of
-// the quorum, per client and quorum.
+// weight_v · δ_f(v, Q_i), the client's delay to the farthest host of the
+// quorum, per client and quorum.
 func (o *Optimizer) setObjective() error {
 	e := o.e
 	for k, v := range e.Clients {
 		row := e.Topo.RTTRow(v)
-		for i, elems := range o.quorums {
+		for i, hs := range o.hosts {
 			maxD := 0.0
-			for _, u := range elems {
-				if d := row[e.F.Node(u)]; d > maxD {
+			for _, h := range hs {
+				if d := row[h.Node]; d > maxD {
 					maxD = d
 				}
 			}
@@ -348,27 +307,22 @@ func (o *Optimizer) Optimize(caps []float64) (*Result, error) {
 		o.basis = sol.Basis
 	}
 
+	// Each client's row is its positive variables, renormalized away
+	// from solver tolerance drift. A basic optimum has no more positive
+	// variables than the LP has rows.
 	m, nc := o.m, o.nc
-	probs := make([][]float64, nc)
-	for k := 0; k < nc; k++ {
-		probs[k] = make([]float64, m)
-		sum := 0.0
-		for i := 0; i < m; i++ {
-			p := sol.X[k*m+i]
-			if p < 0 {
-				p = 0
-			}
-			probs[k][i] = p
-			sum += p
-		}
-		// Renormalize away solver tolerance drift.
-		if sum > 0 {
-			for i := range probs[k] {
-				probs[k][i] /= sum
+	entries := make([]core.Access, 0, nc+len(o.capRows))
+	rows := make([][]core.Access, nc)
+	for k := range rows {
+		start := len(entries)
+		for i, x := range sol.X[k*m : (k+1)*m] {
+			if x > 0 {
+				entries = append(entries, core.Access{Q: i, P: x})
 			}
 		}
+		rows[k], _ = core.NormalizeRow(entries[start:len(entries):len(entries)])
 	}
-	st := &core.ExplicitStrategy{Probs: probs, Label: "lp-optimized"}
+	st := &core.ExplicitStrategy{Rows: rows, Label: "lp-optimized"}
 	if err := st.Validate(e); err != nil {
 		return nil, fmt.Errorf("strategy: LP produced invalid strategy: %w", err)
 	}

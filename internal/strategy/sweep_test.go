@@ -127,7 +127,7 @@ func TestOptimizeMatchesLegacySinglePoint(t *testing.T) {
 		t.Fatalf("repeated Optimize differs: (%v, %d) vs (%v, %d)",
 			a.AvgNetDelay, a.Iterations, b.AvgNetDelay, b.Iterations)
 	}
-	if !reflect.DeepEqual(a.Strategy.Probs, b.Strategy.Probs) {
+	if !reflect.DeepEqual(a.Strategy.Rows, b.Strategy.Rows) {
 		t.Fatal("repeated Optimize returned different strategies")
 	}
 }

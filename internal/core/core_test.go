@@ -176,7 +176,7 @@ func TestClosestMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k, v := range e.Clients {
-			got := ClosestStrategy{}.ExpectedMax(e, k, e.elementNetCosts(v))
+			got := ClosestStrategy{}.ExpectedMax(e, k, e.elementCosts(make([]float64, f.UniverseSize()), v, nil, 0))
 			want := math.Inf(1)
 			for i := 0; i < sys.NumQuorums(); i++ {
 				maxC := 0.0
@@ -693,7 +693,9 @@ func TestSetClientsResetsWeights(t *testing.T) {
 // one per-client buffer that every client refills. Under dedup loads the
 // explicit rows read the evaluation's memoized quorum hosts, and the
 // balanced strategy builds its client-independent loads once per
-// NodeLoads, so neither count grows with the clients.
+// NodeLoads, so neither count grows with the clients. A prewarmed
+// evaluation holds every client's closest quorum, so the closest
+// strategy's measures cost what the explicit ones do.
 func TestAvgNetworkDelayAllocationsFlatInClients(t *testing.T) {
 	for _, sys := range []quorum.System{mustThreshold(t, 8, 15), mustGrid(t, 5)} {
 		balanced := -1.0 // dedup balanced NodeLoads allocations at the first size
@@ -703,9 +705,13 @@ func TestAvgNetworkDelayAllocationsFlatInClients(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			e.Prewarm()
 			a := testing.AllocsPerRun(20, func() { e.AvgNetworkDelay(BalancedStrategy{}) })
 			if a > 1 {
 				t.Errorf("%s over %d clients: %v allocations per AvgNetworkDelay, want at most 1", sys.Name(), n, a)
+			}
+			if a := testing.AllocsPerRun(2, func() { e.AvgNetworkDelay(ClosestStrategy{}) }); a > 1 {
+				t.Errorf("%s over %d clients: %v allocations per closest AvgNetworkDelay, want at most 1", sys.Name(), n, a)
 			}
 
 			e.Alpha = 30
@@ -715,18 +721,24 @@ func TestAvgNetworkDelayAllocationsFlatInClients(t *testing.T) {
 				max  float64
 				f    func()
 			}{
-				{"NodeLoads", 2, func() { e.NodeLoads(exp) }},
-				{"AvgResponseTime", 3, func() { e.AvgResponseTime(exp) }},
-				{"MaxNodeLoad", 2, func() { e.MaxNodeLoad(exp) }},
+				{"explicit NodeLoads", 2, func() { e.NodeLoads(exp) }},
+				{"explicit AvgResponseTime", 3, func() { e.AvgResponseTime(exp) }},
+				{"explicit MaxNodeLoad", 2, func() { e.MaxNodeLoad(exp) }},
+				{"closest NodeLoads", 2, func() { e.NodeLoads(ClosestStrategy{}) }},
+				{"closest AvgResponseTime", 3, func() { e.AvgResponseTime(ClosestStrategy{}) }},
+				{"closest ClientResponseTime", 3, func() { e.ClientResponseTime(ClosestStrategy{}, n-1) }},
 			} {
 				if a := testing.AllocsPerRun(2, m.f); a > m.max {
-					t.Errorf("%s over %d clients: %v allocations per explicit %s, want at most %v", sys.Name(), n, a, m.name, m.max)
+					t.Errorf("%s over %d clients: %v allocations per %s, want at most %v", sys.Name(), n, a, m.name, m.max)
 				}
 			}
 
 			e.Mode = LoadDedup
 			if a := testing.AllocsPerRun(2, func() { e.NodeLoads(exp) }); a > 2 {
 				t.Errorf("%s over %d clients: %v allocations per explicit dedup NodeLoads, want at most 2", sys.Name(), n, a)
+			}
+			if a := testing.AllocsPerRun(2, func() { e.NodeLoads(ClosestStrategy{}) }); a > 2 {
+				t.Errorf("%s over %d clients: %v allocations per closest dedup NodeLoads, want at most 2", sys.Name(), n, a)
 			}
 			a = testing.AllocsPerRun(2, func() { e.NodeLoads(BalancedStrategy{}) })
 			if balanced < 0 {

@@ -32,6 +32,7 @@ type Eval struct {
 	weights []float64      // weights[k]: client k's normalized demand share
 	quorums [][]int        // memoized enumerated quorums (enumerable systems)
 	hosts   [][]QuorumHost // memoized f(Q_i) per enumerated quorum
+	closest [][]int        // closest[k]: client k's closest quorum (see closestQuorum)
 }
 
 // OpServiceTimeMS is the per-request server processing time the paper
@@ -78,7 +79,7 @@ func NewEval(topo *topology.Topology, sys quorum.System, f Placement, alpha floa
 // and one weight vector, not one per anchor.
 func (e *Eval) WithPlacement(f Placement) *Eval {
 	out := *e
-	out.F, out.quorums, out.hosts = f, nil, nil
+	out.F, out.quorums, out.hosts, out.closest = f, nil, nil, nil
 	return &out
 }
 
@@ -95,6 +96,7 @@ func (e *Eval) SetClients(clients []int) error {
 	}
 	e.Clients = append([]int(nil), clients...)
 	e.weights = uniformWeights(len(e.Clients)) // weights are positional
+	e.closest = nil
 	return nil
 }
 
@@ -135,14 +137,15 @@ func uniformWeights(n int) []float64 { return slices.Repeat([]float64{1 / float6
 func (e *Eval) ClientWeight(k int) float64 { return e.weights[k] }
 
 // Prewarm eagerly populates the evaluator's lazy caches (the memoized
-// quorum enumeration and each quorum's hosts). Measures and optimizers
-// only read an Eval afterwards, so a prewarmed evaluator may be shared by
-// concurrent readers — parallel capacity sweeps call this before fanning
-// out.
+// quorum enumeration, each quorum's hosts and each client's closest
+// quorum). Measures and optimizers only read an Eval afterwards, so a
+// prewarmed evaluator may be shared by concurrent readers — parallel
+// capacity sweeps call this before fanning out.
 func (e *Eval) Prewarm() {
 	if e.Sys.Enumerable() {
 		e.QuorumHosts()
 	}
+	e.closestQuorum(0)
 }
 
 // QuorumHost is one distinct node of a placed quorum f(Q): Node hosts
@@ -207,9 +210,19 @@ func (e *Eval) quorumElems(i int) []int {
 	return e.quorums[i]
 }
 
-// elementNetCosts returns d(v, f(u)) for every element u.
-func (e *Eval) elementNetCosts(v int) []float64 {
-	return e.elementCosts(make([]float64, e.F.UniverseSize()), v, nil, 0)
+// closestQuorum returns the elements of client k's closest quorum, the
+// one minimizing max_u d(Clients[k], f(u)). The choice reads only the
+// placement, the client list and the RTTs, so the first call makes it
+// for every client and the table lives as long as the evaluation does.
+func (e *Eval) closestQuorum(k int) []int {
+	if e.closest == nil {
+		cost := make([]float64, e.F.UniverseSize())
+		e.closest = make([][]int, len(e.Clients))
+		for j, v := range e.Clients {
+			e.closest[j] = e.Sys.ClosestQuorum(e.elementCosts(cost, v, nil, 0))
+		}
+	}
+	return e.closest[k]
 }
 
 // NodeLoads returns load_f(w): the (weighted) average over clients of
@@ -259,7 +272,10 @@ func (e *Eval) AvgNetworkDelay(s Strategy) float64 {
 // ClientResponseTime returns Δ_f(v) for client k, whose node is
 // v = Clients[k].
 func (e *Eval) ClientResponseTime(s Strategy, k int) float64 {
-	loads := e.NodeLoads(s)
+	var loads []float64
+	if e.Alpha != 0 {
+		loads = e.NodeLoads(s)
+	}
 	return s.ExpectedMax(e, k, e.elementCosts(make([]float64, e.F.UniverseSize()), e.Clients[k], loads, e.Alpha))
 }
 

@@ -53,7 +53,8 @@ type Strategy interface {
 // ClosestStrategy is §6's "closest quorum access strategy": every client
 // deterministically uses the quorum minimizing its network delay
 // max_{w∈f(Q)} d(v, w). Selection ignores load even when the evaluation
-// charges it (§7 evaluates exactly this behaviour).
+// charges it (§7 evaluates exactly this behaviour), so the evaluation
+// chooses each client's quorum once and both methods read that choice.
 type ClosestStrategy struct{}
 
 var _ Strategy = ClosestStrategy{}
@@ -63,14 +64,13 @@ func (ClosestStrategy) Name() string { return "closest" }
 
 // ClientNodeLoads implements Strategy.
 func (ClosestStrategy) ClientNodeLoads(e *Eval, k int, loads []float64) {
-	elems, _ := e.Sys.ClosestQuorum(e.elementNetCosts(e.Clients[k]))
 	switch e.Mode {
 	case LoadDedup:
-		for _, u := range elems {
+		for _, u := range e.closestQuorum(k) {
 			loads[e.F.Node(u)] = 1
 		}
 	default:
-		for _, u := range elems {
+		for _, u := range e.closestQuorum(k) {
 			loads[e.F.Node(u)]++
 		}
 	}
@@ -78,9 +78,8 @@ func (ClosestStrategy) ClientNodeLoads(e *Eval, k int, loads []float64) {
 
 // ExpectedMax implements Strategy.
 func (ClosestStrategy) ExpectedMax(e *Eval, k int, elemCost []float64) float64 {
-	elems, _ := e.Sys.ClosestQuorum(e.elementNetCosts(e.Clients[k]))
 	maxC := math.Inf(-1)
-	for _, u := range elems {
+	for _, u := range e.closestQuorum(k) {
 		if elemCost[u] > maxC {
 			maxC = elemCost[u]
 		}

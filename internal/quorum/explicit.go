@@ -88,7 +88,7 @@ func (s *Explicit) Quorum(i int) []int {
 }
 
 // ClosestQuorum implements System by scanning all quorums.
-func (s *Explicit) ClosestQuorum(cost []float64) ([]int, float64) {
+func (s *Explicit) ClosestQuorum(cost []float64) []int {
 	s.checkCost(cost)
 	best, bestCost := 0, math.Inf(1)
 	for i, q := range s.quorums {
@@ -102,7 +102,7 @@ func (s *Explicit) ClosestQuorum(cost []float64) ([]int, float64) {
 			best, bestCost = i, maxC
 		}
 	}
-	return s.Quorum(best), bestCost
+	return s.Quorum(best)
 }
 
 // UniformElementLoad implements System. Explicit systems need not be

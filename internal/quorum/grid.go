@@ -67,7 +67,7 @@ func (s Grid) Quorum(i int) []int {
 
 // ClosestQuorum implements System: evaluate all k² (row, column) pairs
 // using precomputed per-row and per-column maxima.
-func (s Grid) ClosestQuorum(cost []float64) ([]int, float64) {
+func (s Grid) ClosestQuorum(cost []float64) []int {
 	s.checkCost(cost)
 	var buf [2 * maxStackDim]float64
 	rowMax, colMax := s.lineMaxima(cost, buf[:])
@@ -82,7 +82,7 @@ func (s Grid) ClosestQuorum(cost []float64) ([]int, float64) {
 			}
 		}
 	}
-	return s.Quorum(bestIdx), bestCost
+	return s.Quorum(bestIdx)
 }
 
 // UniformElementLoad implements System. Element (a, b) is in quorum (r, c)
@@ -211,11 +211,11 @@ func (Singleton) Quorum(i int) []int {
 }
 
 // ClosestQuorum implements System.
-func (Singleton) ClosestQuorum(cost []float64) ([]int, float64) {
+func (Singleton) ClosestQuorum(cost []float64) []int {
 	if len(cost) != 1 {
 		panic(fmt.Sprintf("quorum: cost vector length %d, want 1", len(cost)))
 	}
-	return []int{0}, cost[0]
+	return []int{0}
 }
 
 // UniformElementLoad implements System.

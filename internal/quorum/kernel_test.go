@@ -135,11 +135,11 @@ func TestGridKernelsMatchMathMaxReference(t *testing.T) {
 					t.Fatalf("%s shape %d trial %d: ExpectedMaxUniform = %v (%#x), reference %v (%#x)",
 						s.Name(), shape, trial, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
-				elems, gotC := s.ClosestQuorum(cost)
+				elems := s.ClosestQuorum(cost)
 				wantIdx, wantC := refGridClosestCost(s, cost)
-				if math.Float64bits(gotC) != math.Float64bits(wantC) || !equalInts(elems, s.Quorum(wantIdx)) {
-					t.Fatalf("%s shape %d trial %d: ClosestQuorum = %v at %v, reference quorum %d at %v",
-						s.Name(), shape, trial, elems, gotC, wantIdx, wantC)
+				if !equalInts(elems, s.Quorum(wantIdx)) {
+					t.Fatalf("%s shape %d trial %d: ClosestQuorum = %v, reference quorum %d at %v",
+						s.Name(), shape, trial, elems, wantIdx, wantC)
 				}
 			}
 		}

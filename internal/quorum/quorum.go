@@ -12,10 +12,7 @@
 // thresholds), which the access-strategy LP requires.
 package quorum
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // System is a quorum system over universe {0..UniverseSize()-1}.
 type System interface {
@@ -35,10 +32,10 @@ type System interface {
 	// Quorum returns the elements of quorum i, for 0 <= i < NumQuorums().
 	// The returned slice is fresh and sorted ascending.
 	Quorum(i int) []int
-	// ClosestQuorum returns the quorum minimizing the maximum of cost[u]
-	// over its elements u, together with that minimal max cost. cost must
+	// ClosestQuorum returns the elements of the quorum minimizing the
+	// maximum of cost[u] over its elements u, as a fresh slice. cost must
 	// have length UniverseSize(). Ties break deterministically.
-	ClosestQuorum(cost []float64) (elements []int, maxCost float64)
+	ClosestQuorum(cost []float64) []int
 	// UniformElementLoad returns load(u) under the uniform (balanced)
 	// access strategy: the probability that element u belongs to a
 	// uniformly sampled quorum. All systems here are element-symmetric, so
@@ -101,8 +98,8 @@ func binomial(n, k int) int {
 }
 
 // smallestK returns the indices of the k smallest values (ties broken by
-// index) and the largest value among them.
-func smallestK(cost []float64, k int) ([]int, float64) {
+// index) in ascending order.
+func smallestK(cost []float64, k int) []int {
 	idx := make([]int, len(cost))
 	for i := range idx {
 		idx[i] = i
@@ -117,11 +114,5 @@ func smallestK(cost []float64, k int) ([]int, float64) {
 	out := make([]int, k)
 	copy(out, sel)
 	sort.Ints(out)
-	maxC := math.Inf(-1)
-	for _, u := range out {
-		if cost[u] > maxC {
-			maxC = cost[u]
-		}
-	}
-	return out, maxC
+	return out
 }

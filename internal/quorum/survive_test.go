@@ -48,8 +48,8 @@ func TestExplicitMatchesGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		cost := randomCosts(rng, g.UniverseSize())
-		_, gc := g.ClosestQuorum(cost)
-		_, ec := e.ClosestQuorum(cost)
+		gc := maxOver(cost, g.ClosestQuorum(cost))
+		ec := maxOver(cost, e.ClosestQuorum(cost))
 		if math.Abs(gc-ec) > 1e-12 {
 			t.Fatalf("closest: grid %v, explicit %v", gc, ec)
 		}

@@ -96,7 +96,7 @@ func (s Threshold) Quorum(i int) []int {
 }
 
 // ClosestQuorum implements System: the q cheapest elements.
-func (s Threshold) ClosestQuorum(cost []float64) ([]int, float64) {
+func (s Threshold) ClosestQuorum(cost []float64) []int {
 	s.checkCost(cost)
 	return smallestK(cost, s.q)
 }
